@@ -18,12 +18,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .correlate import FitParams, fit_surface, probability_map, sigma_vs_alpha_scan
+from .correlate import SigmaRow, fit_surface, probability_map, sigma_vs_alpha_scan
 from .distribution import Distribution2D
 from .errors import EntlocError
 from .oscillator import (
@@ -37,6 +38,7 @@ from .oscillator import (
 )
 from .restrict import (
     DiscretizationSpec,
+    MethodEquivalence,
     Partition,
     Region,
     both_restricted_entropy,
@@ -48,21 +50,6 @@ from .restrict import (
     partition_inequality_check,
 )
 from .spin import negativity_vanish_point, negativity_vs_purity, spin_scan
-
-SUBCOMMANDS = (
-    "spin-scan",
-    "spin-negativity-scan",
-    "spin-vanish-point",
-    "gauss-constants",
-    "gauss-one-restricted",
-    "gauss-both-restricted",
-    "gauss-limits",
-    "gauss-classical-map",
-    "gauss-fit",
-    "gauss-sigma-scan",
-    "gauss-inequality",
-    "gauss-converge",
-)
 
 
 class UsageError(Exception):
@@ -77,16 +64,14 @@ class ConfigParse(UsageError):
     pass
 
 
-class NumericalFailure(EntlocError):
-    """Unexpected numeric breakdown outside the library's own errors."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map to 1
         raise UsageError(message)
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):  # flag tokens
+        return value
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return "nan"
     if value == 0:
@@ -95,11 +80,7 @@ def _fmt(value) -> str:
 
 
 def _flag_token(masked: bool, empty: bool) -> str:
-    if masked:
-        return "masked"
-    if empty:
-        return "empty"
-    return "ok"
+    return "masked" if masked else "empty" if empty else "ok"
 
 
 def _json_safe(obj):
@@ -122,6 +103,27 @@ def _write_text(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def _write_csv(path: str | None, header, rows) -> None:
+    """Header line plus one line per row, numbers at 12 significant digits."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _emit_json(payload: dict, path: str | None, metadata: dict) -> None:
+    """Write payload as indented JSON with the metadata block last."""
+    document = _json_safe({**payload, "metadata": metadata})
+    _write_text(path, json.dumps(document, indent=2) + "\n")
+
+
+def _emit_table(ns, metadata, header, rows, json_rows) -> None:
+    """A table as CSV, or as JSON whose "rows" are json_rows."""
+    if ns.format == "csv":
+        _write_csv(ns.output, header, rows)
+    else:
+        _emit_json({"rows": json_rows}, ns.output, metadata)
 
 
 def distribution_rows(dist: Distribution2D, layer: str | None = None):
@@ -148,63 +150,46 @@ def emit_distribution(dist: Distribution2D, path: str | None, fmt: str,
     rows = distribution_rows(dist, layer)
     name_a, name_b = dist.axis_names
     if fmt == "csv":
-        lines = [f"{name_a},{name_b},value,prob,flag"]
-        lines += [f"{_fmt(a)},{_fmt(b)},{_fmt(v)},{_fmt(p)},{flag}"
-                  for a, b, v, p, flag in rows]
-        _write_text(path, "\n".join(lines) + "\n")
+        _write_csv(path, (name_a, name_b, "value", "prob", "flag"), rows)
         return
-    payload = {
+    _emit_json({
         "axes": {name_a: dist.axis_a.tolist(), name_b: dist.axis_b.tolist()},
         "kind": dist.kind,
         "values": [v for _, _, v, _, _ in rows],
         "prob": [p for _, _, _, p, _ in rows],
         "flag": [flag for *_, flag in rows],
-        "metadata": metadata or {},
-    }
-    _write_text(path, json.dumps(_json_safe(payload), indent=2) + "\n")
+    }, path, metadata or {})
 
 
 def parse_distribution(path: str) -> Distribution2D:
     """Re-ingest a CSV surface produced by emit_distribution."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise ConfigParse(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ConfigParse(f"{path} is empty")
     header = lines[0].split(",")
     if len(header) < 3:
         raise ConfigParse(f"{path} does not look like a surface CSV")
-    axis_a_vals, axis_b_vals, records = [], [], []
+    index_a, index_b, records = {}, {}, []  # axis value -> index, first-seen order
     for line in lines[1:]:
         parts = line.split(",")
-        a, b, v = float(parts[0]), float(parts[1]), float(parts[2])
-        flag = parts[4] if len(parts) > 4 else "ok"
-        if a not in axis_a_vals:
-            axis_a_vals.append(a)
-        if b not in axis_b_vals:
-            axis_b_vals.append(b)
-        records.append((a, b, v, flag))
-    axis_a = np.array(axis_a_vals)
-    axis_b = np.array(axis_b_vals)
-    values = np.full((axis_a.size, axis_b.size), np.nan)
+        try:
+            a, b, v = float(parts[0]), float(parts[1]), float(parts[2])
+        except (ValueError, IndexError) as exc:
+            raise ConfigParse(f"{path}: malformed row {line!r}") from exc
+        records.append((index_a.setdefault(a, len(index_a)),
+                        index_b.setdefault(b, len(index_b)),
+                        v, len(parts) > 4 and parts[4] == "masked"))
+    values = np.full((len(index_a), len(index_b)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
-    index_a = {a: i for i, a in enumerate(axis_a_vals)}
-    index_b = {b: j for j, b in enumerate(axis_b_vals)}
-    for a, b, v, flag in records:
-        i, j = index_a[a], index_b[b]
+    for i, j, v, masked in records:
         values[i, j] = v
-        mask[i, j] = flag == "masked"
-    return Distribution2D(axis_a=axis_a, axis_b=axis_b, values=values,
+        mask[i, j] = masked
+    return Distribution2D(axis_a=list(index_a), axis_b=list(index_b), values=values,
                           mask=mask, axis_names=(header[0], header[1]))
-
-
-def _emit_json(payload: dict, path: str | None, config: dict) -> None:
-    payload = dict(payload)
-    payload["metadata"] = {"config": _json_safe(config), "version": __version__}
-    _write_text(path, json.dumps(_json_safe(payload), indent=2) + "\n")
-
-
-def _metadata(config: dict) -> dict:
-    return {"config": _json_safe(config), "version": __version__}
 
 
 def _float_list(text: str) -> list[float]:
@@ -215,16 +200,19 @@ def _float_list(text: str) -> list[float]:
 
 
 def _linspace(lo: float, hi: float, steps: int) -> np.ndarray:
+    steps = int(steps)
     if steps < 2:
         raise UsageError("ranges need at least 2 steps")
-    return np.linspace(lo, hi, int(steps))
+    return np.linspace(lo, hi, steps)
+
+
+def _model(ns) -> OscillatorModel:
+    _require(ns, "alpha")
+    return OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
 
 
 def _spec(ns) -> DiscretizationSpec | None:
-    n_bins = getattr(ns, "n_bins", None)
-    if n_bins is None:
-        return None
-    return DiscretizationSpec(n_bins=int(n_bins))
+    return None if ns.n_bins is None else DiscretizationSpec(n_bins=int(ns.n_bins))
 
 
 def _require(ns, *names) -> None:
@@ -248,33 +236,32 @@ def _workers(ns) -> int:
 
 
 # -- subcommand implementations ------------------------------------------------
+# Each handler takes the parsed flags and the metadata block that JSON
+# output carries ({"config": flags echoed, "version": ...}).
 
-def _cmd_spin_scan(ns, config):
+def _cmd_spin_scan(ns, metadata):
     if getattr(ns, "f_range", None) is not None:
-        lo, hi, steps = ns.f_range
-        dist = negativity_vs_purity(ns.theta1, ns.theta2,
-                                    _linspace(lo, hi, int(steps)),
+        dist = negativity_vs_purity(ns.theta1, ns.theta2, _linspace(*ns.f_range),
                                     restricted=bool(ns.restricted))
-        emit_distribution(dist, ns.output, ns.format, _metadata(config))
+        emit_distribution(dist, ns.output, ns.format, metadata)
         return
     thetas = _linspace(ns.theta_min, ns.theta_max, ns.steps)
     restricted = bool(ns.restricted) or ns.surface == "delta"
     dist = spin_scan(thetas, thetas, measure=ns.measure,
                      restricted=restricted, F=ns.f_value)
     layer = "delta" if ns.surface == "delta" else None
-    emit_distribution(dist, ns.output, ns.format, _metadata(config), layer)
+    emit_distribution(dist, ns.output, ns.format, metadata, layer)
 
 
-def _cmd_spin_vanish_point(ns, config):
+def _cmd_spin_vanish_point(ns, metadata):
     _require(ns, "theta1", "theta2")
     f_star = negativity_vanish_point(ns.theta1, ns.theta2,
                                      restricted=bool(ns.restricted))
-    _emit_json({"F_star": f_star}, ns.output, config)
+    _emit_json({"F_star": f_star}, ns.output, metadata)
 
 
-def _cmd_gauss_constants(ns, config):
-    _require(ns, "alpha")
-    model = OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
+def _cmd_gauss_constants(ns, metadata):
+    model = _model(ns)
     gs = ground_state_constants(model)
     _emit_json({
         "alpha": model.alpha,
@@ -284,36 +271,30 @@ def _cmd_gauss_constants(ns, config):
         "w": gs.w,
         "eof": gs.eof,
         "L": gs.l_matrix.tolist(),
-    }, ns.output, config)
+    }, ns.output, metadata)
 
 
-def _cmd_gauss_limits(ns, config):
+def _cmd_gauss_limits(ns, metadata):
     _require(ns, "alpha", "a")
-    model = OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
-    a = ns.a
-    b = ns.b if ns.b is not None else ns.a
+    model = _model(ns)
+    a, b = ns.a, (ns.b if ns.b is not None else ns.a)
     _emit_json({
         "epsilon_one": small_a_epsilon_one(model, a),
         "epsilon_both": small_a_epsilon_both(model, a, b),
         "concurrence_density": concurrence_density(model),
         "entanglement_one": small_a_entanglement_one(model, a),
         "entanglement_both": small_a_entanglement_both(model, a, b),
-    }, ns.output, config)
+    }, ns.output, metadata)
 
 
-def _cmd_gauss_one_restricted(ns, config):
-    _require(ns, "alpha")
-    model = OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
+def _cmd_gauss_one_restricted(ns, metadata):
+    model = _model(ns)
     if ns.centers is None:
         if ns.qbar is None or ns.width is None:
             raise UsageError("need --qbar and --width, or --centers for a map")
-        if ns.method == "basis":
-            spec = DiscretizationSpec(method="basis", n_basis=ns.n_basis,
-                                      quadrature_order=ns.quadrature_order)
-        else:
-            spec = _spec(ns)
-        result = one_restricted_entropy(model, Region(ns.qbar, ns.width / 2.0),
-                                        spec)
+        spec = _spec(ns) if ns.method != "basis" else DiscretizationSpec(
+            method="basis", n_basis=ns.n_basis, quadrature_order=ns.quadrature_order)
+        result = one_restricted_entropy(model, Region(ns.qbar, ns.width / 2.0), spec)
         _emit_json({
             "entanglement": result.entanglement,
             "prob": result.survival_probability,
@@ -321,22 +302,21 @@ def _cmd_gauss_one_restricted(ns, config):
             "method": result.spec.method,
             "n_bins": result.spec.n_bins,
             "n_basis": result.spec.n_basis,
-        }, ns.output, config)
+        }, ns.output, metadata)
         return
-    lo, hi, steps = ns.centers
-    centers = _linspace(lo, hi, int(steps))
+    centers = _linspace(*ns.centers)
     widths = _float_list(ns.widths) if ns.widths else [ns.width]
     if widths == [None]:
         raise UsageError("map mode needs --widths or --width")
     dist = entanglement_map(model, centers, widths=np.asarray(widths),
                             spec=_spec(ns), workers=_workers(ns))
     layer = "rescaled" if ns.surface == "rescaled" else None
-    emit_distribution(dist, ns.output, ns.format, _metadata(config), layer)
+    emit_distribution(dist, ns.output, ns.format, metadata, layer)
 
 
-def _cmd_gauss_both_restricted(ns, config):
+def _cmd_gauss_both_restricted(ns, metadata):
     _require(ns, "alpha", "width")
-    model = OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
+    model = _model(ns)
     half = ns.width / 2.0
     half_b = (ns.width_b / 2.0) if ns.width_b is not None else None
     if ns.mode == "point":
@@ -351,17 +331,16 @@ def _cmd_gauss_both_restricted(ns, config):
             "prob": result.survival_probability,
             "spectrum_size": result.spectrum.size,
             "n_bins": result.spec.n_bins,
-        }, ns.output, config)
+        }, ns.output, metadata)
         return
     if ns.centers is None:
         raise UsageError(f"{ns.mode} mode needs --centers lo hi steps")
-    lo, hi, steps = ns.centers
-    centers = _linspace(lo, hi, int(steps))
+    centers = _linspace(*ns.centers)
     if ns.mode == "grid":
         dist = entanglement_map(model, centers, centers_b=centers,
                                 half_width=half, half_width_b=half_b,
                                 spec=_spec(ns), workers=_workers(ns))
-        emit_distribution(dist, ns.output, ns.format, _metadata(config))
+        emit_distribution(dist, ns.output, ns.format, metadata)
         return
     bob_center = None if ns.mode == "profile-equal" else ns.bob_center
     cs, values, probs, flags = both_restricted_profile(
@@ -370,81 +349,56 @@ def _cmd_gauss_both_restricted(ns, config):
     rows = [(c, c if bob_center is None else bob_center, v, p,
              _flag_token(False, f > 0.5))
             for c, v, p, f in zip(cs, values, probs, flags)]
-    if ns.format == "csv":
-        lines = ["q_bar_A,q_bar_B,value,prob,flag"]
-        lines += [f"{_fmt(a)},{_fmt(b)},{_fmt(v)},{_fmt(p)},{flag}"
-                  for a, b, v, p, flag in rows]
-        _write_text(ns.output, "\n".join(lines) + "\n")
-    else:
-        _emit_json({"rows": rows}, ns.output, config)
+    _emit_table(ns, metadata, ("q_bar_A", "q_bar_B", "value", "prob", "flag"), rows, rows)
 
 
-def _cmd_gauss_classical_map(ns, config):
+def _cmd_gauss_classical_map(ns, metadata):
     _require(ns, "alpha", "centers", "width")
-    model = OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
-    lo, hi, steps = ns.centers
-    centers = _linspace(lo, hi, int(steps))
-    kind = ("joint_probability" if ns.kind == "joint"
-            else "conditional_probability")
-    dist = probability_map(model, centers, centers, ns.width / 2.0,
+    centers = _linspace(*ns.centers)
+    dist = probability_map(_model(ns), centers, centers, ns.width / 2.0,
                            (ns.width_b / 2.0) if ns.width_b else None,
-                           kind=kind, workers=_workers(ns))
-    emit_distribution(dist, ns.output, ns.format, _metadata(config))
+                           kind=f"{ns.kind}_probability", workers=_workers(ns))
+    emit_distribution(dist, ns.output, ns.format, metadata)
 
 
-def _fit_payload(fit: FitParams) -> dict:
-    return {key: value for key, value in asdict(fit).items() if value is not None}
-
-
-def _cmd_gauss_fit(ns, config):
+def _cmd_gauss_fit(ns, metadata):
     _require(ns, "input")
     dist = parse_distribution(ns.input)
     form = "symmetric_pm" if ns.form == "symmetric" else "conditional"
-    fit = fit_surface(dist, form, threshold=ns.threshold, window=ns.window)
-    payload = {"fit": _fit_payload(fit)}
+
+    def fit(surface):
+        params = fit_surface(surface, form, threshold=ns.threshold, window=ns.window)
+        return {key: value for key, value in asdict(params).items() if value is not None}
+
+    payload = {"fit": fit(dist)}
     if ns.jitter:
         rng = np.random.default_rng(ns.seed)
         noisy = Distribution2D(
             axis_a=dist.axis_a, axis_b=dist.axis_b,
             values=dist.values * (1.0 + ns.jitter * rng.standard_normal(dist.shape)),
             kind=dist.kind, mask=dist.mask, axis_names=dist.axis_names)
-        payload["jitter_fit"] = _fit_payload(
-            fit_surface(noisy, form, threshold=ns.threshold, window=ns.window))
+        payload["jitter_fit"] = fit(noisy)
         payload["jitter"] = ns.jitter
     if ns.window is not None:
         payload["fit_window"] = ns.window
-    _emit_json(payload, ns.output, config)
+    _emit_json(payload, ns.output, metadata)
 
 
-def _cmd_gauss_sigma_scan(ns, config):
+def _cmd_gauss_sigma_scan(ns, metadata):
     _require(ns, "alphas")
-    alphas = _float_list(ns.alphas)
-    which = {"classical": "classical", "quantum": "quantum",
-             "small-a-analytic": "small_a_analytic"}[ns.which]
-    rows = sigma_vs_alpha_scan(alphas, which=which, half_width=ns.width / 2.0,
-                               extent=ns.extent, steps=ns.steps,
-                               workers=_workers(ns))
-    header = "alpha,sigma_plus,sigma_minus,sigma_1,sigma_2,sigma_12"
-    if ns.format == "csv":
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in (
-                row.alpha, row.sigma_plus, row.sigma_minus,
-                row.sigma_1, row.sigma_2, row.sigma_12)))
-        _write_text(ns.output, "\n".join(lines) + "\n")
-    else:
-        _emit_json({"rows": [asdict(row) for row in rows]}, ns.output, config)
+    rows = sigma_vs_alpha_scan(_float_list(ns.alphas), which=ns.which.replace("-", "_"),
+                               half_width=ns.width / 2.0, extent=ns.extent,
+                               steps=ns.steps, workers=_workers(ns))
+    _emit_table(ns, metadata, [f.name for f in fields(SigmaRow)],
+                [astuple(row) for row in rows], [asdict(row) for row in rows])
 
 
-def _cmd_gauss_inequality(ns, config):
-    _require(ns, "alpha")
-    model = OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
-    partition_a = Partition.uniform(-ns.extent, ns.extent, int(ns.grid_a),
-                                    ns.tail_handling)
-    partition_b = Partition.uniform(-ns.extent, ns.extent, int(ns.grid_b),
-                                    ns.tail_handling)
-    report = partition_inequality_check(model, partition_a, partition_b,
-                                        _spec(ns))
+def _cmd_gauss_inequality(ns, metadata):
+    model = _model(ns)
+    partition_a, partition_b = (
+        Partition.uniform(-ns.extent, ns.extent, int(n), ns.tail_handling)
+        for n in (ns.grid_a, ns.grid_b))
+    report = partition_inequality_check(model, partition_a, partition_b, _spec(ns))
     payload = {
         "weighted_sum": report.weighted_sum,
         "full_entanglement": report.full_entanglement,
@@ -468,163 +422,142 @@ def _cmd_gauss_inequality(ns, config):
             "mixture_value": mixture,
             "two_path_gap": gap,
         }
-    _emit_json(payload, ns.output, config)
+    _emit_json(payload, ns.output, metadata)
 
 
-def _cmd_gauss_converge(ns, config):
-    _require(ns, "alpha")
-    model = OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
-    widths = _float_list(ns.widths)
-    entries = []
-    for width in widths:
+def _cmd_gauss_converge(ns, metadata):
+    model = _model(ns)
+    header = ["width"] + [f.name for f in fields(MethodEquivalence)]
+    rows = []
+    for width in _float_list(ns.widths):
         eq = method_equivalence(model, Region(ns.qbar, width / 2.0),
                                 n_bins=int(ns.n_bins), n_basis=int(ns.n_basis))
-        entries.append({"width": width, **asdict(eq)})
-    if ns.format == "csv":
-        keys = ["width", "grid_coarse", "grid_fine", "basis_coarse",
-                "basis_fine", "grid_limit", "basis_limit", "gap"]
-        lines = [",".join(keys)]
-        lines += [",".join(_fmt(entry[k]) for k in keys) for entry in entries]
-        _write_text(ns.output, "\n".join(lines) + "\n")
-    else:
-        _emit_json({"rows": entries}, ns.output, config)
+        rows.append((width, *astuple(eq)))
+    _emit_table(ns, metadata, header, rows, [dict(zip(header, row)) for row in rows])
 
 
 # -- argument plumbing -----------------------------------------------------------
 
-def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--config", help="flat JSON file of flag defaults")
-    parser.add_argument("--output", "-o", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+def _arg(*names, **kwargs):
+    """One flag: the positional and keyword arguments of add_argument."""
+    return names, kwargs
 
 
-def _add_model(parser: _Parser) -> None:
-    parser.add_argument("--alpha", type=float, required=False)
-    parser.add_argument("--m", type=float, default=1.0)
-    parser.add_argument("--omega", type=float, default=1.0)
+def _range(name, **kwargs):
+    return _arg(name, type=float, nargs=3, metavar=("LO", "HI", "STEPS"), **kwargs)
+
+
+_COMMON = (
+    _arg("--config", help="flat JSON file of flag defaults"),
+    _arg("--output", "-o", help="output path (default stdout)"),
+    _arg("--format", choices=("csv", "json"), default="csv"),
+    _arg("--workers", type=int),
+    _arg("--seed", type=int, default=0),
+)
+_MODEL = (
+    _arg("--alpha", type=float),
+    _arg("--m", type=float, default=1.0),
+    _arg("--omega", type=float, default=1.0),
+)
+_RESTRICTED = _arg("--restricted", action="store_true", default=None)
+_SPIN = (
+    _arg("--steps", type=int, default=64),
+    _arg("--theta-min", type=float, default=0.0),
+    _arg("--theta-max", type=float, default=2.0 * math.pi),
+    _RESTRICTED,
+    _arg("--surface", choices=("value", "delta"), default="value"),
+    _arg("--f-value", type=float, default=1.0),
+)
+
+
+class _Subcommand(NamedTuple):
+    handler: Callable
+    flags: tuple            # after the common flags, in help and config-echo order
+    defaults: dict | None = None  # namespace entries that no flag sets
+
+
+# Every subcommand, in the order `--help` lists them.
+_SUBCOMMANDS = {
+    "spin-scan": _Subcommand(_cmd_spin_scan, _SPIN, {"measure": "entropy"}),
+    "spin-negativity-scan": _Subcommand(_cmd_spin_scan, _SPIN + (
+        _range("--f-range", help="sweep F at fixed angles instead"),
+        _arg("--theta1", type=float, default=0.25 * math.pi),
+        _arg("--theta2", type=float, default=0.25 * math.pi),
+    ), {"measure": "negativity"}),
+    "spin-vanish-point": _Subcommand(_cmd_spin_vanish_point, (
+        _arg("--theta1", type=float), _arg("--theta2", type=float), _RESTRICTED)),
+    "gauss-constants": _Subcommand(_cmd_gauss_constants, _MODEL),
+    "gauss-one-restricted": _Subcommand(_cmd_gauss_one_restricted, _MODEL + (
+        _arg("--qbar", type=float),
+        _arg("--width", type=float),
+        _range("--centers"),
+        _arg("--widths", help="comma-separated widths for a map"),
+        _arg("--surface", choices=("value", "rescaled"), default="value"),
+        _arg("--n-bins", type=int),
+        _arg("--method", choices=("grid", "basis"), default="grid"),
+        _arg("--n-basis", type=int),
+        _arg("--quadrature-order", type=int, default=16),
+    )),
+    "gauss-both-restricted": _Subcommand(_cmd_gauss_both_restricted, _MODEL + (
+        _arg("--mode", choices=("point", "grid", "profile-equal", "profile-fixed"),
+             default="point"),
+        _arg("--qbar-a", type=float),
+        _arg("--qbar-b", type=float),
+        _arg("--bob-center", type=float, default=0.0),
+        _range("--centers"),
+        _arg("--width", type=float),
+        _arg("--width-b", type=float),
+        _arg("--n-bins", type=int),
+    )),
+    "gauss-limits": _Subcommand(_cmd_gauss_limits, _MODEL + (
+        _arg("--a", type=float), _arg("--b", type=float))),
+    "gauss-classical-map": _Subcommand(_cmd_gauss_classical_map, _MODEL + (
+        _range("--centers"),
+        _arg("--width", type=float),
+        _arg("--width-b", type=float),
+        _arg("--kind", choices=("joint", "conditional"), default="joint"),
+    )),
+    "gauss-fit": _Subcommand(_cmd_gauss_fit, (
+        _arg("--input"),
+        _arg("--form", choices=("symmetric", "conditional"), default="symmetric"),
+        _arg("--threshold", type=float, default=1e-3),
+        _arg("--window", type=float),
+        _arg("--jitter", type=float, default=0.0),
+    )),
+    "gauss-sigma-scan": _Subcommand(_cmd_gauss_sigma_scan, (
+        _arg("--alphas"),
+        _arg("--which", choices=("classical", "quantum", "small-a-analytic"),
+             default="classical"),
+        _arg("--width", type=float, default=0.5),
+        _arg("--extent", type=float, default=4.0),
+        _arg("--steps", type=int, default=33),
+    )),
+    "gauss-inequality": _Subcommand(_cmd_gauss_inequality, _MODEL + (
+        _arg("--grid-a", type=int, default=4),
+        _arg("--grid-b", type=int, default=4),
+        _arg("--extent", type=float, default=4.0),
+        _arg("--tail-handling", choices=("truncate", "merge-into-end-segments"),
+             default="truncate"),
+        _arg("--n-bins", type=int),
+        _arg("--nd-center", type=float),
+        _arg("--nd-half-width", type=float),
+    )),
+    "gauss-converge": _Subcommand(_cmd_gauss_converge, _MODEL + (
+        _arg("--qbar", type=float, default=0.0),
+        _arg("--widths", default="1,2,4"),
+        _arg("--n-bins", type=int, default=200),
+        _arg("--n-basis", type=int, default=40),
+    )),
+}
 
 
 def _build_parser(subcommand: str) -> _Parser:
     parser = _Parser(prog=f"entloc {subcommand}", add_help=True)
-    _add_common(parser)
-    if subcommand in ("spin-scan", "spin-negativity-scan"):
-        parser.add_argument("--steps", type=int, default=64)
-        parser.add_argument("--theta-min", type=float, default=0.0)
-        parser.add_argument("--theta-max", type=float, default=2.0 * math.pi)
-        parser.add_argument("--restricted", action="store_true", default=None)
-        parser.add_argument("--surface", choices=("value", "delta"),
-                            default="value")
-        parser.add_argument("--f-value", type=float, default=1.0)
-        if subcommand == "spin-negativity-scan":
-            parser.add_argument("--f-range", type=float, nargs=3, default=None,
-                                metavar=("LO", "HI", "STEPS"),
-                                help="sweep F at fixed angles instead")
-            parser.add_argument("--theta1", type=float,
-                                default=0.25 * math.pi)
-            parser.add_argument("--theta2", type=float,
-                                default=0.25 * math.pi)
-        parser.set_defaults(
-            measure="entropy" if subcommand == "spin-scan" else "negativity")
-    elif subcommand == "spin-vanish-point":
-        parser.add_argument("--theta1", type=float, default=None)
-        parser.add_argument("--theta2", type=float, default=None)
-        parser.add_argument("--restricted", action="store_true", default=None)
-    elif subcommand == "gauss-constants":
-        _add_model(parser)
-    elif subcommand == "gauss-limits":
-        _add_model(parser)
-        parser.add_argument("--a", type=float, default=None)
-        parser.add_argument("--b", type=float, default=None)
-    elif subcommand == "gauss-one-restricted":
-        _add_model(parser)
-        parser.add_argument("--qbar", type=float, default=None)
-        parser.add_argument("--width", type=float, default=None)
-        parser.add_argument("--centers", type=float, nargs=3, default=None,
-                            metavar=("LO", "HI", "STEPS"))
-        parser.add_argument("--widths", type=str, default=None,
-                            help="comma-separated widths for a map")
-        parser.add_argument("--surface", choices=("value", "rescaled"),
-                            default="value")
-        parser.add_argument("--n-bins", type=int, default=None)
-        parser.add_argument("--method", choices=("grid", "basis"),
-                            default="grid")
-        parser.add_argument("--n-basis", type=int, default=None)
-        parser.add_argument("--quadrature-order", type=int, default=16)
-    elif subcommand == "gauss-both-restricted":
-        _add_model(parser)
-        parser.add_argument("--mode", choices=("point", "grid",
-                                               "profile-equal",
-                                               "profile-fixed"),
-                            default="point")
-        parser.add_argument("--qbar-a", type=float, default=None)
-        parser.add_argument("--qbar-b", type=float, default=None)
-        parser.add_argument("--bob-center", type=float, default=0.0)
-        parser.add_argument("--centers", type=float, nargs=3, default=None,
-                            metavar=("LO", "HI", "STEPS"))
-        parser.add_argument("--width", type=float, default=None)
-        parser.add_argument("--width-b", type=float, default=None)
-        parser.add_argument("--n-bins", type=int, default=None)
-    elif subcommand == "gauss-classical-map":
-        _add_model(parser)
-        parser.add_argument("--centers", type=float, nargs=3, default=None,
-                            metavar=("LO", "HI", "STEPS"))
-        parser.add_argument("--width", type=float, default=None)
-        parser.add_argument("--width-b", type=float, default=None)
-        parser.add_argument("--kind", choices=("joint", "conditional"),
-                            default="joint")
-    elif subcommand == "gauss-fit":
-        parser.add_argument("--input", default=None)
-        parser.add_argument("--form", choices=("symmetric", "conditional"),
-                            default="symmetric")
-        parser.add_argument("--threshold", type=float, default=1e-3)
-        parser.add_argument("--window", type=float, default=None)
-        parser.add_argument("--jitter", type=float, default=0.0)
-    elif subcommand == "gauss-sigma-scan":
-        parser.add_argument("--alphas", type=str, default=None)
-        parser.add_argument("--which", choices=("classical", "quantum",
-                                                "small-a-analytic"),
-                            default="classical")
-        parser.add_argument("--width", type=float, default=0.5)
-        parser.add_argument("--extent", type=float, default=4.0)
-        parser.add_argument("--steps", type=int, default=33)
-    elif subcommand == "gauss-inequality":
-        _add_model(parser)
-        parser.add_argument("--grid-a", type=int, default=4)
-        parser.add_argument("--grid-b", type=int, default=4)
-        parser.add_argument("--extent", type=float, default=4.0)
-        parser.add_argument("--tail-handling",
-                            choices=("truncate", "merge-into-end-segments"),
-                            default="truncate")
-        parser.add_argument("--n-bins", type=int, default=None)
-        parser.add_argument("--nd-center", type=float, default=None)
-        parser.add_argument("--nd-half-width", type=float, default=None)
-    elif subcommand == "gauss-converge":
-        _add_model(parser)
-        parser.add_argument("--qbar", type=float, default=0.0)
-        parser.add_argument("--widths", type=str, default="1,2,4")
-        parser.add_argument("--n-bins", type=int, default=200)
-        parser.add_argument("--n-basis", type=int, default=40)
-    else:  # pragma: no cover - guarded by the dispatch table
-        raise UnknownSubcommand(subcommand)
+    command = _SUBCOMMANDS[subcommand]
+    for names, kwargs in _COMMON + command.flags:
+        parser.add_argument(*names, **kwargs)
+    parser.set_defaults(**(command.defaults or {}))
     return parser
-
-
-_HANDLERS = {
-    "spin-scan": _cmd_spin_scan,
-    "spin-negativity-scan": _cmd_spin_scan,
-    "spin-vanish-point": _cmd_spin_vanish_point,
-    "gauss-constants": _cmd_gauss_constants,
-    "gauss-one-restricted": _cmd_gauss_one_restricted,
-    "gauss-both-restricted": _cmd_gauss_both_restricted,
-    "gauss-limits": _cmd_gauss_limits,
-    "gauss-classical-map": _cmd_gauss_classical_map,
-    "gauss-fit": _cmd_gauss_fit,
-    "gauss-sigma-scan": _cmd_gauss_sigma_scan,
-    "gauss-inequality": _cmd_gauss_inequality,
-    "gauss-converge": _cmd_gauss_converge,
-}
 
 
 def _load_config(path: str) -> dict:
@@ -656,33 +589,29 @@ def run(argv: list[str]) -> int:
         if not argv:
             raise UsageError(
                 "usage: entloc <subcommand> [flags]; subcommands: "
-                + ", ".join(SUBCOMMANDS))
+                + ", ".join(_SUBCOMMANDS))
         subcommand, rest = argv[0], argv[1:]
         if subcommand in ("-h", "--help"):
-            sys.stdout.write("subcommands: " + ", ".join(SUBCOMMANDS) + "\n")
+            sys.stdout.write("subcommands: " + ", ".join(_SUBCOMMANDS) + "\n")
             return 0
-        if subcommand not in _HANDLERS:
+        if subcommand not in _SUBCOMMANDS:
             raise UnknownSubcommand(f"unknown subcommand {subcommand!r}")
         ns = _parse(subcommand, rest)
         config_echo = {key: value for key, value in vars(ns).items()
-                       if key not in ("config",) and value is not None}
+                       if key != "config" and value is not None}
         config_echo["subcommand"] = subcommand
-        _HANDLERS[subcommand](ns, config_echo)
+        _SUBCOMMANDS[subcommand].handler(
+            ns, {"config": config_echo, "version": __version__})
         return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                     "message": str(exc)}) + "\n")
-        return 1
-    except EntlocError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                     "message": str(exc)}) + "\n")
-        return 2
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-        sys.stderr.write(json.dumps({"error": "NumericalFailure",
-                                     "message": str(exc)}) + "\n")
-        return 2
+    except (UsageError, EntlocError, np.linalg.LinAlgError, FloatingPointError,
+            OverflowError) as exc:
+        known = isinstance(exc, (UsageError, EntlocError))
+        sys.stderr.write(json.dumps({
+            "error": type(exc).__name__ if known else "NumericalFailure",
+            "message": str(exc)}) + "\n")
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 def main() -> None:

@@ -136,8 +136,7 @@ def _design_matrix(form: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def fit_surface(dist: Distribution2D, form: str = "symmetric_pm", *,
                 threshold: float = DEFAULT_THRESHOLD,
-                window: float | None = None,
-                value_weighted: bool = True) -> FitParams:
+                window: float | None = None) -> FitParams:
     """Least-squares widths of a tabulated surface.
 
     Samples below threshold * max (or masked, or outside |center| <= window)
@@ -161,7 +160,7 @@ def fit_surface(dist: Distribution2D, form: str = "symmetric_pm", *,
 
     design = _design_matrix(form, x, y)
     target = np.log(v)
-    sqrt_w = np.sqrt(v) if value_weighted else np.ones_like(v)
+    sqrt_w = np.sqrt(v)
     coef, *_ = np.linalg.lstsq(design * sqrt_w[:, None], target * sqrt_w,
                                rcond=None)
     curvatures = coef[1:]
@@ -192,10 +191,6 @@ class SigmaRow:
     sigma_12: float | None = None
 
 
-def _scan_axes(model: OscillatorModel, extent: float, steps: int):
-    return np.linspace(-extent, extent, steps)
-
-
 def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                         half_width: float = 0.25, extent: float = 4.0,
                         steps: int = 33, n_bins: int | None = None,
@@ -218,7 +213,7 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                                  sigma_2=analytic.sigma_2,
                                  sigma_12=analytic.sigma_12))
             continue
-        centers = _scan_axes(model, extent, steps)
+        centers = np.linspace(-extent, extent, steps)
         if which == "classical":
             joint = probability_map(model, centers, centers, half_width,
                                     kind="joint_probability", workers=workers)

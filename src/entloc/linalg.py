@@ -95,10 +95,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order plus the clamp used in entropy sums."""
+    """Eigenvalues in descending order."""
 
     eigenvalues: np.ndarray
-    clamp_tolerance: float = EIGENVALUE_CLAMP
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues",
@@ -109,8 +108,8 @@ class Spectrum:
         return self.eigenvalues.size
 
     def entropy_bits(self) -> float:
-        """Shannon entropy (base 2) of the eigenvalues above the clamp."""
-        lam = self.eigenvalues[self.eigenvalues > self.clamp_tolerance]
+        """Shannon entropy (base 2) of the eigenvalues above EIGENVALUE_CLAMP."""
+        lam = self.eigenvalues[self.eigenvalues > EIGENVALUE_CLAMP]
         if lam.size == 0:
             return 0.0
         # rounding can leave an eigenvalue marginally above 1; floor at 0

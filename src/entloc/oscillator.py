@@ -30,6 +30,9 @@ class OscillatorModel:
     omega: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.alpha, self.m, self.omega)):
+            raise DomainError(f"alpha, m and omega must be finite, got "
+                              f"{self.alpha}, {self.m}, {self.omega}")
         if self.alpha < 0.0:
             raise DomainError(f"coupling alpha must be >= 0, got {self.alpha}")
         if self.m <= 0.0 or self.omega <= 0.0:

@@ -61,6 +61,9 @@ class Region:
     half_width: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
+            raise DomainError(f"region center {self.center} and half_width "
+                              f"{self.half_width} must be finite")
         if self.half_width <= 0.0:
             raise DomainError(f"half_width must be positive, got {self.half_width}")
 
@@ -385,14 +388,19 @@ class NonDiscardingResult:
 
 
 def _complement_points(region: Region, half_domain: float, n_bins: int) -> np.ndarray:
-    segments = []
-    if region.lo > -half_domain:
-        segments.append(np.linspace(-half_domain, region.lo, n_bins + 1))
-    if region.hi < half_domain:
-        segments.append(np.linspace(region.hi, half_domain, n_bins + 1))
-    if not segments:
+    """Grid on the parts of [-half_domain, half_domain] outside the region.
+
+    Every point carries the same weight in the kernel matrix, so both parts
+    are sampled at one spacing: the longer part gets n_bins intervals.
+    """
+    pieces = [(lo, hi) for lo, hi in ((-half_domain, region.lo), (region.hi, half_domain))
+              if hi > lo]
+    if not pieces:
         return np.empty(0)
-    return np.concatenate(segments)
+    longest = max(hi - lo for lo, hi in pieces)
+    return np.concatenate([
+        np.linspace(lo, hi, max(1, round(n_bins * (hi - lo) / longest)) + 1)
+        for lo, hi in pieces])
 
 
 def non_discarding_entanglement(model: OscillatorModel, region: Region,
@@ -403,7 +411,7 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region,
     Both conditional states are pure, so the ensemble entanglement is the
     probability-weighted average of the in-region and out-of-region
     discarding entanglements. The complement is sampled on the truncated
-    domain with the same point count per segment.
+    domain at one spacing, n_bins intervals on its longer segment.
     """
     if spec is None:
         spec = DiscretizationSpec(method="grid", n_bins=DEFAULT_BINS_ONE)
@@ -552,14 +560,13 @@ def method_equivalence(model: OscillatorModel, region: Region,
 # -- scan surfaces --------------------------------------------------------------
 
 def _both_cell(args):
-    model, ca, cb, a, b, n_bins, want_prob = args
+    model, ca, cb, a, b, n_bins = args
     region_a = Region(ca, a)
     region_b = Region(cb, b)
     spec = DiscretizationSpec(n_bins=n_bins)
     try:
         result = both_restricted_entropy(model, region_a, region_b, spec)
-        prob = result.survival_probability if want_prob else 0.0
-        return result.entanglement, prob, 0.0
+        return result.entanglement, result.survival_probability, 0.0
     except EmptyRegionMass:
         return 0.0, 0.0, 1.0
 
@@ -611,7 +618,7 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
         b = half_width_b if half_width_b is not None else half_width
         centers_b = np.asarray(centers_b, dtype=np.float64)
         n_bins = (spec.n_bins if spec and spec.n_bins else DEFAULT_BINS_BOTH)
-        jobs = [(model, ca, cb, half_width, b, n_bins, True)
+        jobs = [(model, ca, cb, half_width, b, n_bins)
                 for ca in centers_a for cb in centers_b]
         rows = _run_cells(_both_cell, jobs, workers)
         shape = (centers_a.size, centers_b.size)
@@ -649,6 +656,6 @@ def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
     centers = np.asarray(centers, dtype=np.float64)
     n_bins = (spec.n_bins if spec and spec.n_bins else DEFAULT_BINS_BOTH)
     jobs = [(model, ca, ca if bob_center is None else bob_center,
-             half_width, half_width, n_bins, True) for ca in centers]
+             half_width, half_width, n_bins) for ca in centers]
     rows = np.asarray(_run_cells(_both_cell, jobs, workers))
     return centers, rows[:, 0], rows[:, 1], rows[:, 2]

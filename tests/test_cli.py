@@ -45,6 +45,40 @@ class TestExitCodes:
         code, out, _ = run_capture(capsys, ["gauss-constants", "--alpha", "6"])
         assert code == 0
 
+    def test_help_lists_subcommands(self, capsys):
+        code, out, _ = run_capture(capsys, ["--help"])
+        assert code == 0
+        assert out == (
+            "subcommands: spin-scan, spin-negativity-scan, spin-vanish-point, "
+            "gauss-constants, gauss-one-restricted, gauss-both-restricted, "
+            "gauss-limits, gauss-classical-map, gauss-fit, gauss-sigma-scan, "
+            "gauss-inequality, gauss-converge\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["gauss-one-restricted", "--alpha", "nan", "--qbar", "0", "--width", "1"],
+        ["gauss-one-restricted", "--alpha", "6", "--qbar", "inf", "--width", "1"],
+        ["gauss-constants", "--alpha", "inf"],
+    ])
+    def test_non_finite_input(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("text", [
+        "q_bar_A,q_bar_B,value,prob,flag\n0,0,abc,0.1,ok\n",  # non-numeric value
+        "q_bar_A,q_bar_B,value,prob,flag\n0,0\n",             # short row
+        None,                                                   # no such file
+    ])
+    def test_fit_bad_input_csv(self, capsys, tmp_path, text):
+        path = tmp_path / "surface.csv"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_capture(capsys, ["gauss-fit", "--input", str(path)])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigParse"
+
 
 class TestScalarCommands:
     def test_constants_values(self, capsys):
@@ -89,6 +123,16 @@ class TestScalarCommands:
         config = json.loads(out)["metadata"]["config"]
         assert config["alpha"] == 6.0
         assert config["subcommand"] == "gauss-constants"
+
+    def test_metadata_config_key_order(self, capsys):
+        # common flags, then the subcommand's flags in declaration order,
+        # then values no flag sets; unset flags are left out
+        code, out, _ = run_capture(capsys, [
+            "spin-scan", "--steps", "2", "--format", "json"])
+        assert code == 0
+        assert list(json.loads(out)["metadata"]["config"]) == [
+            "format", "seed", "steps", "theta_min", "theta_max", "surface",
+            "f_value", "measure", "subcommand"]
 
 
 class TestDistributionIo:
@@ -246,6 +290,36 @@ class TestScanCommands:
         lines = out.strip().split("\n")
         assert lines[0].startswith("alpha,sigma_plus")
         assert len(lines) == 4
+
+    def test_profile_json_rows(self, capsys):
+        code, out, _ = run_capture(capsys, [
+            "gauss-both-restricted", "--alpha", "6", "--width", "1",
+            "--centers", "-1", "1", "3", "--n-bins", "20",
+            "--mode", "profile-fixed", "--bob-center", "0.5", "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row[0] for row in rows] == [-1.0, 0.0, 1.0]
+        assert all(row[1] == 0.5 and row[4] == "ok" for row in rows)
+        assert all(0.0 < row[2] and 0.0 < row[3] < 1.0 for row in rows)
+
+    def test_converge_csv(self, capsys):
+        code, out, _ = run_capture(capsys, [
+            "gauss-converge", "--alpha", "6", "--widths", "2,3",
+            "--n-bins", "40", "--n-basis", "10"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == ("width,grid_coarse,grid_fine,basis_coarse,"
+                            "basis_fine,grid_limit,basis_limit,gap")
+        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
+
+    def test_empty_tables_keep_their_header(self, capsys):
+        code, out, _ = run_capture(capsys, [
+            "gauss-sigma-scan", "--alphas", ",", "--which", "small-a-analytic"])
+        assert (code, out) == (0, "alpha,sigma_plus,sigma_minus,sigma_1,sigma_2,sigma_12\n")
+        code, out, _ = run_capture(capsys, ["gauss-converge", "--alpha", "6", "--widths", ","])
+        assert (code, out) == (0, "width,grid_coarse,grid_fine,basis_coarse,"
+                                  "basis_fine,grid_limit,basis_limit,gap\n")
 
     def test_converge_table(self, capsys):
         code, out, _ = run_capture(capsys, [

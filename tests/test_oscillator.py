@@ -70,6 +70,12 @@ class TestGroundStateConstants:
         with pytest.raises(DomainError):
             OscillatorModel(alpha=1.0, m=0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "m", "omega"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_model(self, field, value):
+        with pytest.raises(DomainError):
+            OscillatorModel(**{"alpha": 1.0, field: value})
+
 
 class TestSpectralWeight:
     def test_matches_extended_precision(self):

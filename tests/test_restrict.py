@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from entloc.linalg import binary_entropy
 from entloc.oscillator import (
     OscillatorModel,
     gaussian_eof,
+    reduced_density_value,
     small_a_epsilon_both,
     small_a_epsilon_one,
 )
@@ -40,6 +43,12 @@ class TestRegionTypes:
     def test_region_validation(self):
         with pytest.raises(DomainError):
             Region(center=0.0, half_width=0.0)
+
+    @pytest.mark.parametrize("center,half_width", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_region_rejects_non_finite(self, center, half_width):
+        with pytest.raises(DomainError):
+            Region(center=center, half_width=half_width)
 
     def test_partition_uniform(self):
         partition = Partition.uniform(-4.0, 4.0, 4)
@@ -242,6 +251,27 @@ class TestNonDiscarding:
             identity.survival_probability * identity.entanglement_inside
             + (1 - identity.survival_probability) * identity.entanglement_outside,
             abs=1e-12)
+
+    def test_off_centre_outside_entropy_converges(self):
+        # The two parts of the complement of Region(0.5, 1) differ in length;
+        # the outside entropy must still converge at first order to the
+        # Gauss-Legendre Nystrom value of the complement's kernel.
+        region = Region(0.5, 1.0)
+        half = domain_half_length(MODEL)
+        x, w = np.polynomial.legendre.leggauss(64)
+        pieces = ((-half, region.lo), (region.hi, half))
+        nodes = np.concatenate([0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in pieces])
+        root_w = np.sqrt(np.concatenate([0.5 * (hi - lo) * w for lo, hi in pieces]))
+        kernel = (root_w[:, None] * reduced_density_value(MODEL, nodes[:, None], nodes[None, :])
+                  * root_w[None, :])
+        lam = np.linalg.eigvalsh(kernel / np.trace(kernel))
+        lam = lam[lam > 1e-12]
+        reference = float(-(lam * np.log2(lam)).sum())
+        errors = [abs(non_discarding_entanglement(
+            MODEL, region, DiscretizationSpec(n_bins=n)).entanglement_outside - reference)
+            for n in (200, 400)]
+        assert errors[0] < 0.015
+        assert errors[1] < 0.6 * errors[0]
 
     def test_locally_accessible_part(self):
         result = non_discarding_entanglement(MODEL, Region(0.0, 1.0))
