@@ -7,8 +7,14 @@ convergence study. Scans are emitted as plot-ready CSV
 (axis_a,axis_b,value,prob,flag at 12 significant digits) or as JSON with a
 metadata block echoing the run configuration; scalar results are JSON.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure
-(structured JSON description on stderr).
+Exit codes, with a JSON error description on stderr for 1 and 2:
+
+* 0: success.
+* 1: this module rejects the invocation itself: an unknown subcommand or
+  flag, a missing flag, a value or config file that does not parse, or a
+  range with fewer than 2 steps.
+* 2: the library raises an EntlocError on the parsed values, for example
+  DomainError for a negative width or n_bins below 2, or EmptyRegionMass.
 """
 
 from __future__ import annotations
@@ -564,11 +570,38 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigParse("config file must hold a flat JSON object")
     return config
+
+
+def _config_value(action, key: str, value):
+    """A config value as its flag holds it.
+
+    A string goes through the flag's type, as argparse treats a string
+    default; a typed flag otherwise takes a JSON number (a list of them for
+    a LO HI STEPS range) or null.
+    """
+    if action is None or action.type is None or value is None:
+        return value
+    if action.nargs is None:
+        return _typed(action.type, key, value)
+    if not isinstance(value, list) or len(value) != action.nargs:
+        raise ConfigParse(f"config value {key!r} must be a list of {action.nargs}")
+    return [_typed(action.type, key, item) for item in value]
+
+
+def _typed(kind, key: str, value):
+    if isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise ConfigParse(f"config value {key!r}: {exc}") from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigParse(f"config value {key!r} must be a number, got {value!r}")
+    return value
 
 
 def _parse(subcommand: str, argv: list[str]):
@@ -577,9 +610,11 @@ def _parse(subcommand: str, argv: list[str]):
     probe = parser.parse_args(argv)
     if not probe.config:
         return probe
-    config = _load_config(probe.config)
-    seeded = argparse.Namespace(**{key.replace("-", "_"): value
-                                   for key, value in config.items()})
+    actions = {action.dest: action for action in parser._actions}
+    seeded = argparse.Namespace()
+    for key, value in _load_config(probe.config).items():
+        dest = key.replace("-", "_")
+        setattr(seeded, dest, _config_value(actions.get(dest), key, value))
     return parser.parse_args(argv, namespace=seeded)
 
 

@@ -57,16 +57,17 @@ def conditional_probability(model: OscillatorModel, region_b: Region,
     return joint_probability(model, region_a, region_b) / marginal
 
 
-def _probability_cell(args):
-    model, ca, cb, a, b, kind = args
-    region_a = Region(ca, a)
-    region_b = Region(cb, b)
-    if kind == "joint_probability":
-        return joint_probability(model, region_a, region_b), 0.0
-    try:
-        return conditional_probability(model, region_b, region_a), 0.0
-    except ConditioningOnNullEvent:
-        return np.nan, 1.0
+def _conditional_map(model: OscillatorModel, joint: Distribution2D,
+                     half_width_a: float) -> Distribution2D:
+    """P(q_b in B | q_a in A) from a joint table: each row divided by Alice's
+    marginal, masked where that marginal is below NULL_EVENT."""
+    marginal = np.array([region_survival_probability(model, Region(ca, half_width_a))
+                         for ca in joint.axis_a])[:, None]
+    mask = np.broadcast_to(marginal < NULL_EVENT, joint.shape).copy()
+    values = np.divide(joint.values, marginal, out=np.full(joint.shape, np.nan),
+                       where=~mask)
+    return Distribution2D(axis_a=joint.axis_a, axis_b=joint.axis_b, values=values,
+                          kind="conditional_probability", mask=mask)
 
 
 def probability_map(model: OscillatorModel, centers_a, centers_b,
@@ -75,21 +76,22 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
                     workers: int = 1) -> Distribution2D:
     """Joint or conditional probability surface over region centers.
 
-    Conditional cells whose conditioning event has no mass are masked.
+    The joint table is computed once, one 2-d quadrature per cell; a
+    conditional surface divides each row by Alice's marginal (one 1-d
+    quadrature per row) and masks rows whose marginal has no mass.
     """
     if kind not in ("joint_probability", "conditional_probability"):
         raise DomainError(f"unknown probability kind {kind!r}")
     centers_a = np.asarray(centers_a, dtype=np.float64)
     centers_b = np.asarray(centers_b, dtype=np.float64)
     b = half_width_b if half_width_b is not None else half_width_a
-    jobs = [(model, ca, cb, half_width_a, b, kind)
+    jobs = [(model, Region(ca, half_width_a), Region(cb, b))
             for ca in centers_a for cb in centers_b]
-    rows = np.asarray(_run_cells(_probability_cell, jobs, workers))
-    shape = (centers_a.size, centers_b.size)
-    values = rows[:, 0].reshape(shape)
-    mask = rows[:, 1].reshape(shape) > 0.5
-    return Distribution2D(axis_a=centers_a, axis_b=centers_b, values=values,
-                          kind=kind, mask=mask)
+    values = _run_cells(joint_probability, jobs, workers)
+    joint = Distribution2D(axis_a=centers_a, axis_b=centers_b, kind="joint_probability",
+                           values=values.reshape(centers_a.size, centers_b.size))
+    return joint if kind == "joint_probability" else _conditional_map(
+        model, joint, half_width_a)
 
 
 # -- Gaussian-surface fitting -------------------------------------------------
@@ -216,12 +218,10 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
         centers = np.linspace(-extent, extent, steps)
         if which == "classical":
             joint = probability_map(model, centers, centers, half_width,
-                                    kind="joint_probability", workers=workers)
+                                    workers=workers)
             pm_fit = fit_surface(joint, "symmetric_pm")
-            conditional = probability_map(model, centers, centers, half_width,
-                                          kind="conditional_probability",
-                                          workers=workers)
-            cond_fit = fit_surface(conditional, "conditional")
+            cond_fit = fit_surface(_conditional_map(model, joint, half_width),
+                                   "conditional")
             rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
                                  sigma_minus=pm_fit.sigma_minus,
                                  sigma_1=cond_fit.sigma_1,

@@ -23,7 +23,6 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-12
-HERMITICITY_HARD_TOL = 1e-8
 TRACE_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-12
 
@@ -37,27 +36,25 @@ def _as_matrix(elements) -> np.ndarray:
     return m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max(initial=0.0))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Square Hermitian matrix with trace metadata.
 
     trace_normalized marks matrices meant to represent physical states
     (trace 1). Partial transposes keep the flag but are allowed to have
-    negative eigenvalues.
+    negative eigenvalues. elements is a read-only copy of the input, so the
+    Hermiticity checked here holds for the object's lifetime.
     """
 
     elements: np.ndarray
     trace_normalized: bool = True
 
     def __post_init__(self):
-        m = _as_matrix(self.elements)
+        m = _as_matrix(self.elements).copy()
+        m.flags.writeable = False
         object.__setattr__(self, "elements", m)
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        defect = _hermiticity_defect(m)
+        defect = float(np.abs(m - m.conj().T).max(initial=0.0))
         if defect > HERMITICITY_TOL * scale:
             raise NonHermitianInput(
                 f"matrix deviates from Hermiticity by {defect:.3e}")
@@ -121,12 +118,9 @@ def eigen_symmetric(m: DensityMatrix, vectors: bool = False):
 
     Returns a Spectrum (descending eigenvalues), or (Spectrum, Q) with
     eigenvector columns matching the eigenvalue order when vectors=True.
+    Hermiticity was checked when the DensityMatrix was built.
     """
     a = m.elements
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    defect = _hermiticity_defect(a)
-    if defect > HERMITICITY_HARD_TOL * scale:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} beyond tolerance")
     try:
         if vectors:
             lam, q = np.linalg.eigh(a)

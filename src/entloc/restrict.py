@@ -202,6 +202,11 @@ def joint_survival_probability(model: OscillatorModel, region_a: Region,
                         region_a.lo, region_a.hi, region_b.lo, region_b.hi)
 
 
+def _n_bins(spec: DiscretizationSpec | None, default: int) -> int:
+    """The spec's grid resolution, or the caller's default."""
+    return spec.n_bins if spec is not None and spec.n_bins else default
+
+
 def _entropy_and_spectrum(matrix: np.ndarray) -> tuple[float, Spectrum]:
     """Trace-normalize an assembled restricted matrix and take its entropy."""
     sym = 0.5 * (matrix + matrix.T)
@@ -243,17 +248,16 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     spec) on the region and trace-normalized; the survival probability is
     the quadrature mass of the region.
     """
-    if spec is None:
-        spec = DiscretizationSpec(method="grid", n_bins=DEFAULT_BINS_ONE)
-    p = region_survival_probability(model, region)
-    if p < EMPTY_MASS:
-        raise EmptyRegionMass(
-            f"region [{region.lo:.3g}, {region.hi:.3g}] carries mass {p:.3e}")
+    n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
+    spec = spec or DiscretizationSpec()
     if spec.method == "basis":
         return basis_expansion_entropy(
             model, region, spec.n_basis or DEFAULT_BASIS_SIZE,
             quadrature_order=spec.quadrature_order)
-    n_bins = spec.n_bins or DEFAULT_BINS_ONE
+    p = region_survival_probability(model, region)
+    if p < EMPTY_MASS:
+        raise EmptyRegionMass(
+            f"region [{region.lo:.3g}, {region.hi:.3g}] carries mass {p:.3e}")
     entropy, spectrum = _kernel_entropy(model, _grid_points(region, n_bins))
     return EnsembleResult(entropy, p, spectrum, replace(spec, n_bins=n_bins))
 
@@ -266,11 +270,10 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
     Bob's restriction is applied to the two-particle amplitudes before
     Alice's reduced matrix is formed by summing over his grid index.
     """
-    if spec is None:
-        spec = DiscretizationSpec(method="grid", n_bins=DEFAULT_BINS_BOTH)
+    n_bins = _n_bins(spec, DEFAULT_BINS_BOTH)
+    spec = spec or DiscretizationSpec()
     if spec.method != "grid":
         raise DomainError("both-restricted evaluation is grid-based only")
-    n_bins = spec.n_bins or DEFAULT_BINS_BOTH
     p = joint_survival_probability(model, region_a, region_b)
     if p < EMPTY_MASS:
         raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
@@ -319,7 +322,8 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
         raise DomainError("n_basis must be >= 1")
     p = region_survival_probability(model, region)
     if p < EMPTY_MASS:
-        raise EmptyRegionMass(f"region mass {p:.3e} is numerically zero")
+        raise EmptyRegionMass(
+            f"region [{region.lo:.3g}, {region.hi:.3g}] carries mass {p:.3e}")
     n_panels = max(2, -(-n_basis // 4))
     projected = _basis_projected_matrix(model, region, n_basis, n_panels,
                                         quadrature_order)
@@ -352,7 +356,7 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
     grid cut vanishes up to round-off. The assembled matrix has dimension
     (n_bins + 1)^2, so keep n_bins modest.
     """
-    n_bins = (spec.n_bins if spec and spec.n_bins else DEFAULT_BINS_PRECISE)
+    n_bins = _n_bins(spec, DEFAULT_BINS_PRECISE)
     half = domain_half_length(model)
     qa = _grid_points(region, n_bins)
     qb = np.linspace(-half, half, n_bins + 1)
@@ -413,9 +417,7 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region,
     discarding entanglements. The complement is sampled on the truncated
     domain at one spacing, n_bins intervals on its longer segment.
     """
-    if spec is None:
-        spec = DiscretizationSpec(method="grid", n_bins=DEFAULT_BINS_ONE)
-    n_bins = spec.n_bins or DEFAULT_BINS_ONE
+    n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
     if half_domain is None:
         half_domain = domain_half_length(model)
 
@@ -449,9 +451,7 @@ def non_discarding_two_path(model: OscillatorModel, region: Region,
     on a grid (Bob unrestricted) and averages the conditional entropies of
     its blocks. Returns (identity_result, mixture_value, gap).
     """
-    if spec is None:
-        spec = DiscretizationSpec(method="grid", n_bins=DEFAULT_BINS_ONE)
-    n_bins = spec.n_bins or DEFAULT_BINS_ONE
+    n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
     if half_domain is None:
         half_domain = domain_half_length(model)
 
@@ -500,8 +500,6 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     measurement, so the probability-weighted cell sum never exceeds the
     unrestricted entanglement of formation.
     """
-    if spec is None:
-        spec = DiscretizationSpec(method="grid", n_bins=DEFAULT_BINS_BOTH)
     half = domain_half_length(model)
     cells = []
     total = 0.0
@@ -559,35 +557,30 @@ def method_equivalence(model: OscillatorModel, region: Region,
 
 # -- scan surfaces --------------------------------------------------------------
 
-def _both_cell(args):
-    model, ca, cb, a, b, n_bins = args
-    region_a = Region(ca, a)
-    region_b = Region(cb, b)
+def _cell(model: OscillatorModel, region_a: Region, region_b: Region | None,
+          n_bins: int) -> tuple[float, float, float]:
+    """(entanglement, survival probability, empty flag) of one map cell.
+
+    region_b None restricts Alice only. A region without mass is an empty
+    cell: value 0, probability 0, flag 1.
+    """
     spec = DiscretizationSpec(n_bins=n_bins)
     try:
-        result = both_restricted_entropy(model, region_a, region_b, spec)
-        return result.entanglement, result.survival_probability, 0.0
+        result = (one_restricted_entropy(model, region_a, spec) if region_b is None
+                  else both_restricted_entropy(model, region_a, region_b, spec))
     except EmptyRegionMass:
         return 0.0, 0.0, 1.0
+    return result.entanglement, result.survival_probability, 0.0
 
 
-def _one_cell(args):
-    model, center, a, n_bins = args
-    spec = DiscretizationSpec(n_bins=n_bins)
-    try:
-        result = one_restricted_entropy(model, Region(center, a), spec)
-        return result.entanglement, result.survival_probability, 0.0
-    except EmptyRegionMass:
-        return 0.0, 0.0, 1.0
-
-
-def _run_cells(fn, jobs, workers: int):
+def _run_cells(fn, jobs, workers: int) -> np.ndarray:
+    """fn(*job) for every job, in order, on `workers` processes."""
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return np.asarray([fn(*job) for job in jobs])
     from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(jobs) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
+        return np.asarray(list(pool.map(fn, *zip(*jobs), chunksize=chunk)))
 
 
 def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
@@ -612,36 +605,30 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
     if (centers_b is None) == (widths is None):
         raise DomainError("provide exactly one of centers_b or widths")
 
-    if centers_b is not None:
+    two_party = centers_b is not None
+    if two_party:
         if half_width is None:
             raise DomainError("half_width is required for a two-party map")
         b = half_width_b if half_width_b is not None else half_width
-        centers_b = np.asarray(centers_b, dtype=np.float64)
-        n_bins = (spec.n_bins if spec and spec.n_bins else DEFAULT_BINS_BOTH)
-        jobs = [(model, ca, cb, half_width, b, n_bins)
-                for ca in centers_a for cb in centers_b]
-        rows = _run_cells(_both_cell, jobs, workers)
-        shape = (centers_a.size, centers_b.size)
-        data = np.asarray(rows).reshape(shape + (3,))
-        return Distribution2D(
-            axis_a=centers_a, axis_b=centers_b, values=data[..., 0],
-            kind="entanglement",
-            extra={"prob": data[..., 1], "flag": data[..., 2]})
-
-    widths = np.asarray(widths, dtype=np.float64)
-    n_bins = (spec.n_bins if spec and spec.n_bins else DEFAULT_BINS_ONE)
-    jobs = [(model, ca, w / 2.0, n_bins) for ca in centers_a for w in widths]
-    rows = _run_cells(_one_cell, jobs, workers)
-    shape = (centers_a.size, widths.size)
-    data = np.asarray(rows).reshape(shape + (3,))
+        axis_b = np.asarray(centers_b, dtype=np.float64)
+        n_bins = _n_bins(spec, DEFAULT_BINS_BOTH)
+        jobs = [(model, Region(ca, half_width), Region(cb, b), n_bins)
+                for ca in centers_a for cb in axis_b]
+    else:
+        axis_b = np.asarray(widths, dtype=np.float64)
+        n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
+        jobs = [(model, Region(ca, w / 2.0), None, n_bins)
+                for ca in centers_a for w in axis_b]
+    data = _run_cells(_cell, jobs, workers).reshape(centers_a.size, axis_b.size, 3)
     values = data[..., 0]
-    peaks = values.max(axis=0)
-    rescaled = np.divide(values, peaks[None, :],
-                         out=np.zeros_like(values), where=peaks[None, :] > 0)
-    return Distribution2D(
-        axis_a=centers_a, axis_b=widths, values=values, kind="entanglement",
-        axis_names=("q_bar_A", "width"),
-        extra={"prob": data[..., 1], "flag": data[..., 2], "rescaled": rescaled})
+    extra = {"prob": data[..., 1], "flag": data[..., 2]}
+    if not two_party:
+        peaks = values.max(axis=0)
+        extra["rescaled"] = np.divide(values, peaks[None, :], out=np.zeros_like(values),
+                                      where=peaks[None, :] > 0)
+    return Distribution2D(axis_a=centers_a, axis_b=axis_b, values=values,
+                          kind="entanglement", extra=extra,
+                          axis_names=("q_bar_A", "q_bar_B" if two_party else "width"))
 
 
 def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
@@ -654,8 +641,9 @@ def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
     it stays pinned there. Returns (centers, values, probs, flags) arrays.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    n_bins = (spec.n_bins if spec and spec.n_bins else DEFAULT_BINS_BOTH)
-    jobs = [(model, ca, ca if bob_center is None else bob_center,
-             half_width, half_width, n_bins) for ca in centers]
-    rows = np.asarray(_run_cells(_both_cell, jobs, workers))
+    n_bins = _n_bins(spec, DEFAULT_BINS_BOTH)
+    jobs = [(model, Region(ca, half_width),
+             Region(ca if bob_center is None else bob_center, half_width), n_bins)
+            for ca in centers]
+    rows = _run_cells(_cell, jobs, workers)
     return centers, rows[:, 0], rows[:, 1], rows[:, 2]

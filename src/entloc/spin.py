@@ -50,21 +50,12 @@ class SpinModel:
         return build_mixed_state(self.theta1, self.theta2, self.F)
 
 
-def _bits(index: int) -> tuple[int, int, int, int]:
-    return (index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1
-
-
-def _ms0_diagonal(party: str) -> np.ndarray:
-    keep = np.zeros(DIM)
-    for i in range(DIM):
-        a1, a2, b1, b2 = _bits(i)
-        if party == "A":
-            keep[i] = 1.0 if a1 != a2 else 0.0
-        elif party == "B":
-            keep[i] = 1.0 if b1 != b2 else 0.0
-        else:
-            raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return keep
+_INDEX = np.arange(DIM)
+# Zero-moment masks: Alice's two spins differ (a1 != a2), Bob's differ (b1 != b2).
+_MS0 = {"A": (((_INDEX >> 3) ^ (_INDEX >> 2)) & 1).astype(np.float64),
+        "B": (((_INDEX >> 1) ^ _INDEX) & 1).astype(np.float64)}
+_MS0_BOTH = _MS0["A"] * _MS0["B"]
+_MS0_BOTH_OUTER = np.outer(_MS0_BOTH, _MS0_BOTH)
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,9 @@ class MsProjector:
 
     @staticmethod
     def build(party: str) -> "MsProjector":
-        return MsProjector(party, np.diag(_ms0_diagonal(party)))
+        if party not in _MS0:
+            raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+        return MsProjector(party, np.diag(_MS0[party]))
 
 
 def build_pure_state(theta1: float, theta2: float) -> np.ndarray:
@@ -102,10 +95,6 @@ def build_mixed_state(theta1: float, theta2: float, F: float) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def _joint_mask() -> np.ndarray:
-    return _ms0_diagonal("A") * _ms0_diagonal("B")
-
-
 def restrict_ms0(state):
     """Project both parties onto their zero-moment subspaces and renormalize.
 
@@ -114,15 +103,14 @@ def restrict_ms0(state):
     before renormalization). Raises ZeroNormSubspace when nothing survives,
     which for the pure state happens exactly at cos(2 theta1) cos(2 theta2) = 1.
     """
-    mask = _joint_mask()
     if isinstance(state, DensityMatrix):
-        projected = state.elements * np.outer(mask, mask)
+        projected = state.elements * _MS0_BOTH_OUTER
         p = float(np.trace(projected).real)
         if p < SINGULAR_TRACE:
             raise ZeroNormSubspace(f"restricted trace {p:.3e} is numerically zero")
         return DensityMatrix(projected / p), p
     psi = np.asarray(state, dtype=np.float64)
-    survivor = psi * mask
+    survivor = psi * _MS0_BOTH
     p = float(survivor @ survivor)
     if p < SINGULAR_TRACE:
         raise ZeroNormSubspace(f"surviving norm^2 {p:.3e} is numerically zero")
@@ -138,13 +126,11 @@ def ms0_outcome_branches(state: np.ndarray):
     carries no weight).
     """
     psi = np.asarray(state, dtype=np.float64)
-    mask_a = _ms0_diagonal("A")
-    mask_b = _ms0_diagonal("B")
     branches = []
     for in_a in (True, False):
-        sel_a = mask_a if in_a else 1.0 - mask_a
+        sel_a = _MS0["A"] if in_a else 1.0 - _MS0["A"]
         for in_b in (True, False):
-            sel_b = mask_b if in_b else 1.0 - mask_b
+            sel_b = _MS0["B"] if in_b else 1.0 - _MS0["B"]
             branch = psi * sel_a * sel_b
             p = float(branch @ branch)
             if p < SINGULAR_TRACE:
@@ -157,6 +143,23 @@ def ms0_outcome_branches(state: np.ndarray):
 def _pure_entropy(psi: np.ndarray) -> float:
     rho_a = reduce_to_party(DensityMatrix.from_state(psi), (4, 4), "A")
     return von_neumann_entropy(rho_a)
+
+
+def _negativity(rho: DensityMatrix) -> float:
+    return negativity(rho, (4, 4))
+
+
+def _filtered(state, value) -> tuple[float, float]:
+    """value of the moment-filtered state and its survival probability.
+
+    A surviving state has probability at least SINGULAR_TRACE, so the
+    (nan, 0.0) returned when nothing survives marks a singular cell.
+    """
+    try:
+        survivor, p = restrict_ms0(state)
+    except ZeroNormSubspace:
+        return math.nan, 0.0
+    return value(survivor), p
 
 
 def spin_entropy(theta1: float, theta2: float, restricted: bool = False) -> float:
@@ -173,7 +176,7 @@ def spin_negativity(theta1: float, theta2: float, F: float,
     rho = build_mixed_state(theta1, theta2, F)
     if restricted:
         rho, _ = restrict_ms0(rho)
-    return negativity(rho, (4, 4))
+    return _negativity(rho)
 
 
 def survival_probability(theta1: float, theta2: float) -> float:
@@ -215,20 +218,16 @@ def negativity_vs_purity(theta1: float, theta2: float, f_values, *,
     restricted points are masked.
     """
     f_values = np.asarray(f_values, dtype=np.float64)
-    values = np.full((f_values.size, 1), np.nan)
+    values = np.empty((f_values.size, 1))
     prob = np.ones((f_values.size, 1))
-    mask = np.zeros((f_values.size, 1), dtype=bool)
     for i, f in enumerate(f_values):
-        try:
-            values[i, 0] = spin_negativity(theta1, theta2, f,
-                                           restricted=restricted)
-            if restricted:
-                _, prob[i, 0] = restrict_ms0(build_mixed_state(theta1, theta2, f))
-        except ZeroNormSubspace:
-            mask[i, 0] = True
-            prob[i, 0] = 0.0
+        rho = build_mixed_state(theta1, theta2, f)
+        if restricted:
+            values[i, 0], prob[i, 0] = _filtered(rho, _negativity)
+        else:
+            values[i, 0] = _negativity(rho)
     return Distribution2D(axis_a=f_values, axis_b=np.array([theta1]),
-                          values=values, kind="entanglement", mask=mask,
+                          values=values, kind="entanglement", mask=prob == 0.0,
                           axis_names=("F", "theta1"), extra={"prob": prob})
 
 
@@ -245,39 +244,27 @@ def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
     t2 = np.asarray(theta2_values, dtype=np.float64)
     if t1.size < 2 or t2.size < 2:
         raise DomainError("scan grid needs at least 2 steps per axis")
-    if measure not in ("entropy", "negativity"):
+    if measure == "entropy":
+        build, value = build_pure_state, _pure_entropy
+    elif measure == "negativity":
+        build, value = (lambda a, b: build_mixed_state(a, b, F)), _negativity
+    else:
         raise DomainError(f"unknown measure {measure!r}")
 
     shape = (t1.size, t2.size)
-    values = np.full(shape, np.nan)
-    base = np.full(shape, np.nan)
+    base = np.empty(shape)
+    values = np.empty(shape) if restricted else base
     prob = np.ones(shape)
-    mask = np.zeros(shape, dtype=bool)
-
     for i, a in enumerate(t1):
         for j, b in enumerate(t2):
-            if measure == "entropy":
-                base[i, j] = spin_entropy(a, b, restricted=False)
-            else:
-                base[i, j] = spin_negativity(a, b, F, restricted=False)
-            if not restricted:
-                values[i, j] = base[i, j]
-                continue
-            try:
-                if measure == "entropy":
-                    psi, p = restrict_ms0(build_pure_state(a, b))
-                    values[i, j] = _pure_entropy(psi)
-                else:
-                    rho, p = restrict_ms0(build_mixed_state(a, b, F))
-                    values[i, j] = negativity(rho, (4, 4))
-                prob[i, j] = p
-            except ZeroNormSubspace:
-                mask[i, j] = True
-                prob[i, j] = 0.0
+            state = build(a, b)
+            base[i, j] = value(state)
+            if restricted:
+                values[i, j], prob[i, j] = _filtered(state, value)
 
     extra = {"prob": prob}
     if restricted:
         extra["delta"] = values - base
     return Distribution2D(axis_a=t1, axis_b=t2, values=values,
-                          kind="entanglement", mask=mask,
+                          kind="entanglement", mask=prob == 0.0,
                           axis_names=("theta1", "theta2"), extra=extra)

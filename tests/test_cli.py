@@ -41,6 +41,18 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "EmptyRegionMass"
 
+    @pytest.mark.parametrize("argv,code,error", [
+        (["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "-1"],
+         2, "DomainError"),
+        (["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "1",
+          "--n-bins", "1"], 2, "DomainError"),
+        (["spin-scan", "--steps", "1"], 1, "UsageError"),
+    ])
+    def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
+        got, _, err = run_capture(capsys, argv)
+        assert got == code
+        assert json.loads(err)["error"] == error
+
     def test_success(self, capsys):
         code, out, _ = run_capture(capsys, ["gauss-constants", "--alpha", "6"])
         assert code == 0
@@ -396,6 +408,44 @@ class TestConfigFile:
         assert code == 1
         assert json.loads(err)["error"] == "ConfigParse"
 
+    @pytest.mark.parametrize("argv,content", [
+        (["spin-scan"], b'{"steps": "abc"}'),
+        (["gauss-constants"], b'{"alpha": [6]}'),
+        (["gauss-constants"], b'{"alpha": true}'),
+        (["gauss-one-restricted", "--qbar", "0", "--width", "1"],
+         b'{"alpha": 6, "centers": [-1, 1]}'),
+        (["gauss-constants"], b'\xff\xfe{"alpha": 6}'),
+    ])
+    def test_config_value_that_does_not_convert(self, capsys, tmp_path, argv, content):
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+        code, out, err = run_capture(capsys, argv + ["--config", str(config)])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ConfigParse"
+
+    def test_config_string_converts_like_a_flag(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"alpha": "6", "steps": "3"}))
+        code, out, _ = run_capture(capsys, ["gauss-constants", "--config", str(config),
+                                            "--format", "json"])
+        assert code == 0
+        code, flag_out, _ = run_capture(capsys, ["gauss-constants", "--alpha", "6",
+                                                 "--format", "json"])
+        payload, by_flag = json.loads(out), json.loads(flag_out)
+        assert payload["metadata"]["config"].pop("steps") == "3"  # no such flag: as given
+        assert payload == by_flag
+
+    def test_config_numbers_are_echoed_as_given(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"alpha": 6, "centers": [-1, 1, 3], "width": 1,
+                                      "n_bins": 20}))
+        code, out, _ = run_capture(capsys, ["gauss-one-restricted", "--config",
+                                            str(config), "--format", "json"])
+        assert code == 0
+        echo = json.loads(out)["metadata"]["config"]
+        assert list(echo.items())[:4] == [("alpha", 6), ("centers", [-1, 1, 3]),
+                                          ("width", 1), ("n_bins", 20)]
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_csv(self, tmp_path):
@@ -408,6 +458,18 @@ class TestDeterminism:
         assert run(args + ["--workers", "2",
                            "--output", str(path_parallel)]) == 0
         assert path_serial.read_bytes() == path_parallel.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
+         "--widths", "0.5,1", "--n-bins", "40"],
+        ["gauss-classical-map", "--alpha", "6", "--kind", "conditional",
+         "--width", "0.5", "--centers", "-1", "1", "4"],
+    ])
+    def test_worker_count_does_not_change_other_maps(self, tmp_path, args):
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert run(args + ["--workers", "1", "--output", str(serial)]) == 0
+        assert run(args + ["--workers", "2", "--output", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_repeat_runs_identical(self, tmp_path):
         args = ["spin-scan", "--steps", "10", "--restricted"]

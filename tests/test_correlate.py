@@ -103,6 +103,40 @@ class TestProbabilityMap:
         assert np.all(dist.values[~dist.mask] >= 0.0)
         assert np.all(dist.values[~dist.mask] <= 1.0 + 1e-12)
 
+    def test_conditional_map_equals_cellwise_conditional(self, monkeypatch):
+        import entloc.restrict as restrict
+        calls = {"1d": 0, "2d": 0}
+        for name, key in (("integrate_1d", "1d"), ("integrate_2d", "2d")):
+            def counted(*args, _f=getattr(restrict, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(restrict, name, counted)
+        centers_a = np.array([-1.0, 0.0, 0.5, 50.0])  # Alice's last row has no mass
+        centers_b = np.array([-1.0, 0.25, 1.0])
+        dist = probability_map(MODEL, centers_a, centers_b, 0.25, 0.4,
+                               kind="conditional_probability")
+        assert calls == {"1d": 4, "2d": 12}
+        for i, ca in enumerate(centers_a):
+            for j, cb in enumerate(centers_b):
+                try:
+                    expected = conditional_probability(MODEL, Region(cb, 0.4),
+                                                       Region(ca, 0.25))
+                except ConditioningOnNullEvent:
+                    assert dist.mask[i, j] and np.isnan(dist.values[i, j])
+                    continue
+                assert not dist.mask[i, j]
+                assert dist.values[i, j] == expected
+        assert dist.mask[3].all() and not dist.mask[:3].any()
+
+    def test_joint_map_equals_cellwise_joint(self):
+        centers = np.array([-1.0, 0.0, 0.75])
+        dist = probability_map(MODEL, centers, centers, 0.25, 0.4)
+        for i, ca in enumerate(centers):
+            for j, cb in enumerate(centers):
+                assert dist.values[i, j] == joint_probability(
+                    MODEL, Region(ca, 0.25), Region(cb, 0.4))
+        assert not dist.mask.any()
+
     def test_probability_kind_validation(self):
         axis = np.array([0.0, 1.0])
         with pytest.raises(ValueError):

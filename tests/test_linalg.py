@@ -84,10 +84,12 @@ class TestEigenSymmetric:
         assert np.abs(rebuilt - rho).max() <= 1e-9 * scale
 
     def test_rejects_corrupted_matrix(self):
-        dm = DensityMatrix(np.eye(2) / 2.0)
-        dm.elements[0, 1] += 1e-4  # bypasses construction-time validation
-        with pytest.raises(NonHermitianInput):
-            eigen_symmetric(dm)
+        source = np.eye(2) / 2.0
+        dm = DensityMatrix(source)
+        with pytest.raises(ValueError):
+            dm.elements[0, 1] += 1e-4  # read-only: validation holds for good
+        source[0, 1] = 1e-4  # the caller's array is not shared
+        assert dm.elements[0, 1] == 0.0
 
     def test_construction_rejects_non_hermitian(self):
         m = np.eye(2) / 2.0

@@ -118,11 +118,19 @@ class TestOneRestricted:
         assert basis.spectrum.eigenvalues.sum() == pytest.approx(1.0,
                                                                  abs=1e-10)
 
-    def test_basis_method_dispatch(self):
+    def test_basis_method_dispatch(self, monkeypatch):
+        import entloc.restrict as restrict
+        masses = []
+        integrate = restrict.integrate_1d
+        monkeypatch.setattr(restrict, "integrate_1d",
+                            lambda *a, **k: masses.append(1) or integrate(*a, **k))
         spec = DiscretizationSpec(method="basis", n_basis=24)
         result = one_restricted_entropy(MODEL, Region(0.0, 1.0), spec)
         assert result.spec.method == "basis"
         assert result.entanglement > 0.0
+        assert len(masses) == 1  # the region mass is computed once
+        with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
+            one_restricted_entropy(MODEL, Region(50.0, 0.2), spec)
 
 
 class TestBasisExpansion:

@@ -91,6 +91,12 @@ class TestProjectors:
             p = MsProjector.build(party).matrix
             assert np.array_equal(p @ p, p)
 
+    def test_masks_follow_the_bits(self):
+        for i in range(16):
+            a1, a2, b1, b2 = (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
+            assert MsProjector.build("A").matrix[i, i] == float(a1 != a2)
+            assert MsProjector.build("B").matrix[i, i] == float(b1 != b2)
+
     def test_ranks(self):
         p_a = MsProjector.build("A").matrix
         p_b = MsProjector.build("B").matrix
@@ -291,6 +297,60 @@ class TestScan:
     def test_grid_too_small(self):
         with pytest.raises(DomainError):
             spin_scan([0.1], [0.1, 0.2])
+
+    @pytest.mark.parametrize("measure,F", [("entropy", 1.0), ("negativity", 0.65),
+                                           ("negativity", 1.0)])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_scan_equals_cellwise_values(self, measure, F, restricted):
+        thetas = np.linspace(0, math.pi, 5)  # (0, 0) is singular when F = 1
+        dist = spin_scan(thetas, thetas, measure=measure, restricted=restricted, F=F)
+        singular = 0
+        for i, a in enumerate(thetas):
+            for j, b in enumerate(thetas):
+                def value(restricted):
+                    if measure == "entropy":
+                        return spin_entropy(a, b, restricted)
+                    return spin_negativity(a, b, F, restricted)
+                state = build_pure_state(a, b) if measure == "entropy" \
+                    else build_mixed_state(a, b, F)
+                base = value(restricted=False)
+                if not restricted:
+                    assert dist.values[i, j] == base
+                    assert dist.extra["prob"][i, j] == 1.0 and not dist.mask[i, j]
+                    continue
+                try:
+                    _, p = restrict_ms0(state)
+                except ZeroNormSubspace:
+                    singular += 1
+                    assert dist.mask[i, j] and dist.extra["prob"][i, j] == 0.0
+                    assert np.isnan(dist.values[i, j])
+                    continue
+                assert not dist.mask[i, j] and dist.extra["prob"][i, j] == p
+                assert dist.values[i, j] == value(restricted=True)
+                assert dist.extra["delta"][i, j] == dist.values[i, j] - base
+        assert (singular > 0) == (restricted and F == 1.0)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_negativity_vs_purity_equals_cellwise(self, restricted):
+        from entloc.spin import negativity_vs_purity
+        f_values = np.linspace(1.0 / 16.0, 1.0, 5)
+        for theta1, theta2 in ((0.0, 0.0), (QUARTER, 0.3)):  # (0, 0) at F = 1 is singular
+            dist = negativity_vs_purity(theta1, theta2, f_values, restricted=restricted)
+            for i, f in enumerate(f_values):
+                prob = dist.extra["prob"][i, 0]
+                if not restricted:
+                    assert prob == 1.0 and not dist.mask[i, 0]
+                    assert dist.values[i, 0] == spin_negativity(theta1, theta2, f)
+                    continue
+                try:
+                    _, p = restrict_ms0(build_mixed_state(theta1, theta2, f))
+                except ZeroNormSubspace:
+                    assert (theta1, f) == (0.0, 1.0)
+                    assert dist.mask[i, 0] and prob == 0.0 and np.isnan(dist.values[i, 0])
+                    continue
+                assert not dist.mask[i, 0] and prob == p
+                assert dist.values[i, 0] == spin_negativity(theta1, theta2, f,
+                                                            restricted=True)
 
     def test_negativity_vs_purity_sweep(self):
         from entloc.spin import negativity_vs_purity
