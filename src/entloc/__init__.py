@@ -56,7 +56,6 @@ from .correlate import (
 )
 from .spin import (
     MsProjector,
-    SpinModel,
     build_mixed_state,
     build_pure_state,
     negativity_vanish_point,

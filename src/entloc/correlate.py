@@ -28,6 +28,7 @@ from .oscillator import (
     classical_widths,
 )
 from .restrict import (
+    EMPTY_MASS,
     DiscretizationSpec,
     Region,
     _run_cells,
@@ -36,7 +37,6 @@ from .restrict import (
     region_survival_probability,
 )
 
-NULL_EVENT = 1e-14
 DEFAULT_THRESHOLD = 1e-3
 MIN_SAMPLES = 12
 
@@ -51,7 +51,7 @@ def conditional_probability(model: OscillatorModel, region_b: Region,
                             region_a: Region) -> float:
     """P(q_b in B | q_a in A) = joint probability / Alice's marginal."""
     marginal = region_survival_probability(model, region_a)
-    if marginal < NULL_EVENT:
+    if marginal < EMPTY_MASS:
         raise ConditioningOnNullEvent(
             f"conditioning region carries mass {marginal:.3e}")
     return joint_probability(model, region_a, region_b) / marginal
@@ -60,10 +60,10 @@ def conditional_probability(model: OscillatorModel, region_b: Region,
 def _conditional_map(model: OscillatorModel, joint: Distribution2D,
                      half_width_a: float) -> Distribution2D:
     """P(q_b in B | q_a in A) from a joint table: each row divided by Alice's
-    marginal, masked where that marginal is below NULL_EVENT."""
+    marginal, masked where that marginal is below EMPTY_MASS."""
     marginal = np.array([region_survival_probability(model, Region(ca, half_width_a))
                          for ca in joint.axis_a])[:, None]
-    mask = np.broadcast_to(marginal < NULL_EVENT, joint.shape).copy()
+    mask = np.broadcast_to(marginal < EMPTY_MASS, joint.shape).copy()
     values = np.divide(joint.values, marginal, out=np.full(joint.shape, np.nan),
                        where=~mask)
     return Distribution2D(axis_a=joint.axis_a, axis_b=joint.axis_b, values=values,

@@ -80,15 +80,6 @@ class DensityMatrix:
             raise NotNormalized(f"state norm {norm} differs from 1")
         return DensityMatrix(np.outer(psi, psi.conj()))
 
-    @staticmethod
-    def normalized(elements) -> "DensityMatrix":
-        """Wrap a raw Hermitian matrix, dividing by its trace."""
-        m = _as_matrix(elements)
-        trace = complex(np.trace(m)).real
-        if trace <= 0.0:
-            raise NotNormalized(f"cannot normalize matrix with trace {trace}")
-        return DensityMatrix(m / trace)
-
 
 @dataclass(frozen=True)
 class Spectrum:

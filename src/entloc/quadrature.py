@@ -13,6 +13,11 @@ import numpy as np
 from .errors import QuadratureNotConverged
 
 DEFAULT_PANEL_POINTS = 16
+REL_TOL = 1e-10
+ABS_TOL = 1e-15
+MAX_REFINEMENTS_1D = 14
+# 2**8 panels of 16 points: at most 4096**2 nodes (128 MiB per float64 array).
+MAX_REFINEMENTS_2D = 8
 
 
 @lru_cache(maxsize=8)
@@ -31,52 +36,41 @@ def panel_nodes(a: float, b: float, n_panels: int, n_points: int = DEFAULT_PANEL
     return nodes, weights
 
 
-def integrate_1d(f, a: float, b: float, *, rel_tol: float = 1e-10,
-                 abs_tol: float = 1e-15, n_points: int = DEFAULT_PANEL_POINTS,
-                 max_refinements: int = 14) -> float:
-    """Integrate a vectorized scalar function over [a, b].
-
-    Panels are halved (count doubled) until two successive composite
-    estimates agree to rel_tol (with an abs_tol floor for near-zero
-    integrals).
-    """
-    if b <= a:
-        raise ValueError("integration bounds must satisfy a < b")
-    n_panels = 1
-    nodes, weights = panel_nodes(a, b, n_panels, n_points)
-    previous = float(np.dot(weights, f(nodes)))
-    for _ in range(max_refinements):
-        n_panels *= 2
-        nodes, weights = panel_nodes(a, b, n_panels, n_points)
-        current = float(np.dot(weights, f(nodes)))
-        if abs(current - previous) <= max(rel_tol * abs(current), abs_tol):
-            return current
-        previous = current
-    raise QuadratureNotConverged(
-        f"1-d integral on [{a}, {b}] not converged after {max_refinements} refinements")
-
-
-def integrate_2d(f, ax: float, bx: float, ay: float, by: float, *,
-                 rel_tol: float = 1e-10, abs_tol: float = 1e-15,
-                 n_points: int = DEFAULT_PANEL_POINTS,
-                 max_refinements: int = 10) -> float:
-    """Integrate a vectorized f(x, y) over the rectangle [ax,bx] x [ay,by]."""
-    if bx <= ax or by <= ay:
-        raise ValueError("integration rectangle is degenerate")
-
-    def estimate(n_panels: int) -> float:
-        xs, wx = panel_nodes(ax, bx, n_panels, n_points)
-        ys, wy = panel_nodes(ay, by, n_panels, n_points)
-        values = f(xs[:, None], ys[None, :])
-        return float(wx @ values @ wy)
-
+def _refine(estimate, max_refinements: int, what: str) -> float:
+    """Double the panel count until two successive estimates agree to
+    REL_TOL (with an ABS_TOL floor for near-zero integrals)."""
     n_panels = 1
     previous = estimate(n_panels)
     for _ in range(max_refinements):
         n_panels *= 2
         current = estimate(n_panels)
-        if abs(current - previous) <= max(rel_tol * abs(current), abs_tol):
+        if abs(current - previous) <= max(REL_TOL * abs(current), ABS_TOL):
             return current
         previous = current
     raise QuadratureNotConverged(
-        f"2-d integral not converged after {max_refinements} refinements")
+        f"{what} not converged after {max_refinements} refinements")
+
+
+def integrate_1d(f, a: float, b: float) -> float:
+    """Integrate a vectorized scalar function over [a, b]."""
+    if b <= a:
+        raise ValueError("integration bounds must satisfy a < b")
+
+    def estimate(n_panels: int) -> float:
+        nodes, weights = panel_nodes(a, b, n_panels)
+        return float(np.dot(weights, f(nodes)))
+
+    return _refine(estimate, MAX_REFINEMENTS_1D, f"1-d integral on [{a}, {b}]")
+
+
+def integrate_2d(f, ax: float, bx: float, ay: float, by: float) -> float:
+    """Integrate a vectorized f(x, y) over the rectangle [ax,bx] x [ay,by]."""
+    if bx <= ax or by <= ay:
+        raise ValueError("integration rectangle is degenerate")
+
+    def estimate(n_panels: int) -> float:
+        xs, wx = panel_nodes(ax, bx, n_panels)
+        ys, wy = panel_nodes(ay, by, n_panels)
+        return float(wx @ f(xs[:, None], ys[None, :]) @ wy)
+
+    return _refine(estimate, MAX_REFINEMENTS_2D, "2-d integral")

@@ -202,6 +202,15 @@ def joint_survival_probability(model: OscillatorModel, region_a: Region,
                         region_a.lo, region_a.hi, region_b.lo, region_b.hi)
 
 
+def _region_mass(model: OscillatorModel, region: Region) -> float:
+    """Alice's mass in the region; EmptyRegionMass below EMPTY_MASS."""
+    p = region_survival_probability(model, region)
+    if p < EMPTY_MASS:
+        raise EmptyRegionMass(
+            f"region [{region.lo:.3g}, {region.hi:.3g}] carries mass {p:.3e}")
+    return p
+
+
 def _n_bins(spec: DiscretizationSpec | None, default: int) -> int:
     """The spec's grid resolution, or the caller's default."""
     return spec.n_bins if spec is not None and spec.n_bins else default
@@ -240,6 +249,13 @@ def _wavefunction_grid(model: OscillatorModel, qa_pts: np.ndarray,
     return values
 
 
+def _amplitude_entropy(model: OscillatorModel, qa_pts: np.ndarray,
+                       qb_pts: np.ndarray) -> tuple[float, Spectrum]:
+    """Entropy of Alice's reduced matrix from the amplitudes on a grid."""
+    psi = _wavefunction_grid(model, qa_pts, qb_pts)
+    return _entropy_and_spectrum(psi @ psi.T)
+
+
 def one_restricted_entropy(model: OscillatorModel, region: Region,
                            spec: DiscretizationSpec | None = None) -> EnsembleResult:
     """Discarding-ensemble entanglement when only Alice restricts.
@@ -254,10 +270,7 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
         return basis_expansion_entropy(
             model, region, spec.n_basis or DEFAULT_BASIS_SIZE,
             quadrature_order=spec.quadrature_order)
-    p = region_survival_probability(model, region)
-    if p < EMPTY_MASS:
-        raise EmptyRegionMass(
-            f"region [{region.lo:.3g}, {region.hi:.3g}] carries mass {p:.3e}")
+    p = _region_mass(model, region)
     entropy, spectrum = _kernel_entropy(model, _grid_points(region, n_bins))
     return EnsembleResult(entropy, p, spectrum, replace(spec, n_bins=n_bins))
 
@@ -277,10 +290,8 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
     p = joint_survival_probability(model, region_a, region_b)
     if p < EMPTY_MASS:
         raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
-    psi = _wavefunction_grid(model, _grid_points(region_a, n_bins),
-                             _grid_points(region_b, n_bins))
-    reduced = psi @ psi.T
-    entropy, spectrum = _entropy_and_spectrum(reduced)
+    entropy, spectrum = _amplitude_entropy(model, _grid_points(region_a, n_bins),
+                                           _grid_points(region_b, n_bins))
     return EnsembleResult(entropy, p, spectrum, replace(spec, n_bins=n_bins))
 
 
@@ -320,10 +331,7 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
-    p = region_survival_probability(model, region)
-    if p < EMPTY_MASS:
-        raise EmptyRegionMass(
-            f"region [{region.lo:.3g}, {region.hi:.3g}] carries mass {p:.3e}")
+    p = _region_mass(model, region)
     n_panels = max(2, -(-n_basis // 4))
     projected = _basis_projected_matrix(model, region, n_basis, n_panels,
                                         quadrature_order)
@@ -408,8 +416,7 @@ def _complement_points(region: Region, half_domain: float, n_bins: int) -> np.nd
 
 
 def non_discarding_entanglement(model: OscillatorModel, region: Region,
-                                spec: DiscretizationSpec | None = None,
-                                half_domain: float | None = None) -> NonDiscardingResult:
+                                spec: DiscretizationSpec | None = None) -> NonDiscardingResult:
     """Entanglement of the non-discarding ensemble for Alice's region.
 
     Both conditional states are pure, so the ensemble entanglement is the
@@ -418,15 +425,10 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region,
     domain at one spacing, n_bins intervals on its longer segment.
     """
     n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
-    if half_domain is None:
-        half_domain = domain_half_length(model)
-
-    p = region_survival_probability(model, region)
-    if p < EMPTY_MASS:
-        raise EmptyRegionMass(f"region mass {p:.3e} is numerically zero")
+    p = _region_mass(model, region)
     e_in, _ = _kernel_entropy(model, _grid_points(region, n_bins))
 
-    complement = _complement_points(region, half_domain, n_bins)
+    complement = _complement_points(region, domain_half_length(model), n_bins)
     if complement.size == 0 or 1.0 - p < EMPTY_MASS:
         e_out = 0.0
         p = 1.0
@@ -441,8 +443,7 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region,
 
 
 def non_discarding_two_path(model: OscillatorModel, region: Region,
-                            spec: DiscretizationSpec | None = None,
-                            half_domain: float | None = None):
+                            spec: DiscretizationSpec | None = None):
     """Check the two-outcome identity along two independent routes.
 
     Route one reduces to Alice first and evaluates each conditional
@@ -452,21 +453,15 @@ def non_discarding_two_path(model: OscillatorModel, region: Region,
     its blocks. Returns (identity_result, mixture_value, gap).
     """
     n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
-    if half_domain is None:
-        half_domain = domain_half_length(model)
-
-    identity = non_discarding_entanglement(model, region, spec, half_domain)
-
-    bob = np.linspace(-half_domain, half_domain, _TWO_PATH_BOB_BINS + 1)
-    psi_in = _wavefunction_grid(model, _grid_points(region, n_bins), bob)
-    e_in, _ = _entropy_and_spectrum(psi_in @ psi_in.T)
-    complement = _complement_points(region, half_domain, n_bins)
-    if complement.size and 1.0 - identity.survival_probability >= EMPTY_MASS:
-        psi_out = _wavefunction_grid(model, complement, bob)
-        e_out, _ = _entropy_and_spectrum(psi_out @ psi_out.T)
-    else:
-        e_out = 0.0
+    half = domain_half_length(model)
+    identity = non_discarding_entanglement(model, region, spec)
     p = identity.survival_probability
+
+    bob = np.linspace(-half, half, _TWO_PATH_BOB_BINS + 1)
+    e_in, _ = _amplitude_entropy(model, _grid_points(region, n_bins), bob)
+    e_out = 0.0
+    if p < 1.0:  # the identity sets p to 1 when the region leaves no outside
+        e_out, _ = _amplitude_entropy(model, _complement_points(region, half, n_bins), bob)
     mixture = p * e_in + (1.0 - p) * e_out
     return identity, mixture, abs(mixture - identity.entanglement)
 
@@ -505,13 +500,9 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     total = 0.0
     for seg_a in partition_a.effective_segments(half):
         for seg_b in partition_b.effective_segments(half):
-            p = joint_survival_probability(model, seg_a, seg_b)
-            if p < EMPTY_MASS:
-                cells.append(PartitionCell(seg_a, seg_b, p, 0.0))
-                continue
-            result = both_restricted_entropy(model, seg_a, seg_b, spec)
-            cells.append(PartitionCell(seg_a, seg_b, p, result.entanglement))
-            total += p * result.entanglement
+            e, p, _ = _cell(model, seg_a, seg_b, spec)
+            cells.append(PartitionCell(seg_a, seg_b, p, e))
+            total += p * e
     e_full = gaussian_eof(model)
     return PartitionReport(weighted_sum=total, full_entanglement=e_full,
                            slack=e_full - total, cells=tuple(cells))
@@ -558,13 +549,12 @@ def method_equivalence(model: OscillatorModel, region: Region,
 # -- scan surfaces --------------------------------------------------------------
 
 def _cell(model: OscillatorModel, region_a: Region, region_b: Region | None,
-          n_bins: int) -> tuple[float, float, float]:
-    """(entanglement, survival probability, empty flag) of one map cell.
+          spec: DiscretizationSpec | None) -> tuple[float, float, float]:
+    """(entanglement, survival probability, empty flag) of one map or partition cell.
 
     region_b None restricts Alice only. A region without mass is an empty
     cell: value 0, probability 0, flag 1.
     """
-    spec = DiscretizationSpec(n_bins=n_bins)
     try:
         result = (one_restricted_entropy(model, region_a, spec) if region_b is None
                   else both_restricted_entropy(model, region_a, region_b, spec))
@@ -611,13 +601,13 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
             raise DomainError("half_width is required for a two-party map")
         b = half_width_b if half_width_b is not None else half_width
         axis_b = np.asarray(centers_b, dtype=np.float64)
-        n_bins = _n_bins(spec, DEFAULT_BINS_BOTH)
-        jobs = [(model, Region(ca, half_width), Region(cb, b), n_bins)
+        spec = DiscretizationSpec(n_bins=_n_bins(spec, DEFAULT_BINS_BOTH))
+        jobs = [(model, Region(ca, half_width), Region(cb, b), spec)
                 for ca in centers_a for cb in axis_b]
     else:
         axis_b = np.asarray(widths, dtype=np.float64)
-        n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
-        jobs = [(model, Region(ca, w / 2.0), None, n_bins)
+        spec = DiscretizationSpec(n_bins=_n_bins(spec, DEFAULT_BINS_ONE))
+        jobs = [(model, Region(ca, w / 2.0), None, spec)
                 for ca in centers_a for w in axis_b]
     data = _run_cells(_cell, jobs, workers).reshape(centers_a.size, axis_b.size, 3)
     values = data[..., 0]
@@ -641,9 +631,9 @@ def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
     it stays pinned there. Returns (centers, values, probs, flags) arrays.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    n_bins = _n_bins(spec, DEFAULT_BINS_BOTH)
+    spec = DiscretizationSpec(n_bins=_n_bins(spec, DEFAULT_BINS_BOTH))
     jobs = [(model, Region(ca, half_width),
-             Region(ca if bob_center is None else bob_center, half_width), n_bins)
+             Region(ca if bob_center is None else bob_center, half_width), spec)
             for ca in centers]
     rows = _run_cells(_cell, jobs, workers)
     return centers, rows[:, 0], rows[:, 1], rows[:, 2]

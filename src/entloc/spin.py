@@ -31,25 +31,6 @@ DIM = 16
 SINGULAR_TRACE = 1e-12
 
 
-@dataclass(frozen=True)
-class SpinModel:
-    """Pair angles plus the purity parameter of the isotropic admixture."""
-
-    theta1: float
-    theta2: float
-    F: float = 1.0
-
-    def __post_init__(self):
-        if not 1.0 / 16.0 <= self.F <= 1.0:
-            raise DomainError(f"F must lie in [1/16, 1], got {self.F}")
-
-    def pure_state(self) -> np.ndarray:
-        return build_pure_state(self.theta1, self.theta2)
-
-    def mixed_state(self) -> "DensityMatrix":
-        return build_mixed_state(self.theta1, self.theta2, self.F)
-
-
 _INDEX = np.arange(DIM)
 # Zero-moment masks: Alice's two spins differ (a1 != a2), Bob's differ (b1 != b2).
 _MS0 = {"A": (((_INDEX >> 3) ^ (_INDEX >> 2)) & 1).astype(np.float64),
@@ -188,14 +169,13 @@ def survival_probability(theta1: float, theta2: float) -> float:
 
 
 def negativity_vanish_point(theta1: float, theta2: float,
-                            restricted: bool = False,
-                            tol: float = 1e-6) -> float:
+                            restricted: bool = False) -> float:
     """Purity parameter F below which the negativity vanishes.
 
-    Located by bisection of negativity(F) against a 1e-9 floor; the
-    negativity is non-decreasing in F.
+    Located to within 1e-6 by bisection of negativity(F) against a 1e-9
+    floor; the negativity is non-decreasing in F.
     """
-    threshold = 1e-9
+    threshold, tol = 1e-9, 1e-6
     lo, hi = 1.0 / 16.0, 1.0
     if spin_negativity(theta1, theta2, hi, restricted) <= threshold:
         return hi

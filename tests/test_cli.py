@@ -1,9 +1,13 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entloc import cli
 from entloc.cli import (
     emit_distribution,
     parse_distribution,
@@ -47,6 +51,8 @@ class TestExitCodes:
         (["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "1",
           "--n-bins", "1"], 2, "DomainError"),
         (["spin-scan", "--steps", "1"], 1, "UsageError"),
+        (["gauss-classical-map", "--alpha", "6", "--width", "0.5", "--width-b", "0",
+          "--centers", "-1", "1", "3"], 2, "DomainError"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
         got, _, err = run_capture(capsys, argv)
@@ -478,3 +484,19 @@ class TestDeterminism:
         assert run(args + ["--output", str(first)]) == 0
         assert run(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestReadmeCommands:
+    def test_every_documented_command_parses(self):
+        # `entloc ...` lines of the README's sh blocks, continuations joined and
+        # comments stripped; the `entloc <subcommand> [flags]` synopsis is skipped
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                words = shlex.split(line, comments=True)
+                if words[:1] == ["entloc"] and not words[1].startswith("<"):
+                    commands.append(words[1:])
+        assert {words[0] for words in commands} == set(cli._SUBCOMMANDS)
+        for words in commands:
+            cli._parse(words[0], words[1:])

@@ -41,7 +41,18 @@ def test_not_converged_raises():
         return rng.standard_normal(np.shape(x))
 
     with pytest.raises(QuadratureNotConverged):
-        integrate_1d(noisy, 0.0, 1.0, max_refinements=3)
+        integrate_1d(noisy, 0.0, 1.0)
+
+
+def test_2d_gives_up_before_4096_squared_nodes():
+    rng = np.random.default_rng(0)
+
+    def noisy(x, y):
+        assert np.size(x) * np.size(y) <= 4096**2
+        return rng.standard_normal((np.size(x), np.size(y)))
+
+    with pytest.raises(QuadratureNotConverged):
+        integrate_2d(noisy, 0.0, 1.0, 0.0, 1.0)
 
 
 def test_degenerate_bounds_rejected():

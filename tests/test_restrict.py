@@ -281,6 +281,18 @@ class TestNonDiscarding:
         assert errors[0] < 0.015
         assert errors[1] < 0.6 * errors[0]
 
+    def test_empty_region_refused(self):
+        with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
+            non_discarding_entanglement(MODEL, Region(50.0, 0.2))
+
+    def test_two_path_without_outside(self):
+        # a region covering the truncated domain leaves no outside outcome
+        half = domain_half_length(MODEL)
+        identity, mixture, gap = non_discarding_two_path(MODEL, Region(0.0, 2.0 * half))
+        assert identity.survival_probability == 1.0
+        assert identity.entanglement_outside == 0.0
+        assert gap <= 1e-6
+
     def test_locally_accessible_part(self):
         result = non_discarding_entanglement(MODEL, Region(0.0, 1.0))
         assert result.locally_accessible == pytest.approx(
@@ -296,9 +308,15 @@ class TestPartitionInequality:
         assert report.slack == pytest.approx(0.0, abs=5e-3)
         assert report.slack >= -1e-6
 
-    def test_four_by_four(self):
+    def test_four_by_four(self, monkeypatch):
+        import entloc.restrict as restrict
+        calls = []
+        integrate = restrict.integrate_2d
+        monkeypatch.setattr(restrict, "integrate_2d",
+                            lambda *a: calls.append(1) or integrate(*a))
         partition = Partition.uniform(-4.0, 4.0, 4)
         report = partition_inequality_check(MODEL, partition, partition)
+        assert len(calls) == 16  # one joint mass per cell
         assert report.weighted_sum < gaussian_eof(MODEL)
         assert report.slack >= -1e-6
         assert len(report.cells) == 16
@@ -317,6 +335,16 @@ class TestPartitionInequality:
         assert mass_truncated < 1.0 - 1e-4
         assert mass_merged == pytest.approx(1.0, abs=1e-8)
         assert merged.slack >= -1e-6
+
+    def test_empty_cells_and_basis_spec(self):
+        far = Partition.uniform(-40.0, 40.0, 4)
+        report = partition_inequality_check(MODEL, far, far)
+        empty = [cell for cell in report.cells
+                 if abs(cell.region_a.center) > 20 or abs(cell.region_b.center) > 20]
+        assert len(empty) == 12
+        assert all(cell.probability == 0.0 and cell.entanglement == 0.0 for cell in empty)
+        with pytest.raises(DomainError):
+            partition_inequality_check(MODEL, far, far, DiscretizationSpec(method="basis"))
 
     def test_tail_handling_validation(self):
         with pytest.raises(DomainError):

@@ -37,20 +37,6 @@ def analytic_restricted(theta1, theta2):
     return vec / norm, norm**2
 
 
-class TestSpinModel:
-    def test_state_builders(self):
-        from entloc.spin import SpinModel
-        model = SpinModel(theta1=0.3, theta2=1.1, F=0.7)
-        assert np.allclose(model.pure_state(), build_pure_state(0.3, 1.1))
-        assert np.allclose(model.mixed_state().elements,
-                           build_mixed_state(0.3, 1.1, 0.7).elements)
-
-    def test_purity_domain(self):
-        from entloc.spin import SpinModel
-        with pytest.raises(DomainError):
-            SpinModel(theta1=0.0, theta2=0.0, F=0.01)
-
-
 class TestPureState:
     def test_aligned_angles_give_basis_state(self):
         psi = build_pure_state(0.0, 0.0)
