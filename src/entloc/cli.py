@@ -363,7 +363,7 @@ def _cmd_gauss_classical_map(ns, metadata):
     centers = _linspace(*ns.centers)
     dist = probability_map(_model(ns), centers, centers, ns.width / 2.0,
                            (ns.width_b / 2.0) if ns.width_b is not None else None,
-                           kind=f"{ns.kind}_probability", workers=_workers(ns))
+                           kind=f"{ns.kind}_probability")
     emit_distribution(dist, ns.output, ns.format, metadata)
 
 

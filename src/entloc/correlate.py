@@ -31,10 +31,12 @@ from .restrict import (
     EMPTY_MASS,
     DiscretizationSpec,
     Region,
-    _run_cells,
+    _cell_arrays,
     entanglement_map,
+    joint_masses,
     joint_survival_probability,
     region_survival_probability,
+    two_party_nodes,
 )
 
 DEFAULT_THRESHOLD = 1e-3
@@ -72,22 +74,23 @@ def _conditional_map(model: OscillatorModel, joint: Distribution2D,
 
 def probability_map(model: OscillatorModel, centers_a, centers_b,
                     half_width_a: float, half_width_b: float | None = None,
-                    kind: str = "joint_probability",
-                    workers: int = 1) -> Distribution2D:
+                    kind: str = "joint_probability") -> Distribution2D:
     """Joint or conditional probability surface over region centers.
 
-    The joint table is computed once, one 2-d quadrature per cell; a
-    conditional surface divides each row by Alice's marginal (one 1-d
-    quadrature per row) and masks rows whose marginal has no mass.
+    The joint table is computed once, in one batched call of the closed-form
+    joint masses; a conditional surface divides each row by Alice's
+    marginal (one 1-d quadrature per row) and masks rows whose marginal has
+    no mass.
     """
     if kind not in ("joint_probability", "conditional_probability"):
         raise DomainError(f"unknown probability kind {kind!r}")
     centers_a = np.asarray(centers_a, dtype=np.float64)
     centers_b = np.asarray(centers_b, dtype=np.float64)
     b = half_width_b if half_width_b is not None else half_width_a
-    jobs = [(model, Region(ca, half_width_a), Region(cb, b))
-            for ca in centers_a for cb in centers_b]
-    values = _run_cells(joint_probability, jobs, workers)
+    ca, ha, cb, hb = _cell_arrays(np.repeat(centers_a, centers_b.size), half_width_a,
+                                  np.tile(centers_b, centers_a.size), b)
+    n = two_party_nodes(model, 2.0 * max(half_width_a, b))
+    values = joint_masses(model, ca - ha, ca + ha, cb - hb, cb + hb, n)
     joint = Distribution2D(axis_a=centers_a, axis_b=centers_b, kind="joint_probability",
                            values=values.reshape(centers_a.size, centers_b.size))
     return joint if kind == "joint_probability" else _conditional_map(
@@ -217,8 +220,7 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
             continue
         centers = np.linspace(-extent, extent, steps)
         if which == "classical":
-            joint = probability_map(model, centers, centers, half_width,
-                                    workers=workers)
+            joint = probability_map(model, centers, centers, half_width)
             pm_fit = fit_surface(joint, "symmetric_pm")
             cond_fit = fit_surface(_conditional_map(model, joint, half_width),
                                    "conditional")

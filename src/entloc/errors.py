@@ -54,7 +54,8 @@ class EmptyRegionMass(EntlocError):
 
 
 class QuadratureNotConverged(EntlocError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature failed to reach its tolerance, or a discretization would
+    need more nodes than its cap."""
 
 
 # -- surface fitting ---------------------------------------------------------

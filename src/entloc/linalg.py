@@ -104,6 +104,16 @@ class Spectrum:
         return max(0.0, float(-(lam * np.log2(lam)).sum()))
 
 
+def spectral_entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """Spectrum.entropy_bits of each row of a stack of normalized spectra.
+
+    Entries at or below EIGENVALUE_CLAMP are dropped (replaced by 1, whose
+    term vanishes), and each entropy is floored at 0.
+    """
+    lam = np.where(weights > EIGENVALUE_CLAMP, weights, 1.0)
+    return np.maximum(0.0, -(lam * np.log2(lam)).sum(axis=-1))
+
+
 def eigen_symmetric(m: DensityMatrix, vectors: bool = False):
     """Eigendecomposition of a Hermitian matrix.
 

@@ -1,7 +1,9 @@
-"""Adaptive composite Gauss-Legendre quadrature.
+"""Composite Gauss-Legendre rules.
 
 Integrands here are smooth Gaussians, so fixed-order panels with panel
-doubling converge extremely fast; adaptivity is just a safety net.
+doubling converge extremely fast; adaptivity is just a safety net. Batches
+of intervals get one fixed-order rule each, with the nodes of every
+interval along a trailing axis.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ DEFAULT_PANEL_POINTS = 16
 REL_TOL = 1e-10
 ABS_TOL = 1e-15
 MAX_REFINEMENTS_1D = 14
-# 2**8 panels of 16 points: at most 4096**2 nodes (128 MiB per float64 array).
-MAX_REFINEMENTS_2D = 8
 
 
 @lru_cache(maxsize=8)
@@ -36,23 +36,29 @@ def panel_nodes(a: float, b: float, n_panels: int, n_points: int = DEFAULT_PANEL
     return nodes, weights
 
 
-def _refine(estimate, max_refinements: int, what: str) -> float:
-    """Double the panel count until two successive estimates agree to
-    REL_TOL (with an ABS_TOL floor for near-zero integrals)."""
-    n_panels = 1
-    previous = estimate(n_panels)
-    for _ in range(max_refinements):
-        n_panels *= 2
-        current = estimate(n_panels)
-        if abs(current - previous) <= max(REL_TOL * abs(current), ABS_TOL):
-            return current
-        previous = current
-    raise QuadratureNotConverged(
-        f"{what} not converged after {max_refinements} refinements")
+def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each of
+    n_panels equal panels of each [lo, hi].
+
+    lo and hi are arrays of one shape; nodes and weights have that shape
+    plus a trailing axis of length n_panels * n_points.
+    """
+    x, w = _gauss_rule(n_points)
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
+    edges = np.concatenate([lo + (hi - lo) * (np.arange(n_panels) / n_panels), hi], axis=-1)
+    half = (0.5 * (edges[..., 1:] - edges[..., :-1]))[..., None]
+    mid = (0.5 * (edges[..., 1:] + edges[..., :-1]))[..., None]
+    shape = lo.shape[:-1] + (n_panels * n_points,)
+    return (half * x + mid).reshape(shape), (half * w).reshape(shape)
 
 
 def integrate_1d(f, a: float, b: float) -> float:
-    """Integrate a vectorized scalar function over [a, b]."""
+    """Integrate a vectorized scalar function over [a, b].
+
+    The panel count doubles until two successive estimates agree to REL_TOL
+    (with an ABS_TOL floor for near-zero integrals).
+    """
     if b <= a:
         raise ValueError("integration bounds must satisfy a < b")
 
@@ -60,17 +66,13 @@ def integrate_1d(f, a: float, b: float) -> float:
         nodes, weights = panel_nodes(a, b, n_panels)
         return float(np.dot(weights, f(nodes)))
 
-    return _refine(estimate, MAX_REFINEMENTS_1D, f"1-d integral on [{a}, {b}]")
-
-
-def integrate_2d(f, ax: float, bx: float, ay: float, by: float) -> float:
-    """Integrate a vectorized f(x, y) over the rectangle [ax,bx] x [ay,by]."""
-    if bx <= ax or by <= ay:
-        raise ValueError("integration rectangle is degenerate")
-
-    def estimate(n_panels: int) -> float:
-        xs, wx = panel_nodes(ax, bx, n_panels)
-        ys, wy = panel_nodes(ay, by, n_panels)
-        return float(wx @ f(xs[:, None], ys[None, :]) @ wy)
-
-    return _refine(estimate, MAX_REFINEMENTS_2D, "2-d integral")
+    n_panels = 1
+    previous = estimate(n_panels)
+    for _ in range(MAX_REFINEMENTS_1D):
+        n_panels *= 2
+        current = estimate(n_panels)
+        if abs(current - previous) <= max(REL_TOL * abs(current), ABS_TOL):
+            return current
+        previous = current
+    raise QuadratureNotConverged(
+        f"1-d integral on [{a}, {b}] not converged after {MAX_REFINEMENTS_1D} refinements")

@@ -2,10 +2,8 @@
 
 A preliminary measurement that only resolves "is the particle inside the
 interval [center - a, center + a]?" projects the state onto that region.
-This module discretizes the surviving (discarding-ensemble) states two
-independent ways -- direct kernel sampling on a grid, and projection onto
-an orthonormal sine/cosine family supported on the region -- and evaluates
-the entanglement left in each ensemble:
+This module discretizes the surviving (discarding-ensemble) states and
+evaluates the entanglement left in each ensemble:
 
 * discarding ensemble: keep only the in-region outcome, renormalize;
 * non-discarding ensemble: keep both outcomes as a labelled mixture, whose
@@ -15,9 +13,17 @@ the entanglement left in each ensemble:
   region, which is diagonal in Alice's coordinate and therefore carries no
   entanglement at all.
 
-Grid matrices sample the continuum kernel pointwise and are renormalized
-by their trace; survival probabilities come from adaptive quadrature of
-the analytic position densities.
+When both parties restrict, a cell's entropy comes by default from the
+singular values of sqrt(Wa) psi sqrt(Wb) on Gauss-Legendre nodes of the two
+regions (a Nystrom discretization, exponentially convergent for these
+analytic amplitudes; Bornemann, Math. Comp. 79 (2010) 871-915), and its
+joint mass from a Gauss-Legendre integral over Alice's region of Bob's
+conditional mass in closed form. Maps stack their cells and make one LAPACK
+call per chunk. An explicit n_bins selects the uniform-grid cross-check
+instead. When only Alice restricts, the one-particle kernel is sampled on a
+grid or projected onto an orthonormal sine/cosine family supported on the
+region; grid matrices are renormalized by their trace and survival
+probabilities come from adaptive quadrature of the analytic density.
 """
 
 from __future__ import annotations
@@ -32,25 +38,39 @@ from .errors import (
     DomainError,
     EmptyRegionMass,
     NegativeEigenvalue,
+    NoConvergence,
     QuadratureNotConverged,
 )
-from .linalg import DensityMatrix, Spectrum, eigen_symmetric, negativity
+from .linalg import (
+    DensityMatrix,
+    Spectrum,
+    eigen_symmetric,
+    negativity,
+    spectral_entropy_bits,
+)
 from .oscillator import (
     OscillatorModel,
     gaussian_eof,
-    joint_position_density,
     marginal_position_density,
     reduced_density_value,
     two_particle_wavefunction,
 )
-from .quadrature import integrate_1d, integrate_2d, panel_nodes
+from .quadrature import gauss_legendre, integrate_1d, panel_nodes
 
 DEFAULT_BINS_ONE = 200
-DEFAULT_BINS_BOTH = 100
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 EMPTY_MASS = 1e-14
 _TWO_PATH_BOB_BINS = 256
+# Gauss-Legendre nodes per region of a two-party cell: NODES_PER_LENGTH per
+# narrow length of the widest region, at least NODE_FLOOR. No rule has more
+# than MAX_NODES nodes: Schmidt weights refuse past it, masses use panels.
+NODE_FLOOR = 24
+NODES_PER_LENGTH = 2.0
+MAX_NODES = 512
+# Bytes of one float64 chunk of cells: a (cells, n, n) stack handed to LAPACK
+# in one call, or a (cells, n) array of mass nodes.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -141,7 +161,9 @@ class DiscretizationSpec:
 
     method "grid" samples the kernel on n_bins + 1 equally spaced points;
     method "basis" projects onto n_basis orthonormal functions, with
-    quadrature_order Gauss-Legendre points per integration panel.
+    quadrature_order Gauss-Legendre points per integration panel. Two-party
+    cells run on Gauss-Legendre nodes, as many as the node rule
+    (two_party_nodes) asks, unless a grid n_bins is given.
     """
 
     method: str = "grid"
@@ -195,11 +217,85 @@ def region_survival_probability(model: OscillatorModel, region: Region) -> float
                         region.lo, region.hi)
 
 
+def _erfc(z: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, z.flat), np.float64, z.size).reshape(z.shape)
+
+
+def _normal_interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(erf(hi) - erf(lo)) / 2 for lo <= hi, as a difference of erfc values on
+    the non-negative side, so a distant interval keeps its relative accuracy."""
+    flip = hi < 0.0
+    return 0.5 * (_erfc(np.where(flip, -hi, lo)) - _erfc(np.where(flip, -lo, hi)))
+
+
+def _cell_slices(k: int, cell_bytes: int) -> list[slice]:
+    """Consecutive ranges of k cells of cell_bytes each that fit CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // cell_bytes)
+    return [slice(start, start + step) for start in range(0, k, step)]
+
+
+def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.ndarray:
+    """P(q_a in [a_lo, a_hi] and q_b in [b_lo, b_hi]) for each cell.
+
+    Given q_a, Bob's position is normal with mean (s-1)/(s+1) q_a and
+    variance 2/(m omega (1+s)), s = sqrt(1 + 4 alpha), so each cell is an
+    n-node Gauss-Legendre integral over Alice's interval of her marginal
+    density times Bob's conditional mass in closed form. Past MAX_NODES
+    nodes the interval is split into equal panels of at most MAX_NODES
+    nodes each. The bounds are arrays of one shape; cells are evaluated in
+    chunks of CHUNK_BYTES per array, and n nodes that do not fit one chunk
+    are refused with QuadratureNotConverged before any array is built.
+    """
+    if 8 * n > CHUNK_BYTES:
+        raise QuadratureNotConverged(
+            f"a joint mass on {n} Gauss-Legendre nodes exceeds the chunk of "
+            f"{CHUNK_BYTES} bytes")
+    panels = -(-n // MAX_NODES)
+    points = -(-n // panels)
+    s = model.stiffness_root
+    slope = (s - 1.0) / (s + 1.0)
+    scale = math.sqrt(model.m * model.omega * (1.0 + s) / 4.0)  # 1 / (sqrt(2) sd)
+    bounds = [np.asarray(edge, dtype=np.float64).ravel() for edge in (a_lo, a_hi, b_lo, b_hi)]
+    out = np.empty(bounds[0].size)
+    for cells in _cell_slices(out.size, 8 * n):
+        a_lo_c, a_hi_c, b_lo_c, b_hi_c = (edge[cells] for edge in bounds)
+        x, w = gauss_legendre(a_lo_c, a_hi_c, points, panels)
+        mean = slope * x
+        inner = _normal_interval((b_lo_c[:, None] - mean) * scale,
+                                 (b_hi_c[:, None] - mean) * scale)
+        out[cells] = (w * marginal_position_density(model, x) * inner).sum(axis=-1)
+    return out.reshape(np.shape(a_lo))
+
+
+def two_party_nodes(model: OscillatorModel, width: float) -> int:
+    """Gauss-Legendre nodes per region for two-party cells up to `width` wide.
+
+    The amplitude varies on the narrow length 1/sqrt(m omega s), so the
+    rule puts NODES_PER_LENGTH nodes per narrow length, and at least
+    NODE_FLOOR. The rule's count and twice it agree to 1e-10 ebit for alpha
+    from 0.25 to 1e4 and widths up to 4.
+    """
+    narrow = width * math.sqrt(model.m * model.omega * model.stiffness_root)
+    return max(NODE_FLOOR, math.ceil(NODES_PER_LENGTH * narrow))
+
+
+def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
+    """two_party_nodes for cells whose Schmidt weights are taken; a count past
+    MAX_NODES is refused with QuadratureNotConverged before any array is built."""
+    n = two_party_nodes(model, width)
+    if n > MAX_NODES:
+        raise QuadratureNotConverged(
+            f"regions {width:.3g} wide at alpha {model.alpha:.3g} need {n} "
+            f"Gauss-Legendre nodes, more than the cap of {MAX_NODES}")
+    return n
+
+
 def joint_survival_probability(model: OscillatorModel, region_a: Region,
                                region_b: Region) -> float:
     """Probability that both particles land in their respective regions."""
-    return integrate_2d(lambda qa, qb: joint_position_density(model, qa, qb),
-                        region_a.lo, region_a.hi, region_b.lo, region_b.hi)
+    n = two_party_nodes(model, max(region_a.width, region_b.width))
+    return float(joint_masses(model, [region_a.lo], [region_a.hi],
+                              [region_b.lo], [region_b.hi], n)[0])
 
 
 def _region_mass(model: OscillatorModel, region: Region) -> float:
@@ -275,24 +371,60 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     return EnsembleResult(entropy, p, spectrum, replace(spec, n_bins=n_bins))
 
 
+def _schmidt_weights(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi,
+                     n: int) -> np.ndarray:
+    """Normalized squared singular values of sqrt(Wa) psi sqrt(Wb), one row per cell.
+
+    psi is sampled on n Gauss-Legendre nodes of each cell's two intervals
+    and scaled to peak 1 per cell; one batched LAPACK call serves all cells.
+    Rows are in descending order.
+    """
+    xa, wa = gauss_legendre(a_lo, a_hi, n)
+    xb, wb = gauss_legendre(b_lo, b_hi, n)
+    matrix = two_particle_wavefunction(model, xa[:, :, None], xb[:, None, :])
+    matrix *= np.sqrt(wa)[:, :, None] / matrix.max(axis=(1, 2), keepdims=True)
+    matrix *= np.sqrt(wb)[:, None, :]
+    try:
+        sigma = np.linalg.svd(matrix, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    weights = sigma * sigma
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _on_nodes(spec: DiscretizationSpec | None) -> bool:
+    """Whether two-party cells run on Gauss-Legendre nodes (else on a grid);
+    a basis spec is refused."""
+    if spec is not None and spec.method == "basis":
+        raise DomainError("both-restricted evaluation has no basis method")
+    return spec is None or spec.n_bins is None
+
+
 def both_restricted_entropy(model: OscillatorModel, region_a: Region,
                             region_b: Region,
                             spec: DiscretizationSpec | None = None) -> EnsembleResult:
     """Discarding-ensemble entanglement when both parties restrict.
 
-    Bob's restriction is applied to the two-particle amplitudes before
-    Alice's reduced matrix is formed by summing over his grid index.
+    By default the entropy comes from the Schmidt weights on Gauss-Legendre
+    nodes of both regions, as one cell of a map does, and the result's
+    spec.n_bins is the node count per region. A grid spec restricts the
+    two-particle amplitudes on a uniform grid instead and forms Alice's
+    reduced matrix by summing over Bob's grid index.
     """
-    n_bins = _n_bins(spec, DEFAULT_BINS_BOTH)
-    spec = spec or DiscretizationSpec()
-    if spec.method != "grid":
-        raise DomainError("both-restricted evaluation is grid-based only")
-    p = joint_survival_probability(model, region_a, region_b)
+    width = max(region_a.width, region_b.width)
+    on_nodes = _on_nodes(spec)
+    n = _schmidt_nodes(model, width) if on_nodes else two_party_nodes(model, width)
+    bounds = ([region_a.lo], [region_a.hi], [region_b.lo], [region_b.hi])
+    p = float(joint_masses(model, *bounds, n)[0])
     if p < EMPTY_MASS:
         raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
-    entropy, spectrum = _amplitude_entropy(model, _grid_points(region_a, n_bins),
-                                           _grid_points(region_b, n_bins))
-    return EnsembleResult(entropy, p, spectrum, replace(spec, n_bins=n_bins))
+    if not on_nodes:
+        entropy, spectrum = _amplitude_entropy(model, _grid_points(region_a, spec.n_bins),
+                                               _grid_points(region_b, spec.n_bins))
+        return EnsembleResult(entropy, p, spectrum, spec)
+    weights = _schmidt_weights(model, *bounds, n)
+    return EnsembleResult(float(spectral_entropy_bits(weights)[0]), p, Spectrum(weights[0]),
+                          DiscretizationSpec(n_bins=n))
 
 
 # -- expansion in an orthonormal set ----------------------------------------
@@ -496,16 +628,19 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     unrestricted entanglement of formation.
     """
     half = domain_half_length(model)
-    cells = []
-    total = 0.0
-    for seg_a in partition_a.effective_segments(half):
-        for seg_b in partition_b.effective_segments(half):
-            e, p, _ = _cell(model, seg_a, seg_b, spec)
-            cells.append(PartitionCell(seg_a, seg_b, p, e))
-            total += p * e
+    pairs = [(seg_a, seg_b) for seg_a in partition_a.effective_segments(half)
+             for seg_b in partition_b.effective_segments(half)]
+    segs_a, segs_b = zip(*pairs)
+    rows = _two_party_cells(model, [seg.center for seg in segs_a],
+                            [seg.half_width for seg in segs_a],
+                            [seg.center for seg in segs_b],
+                            [seg.half_width for seg in segs_b], spec)
+    cells = tuple(PartitionCell(seg_a, seg_b, p, e)
+                  for (seg_a, seg_b), (e, p, _) in zip(pairs, rows.tolist()))
+    total = sum(cell.probability * cell.entanglement for cell in cells)
     e_full = gaussian_eof(model)
     return PartitionReport(weighted_sum=total, full_entanglement=e_full,
-                           slack=e_full - total, cells=tuple(cells))
+                           slack=e_full - total, cells=cells)
 
 
 # -- grid/basis method equivalence ---------------------------------------------
@@ -573,6 +708,48 @@ def _run_cells(fn, jobs, workers: int) -> np.ndarray:
         return np.asarray(list(pool.map(fn, *zip(*jobs), chunksize=chunk)))
 
 
+def _cell_arrays(centers_a, half_a, centers_b, half_b) -> list[np.ndarray]:
+    """Two-party cells as broadcast float arrays, after the checks that Region
+    makes of each: finite centers, positive finite half widths."""
+    cells = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
+                                  for v in (centers_a, half_a, centers_b, half_b)))
+    if not (np.isfinite(cells).all() and (cells[1] > 0.0).all() and (cells[3] > 0.0).all()):
+        raise DomainError("region centers and half widths must be finite, "
+                          "half widths positive")
+    return cells
+
+
+def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
+                     spec: DiscretizationSpec | None, workers: int = 1) -> np.ndarray:
+    """(entanglement, survival probability, empty flag) rows of two-party cells.
+
+    Cell i restricts Alice to centers_a[i] +- half_a[i] and Bob to
+    centers_b[i] +- half_b[i]; a half width may be one number for all cells.
+    On Gauss-Legendre nodes every joint mass comes from one call and the
+    cells with mass from one SVD call per chunk of CHUNK_BYTES; a grid spec
+    runs cell by cell on `workers` processes. A cell without mass is empty:
+    value 0, probability 0, flag 1.
+    """
+    centers_a, half_a, centers_b, half_b = _cell_arrays(centers_a, half_a, centers_b, half_b)
+    if not _on_nodes(spec):
+        jobs = [(model, Region(ca, ha), Region(cb, hb), spec)
+                for ca, ha, cb, hb in zip(centers_a, half_a, centers_b, half_b)]
+        return _run_cells(_cell, jobs, workers)
+    n = _schmidt_nodes(model, 2.0 * max(half_a.max(initial=0.0), half_b.max(initial=0.0)))
+    a_lo, a_hi = centers_a - half_a, centers_a + half_a
+    b_lo, b_hi = centers_b - half_b, centers_b + half_b
+    prob = np.clip(joint_masses(model, a_lo, a_hi, b_lo, b_hi, n), 0.0, 1.0)
+    empty = prob < EMPTY_MASS
+    prob[empty] = 0.0
+    values = np.zeros(prob.size)
+    live = np.flatnonzero(~empty)
+    for cells in _cell_slices(live.size, 8 * n * n):
+        idx = live[cells]
+        values[idx] = spectral_entropy_bits(
+            _schmidt_weights(model, a_lo[idx], a_hi[idx], b_lo[idx], b_hi[idx], n))
+    return np.column_stack([values, prob, empty])
+
+
 def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
                      widths=None, half_width: float | None = None,
                      half_width_b: float | None = None,
@@ -589,7 +766,8 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
       its own peak for shape comparisons.
 
     Cells whose region carries no mass are emitted as 0 with extra layer
-    "flag" set to 1.
+    "flag" set to 1. `workers` processes serve one-party and grid maps;
+    two-party maps on Gauss-Legendre nodes run their chunks serially.
     """
     centers_a = np.asarray(centers_a, dtype=np.float64)
     if (centers_b is None) == (widths is None):
@@ -601,15 +779,15 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
             raise DomainError("half_width is required for a two-party map")
         b = half_width_b if half_width_b is not None else half_width
         axis_b = np.asarray(centers_b, dtype=np.float64)
-        spec = DiscretizationSpec(n_bins=_n_bins(spec, DEFAULT_BINS_BOTH))
-        jobs = [(model, Region(ca, half_width), Region(cb, b), spec)
-                for ca in centers_a for cb in axis_b]
+        data = _two_party_cells(model, np.repeat(centers_a, axis_b.size), half_width,
+                                np.tile(axis_b, centers_a.size), b, spec, workers)
     else:
         axis_b = np.asarray(widths, dtype=np.float64)
         spec = DiscretizationSpec(n_bins=_n_bins(spec, DEFAULT_BINS_ONE))
         jobs = [(model, Region(ca, w / 2.0), None, spec)
                 for ca in centers_a for w in axis_b]
-    data = _run_cells(_cell, jobs, workers).reshape(centers_a.size, axis_b.size, 3)
+        data = _run_cells(_cell, jobs, workers)
+    data = data.reshape(centers_a.size, axis_b.size, 3)
     values = data[..., 0]
     extra = {"prob": data[..., 1], "flag": data[..., 2]}
     if not two_party:
@@ -631,9 +809,7 @@ def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
     it stays pinned there. Returns (centers, values, probs, flags) arrays.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    spec = DiscretizationSpec(n_bins=_n_bins(spec, DEFAULT_BINS_BOTH))
-    jobs = [(model, Region(ca, half_width),
-             Region(ca if bob_center is None else bob_center, half_width), spec)
-            for ca in centers]
-    rows = _run_cells(_cell, jobs, workers)
+    rows = _two_party_cells(model, centers, half_width,
+                            centers if bob_center is None else bob_center, half_width,
+                            spec, workers)
     return centers, rows[:, 0], rows[:, 1], rows[:, 2]

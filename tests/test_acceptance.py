@@ -113,30 +113,28 @@ def test_criterion_5_classical_widths_row():
            f"(target {printed}), {elapsed * 1e3:.3f} ms")
 
 
-def _fitted_quantum_widths(width: float):
+def _fitted_quantum_widths(width: float, spec: DiscretizationSpec | None):
     centers = np.linspace(-4.0, 4.0, 41)
     start = time.perf_counter()
     surface = entanglement_map(MODEL, centers, centers_b=centers,
-                               half_width=width / 2.0,
-                               spec=DiscretizationSpec(n_bins=100))
+                               half_width=width / 2.0, spec=spec)
     fit = fit_surface(surface, "symmetric_pm")
     return fit, time.perf_counter() - start
 
 
 def test_criterion_6_quantum_width_rows():
-    narrow, elapsed_narrow = _fitted_quantum_widths(0.5)
-    wide, elapsed_wide = _fitted_quantum_widths(4.0)
-    targets = ((10.4, 2.29), (3.44, 2.10))
+    # the 100-bin grid cross-check and the default Gauss-Legendre nodes
+    targets = ((0.5, (10.4, 2.29)), (4.0, (3.44, 2.10)))
     ok = True
     details = []
-    for fit, (plus, minus), elapsed, label in (
-            (narrow, targets[0], elapsed_narrow, "width 0.5"),
-            (wide, targets[1], elapsed_wide, "width 4")):
-        rel_plus = abs(fit.sigma_plus - plus) / plus
-        rel_minus = abs(fit.sigma_minus - minus) / minus
-        ok = ok and rel_plus <= 0.15 and rel_minus <= 0.15 and elapsed < 180.0
-        details.append(f"{label}: ({fit.sigma_plus:.2f}, {fit.sigma_minus:.2f})"
-                       f" vs ({plus}, {minus}), {elapsed:.1f} s")
+    for spec, method in ((DiscretizationSpec(n_bins=100), "grid"), (None, "nodes")):
+        for width, (plus, minus) in targets:
+            fit, elapsed = _fitted_quantum_widths(width, spec)
+            rel_plus = abs(fit.sigma_plus - plus) / plus
+            rel_minus = abs(fit.sigma_minus - minus) / minus
+            ok = ok and rel_plus <= 0.15 and rel_minus <= 0.15 and elapsed < 180.0
+            details.append(f"width {width:g} on {method}: ({fit.sigma_plus:.2f}, "
+                           f"{fit.sigma_minus:.2f}) vs ({plus}, {minus}), {elapsed:.1f} s")
     report(6, "fitted entanglement-surface widths", ok, "; ".join(details))
 
 

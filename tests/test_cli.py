@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,32 @@ class TestExitCodes:
         got, _, err = run_capture(capsys, argv)
         assert got == code
         assert json.loads(err)["error"] == error
+
+    def test_node_cap_refused_without_large_allocation(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run_capture(capsys, [
+                "gauss-both-restricted", "--alpha", "1e10", "--width", "10",
+                "--qbar-a", "0", "--qbar-b", "0"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads(err)["error"] == "QuadratureNotConverged"
+        assert peak < 1 << 20
+
+    def test_masses_past_the_node_cap_still_computed(self, capsys, tmp_path):
+        # 2829 nodes per region: too many for Schmidt weights, not for masses;
+        # the expected values are the former 2-d adaptive quadrature's output
+        out = tmp_path / "joint.csv"
+        code, _, _ = run_capture(capsys, [
+            "gauss-classical-map", "--alpha", "1e8", "--width", "10",
+            "--centers", "-1", "1", "3", "--output", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[1:4] == [
+            "-1,-1,0.999999992032,nan,ok",
+            "-1,0,0.999999992284,nan,ok",
+            "-1,1,0.99999998457,nan,ok"]
 
     def test_success(self, capsys):
         code, out, _ = run_capture(capsys, ["gauss-constants", "--alpha", "6"])
@@ -470,6 +497,8 @@ class TestDeterminism:
          "--widths", "0.5,1", "--n-bins", "40"],
         ["gauss-classical-map", "--alpha", "6", "--kind", "conditional",
          "--width", "0.5", "--centers", "-1", "1", "4"],
+        ["gauss-both-restricted", "--alpha", "6", "--mode", "grid",
+         "--centers", "-1", "1", "5", "--width", "1"],
     ])
     def test_worker_count_does_not_change_other_maps(self, tmp_path, args):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -39,6 +40,20 @@ class TestJointProbability:
             p = joint_probability(MODEL, Region(qa, a), Region(qb, b))
             approx = 4 * a * b * joint_position_density(MODEL, qa, qb)
             assert p / approx == pytest.approx(1.0, rel=1e-2)
+
+    def test_matches_mpmath_double_integral(self):
+        # independent oracle: tanh-sinh quadrature of the normalized density,
+        # down to a cell of mass ~1e-12 where relative accuracy still holds
+        c_plus, c_minus = mp.mpf(1) / 4, mp.mpf(MODEL.stiffness_root) / 4
+        norm = 2 * mp.sqrt(c_plus * c_minus) / mp.pi
+        with mp.workdps(20):
+            for qa, qb, a, b in ((0.0, 0.0, 0.25, 0.25), (3.0, -1.5, 0.25, 0.4),
+                                 (2.0, 3.5, 2.0, 1.0)):
+                want = mp.quad(lambda x, y: norm * mp.exp(-c_plus * (x + y) ** 2
+                                                          - c_minus * (x - y) ** 2),
+                               [qa - a, qa + a], [qb - b, qb + b])
+                got = joint_probability(MODEL, Region(qa, a), Region(qb, b))
+                assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_normalization_over_partition(self):
         partition = Partition.uniform(-12.0, 12.0, 6)
@@ -104,18 +119,20 @@ class TestProbabilityMap:
         assert np.all(dist.values[~dist.mask] <= 1.0 + 1e-12)
 
     def test_conditional_map_equals_cellwise_conditional(self, monkeypatch):
+        import entloc.correlate as correlate
         import entloc.restrict as restrict
-        calls = {"1d": 0, "2d": 0}
-        for name, key in (("integrate_1d", "1d"), ("integrate_2d", "2d")):
-            def counted(*args, _f=getattr(restrict, name), _key=key, **kwargs):
+        calls = {"1d": 0, "joint": 0}
+        for module, name, key in ((restrict, "integrate_1d", "1d"),
+                                  (correlate, "joint_masses", "joint")):
+            def counted(*args, _f=getattr(module, name), _key=key, **kwargs):
                 calls[_key] += 1
                 return _f(*args, **kwargs)
-            monkeypatch.setattr(restrict, name, counted)
+            monkeypatch.setattr(module, name, counted)
         centers_a = np.array([-1.0, 0.0, 0.5, 50.0])  # Alice's last row has no mass
         centers_b = np.array([-1.0, 0.25, 1.0])
         dist = probability_map(MODEL, centers_a, centers_b, 0.25, 0.4,
                                kind="conditional_probability")
-        assert calls == {"1d": 4, "2d": 12}
+        assert calls == {"1d": 4, "joint": 1}  # one marginal per row, one batched joint call
         for i, ca in enumerate(centers_a):
             for j, cb in enumerate(centers_b):
                 try:

@@ -20,7 +20,15 @@ from entloc.oscillator import (
     spectral_weight,
     two_particle_wavefunction,
 )
-from entloc.quadrature import integrate_1d, integrate_2d
+from entloc.quadrature import integrate_1d
+
+
+def square_integral(f, lo, hi, n=256):
+    """n x n Gauss-Legendre product rule for a vectorized f(x, y) over [lo, hi]^2."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    weights = 0.5 * (hi - lo) * w
+    return float(weights @ f(nodes[:, None], nodes[None, :]) @ weights)
 
 
 def spectral_weight_highprec(alpha, dps=60):
@@ -146,9 +154,8 @@ class TestReducedDensity:
         rng = np.random.default_rng(20)
         for alpha in (0.06, 1.0, 6.0):
             model = OscillatorModel(alpha=alpha)
-            norm = integrate_2d(
-                lambda qa, qb: two_particle_wavefunction(model, qa, qb)**2,
-                -12, 12, -12, 12)
+            norm = square_integral(
+                lambda qa, qb: two_particle_wavefunction(model, qa, qb)**2, -12, 12)
             for qa, qa_prime in rng.uniform(-1.5, 1.5, size=(20, 2)):
                 overlap = integrate_1d(
                     lambda qb: two_particle_wavefunction(model, qa, qb)
@@ -179,9 +186,8 @@ class TestWavefunction:
     def test_joint_density_normalized(self):
         for alpha in (0.0, 6.0):
             model = OscillatorModel(alpha=alpha)
-            mass = integrate_2d(
-                lambda qa, qb: joint_position_density(model, qa, qb),
-                -12, 12, -12, 12)
+            mass = square_integral(
+                lambda qa, qb: joint_position_density(model, qa, qb), -12, 12)
             assert mass == pytest.approx(1.0, abs=1e-10)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entloc.errors import QuadratureNotConverged
-from entloc.quadrature import integrate_1d, integrate_2d, panel_nodes
+from entloc.quadrature import gauss_legendre, integrate_1d, panel_nodes
 
 
 def test_polynomial_exact():
@@ -19,13 +19,6 @@ def test_gaussian_against_erf():
             lambda x: np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi), a, b)
         expected = 0.5 * (math.erf(b / math.sqrt(2)) - math.erf(a / math.sqrt(2)))
         assert value == pytest.approx(expected, abs=1e-12)
-
-
-def test_2d_separable_gaussian():
-    value = integrate_2d(lambda x, y: np.exp(-x**2) * np.exp(-2 * y**2),
-                         -6, 6, -6, 6)
-    expected = math.sqrt(math.pi) * math.sqrt(math.pi / 2.0)
-    assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_panel_nodes_partition_weights():
@@ -44,15 +37,31 @@ def test_not_converged_raises():
         integrate_1d(noisy, 0.0, 1.0)
 
 
-def test_2d_gives_up_before_4096_squared_nodes():
-    rng = np.random.default_rng(0)
+def test_gauss_legendre_per_interval():
+    # each interval gets its own rule: exact for a degree-5 polynomial at n = 3
+    lo = np.array([[-1.0, 0.5], [2.0, -3.0]])
+    hi = np.array([[1.0, 0.75], [5.0, 3.0]])
+    nodes, weights = gauss_legendre(lo, hi, 3)
+    assert nodes.shape == weights.shape == (2, 2, 3)
+    assert np.all((nodes > lo[..., None]) & (nodes < hi[..., None]))
+    exact = (hi**6 - lo**6) / 6.0
+    assert np.allclose((weights * nodes**5).sum(axis=-1), exact, rtol=1e-13, atol=1e-13)
 
-    def noisy(x, y):
-        assert np.size(x) * np.size(y) <= 4096**2
-        return rng.standard_normal((np.size(x), np.size(y)))
 
-    with pytest.raises(QuadratureNotConverged):
-        integrate_2d(noisy, 0.0, 1.0, 0.0, 1.0)
+def test_gauss_legendre_panels():
+    lo, hi = np.array([-1.0, 2.0]), np.array([1.0, 5.0])
+    single = gauss_legendre(lo, hi, 4)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(single, gauss_legendre(lo, hi, 4, 1)))
+    nodes, weights = gauss_legendre(lo, hi, 4, 3)
+    assert nodes.shape == weights.shape == (2, 12)
+    assert np.all(np.diff(nodes, axis=-1) > 0.0)
+    assert np.allclose(weights.sum(axis=-1), hi - lo, rtol=1e-14)
+    # three 4-point panels integrate a piecewise-free smooth function closer
+    # than one 4-point rule
+    exact = np.sin(hi) - np.sin(lo)
+    assert np.abs((weights * np.cos(nodes)).sum(axis=-1) - exact).max() < \
+        np.abs((single[1] * np.cos(single[0])).sum(axis=-1) - exact).max()
 
 
 def test_degenerate_bounds_rejected():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from entloc.errors import DomainError, EmptyRegionMass
-from entloc.linalg import binary_entropy
+from entloc.errors import DomainError, EmptyRegionMass, QuadratureNotConverged
+from entloc.linalg import binary_entropy, spectral_entropy_bits
 from entloc.oscillator import (
     OscillatorModel,
     gaussian_eof,
@@ -14,6 +16,8 @@ from entloc.oscillator import (
 )
 from entloc.quadrature import panel_nodes
 from entloc.restrict import (
+    EMPTY_MASS,
+    MAX_NODES,
     DiscretizationSpec,
     Partition,
     Region,
@@ -21,6 +25,8 @@ from entloc.restrict import (
     both_restricted_entropy,
     domain_half_length,
     entanglement_map,
+    joint_masses,
+    joint_survival_probability,
     method_equivalence,
     non_discarding_entanglement,
     non_discarding_two_path,
@@ -28,6 +34,8 @@ from entloc.restrict import (
     partition_inequality_check,
     precise_measurement_entanglement,
     region_basis,
+    _schmidt_weights,
+    two_party_nodes,
 )
 
 MODEL = OscillatorModel(alpha=6)
@@ -311,12 +319,12 @@ class TestPartitionInequality:
     def test_four_by_four(self, monkeypatch):
         import entloc.restrict as restrict
         calls = []
-        integrate = restrict.integrate_2d
-        monkeypatch.setattr(restrict, "integrate_2d",
-                            lambda *a: calls.append(1) or integrate(*a))
+        masses = restrict.joint_masses
+        monkeypatch.setattr(restrict, "joint_masses",
+                            lambda *a: calls.append(np.size(a[1])) or masses(*a))
         partition = Partition.uniform(-4.0, 4.0, 4)
         report = partition_inequality_check(MODEL, partition, partition)
-        assert len(calls) == 16  # one joint mass per cell
+        assert calls == [16]  # one batched call: one joint mass per cell
         assert report.weighted_sum < gaussian_eof(MODEL)
         assert report.slack >= -1e-6
         assert len(report.cells) == 16
@@ -415,3 +423,134 @@ class TestEntanglementMap:
             entanglement_map(MODEL, [0.0, 1.0])
         with pytest.raises(DomainError):
             entanglement_map(MODEL, [0.0, 1.0], centers_b=[0.0], widths=[1.0])
+
+
+class TestGaussLegendreEngine:
+    """Two-party cells on Gauss-Legendre nodes, the default without n_bins."""
+
+    def test_map_equals_single_cells(self):
+        centers = np.linspace(-6.0, 6.0, 7)
+        dist = entanglement_map(MODEL, centers, centers_b=centers[::2], half_width=0.5,
+                                half_width_b=1.0)
+        n = two_party_nodes(MODEL, 2.0)
+        empty = 0
+        for i, ca in enumerate(centers):
+            for j, cb in enumerate(centers[::2]):
+                try:
+                    cell = both_restricted_entropy(MODEL, Region(ca, 0.5), Region(cb, 1.0))
+                except EmptyRegionMass:
+                    empty += 1
+                    assert dist.extra["flag"][i, j] == 1.0
+                    assert dist.values[i, j] == dist.extra["prob"][i, j] == 0.0
+                    continue
+                assert cell.spec == DiscretizationSpec(n_bins=n)
+                assert cell.spectrum.size == n
+                assert dist.extra["flag"][i, j] == 0.0
+                assert dist.values[i, j] == pytest.approx(cell.entanglement, abs=1e-12)
+                assert dist.extra["prob"][i, j] == pytest.approx(cell.survival_probability,
+                                                                 rel=1e-12)
+        assert 0 < empty < dist.values.size
+
+    def test_masses_match_twice_the_nodes(self):
+        centers = np.linspace(-6.0, 6.0, 25)
+        ca, cb = (grid.ravel() for grid in np.meshgrid(centers, centers, indexing="ij"))
+        for alpha in (0.25, 6.0, 1e2, 1e4):
+            model = OscillatorModel(alpha=alpha)
+            for width in (0.5, 2.0, 4.0):
+                n = two_party_nodes(model, width)
+                edges = (ca - width / 2, ca + width / 2, cb - width / 2, cb + width / 2)
+                mass, fine = joint_masses(model, *edges, n), joint_masses(model, *edges, 2 * n)
+                live = fine >= EMPTY_MASS
+                assert live.any()
+                assert np.all(np.abs(mass - fine)[live] <= 1e-12 * fine[live])
+
+    def test_masses_past_the_cap_use_panels(self):
+        # alpha 1e8, width 10 asks for 2829 nodes: six panels of 472 nodes;
+        # the expected masses are the former 2-d adaptive quadrature's
+        strong = OscillatorModel(alpha=1e8)
+        n = two_party_nodes(strong, 10.0)
+        assert n == 2829
+        lo = np.array([-9.0, -9.0, -13.0, -13.0])
+        lo_b = np.array([-9.0, -1.0, -9.0, 3.0])
+        edges = (lo, lo + 10.0, lo_b, lo_b + 10.0)
+        mass = joint_masses(strong, *edges, n)
+        expected = [0.920517174239, 0.842690415392, 1.10504714679e-05, 0.0]
+        assert mass[:3] == pytest.approx(expected[:3], rel=1e-11)
+        assert mass[3] < EMPTY_MASS
+        fine = joint_masses(strong, *edges, 2 * n)
+        assert np.all(np.abs(mass - fine)[:3] <= 1e-11 * fine[:3])
+
+    @pytest.mark.parametrize("alpha", [0.25, 6.0, 1e2, 1e4])
+    def test_doubling_the_rule_moves_no_entropy(self, alpha):
+        model = OscillatorModel(alpha=alpha)
+        for width in (0.5, 2.0, 4.0):
+            n = two_party_nodes(model, width)
+            cells = np.array([(0.0, 0.0), (0.3 * width, -0.2 * width), (1.0, 0.5)])
+            edges = (cells[:, 0] - width / 2, cells[:, 0] + width / 2,
+                     cells[:, 1] - width / 2, cells[:, 1] + width / 2)
+            base = spectral_entropy_bits(_schmidt_weights(model, *edges, n))
+            fine = spectral_entropy_bits(_schmidt_weights(model, *edges, 2 * n))
+            assert np.all(np.abs(base - fine) <= 1e-10)
+            for (qa, qb), value in zip(cells, base):
+                cell = both_restricted_entropy(model, Region(qa, width / 2),
+                                               Region(qb, width / 2))
+                assert cell.spec.n_bins == n
+                assert cell.entanglement == pytest.approx(value, abs=1e-12)
+
+    def test_node_rule(self):
+        assert two_party_nodes(MODEL, 4.0) == 24  # the floor
+        strong = OscillatorModel(alpha=1e4)
+        assert two_party_nodes(strong, 2.0) == 57
+        assert two_party_nodes(strong, 4.0) == 114
+
+    def test_node_cap_refuses_before_any_array(self, monkeypatch):
+        import entloc.restrict as restrict
+        built = []
+        monkeypatch.setattr(restrict, "gauss_legendre",
+                            lambda lo, hi, n: built.append(n))
+        extreme = OscillatorModel(alpha=1e10)
+        with pytest.raises(QuadratureNotConverged, match=f"cap of {MAX_NODES}"):
+            both_restricted_entropy(extreme, Region(0.0, 5.0), Region(0.0, 5.0))
+        with pytest.raises(QuadratureNotConverged):
+            entanglement_map(extreme, [0.0, 1.0], centers_b=[0.0], half_width=5.0)
+        with pytest.raises(QuadratureNotConverged, match="exceeds the chunk"):
+            joint_survival_probability(OscillatorModel(alpha=1e20), Region(0.0, 5.0),
+                                       Region(0.0, 0.1))
+        assert built == []
+
+    def test_one_cell_chunks_change_no_byte(self, monkeypatch):
+        import entloc.restrict as restrict
+        calls, mass_calls = [], []
+        weights, density = restrict._schmidt_weights, restrict.marginal_position_density
+        monkeypatch.setattr(restrict, "_schmidt_weights",
+                            lambda model, *a: calls.append(a[0].size) or weights(model, *a))
+        monkeypatch.setattr(restrict, "marginal_position_density",
+                            lambda model, x: mass_calls.append(len(x)) or density(model, x))
+        centers = np.linspace(-4.0, 4.0, 9)
+        whole = entanglement_map(MODEL, centers, centers_b=centers, half_width=0.25)
+        live = int((whole.extra["flag"] == 0.0).sum())
+        assert calls == [live] and mass_calls == [81]
+        calls.clear()
+        mass_calls.clear()
+        # one cell per chunk, for the (cells, n, n) stacks and the (cells, n) masses
+        monkeypatch.setattr(restrict, "CHUNK_BYTES", 8 * two_party_nodes(MODEL, 0.5))
+        single = entanglement_map(MODEL, centers, centers_b=centers, half_width=0.25)
+        assert calls == [1] * live and mass_calls == [1] * 81
+        for layer in ("prob", "flag"):
+            assert whole.extra[layer].tobytes() == single.extra[layer].tobytes()
+        assert whole.values.tobytes() == single.values.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(0.0, 100.0), qa=st.floats(-3.0, 3.0), qb=st.floats(-3.0, 3.0),
+           ha=st.floats(0.05, 2.0), hb=st.floats(0.05, 2.0))
+    def test_bounded_by_eof_with_mirror_and_exchange_symmetry(self, alpha, qa, qb, ha, hb):
+        model = OscillatorModel(alpha=alpha)
+        assume(joint_survival_probability(model, Region(qa, ha), Region(qb, hb)) > 1e-12)
+        base = both_restricted_entropy(model, Region(qa, ha), Region(qb, hb))
+        mirror = both_restricted_entropy(model, Region(-qa, ha), Region(-qb, hb))
+        exchange = both_restricted_entropy(model, Region(qb, hb), Region(qa, ha))
+        assert 0.0 <= base.entanglement <= gaussian_eof(model) + 1e-9
+        for other in (mirror, exchange):
+            assert other.entanglement == pytest.approx(base.entanglement, abs=1e-9)
+            assert other.survival_probability == pytest.approx(base.survival_probability,
+                                                               rel=1e-11)
