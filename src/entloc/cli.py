@@ -229,16 +229,15 @@ def _require(ns, *names) -> None:
         raise UsageError(f"missing required flag(s): {flags}")
 
 
-def _workers(ns) -> int:
-    if getattr(ns, "workers", None) is not None:
-        return max(1, int(ns.workers))
+def _check_workers(ns) -> None:
+    """Validate the worker count of a map command: --workers, else the
+    ENTLOC_THREADS variable. Maps run batched and serially at any count."""
     env = os.environ.get("ENTLOC_THREADS")
-    if env:
+    if getattr(ns, "workers", None) is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError as exc:
             raise ConfigParse(f"bad ENTLOC_THREADS value {env!r}") from exc
-    return 1
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -314,8 +313,8 @@ def _cmd_gauss_one_restricted(ns, metadata):
     widths = _float_list(ns.widths) if ns.widths else [ns.width]
     if widths == [None]:
         raise UsageError("map mode needs --widths or --width")
-    dist = entanglement_map(model, centers, widths=np.asarray(widths),
-                            spec=_spec(ns), workers=_workers(ns))
+    _check_workers(ns)
+    dist = entanglement_map(model, centers, widths=np.asarray(widths), spec=_spec(ns))
     layer = "rescaled" if ns.surface == "rescaled" else None
     emit_distribution(dist, ns.output, ns.format, metadata, layer)
 
@@ -342,16 +341,15 @@ def _cmd_gauss_both_restricted(ns, metadata):
     if ns.centers is None:
         raise UsageError(f"{ns.mode} mode needs --centers lo hi steps")
     centers = _linspace(*ns.centers)
+    _check_workers(ns)
     if ns.mode == "grid":
         dist = entanglement_map(model, centers, centers_b=centers,
-                                half_width=half, half_width_b=half_b,
-                                spec=_spec(ns), workers=_workers(ns))
+                                half_width=half, half_width_b=half_b, spec=_spec(ns))
         emit_distribution(dist, ns.output, ns.format, metadata)
         return
     bob_center = None if ns.mode == "profile-equal" else ns.bob_center
     cs, values, probs, flags = both_restricted_profile(
-        model, centers, half, bob_center=bob_center, spec=_spec(ns),
-        workers=_workers(ns))
+        model, centers, half, bob_center=bob_center, spec=_spec(ns))
     rows = [(c, c if bob_center is None else bob_center, v, p,
              _flag_token(False, f > 0.5))
             for c, v, p, f in zip(cs, values, probs, flags)]
@@ -392,9 +390,9 @@ def _cmd_gauss_fit(ns, metadata):
 
 def _cmd_gauss_sigma_scan(ns, metadata):
     _require(ns, "alphas")
+    _check_workers(ns)
     rows = sigma_vs_alpha_scan(_float_list(ns.alphas), which=ns.which.replace("-", "_"),
-                               half_width=ns.width / 2.0, extent=ns.extent,
-                               steps=ns.steps, workers=_workers(ns))
+                               half_width=ns.width / 2.0, extent=ns.extent, steps=ns.steps)
     _emit_table(ns, metadata, [f.name for f in fields(SigmaRow)],
                 [astuple(row) for row in rows], [asdict(row) for row in rows])
 

@@ -35,7 +35,7 @@ from .restrict import (
     entanglement_map,
     joint_masses,
     joint_survival_probability,
-    region_survival_probability,
+    marginal_masses,
     two_party_nodes,
 )
 
@@ -52,7 +52,7 @@ def joint_probability(model: OscillatorModel, region_a: Region,
 def conditional_probability(model: OscillatorModel, region_b: Region,
                             region_a: Region) -> float:
     """P(q_b in B | q_a in A) = joint probability / Alice's marginal."""
-    marginal = region_survival_probability(model, region_a)
+    marginal = float(marginal_masses(model, region_a.lo, region_a.hi))
     if marginal < EMPTY_MASS:
         raise ConditioningOnNullEvent(
             f"conditioning region carries mass {marginal:.3e}")
@@ -63,8 +63,8 @@ def _conditional_map(model: OscillatorModel, joint: Distribution2D,
                      half_width_a: float) -> Distribution2D:
     """P(q_b in B | q_a in A) from a joint table: each row divided by Alice's
     marginal, masked where that marginal is below EMPTY_MASS."""
-    marginal = np.array([region_survival_probability(model, Region(ca, half_width_a))
-                         for ca in joint.axis_a])[:, None]
+    marginal = marginal_masses(model, joint.axis_a - half_width_a,
+                               joint.axis_a + half_width_a)[:, None]
     mask = np.broadcast_to(marginal < EMPTY_MASS, joint.shape).copy()
     values = np.divide(joint.values, marginal, out=np.full(joint.shape, np.nan),
                        where=~mask)
@@ -79,7 +79,7 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
 
     The joint table is computed once, in one batched call of the closed-form
     joint masses; a conditional surface divides each row by Alice's
-    marginal (one 1-d quadrature per row) and masks rows whose marginal has
+    marginal (all in one closed-form call) and masks rows whose marginal has
     no mass.
     """
     if kind not in ("joint_probability", "conditional_probability"):
@@ -198,8 +198,7 @@ class SigmaRow:
 
 def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                         half_width: float = 0.25, extent: float = 4.0,
-                        steps: int = 33, n_bins: int | None = None,
-                        workers: int = 1) -> list[SigmaRow]:
+                        steps: int = 33, n_bins: int | None = None) -> list[SigmaRow]:
     """Widths of the chosen surfaces tabulated against the coupling.
 
     which selects the branch: "small_a_analytic" evaluates the closed-form
@@ -232,8 +231,7 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
         elif which == "quantum":
             spec = DiscretizationSpec(n_bins=n_bins) if n_bins else None
             surface = entanglement_map(model, centers, centers_b=centers,
-                                       half_width=half_width, spec=spec,
-                                       workers=workers)
+                                       half_width=half_width, spec=spec)
             pm_fit = fit_surface(surface, "symmetric_pm")
             rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
                                  sigma_minus=pm_fit.sigma_minus))

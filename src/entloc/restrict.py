@@ -13,17 +13,21 @@ evaluates the entanglement left in each ensemble:
   region, which is diagonal in Alice's coordinate and therefore carries no
   entanglement at all.
 
-When both parties restrict, a cell's entropy comes by default from the
-singular values of sqrt(Wa) psi sqrt(Wb) on Gauss-Legendre nodes of the two
+Entropies come from the singular values of an amplitude matrix
+sqrt(Wa) psi(x_i, y_k) sqrt(Wb) on nodes of Alice's and Bob's sides. When
+both parties restrict, the default nodes are Gauss-Legendre nodes of the two
 regions (a Nystrom discretization, exponentially convergent for these
-analytic amplitudes; Bornemann, Math. Comp. 79 (2010) 871-915), and its
-joint mass from a Gauss-Legendre integral over Alice's region of Bob's
-conditional mass in closed form. Maps stack their cells and make one LAPACK
-call per chunk. An explicit n_bins selects the uniform-grid cross-check
-instead. When only Alice restricts, the one-particle kernel is sampled on a
-grid or projected onto an orthonormal sine/cosine family supported on the
-region; grid matrices are renormalized by their trace and survival
-probabilities come from adaptive quadrature of the analytic density.
+analytic amplitudes; Bornemann, Math. Comp. 79 (2010) 871-915), and a cell's
+joint mass is a Gauss-Legendre integral over Alice's region of Bob's
+conditional mass in closed form; an explicit n_bins puts a uniform grid with
+unit weights on both sides instead. A one-party map keeps Alice's uniform
+grid and factorizes its kernel K(x_i, x_j) = int psi(x_i, y) psi(x_j, y) dy
+on Gauss-Legendre nodes of Bob's conditional support, with Alice's mass in
+closed form. Maps stack their cells and make one LAPACK call per chunk. A
+single one-party cell samples the one-particle kernel on a grid, or projects
+it onto an orthonormal sine/cosine family supported on the region; grid
+matrices are renormalized by their trace and its survival probability comes
+from adaptive quadrature of the analytic density.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .linalg import (
 from .oscillator import (
     OscillatorModel,
     gaussian_eof,
+    ground_state_constants,
     marginal_position_density,
     reduced_density_value,
     two_particle_wavefunction,
@@ -62,14 +67,16 @@ DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 EMPTY_MASS = 1e-14
 _TWO_PATH_BOB_BINS = 256
-# Gauss-Legendre nodes per region of a two-party cell: NODES_PER_LENGTH per
-# narrow length of the widest region, at least NODE_FLOOR. No rule has more
-# than MAX_NODES nodes: Schmidt weights refuse past it, masses use panels.
+# Gauss-Legendre nodes per region of a two-party cell, and on Bob's side of a
+# one-party map: NODES_PER_LENGTH per narrow length of the widest interval, at
+# least NODE_FLOOR. No rule has more than MAX_NODES nodes: Schmidt weights
+# refuse past it, masses use panels.
 NODE_FLOOR = 24
 NODES_PER_LENGTH = 2.0
 MAX_NODES = 512
-# Bytes of one float64 chunk of cells: a (cells, n, n) stack handed to LAPACK
-# in one call, or a (cells, n) array of mass nodes.
+# Bytes of one float64 chunk of cells: a (cells, nodes_a, nodes_b) amplitude
+# stack handed to LAPACK in one call with the temporary of its assembly, or a
+# (cells, n) array of mass nodes.
 CHUNK_BYTES = 1 << 20
 
 
@@ -228,6 +235,19 @@ def _normal_interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (_erfc(np.where(flip, -hi, lo)) - _erfc(np.where(flip, -lo, hi)))
 
 
+def marginal_masses(model: OscillatorModel, lo, hi) -> np.ndarray:
+    """P(q_a in [lo, hi]) for each pair of bounds, in closed form.
+
+    Alice's marginal is normal with standard deviation 1/(2 sqrt(c1 - c2)),
+    which equals the characteristic length sigma without the cancellation of
+    c1 - c2 at strong coupling; each mass is an erfc difference. lo and hi
+    are arrays of one shape.
+    """
+    scale = 1.0 / (math.sqrt(2.0) * ground_state_constants(model).sigma)
+    return _normal_interval(np.asarray(lo, dtype=np.float64) * scale,
+                            np.asarray(hi, dtype=np.float64) * scale)
+
+
 def _cell_slices(k: int, cell_bytes: int) -> list[slice]:
     """Consecutive ranges of k cells of cell_bytes each that fit CHUNK_BYTES."""
     step = max(1, CHUNK_BYTES // cell_bytes)
@@ -285,7 +305,7 @@ def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
     n = two_party_nodes(model, width)
     if n > MAX_NODES:
         raise QuadratureNotConverged(
-            f"regions {width:.3g} wide at alpha {model.alpha:.3g} need {n} "
+            f"intervals {width:.3g} wide at alpha {model.alpha:.3g} need {n} "
             f"Gauss-Legendre nodes, more than the cap of {MAX_NODES}")
     return n
 
@@ -371,17 +391,23 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     return EnsembleResult(entropy, p, spectrum, replace(spec, n_bins=n_bins))
 
 
-def _schmidt_weights(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi,
-                     n: int) -> np.ndarray:
+def _schmidt_weights(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
+                     xb: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Normalized squared singular values of sqrt(Wa) psi sqrt(Wb), one row per cell.
 
-    psi is sampled on n Gauss-Legendre nodes of each cell's two intervals
-    and scaled to peak 1 per cell; one batched LAPACK call serves all cells.
+    Row i of xa (and of its weights wa) holds the nodes of cell i on Alice's
+    side, row i of xb and wb those on Bob's. psi is assembled in place,
+    scaled to peak 1 per cell, and one batched LAPACK call serves all cells.
     Rows are in descending order.
     """
-    xa, wa = gauss_legendre(a_lo, a_hi, n)
-    xb, wb = gauss_legendre(b_lo, b_hi, n)
-    matrix = two_particle_wavefunction(model, xa[:, :, None], xb[:, None, :])
+    l_diag, l_off = ground_state_constants(model).l_matrix[0]
+    # exp(-(l_diag (x^2 + y^2) + 2 l_off x y)) in place, in the operation order
+    # of two_particle_wavefunction, so Gauss-Legendre cells match it bit for bit
+    matrix = np.add((xa * xa)[:, :, None], (xb * xb)[:, None, :])
+    matrix *= l_diag
+    matrix += ((2.0 * l_off) * xa)[:, :, None] * xb[:, None, :]
+    np.negative(matrix, out=matrix)
+    np.exp(matrix, out=matrix)
     matrix *= np.sqrt(wa)[:, :, None] / matrix.max(axis=(1, 2), keepdims=True)
     matrix *= np.sqrt(wb)[:, None, :]
     try:
@@ -390,6 +416,29 @@ def _schmidt_weights(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi,
         raise NoConvergence(str(exc)) from exc
     weights = sigma * sigma
     return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
+               xb: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Entropy of each cell's Schmidt weights (see _schmidt_weights), with one
+    SVD call per chunk of cells whose amplitude stack, together with the one
+    temporary of the same size that its assembly makes, fits CHUNK_BYTES."""
+    out = np.empty(xa.shape[0])
+    for cells in _cell_slices(out.size, 16 * xa.shape[1] * xb.shape[1]):
+        out[cells] = spectral_entropy_bits(
+            _schmidt_weights(model, xa[cells], wa[cells], xb[cells], wb[cells]))
+    return out
+
+
+def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, spec: DiscretizationSpec | None):
+    """Nodes and weights of both sides of two-party cells: n Gauss-Legendre
+    nodes per region, or the n_bins + 1 uniform points of a grid spec with
+    unit weights."""
+    if _on_nodes(spec):
+        return (*gauss_legendre(a_lo, a_hi, n), *gauss_legendre(b_lo, b_hi, n))
+    xa = np.linspace(a_lo, a_hi, spec.n_bins + 1, axis=-1)
+    xb = np.linspace(b_lo, b_hi, spec.n_bins + 1, axis=-1)
+    return xa, np.ones_like(xa), xb, np.ones_like(xb)
 
 
 def _on_nodes(spec: DiscretizationSpec | None) -> bool:
@@ -405,11 +454,10 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
                             spec: DiscretizationSpec | None = None) -> EnsembleResult:
     """Discarding-ensemble entanglement when both parties restrict.
 
-    By default the entropy comes from the Schmidt weights on Gauss-Legendre
-    nodes of both regions, as one cell of a map does, and the result's
-    spec.n_bins is the node count per region. A grid spec restricts the
-    two-particle amplitudes on a uniform grid instead and forms Alice's
-    reduced matrix by summing over Bob's grid index.
+    The entropy comes from the Schmidt weights of the cell, as one cell of a
+    map does: by default on Gauss-Legendre nodes of both regions, and the
+    result's spec.n_bins is the node count per region; a grid spec samples
+    the amplitudes on n_bins + 1 uniform points per region instead.
     """
     width = max(region_a.width, region_b.width)
     on_nodes = _on_nodes(spec)
@@ -418,13 +466,9 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
     p = float(joint_masses(model, *bounds, n)[0])
     if p < EMPTY_MASS:
         raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
-    if not on_nodes:
-        entropy, spectrum = _amplitude_entropy(model, _grid_points(region_a, spec.n_bins),
-                                               _grid_points(region_b, spec.n_bins))
-        return EnsembleResult(entropy, p, spectrum, spec)
-    weights = _schmidt_weights(model, *bounds, n)
+    weights = _schmidt_weights(model, *_two_party_sides(*bounds, n, spec))
     return EnsembleResult(float(spectral_entropy_bits(weights)[0]), p, Spectrum(weights[0]),
-                          DiscretizationSpec(n_bins=n))
+                          DiscretizationSpec(n_bins=n) if on_nodes else spec)
 
 
 # -- expansion in an orthonormal set ----------------------------------------
@@ -683,78 +727,79 @@ def method_equivalence(model: OscillatorModel, region: Region,
 
 # -- scan surfaces --------------------------------------------------------------
 
-def _cell(model: OscillatorModel, region_a: Region, region_b: Region | None,
-          spec: DiscretizationSpec | None) -> tuple[float, float, float]:
-    """(entanglement, survival probability, empty flag) of one map or partition cell.
-
-    region_b None restricts Alice only. A region without mass is an empty
-    cell: value 0, probability 0, flag 1.
-    """
-    try:
-        result = (one_restricted_entropy(model, region_a, spec) if region_b is None
-                  else both_restricted_entropy(model, region_a, region_b, spec))
-    except EmptyRegionMass:
-        return 0.0, 0.0, 1.0
-    return result.entanglement, result.survival_probability, 0.0
-
-
-def _run_cells(fn, jobs, workers: int) -> np.ndarray:
-    """fn(*job) for every job, in order, on `workers` processes."""
-    if workers <= 1:
-        return np.asarray([fn(*job) for job in jobs])
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(jobs) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.asarray(list(pool.map(fn, *zip(*jobs), chunksize=chunk)))
-
-
-def _cell_arrays(centers_a, half_a, centers_b, half_b) -> list[np.ndarray]:
-    """Two-party cells as broadcast float arrays, after the checks that Region
-    makes of each: finite centers, positive finite half widths."""
+def _cell_arrays(*centers_and_halves) -> list[np.ndarray]:
+    """Cells as broadcast float arrays of (center, half width) pairs, after the
+    checks that Region makes of each: finite centers, positive finite half
+    widths."""
     cells = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
-                                  for v in (centers_a, half_a, centers_b, half_b)))
-    if not (np.isfinite(cells).all() and (cells[1] > 0.0).all() and (cells[3] > 0.0).all()):
+                                  for v in centers_and_halves))
+    if not (np.isfinite(cells).all() and all((half > 0.0).all() for half in cells[1::2])):
         raise DomainError("region centers and half widths must be finite, "
                           "half widths positive")
     return cells
 
 
 def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
-                     spec: DiscretizationSpec | None, workers: int = 1) -> np.ndarray:
+                     spec: DiscretizationSpec | None) -> np.ndarray:
     """(entanglement, survival probability, empty flag) rows of two-party cells.
 
     Cell i restricts Alice to centers_a[i] +- half_a[i] and Bob to
     centers_b[i] +- half_b[i]; a half width may be one number for all cells.
-    On Gauss-Legendre nodes every joint mass comes from one call and the
-    cells with mass from one SVD call per chunk of CHUNK_BYTES; a grid spec
-    runs cell by cell on `workers` processes. A cell without mass is empty:
-    value 0, probability 0, flag 1.
+    Every joint mass comes from one call and the entropies of the cells
+    with mass from one SVD call per chunk of CHUNK_BYTES, on Gauss-Legendre
+    nodes or on the grid of an explicit n_bins. A cell whose mass is below
+    EMPTY_MASS is empty: value 0, probability 0, flag 1.
     """
     centers_a, half_a, centers_b, half_b = _cell_arrays(centers_a, half_a, centers_b, half_b)
-    if not _on_nodes(spec):
-        jobs = [(model, Region(ca, ha), Region(cb, hb), spec)
-                for ca, ha, cb, hb in zip(centers_a, half_a, centers_b, half_b)]
-        return _run_cells(_cell, jobs, workers)
-    n = _schmidt_nodes(model, 2.0 * max(half_a.max(initial=0.0), half_b.max(initial=0.0)))
+    width = 2.0 * max(half_a.max(initial=0.0), half_b.max(initial=0.0))
+    n = _schmidt_nodes(model, width) if _on_nodes(spec) else two_party_nodes(model, width)
     a_lo, a_hi = centers_a - half_a, centers_a + half_a
     b_lo, b_hi = centers_b - half_b, centers_b + half_b
     prob = np.clip(joint_masses(model, a_lo, a_hi, b_lo, b_hi, n), 0.0, 1.0)
-    empty = prob < EMPTY_MASS
-    prob[empty] = 0.0
+    live = prob >= EMPTY_MASS
     values = np.zeros(prob.size)
-    live = np.flatnonzero(~empty)
-    for cells in _cell_slices(live.size, 8 * n * n):
-        idx = live[cells]
-        values[idx] = spectral_entropy_bits(
-            _schmidt_weights(model, a_lo[idx], a_hi[idx], b_lo[idx], b_hi[idx], n))
-    return np.column_stack([values, prob, empty])
+    values[live] = _entropies(model, *_two_party_sides(
+        a_lo[live], a_hi[live], b_lo[live], b_hi[live], n, spec))
+    return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)
+
+
+def _one_party_cells(model: OscillatorModel, centers, halves, n_bins: int) -> np.ndarray:
+    """(entanglement, survival probability, empty flag) of the cell where
+    Alice alone restricts to each center +- half width, shape
+    (centers, halves, 3).
+
+    The grid kernel on Alice's n_bins + 1 points is K = A A^T with
+    A = psi(x_i, y_k) sqrt(w_k) on Gauss-Legendre nodes y_k of Bob's
+    conditional support [slope lo - 8 sd, slope hi + 8 sd]: given q_a, Bob
+    is normal with mean slope q_a, slope = (s-1)/(s+1), and standard
+    deviation sd = sqrt(2/(m omega (1+s))). Each half width takes the
+    two-party node rule for its support length, and a count past MAX_NODES
+    is refused before any array is built. Masses are in closed form; a cell
+    whose mass is below EMPTY_MASS is empty: value 0, probability 0, flag 1.
+    """
+    centers, halves = _cell_arrays(np.asarray(centers, dtype=np.float64)[:, None],
+                                   np.asarray(halves, dtype=np.float64)[None, :])
+    s = model.stiffness_root
+    slope = (s - 1.0) / (s + 1.0)
+    sd = math.sqrt(2.0 / (model.m * model.omega * (1.0 + s)))
+    nodes = [_schmidt_nodes(model, 2.0 * slope * half + 16.0 * sd) for half in halves[0]]
+    lo, hi = centers - halves, centers + halves
+    prob = np.clip(marginal_masses(model, lo, hi), 0.0, 1.0)
+    live = prob >= EMPTY_MASS
+    values = np.zeros(prob.shape)
+    for j, nb in enumerate(nodes):
+        cells = live[:, j]
+        a_lo, a_hi = lo[cells, j], hi[cells, j]
+        xa = np.linspace(a_lo, a_hi, n_bins + 1, axis=-1)
+        xb, wb = gauss_legendre(slope * a_lo - 8.0 * sd, slope * a_hi + 8.0 * sd, nb)
+        values[cells, j] = _entropies(model, xa, np.ones_like(xa), xb, wb)
+    return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)
 
 
 def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
                      widths=None, half_width: float | None = None,
                      half_width_b: float | None = None,
-                     spec: DiscretizationSpec | None = None,
-                     workers: int = 1) -> Distribution2D:
+                     spec: DiscretizationSpec | None = None) -> Distribution2D:
     """Entanglement surface over region placements.
 
     Two scan layouts:
@@ -766,8 +811,8 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
       its own peak for shape comparisons.
 
     Cells whose region carries no mass are emitted as 0 with extra layer
-    "flag" set to 1. `workers` processes serve one-party and grid maps;
-    two-party maps on Gauss-Legendre nodes run their chunks serially.
+    "flag" set to 1. A one-party map samples Alice's region on the grid of
+    the spec's n_bins (DEFAULT_BINS_ONE by default); a basis spec is refused.
     """
     centers_a = np.asarray(centers_a, dtype=np.float64)
     if (centers_b is None) == (widths is None):
@@ -780,13 +825,13 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
         b = half_width_b if half_width_b is not None else half_width
         axis_b = np.asarray(centers_b, dtype=np.float64)
         data = _two_party_cells(model, np.repeat(centers_a, axis_b.size), half_width,
-                                np.tile(axis_b, centers_a.size), b, spec, workers)
+                                np.tile(axis_b, centers_a.size), b, spec)
     else:
+        if spec is not None and spec.method == "basis":
+            raise DomainError("one-party maps have no basis method")
         axis_b = np.asarray(widths, dtype=np.float64)
-        spec = DiscretizationSpec(n_bins=_n_bins(spec, DEFAULT_BINS_ONE))
-        jobs = [(model, Region(ca, w / 2.0), None, spec)
-                for ca in centers_a for w in axis_b]
-        data = _run_cells(_cell, jobs, workers)
+        data = _one_party_cells(model, centers_a, axis_b / 2.0,
+                                _n_bins(spec, DEFAULT_BINS_ONE))
     data = data.reshape(centers_a.size, axis_b.size, 3)
     values = data[..., 0]
     extra = {"prob": data[..., 1], "flag": data[..., 2]}
@@ -801,8 +846,7 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
 
 def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
                             bob_center: float | None = None,
-                            spec: DiscretizationSpec | None = None,
-                            workers: int = 1):
+                            spec: DiscretizationSpec | None = None):
     """One-dimensional slice of the two-party map.
 
     Bob's region tracks Alice's center when bob_center is None, otherwise
@@ -811,5 +855,5 @@ def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
     centers = np.asarray(centers, dtype=np.float64)
     rows = _two_party_cells(model, centers, half_width,
                             centers if bob_center is None else bob_center, half_width,
-                            spec, workers)
+                            spec)
     return centers, rows[:, 0], rows[:, 1], rows[:, 2]

@@ -54,6 +54,8 @@ class TestExitCodes:
         (["spin-scan", "--steps", "1"], 1, "UsageError"),
         (["gauss-classical-map", "--alpha", "6", "--width", "0.5", "--width-b", "0",
           "--centers", "-1", "1", "3"], 2, "DomainError"),
+        (["gauss-one-restricted", "--alpha", "1e12", "--centers", "-1", "1", "3",
+          "--widths", "0.5,1"], 2, "QuadratureNotConverged"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
         got, _, err = run_capture(capsys, argv)

@@ -132,7 +132,7 @@ class TestProbabilityMap:
         centers_b = np.array([-1.0, 0.25, 1.0])
         dist = probability_map(MODEL, centers_a, centers_b, 0.25, 0.4,
                                kind="conditional_probability")
-        assert calls == {"1d": 4, "joint": 1}  # one marginal per row, one batched joint call
+        assert calls == {"1d": 0, "joint": 1}  # closed-form marginals, one batched joint call
         for i, ca in enumerate(centers_a):
             for j, cb in enumerate(centers_b):
                 try:

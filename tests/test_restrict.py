@@ -35,6 +35,7 @@ from entloc.restrict import (
     precise_measurement_entanglement,
     region_basis,
     _schmidt_weights,
+    _two_party_sides,
     two_party_nodes,
 )
 
@@ -488,8 +489,10 @@ class TestGaussLegendreEngine:
             cells = np.array([(0.0, 0.0), (0.3 * width, -0.2 * width), (1.0, 0.5)])
             edges = (cells[:, 0] - width / 2, cells[:, 0] + width / 2,
                      cells[:, 1] - width / 2, cells[:, 1] + width / 2)
-            base = spectral_entropy_bits(_schmidt_weights(model, *edges, n))
-            fine = spectral_entropy_bits(_schmidt_weights(model, *edges, 2 * n))
+            base = spectral_entropy_bits(
+                _schmidt_weights(model, *_two_party_sides(*edges, n, None)))
+            fine = spectral_entropy_bits(
+                _schmidt_weights(model, *_two_party_sides(*edges, 2 * n, None)))
             assert np.all(np.abs(base - fine) <= 1e-10)
             for (qa, qb), value in zip(cells, base):
                 cell = both_restricted_entropy(model, Region(qa, width / 2),
@@ -523,7 +526,7 @@ class TestGaussLegendreEngine:
         calls, mass_calls = [], []
         weights, density = restrict._schmidt_weights, restrict.marginal_position_density
         monkeypatch.setattr(restrict, "_schmidt_weights",
-                            lambda model, *a: calls.append(a[0].size) or weights(model, *a))
+                            lambda model, *a: calls.append(len(a[0])) or weights(model, *a))
         monkeypatch.setattr(restrict, "marginal_position_density",
                             lambda model, x: mass_calls.append(len(x)) or density(model, x))
         centers = np.linspace(-4.0, 4.0, 9)
@@ -554,3 +557,104 @@ class TestGaussLegendreEngine:
             assert other.entanglement == pytest.approx(base.entanglement, abs=1e-9)
             assert other.survival_probability == pytest.approx(base.survival_probability,
                                                                rel=1e-11)
+
+
+class TestOnePartyMap:
+    """One-party maps: Alice's grid kernel factorized on Gauss-Legendre nodes
+    of Bob's conditional support, masses in closed form, batched SVDs."""
+
+    CENTERS = np.array([-8.0, -3.0, -1.0, 0.0, 0.5, 2.0, 8.0])  # +-8: empty at width 0.5
+    WIDTHS = [0.5, 2.0, 10.0]
+
+    @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e2, 1e4])
+    def test_map_equals_single_cells(self, alpha):
+        model = OscillatorModel(alpha=alpha)
+        dist = entanglement_map(model, self.CENTERS, widths=self.WIDTHS)
+        empty = 0
+        for i, center in enumerate(self.CENTERS):
+            for j, width in enumerate(self.WIDTHS):
+                try:
+                    cell = one_restricted_entropy(model, Region(center, width / 2))
+                except EmptyRegionMass:
+                    empty += 1
+                    assert dist.extra["flag"][i, j] == 1.0
+                    assert dist.values[i, j] == dist.extra["prob"][i, j] == 0.0
+                    continue
+                assert dist.extra["flag"][i, j] == 0.0
+                assert dist.values[i, j] == pytest.approx(cell.entanglement, abs=1e-12)
+                assert dist.extra["prob"][i, j] == pytest.approx(cell.survival_probability,
+                                                                 rel=1e-12)
+        assert 0 < empty < dist.values.size
+
+    @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e2, 1e4])
+    def test_doubling_bob_nodes_moves_no_entropy(self, alpha, monkeypatch):
+        import entloc.restrict as restrict
+        model = OscillatorModel(alpha=alpha)
+        base = entanglement_map(model, self.CENTERS, widths=self.WIDTHS)
+        rule = restrict._schmidt_nodes
+        monkeypatch.setattr(restrict, "_schmidt_nodes", lambda m, w: 2 * rule(m, w))
+        fine = entanglement_map(model, self.CENTERS, widths=self.WIDTHS)
+        assert np.all(np.abs(base.values - fine.values) <= 1e-12)
+
+    def test_one_cell_chunks_change_no_byte(self, monkeypatch):
+        import entloc.restrict as restrict
+        calls = []
+        weights = restrict._schmidt_weights
+        monkeypatch.setattr(restrict, "_schmidt_weights",
+                            lambda model, *a: calls.append(len(a[0])) or weights(model, *a))
+        whole = entanglement_map(MODEL, self.CENTERS, widths=self.WIDTHS)
+        live = int((whole.extra["flag"] == 0.0).sum())
+        assert sum(calls) == live and len(calls) < live
+        calls.clear()
+        monkeypatch.setattr(restrict, "CHUNK_BYTES", 1)
+        single = entanglement_map(MODEL, self.CENTERS, widths=self.WIDTHS)
+        assert calls == [1] * live
+        for layer in ("prob", "flag", "rescaled"):
+            assert whole.extra[layer].tobytes() == single.extra[layer].tobytes()
+        assert whole.values.tobytes() == single.values.tobytes()
+
+    def test_node_cap_refuses_before_any_array(self, monkeypatch):
+        import entloc.restrict as restrict
+        built = []
+        for name in ("gauss_legendre", "marginal_masses", "_schmidt_weights"):
+            monkeypatch.setattr(restrict, name, lambda *a, _name=name: built.append(_name))
+        with pytest.raises(QuadratureNotConverged, match=f"cap of {MAX_NODES}"):
+            entanglement_map(OscillatorModel(alpha=1e12), [0.0, 1.0], widths=[0.5, 1.0])
+        assert built == []
+
+    def test_basis_spec_refused(self):
+        with pytest.raises(DomainError):
+            entanglement_map(MODEL, [0.0], widths=[2.0],
+                             spec=DiscretizationSpec(method="basis", n_basis=40))
+
+    def test_invalid_widths_refused(self):
+        for widths in ([0.0], [-1.0], [math.nan]):
+            with pytest.raises(DomainError):
+                entanglement_map(MODEL, [0.0, 1.0], widths=widths)
+
+
+class TestTwoPartyGrid:
+    def test_grid_cell_equals_the_grid_eigensolve(self):
+        from entloc.restrict import _amplitude_entropy, _grid_points
+        for region_a, region_b in ((Region(0.0, 0.25), Region(0.5, 0.25)),
+                                   (Region(-1.0, 2.0), Region(0.5, 1.0))):
+            cell = both_restricted_entropy(MODEL, region_a, region_b,
+                                           DiscretizationSpec(n_bins=60))
+            expected, spectrum = _amplitude_entropy(MODEL, _grid_points(region_a, 60),
+                                                    _grid_points(region_b, 60))
+            assert cell.entanglement == pytest.approx(expected, abs=1e-12)
+            assert cell.spectrum.size == spectrum.size == 61
+
+    def test_grid_map_equals_single_cells(self):
+        centers = np.array([-1.0, 0.0, 0.75, 45.0])
+        spec = DiscretizationSpec(n_bins=40)
+        dist = entanglement_map(MODEL, centers, centers_b=centers[:3], half_width=0.5,
+                                half_width_b=0.25, spec=spec)
+        for i, ca in enumerate(centers):
+            for j, cb in enumerate(centers[:3]):
+                if i == 3:
+                    assert dist.extra["flag"][i, j] == 1.0 and dist.values[i, j] == 0.0
+                    continue
+                cell = both_restricted_entropy(MODEL, Region(ca, 0.5), Region(cb, 0.25), spec)
+                assert dist.values[i, j] == cell.entanglement
+                assert dist.extra["prob"][i, j] == cell.survival_probability
