@@ -33,7 +33,6 @@ from .oscillator import (
     two_particle_wavefunction,
 )
 from .restrict import (
-    DiscretizationSpec,
     EnsembleResult,
     Partition,
     Region,

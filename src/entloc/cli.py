@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .correlate import SigmaRow, fit_surface, probability_map, sigma_vs_alpha_scan
 from .distribution import Distribution2D
-from .errors import EntlocError
+from .errors import DomainError, EntlocError
 from .oscillator import (
     OscillatorModel,
     concurrence_density,
@@ -43,10 +43,11 @@ from .oscillator import (
     small_a_epsilon_one,
 )
 from .restrict import (
-    DiscretizationSpec,
+    DEFAULT_BASIS_SIZE,
     MethodEquivalence,
     Partition,
     Region,
+    basis_expansion_entropy,
     both_restricted_entropy,
     both_restricted_profile,
     entanglement_map,
@@ -217,8 +218,8 @@ def _model(ns) -> OscillatorModel:
     return OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
 
 
-def _spec(ns) -> DiscretizationSpec | None:
-    return None if ns.n_bins is None else DiscretizationSpec(n_bins=int(ns.n_bins))
+def _n_bins(ns) -> int | None:
+    return None if ns.n_bins is None else int(ns.n_bins)
 
 
 def _require(ns, *names) -> None:
@@ -297,16 +298,21 @@ def _cmd_gauss_one_restricted(ns, metadata):
     if ns.centers is None:
         if ns.qbar is None or ns.width is None:
             raise UsageError("need --qbar and --width, or --centers for a map")
-        spec = _spec(ns) if ns.method != "basis" else DiscretizationSpec(
-            method="basis", n_basis=ns.n_basis, quadrature_order=ns.quadrature_order)
-        result = one_restricted_entropy(model, Region(ns.qbar, ns.width / 2.0), spec)
+        region = Region(ns.qbar, ns.width / 2.0)
+        basis = ns.method == "basis"
+        if basis:
+            result = basis_expansion_entropy(
+                model, region, DEFAULT_BASIS_SIZE if ns.n_basis is None else ns.n_basis,
+                quadrature_order=ns.quadrature_order)
+        else:
+            result = one_restricted_entropy(model, region, _n_bins(ns))
         _emit_json({
             "entanglement": result.entanglement,
             "prob": result.survival_probability,
             "spectrum_size": result.spectrum.size,
-            "method": result.spec.method,
-            "n_bins": result.spec.n_bins,
-            "n_basis": result.spec.n_basis,
+            "method": ns.method,
+            "n_bins": None if basis else result.resolution,
+            "n_basis": result.resolution if basis else None,
         }, ns.output, metadata)
         return
     centers = _linspace(*ns.centers)
@@ -314,7 +320,9 @@ def _cmd_gauss_one_restricted(ns, metadata):
     if widths == [None]:
         raise UsageError("map mode needs --widths or --width")
     _check_workers(ns)
-    dist = entanglement_map(model, centers, widths=np.asarray(widths), spec=_spec(ns))
+    if ns.method == "basis":
+        raise DomainError("one-party maps have no basis method")
+    dist = entanglement_map(model, centers, widths=np.asarray(widths), n_bins=_n_bins(ns))
     layer = "rescaled" if ns.surface == "rescaled" else None
     emit_distribution(dist, ns.output, ns.format, metadata, layer)
 
@@ -330,12 +338,12 @@ def _cmd_gauss_both_restricted(ns, metadata):
         result = both_restricted_entropy(
             model, Region(ns.qbar_a, half),
             Region(ns.qbar_b, half_b if half_b is not None else half),
-            _spec(ns))
+            _n_bins(ns))
         _emit_json({
             "entanglement": result.entanglement,
             "prob": result.survival_probability,
             "spectrum_size": result.spectrum.size,
-            "n_bins": result.spec.n_bins,
+            "n_bins": result.resolution,
         }, ns.output, metadata)
         return
     if ns.centers is None:
@@ -344,12 +352,12 @@ def _cmd_gauss_both_restricted(ns, metadata):
     _check_workers(ns)
     if ns.mode == "grid":
         dist = entanglement_map(model, centers, centers_b=centers,
-                                half_width=half, half_width_b=half_b, spec=_spec(ns))
+                                half_width=half, half_width_b=half_b, n_bins=_n_bins(ns))
         emit_distribution(dist, ns.output, ns.format, metadata)
         return
     bob_center = None if ns.mode == "profile-equal" else ns.bob_center
     cs, values, probs, flags = both_restricted_profile(
-        model, centers, half, bob_center=bob_center, spec=_spec(ns))
+        model, centers, half, bob_center=bob_center, n_bins=_n_bins(ns))
     rows = [(c, c if bob_center is None else bob_center, v, p,
              _flag_token(False, f > 0.5))
             for c, v, p, f in zip(cs, values, probs, flags)]
@@ -402,7 +410,7 @@ def _cmd_gauss_inequality(ns, metadata):
     partition_a, partition_b = (
         Partition.uniform(-ns.extent, ns.extent, int(n), ns.tail_handling)
         for n in (ns.grid_a, ns.grid_b))
-    report = partition_inequality_check(model, partition_a, partition_b, _spec(ns))
+    report = partition_inequality_check(model, partition_a, partition_b, _n_bins(ns))
     payload = {
         "weighted_sum": report.weighted_sum,
         "full_entanglement": report.full_entanglement,
@@ -416,7 +424,7 @@ def _cmd_gauss_inequality(ns, metadata):
     }
     if ns.nd_center is not None and ns.nd_half_width is not None:
         identity, mixture, gap = non_discarding_two_path(
-            model, Region(ns.nd_center, ns.nd_half_width), _spec(ns))
+            model, Region(ns.nd_center, ns.nd_half_width), _n_bins(ns))
         payload["non_discarding"] = {
             "entanglement": identity.entanglement,
             "prob": identity.survival_probability,

@@ -29,12 +29,10 @@ from .oscillator import (
 )
 from .restrict import (
     EMPTY_MASS,
-    DiscretizationSpec,
     Region,
     _cell_arrays,
     entanglement_map,
     joint_masses,
-    joint_survival_probability,
     marginal_masses,
     two_party_nodes,
 )
@@ -46,7 +44,9 @@ MIN_SAMPLES = 12
 def joint_probability(model: OscillatorModel, region_a: Region,
                       region_b: Region) -> float:
     """P(q_a in A and q_b in B) from the normalized position density."""
-    return joint_survival_probability(model, region_a, region_b)
+    n = two_party_nodes(model, max(region_a.width, region_b.width))
+    return float(joint_masses(model, [region_a.lo], [region_a.hi],
+                              [region_b.lo], [region_b.hi], n)[0])
 
 
 def conditional_probability(model: OscillatorModel, region_b: Region,
@@ -229,9 +229,8 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                                  sigma_2=cond_fit.sigma_2,
                                  sigma_12=cond_fit.sigma_12))
         elif which == "quantum":
-            spec = DiscretizationSpec(n_bins=n_bins) if n_bins else None
             surface = entanglement_map(model, centers, centers_b=centers,
-                                       half_width=half_width, spec=spec)
+                                       half_width=half_width, n_bins=n_bins)
             pm_fit = fit_surface(surface, "symmetric_pm")
             rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
                                  sigma_minus=pm_fit.sigma_minus))

@@ -141,15 +141,17 @@ def two_particle_wavefunction(model: OscillatorModel, qa, qb):
 def reduced_density_value(model: OscillatorModel, qa, qa_prime):
     """Normalized one-particle reduced kernel rho^(A)(q_a; q_a'); vectorized.
 
-    sqrt((2 c1 - 2 c2)/pi) exp(-c1 (q^2 + q'^2) + 2 c2 q q'); its diagonal
-    is the single-particle Gaussian of width sigma and integrates to one.
+    sqrt((2 c1 - 2 c2)/pi) exp(-c1 (q^2 + q'^2) + 2 c2 q q'), evaluated as
+    exp(-(q^2 + q'^2)/(4 sigma^2) - c2 (q - q')^2) / (sqrt(2 pi) sigma):
+    c1 - c2 = 1/(4 sigma^2), and the difference c1 - c2 itself would cancel
+    at strong coupling. The diagonal is the normal density of standard
+    deviation sigma.
     """
     qa = np.asarray(qa, dtype=np.float64)
     qa_prime = np.asarray(qa_prime, dtype=np.float64)
     gs = ground_state_constants(model)
-    norm = math.sqrt((2.0 * gs.c1 - 2.0 * gs.c2) / math.pi)
-    return norm * np.exp(-gs.c1 * (qa * qa + qa_prime * qa_prime)
-                         + 2.0 * gs.c2 * qa * qa_prime)
+    return np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (qa * qa + qa_prime * qa_prime)
+                  - gs.c2 * (qa - qa_prime) ** 2) / (math.sqrt(2.0 * math.pi) * gs.sigma)
 
 
 def marginal_position_density(model: OscillatorModel, q):

@@ -25,17 +25,6 @@ def _gauss_rule(n_points: int):
     return np.polynomial.legendre.leggauss(n_points)
 
 
-def panel_nodes(a: float, b: float, n_panels: int, n_points: int = DEFAULT_PANEL_POINTS):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
-    x, w = _gauss_rule(n_points)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (half[:, None] * x[None, :] + mid[:, None]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):
     """Nodes and weights of the n-point Gauss-Legendre rule on each of
     n_panels equal panels of each [lo, hi].
@@ -63,7 +52,7 @@ def integrate_1d(f, a: float, b: float) -> float:
         raise ValueError("integration bounds must satisfy a < b")
 
     def estimate(n_panels: int) -> float:
-        nodes, weights = panel_nodes(a, b, n_panels)
+        nodes, weights = gauss_legendre(a, b, DEFAULT_PANEL_POINTS, n_panels)
         return float(np.dot(weights, f(nodes)))
 
     n_panels = 1

@@ -24,16 +24,25 @@ unit weights on both sides instead. A one-party map keeps Alice's uniform
 grid and factorizes its kernel K(x_i, x_j) = int psi(x_i, y) psi(x_j, y) dy
 on Gauss-Legendre nodes of Bob's conditional support, with Alice's mass in
 closed form. Maps stack their cells and make one LAPACK call per chunk. A
-single one-party cell samples the one-particle kernel on a grid, or projects
-it onto an orthonormal sine/cosine family supported on the region; grid
-matrices are renormalized by their trace and its survival probability comes
-from adaptive quadrature of the analytic density.
+single one-party cell samples the one-particle kernel on a grid
+(one_restricted_entropy), or projects it onto an orthonormal sine/cosine
+family supported on the region (basis_expansion_entropy, which takes n_basis
+and quadrature_order); grid matrices are renormalized by their trace and
+its survival probability comes from adaptive quadrature of the analytic
+density.
+
+Every other entry point takes one resolution, n_bins: the number of grid
+intervals per region. Where Alice's region is sampled on a grid (one-party
+cells and maps, the non-discarding ensemble, the precise readout), None
+means the default, DEFAULT_BINS_ONE or DEFAULT_BINS_PRECISE; for two-party
+cells None means Gauss-Legendre nodes and an integer the uniform grid. An
+n_bins below 2 is refused with DomainError before any mass is computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +69,7 @@ from .oscillator import (
     reduced_density_value,
     two_particle_wavefunction,
 )
-from .quadrature import gauss_legendre, integrate_1d, panel_nodes
+from .quadrature import gauss_legendre, integrate_1d
 
 DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
@@ -163,40 +172,18 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class DiscretizationSpec:
-    """How to discretize a restricted density matrix.
-
-    method "grid" samples the kernel on n_bins + 1 equally spaced points;
-    method "basis" projects onto n_basis orthonormal functions, with
-    quadrature_order Gauss-Legendre points per integration panel. Two-party
-    cells run on Gauss-Legendre nodes, as many as the node rule
-    (two_party_nodes) asks, unless a grid n_bins is given.
-    """
-
-    method: str = "grid"
-    n_bins: int | None = None
-    n_basis: int | None = None
-    quadrature_order: int = 16
-
-    def __post_init__(self):
-        if self.method not in ("grid", "basis"):
-            raise DomainError(f"unknown discretization method {self.method!r}")
-        if self.n_bins is not None and self.n_bins < 2:
-            raise DomainError("n_bins must be >= 2")
-        if self.n_basis is not None and self.n_basis < 1:
-            raise DomainError("n_basis must be >= 1")
-        if self.quadrature_order < 2:
-            raise DomainError("quadrature_order must be >= 2")
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
-    """Entanglement surviving a restriction, with its discretized spectrum."""
+    """Entanglement surviving a restriction, with its discretized spectrum.
+
+    resolution is the one the entropy used: the grid's n_bins, the
+    Gauss-Legendre node count per region of a two-party cell, or the basis
+    size n_basis.
+    """
 
     entanglement: float
     survival_probability: float
     spectrum: Spectrum
-    spec: DiscretizationSpec
+    resolution: int
 
     def __post_init__(self):
         if not -1e-9 <= self.survival_probability <= 1.0 + 1e-9:
@@ -310,14 +297,6 @@ def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
     return n
 
 
-def joint_survival_probability(model: OscillatorModel, region_a: Region,
-                               region_b: Region) -> float:
-    """Probability that both particles land in their respective regions."""
-    n = two_party_nodes(model, max(region_a.width, region_b.width))
-    return float(joint_masses(model, [region_a.lo], [region_a.hi],
-                              [region_b.lo], [region_b.hi], n)[0])
-
-
 def _region_mass(model: OscillatorModel, region: Region) -> float:
     """Alice's mass in the region; EmptyRegionMass below EMPTY_MASS."""
     p = region_survival_probability(model, region)
@@ -327,9 +306,14 @@ def _region_mass(model: OscillatorModel, region: Region) -> float:
     return p
 
 
-def _n_bins(spec: DiscretizationSpec | None, default: int) -> int:
-    """The spec's grid resolution, or the caller's default."""
-    return spec.n_bins if spec is not None and spec.n_bins else default
+def _n_bins(n_bins: int | None, default: int | None = None) -> int | None:
+    """The grid resolution n_bins, or the caller's default when it is None;
+    below 2 bins is refused."""
+    if n_bins is None:
+        return default
+    if n_bins < 2:
+        raise DomainError("n_bins must be >= 2")
+    return n_bins
 
 
 def _entropy_and_spectrum(matrix: np.ndarray) -> tuple[float, Spectrum]:
@@ -355,40 +339,18 @@ def _kernel_entropy(model: OscillatorModel, points: np.ndarray) -> tuple[float, 
     return _entropy_and_spectrum(kernel)
 
 
-def _wavefunction_grid(model: OscillatorModel, qa_pts: np.ndarray,
-                       qb_pts: np.ndarray) -> np.ndarray:
-    """Two-particle amplitudes on a grid, rescaled to avoid underflow."""
-    values = two_particle_wavefunction(model, qa_pts[:, None], qb_pts[None, :])
-    peak = values.max()
-    if peak > 0.0:
-        values = values / peak
-    return values
-
-
-def _amplitude_entropy(model: OscillatorModel, qa_pts: np.ndarray,
-                       qb_pts: np.ndarray) -> tuple[float, Spectrum]:
-    """Entropy of Alice's reduced matrix from the amplitudes on a grid."""
-    psi = _wavefunction_grid(model, qa_pts, qb_pts)
-    return _entropy_and_spectrum(psi @ psi.T)
-
-
 def one_restricted_entropy(model: OscillatorModel, region: Region,
-                           spec: DiscretizationSpec | None = None) -> EnsembleResult:
+                           n_bins: int | None = None) -> EnsembleResult:
     """Discarding-ensemble entanglement when only Alice restricts.
 
-    The one-particle reduced kernel is sampled (or basis-projected, per the
-    spec) on the region and trace-normalized; the survival probability is
-    the quadrature mass of the region.
+    The one-particle reduced kernel is sampled on n_bins + 1 points of the
+    region (DEFAULT_BINS_ONE intervals by default) and trace-normalized; the
+    survival probability is the quadrature mass of the region.
     """
-    n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
-    spec = spec or DiscretizationSpec()
-    if spec.method == "basis":
-        return basis_expansion_entropy(
-            model, region, spec.n_basis or DEFAULT_BASIS_SIZE,
-            quadrature_order=spec.quadrature_order)
+    n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     p = _region_mass(model, region)
     entropy, spectrum = _kernel_entropy(model, _grid_points(region, n_bins))
-    return EnsembleResult(entropy, p, spectrum, replace(spec, n_bins=n_bins))
+    return EnsembleResult(entropy, p, spectrum, n_bins)
 
 
 def _schmidt_weights(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
@@ -430,45 +392,37 @@ def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
     return out
 
 
-def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, spec: DiscretizationSpec | None):
+def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
     """Nodes and weights of both sides of two-party cells: n Gauss-Legendre
-    nodes per region, or the n_bins + 1 uniform points of a grid spec with
-    unit weights."""
-    if _on_nodes(spec):
+    nodes per region, or n_bins + 1 uniform points with unit weights when
+    n_bins is given."""
+    if n_bins is None:
         return (*gauss_legendre(a_lo, a_hi, n), *gauss_legendre(b_lo, b_hi, n))
-    xa = np.linspace(a_lo, a_hi, spec.n_bins + 1, axis=-1)
-    xb = np.linspace(b_lo, b_hi, spec.n_bins + 1, axis=-1)
+    xa = np.linspace(a_lo, a_hi, n_bins + 1, axis=-1)
+    xb = np.linspace(b_lo, b_hi, n_bins + 1, axis=-1)
     return xa, np.ones_like(xa), xb, np.ones_like(xb)
-
-
-def _on_nodes(spec: DiscretizationSpec | None) -> bool:
-    """Whether two-party cells run on Gauss-Legendre nodes (else on a grid);
-    a basis spec is refused."""
-    if spec is not None and spec.method == "basis":
-        raise DomainError("both-restricted evaluation has no basis method")
-    return spec is None or spec.n_bins is None
 
 
 def both_restricted_entropy(model: OscillatorModel, region_a: Region,
                             region_b: Region,
-                            spec: DiscretizationSpec | None = None) -> EnsembleResult:
+                            n_bins: int | None = None) -> EnsembleResult:
     """Discarding-ensemble entanglement when both parties restrict.
 
     The entropy comes from the Schmidt weights of the cell, as one cell of a
     map does: by default on Gauss-Legendre nodes of both regions, and the
-    result's spec.n_bins is the node count per region; a grid spec samples
-    the amplitudes on n_bins + 1 uniform points per region instead.
+    result's resolution is the node count per region; a given n_bins
+    samples the amplitudes on n_bins + 1 uniform points per region instead.
     """
+    n_bins = _n_bins(n_bins)
     width = max(region_a.width, region_b.width)
-    on_nodes = _on_nodes(spec)
-    n = _schmidt_nodes(model, width) if on_nodes else two_party_nodes(model, width)
+    n = _schmidt_nodes(model, width) if n_bins is None else two_party_nodes(model, width)
     bounds = ([region_a.lo], [region_a.hi], [region_b.lo], [region_b.hi])
     p = float(joint_masses(model, *bounds, n)[0])
     if p < EMPTY_MASS:
         raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
-    weights = _schmidt_weights(model, *_two_party_sides(*bounds, n, spec))
+    weights = _schmidt_weights(model, *_two_party_sides(*bounds, n, n_bins))
     return EnsembleResult(float(spectral_entropy_bits(weights)[0]), p, Spectrum(weights[0]),
-                          DiscretizationSpec(n_bins=n) if on_nodes else spec)
+                          n if n_bins is None else n_bins)
 
 
 # -- expansion in an orthonormal set ----------------------------------------
@@ -489,7 +443,7 @@ def region_basis(region: Region, n_basis: int, points: np.ndarray) -> np.ndarray
 def _basis_projected_matrix(model: OscillatorModel, region: Region,
                             n_basis: int, n_panels: int,
                             quadrature_order: int) -> np.ndarray:
-    nodes, weights = panel_nodes(region.lo, region.hi, n_panels, quadrature_order)
+    nodes, weights = gauss_legendre(region.lo, region.hi, quadrature_order, n_panels)
     phi_w = region_basis(region, n_basis, nodes) * weights[None, :]
     kernel = reduced_density_value(model, nodes[:, None], nodes[None, :])
     return phi_w @ kernel @ phi_w.T
@@ -507,6 +461,8 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
+    if quadrature_order < 2:
+        raise DomainError("quadrature_order must be >= 2")
     p = _region_mass(model, region)
     n_panels = max(2, -(-n_basis // 4))
     projected = _basis_projected_matrix(model, region, n_basis, n_panels,
@@ -524,27 +480,25 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
             raise QuadratureNotConverged(
                 f"basis projection still changing by {change:.3e}")
     entropy, spectrum = _entropy_and_spectrum(projected)
-    spec = DiscretizationSpec(method="basis", n_basis=n_basis,
-                              quadrature_order=quadrature_order)
-    return EnsembleResult(entropy, p, spectrum, spec)
+    return EnsembleResult(entropy, p, spectrum, n_basis)
 
 
 # -- precise position measurement --------------------------------------------
 
 def precise_measurement_entanglement(model: OscillatorModel, region: Region,
-                                     spec: DiscretizationSpec | None = None) -> float:
+                                     n_bins: int | None = None) -> float:
     """Negativity left after an exact position readout inside the region.
 
     The post-measurement ensemble is diagonal in Alice's coordinate (an
     incoherent sum of product states), so the negativity across the A|B
     grid cut vanishes up to round-off. The assembled matrix has dimension
-    (n_bins + 1)^2, so keep n_bins modest.
+    (n_bins + 1)^2, so keep n_bins modest (DEFAULT_BINS_PRECISE by default).
     """
-    n_bins = _n_bins(spec, DEFAULT_BINS_PRECISE)
+    n_bins = _n_bins(n_bins, DEFAULT_BINS_PRECISE)
     half = domain_half_length(model)
     qa = _grid_points(region, n_bins)
     qb = np.linspace(-half, half, n_bins + 1)
-    psi = _wavefunction_grid(model, qa, qb)
+    psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])
     n_a, n_b = psi.shape
     rho = np.zeros((n_a * n_b, n_a * n_b))
     for i in range(n_a):
@@ -592,15 +546,16 @@ def _complement_points(region: Region, half_domain: float, n_bins: int) -> np.nd
 
 
 def non_discarding_entanglement(model: OscillatorModel, region: Region,
-                                spec: DiscretizationSpec | None = None) -> NonDiscardingResult:
+                                n_bins: int | None = None) -> NonDiscardingResult:
     """Entanglement of the non-discarding ensemble for Alice's region.
 
     Both conditional states are pure, so the ensemble entanglement is the
     probability-weighted average of the in-region and out-of-region
     discarding entanglements. The complement is sampled on the truncated
-    domain at one spacing, n_bins intervals on its longer segment.
+    domain at one spacing, n_bins intervals on its longer segment; the region
+    gets n_bins intervals too (DEFAULT_BINS_ONE by default).
     """
-    n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
+    n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     p = _region_mass(model, region)
     e_in, _ = _kernel_entropy(model, _grid_points(region, n_bins))
 
@@ -619,25 +574,31 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region,
 
 
 def non_discarding_two_path(model: OscillatorModel, region: Region,
-                            spec: DiscretizationSpec | None = None):
+                            n_bins: int | None = None):
     """Check the two-outcome identity along two independent routes.
 
     Route one reduces to Alice first and evaluates each conditional
     entanglement from the analytic one-particle kernel. Route two assembles
     the block-diagonal two-outcome mixture of the full two-particle state
     on a grid (Bob unrestricted) and averages the conditional entropies of
-    its blocks. Returns (identity_result, mixture_value, gap).
+    its blocks, each from the Schmidt weights of its amplitudes with unit
+    weights. Returns (identity_result, mixture_value, gap).
     """
-    n_bins = _n_bins(spec, DEFAULT_BINS_ONE)
+    n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     half = domain_half_length(model)
-    identity = non_discarding_entanglement(model, region, spec)
+    identity = non_discarding_entanglement(model, region, n_bins)
     p = identity.survival_probability
 
-    bob = np.linspace(-half, half, _TWO_PATH_BOB_BINS + 1)
-    e_in, _ = _amplitude_entropy(model, _grid_points(region, n_bins), bob)
+    bob = np.linspace(-half, half, _TWO_PATH_BOB_BINS + 1)[None, :]
+
+    def block_entropy(alice: np.ndarray) -> float:
+        xa = alice[None, :]
+        return float(_entropies(model, xa, np.ones_like(xa), bob, np.ones_like(bob))[0])
+
+    e_in = block_entropy(_grid_points(region, n_bins))
     e_out = 0.0
     if p < 1.0:  # the identity sets p to 1 when the region leaves no outside
-        e_out, _ = _amplitude_entropy(model, _complement_points(region, half, n_bins), bob)
+        e_out = block_entropy(_complement_points(region, half, n_bins))
     mixture = p * e_in + (1.0 - p) * e_out
     return identity, mixture, abs(mixture - identity.entanglement)
 
@@ -664,12 +625,13 @@ class PartitionReport:
 
 def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
                                partition_b: Partition,
-                               spec: DiscretizationSpec | None = None) -> PartitionReport:
+                               n_bins: int | None = None) -> PartitionReport:
     """Average discarding entanglement over all partition cells.
 
     Shared entanglement cannot increase under the local region-resolving
     measurement, so the probability-weighted cell sum never exceeds the
-    unrestricted entanglement of formation.
+    unrestricted entanglement of formation. Cells run on Gauss-Legendre
+    nodes, or on the grid of n_bins as in both_restricted_entropy.
     """
     half = domain_half_length(model)
     pairs = [(seg_a, seg_b) for seg_a in partition_a.effective_segments(half)
@@ -678,7 +640,7 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     rows = _two_party_cells(model, [seg.center for seg in segs_a],
                             [seg.half_width for seg in segs_a],
                             [seg.center for seg in segs_b],
-                            [seg.half_width for seg in segs_b], spec)
+                            [seg.half_width for seg in segs_b], n_bins)
     cells = tuple(PartitionCell(seg_a, seg_b, p, e)
                   for (seg_a, seg_b), (e, p, _) in zip(pairs, rows.tolist()))
     total = sum(cell.probability * cell.entanglement for cell in cells)
@@ -712,10 +674,8 @@ def method_equivalence(model: OscillatorModel, region: Region,
                        n_bins: int = DEFAULT_BINS_ONE,
                        n_basis: int = DEFAULT_BASIS_SIZE) -> MethodEquivalence:
     """Extrapolated grid-vs-basis comparison at a region."""
-    g_coarse = one_restricted_entropy(
-        model, region, DiscretizationSpec(n_bins=n_bins // 2)).entanglement
-    g_fine = one_restricted_entropy(
-        model, region, DiscretizationSpec(n_bins=n_bins)).entanglement
+    g_coarse = one_restricted_entropy(model, region, n_bins // 2).entanglement
+    g_fine = one_restricted_entropy(model, region, n_bins).entanglement
     b_coarse = basis_expansion_entropy(model, region, n_basis // 2).entanglement
     b_fine = basis_expansion_entropy(model, region, n_basis).entanglement
     grid_limit = 2.0 * g_fine - g_coarse
@@ -740,7 +700,7 @@ def _cell_arrays(*centers_and_halves) -> list[np.ndarray]:
 
 
 def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
-                     spec: DiscretizationSpec | None) -> np.ndarray:
+                     n_bins: int | None) -> np.ndarray:
     """(entanglement, survival probability, empty flag) rows of two-party cells.
 
     Cell i restricts Alice to centers_a[i] +- half_a[i] and Bob to
@@ -750,16 +710,17 @@ def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_
     nodes or on the grid of an explicit n_bins. A cell whose mass is below
     EMPTY_MASS is empty: value 0, probability 0, flag 1.
     """
+    n_bins = _n_bins(n_bins)
     centers_a, half_a, centers_b, half_b = _cell_arrays(centers_a, half_a, centers_b, half_b)
     width = 2.0 * max(half_a.max(initial=0.0), half_b.max(initial=0.0))
-    n = _schmidt_nodes(model, width) if _on_nodes(spec) else two_party_nodes(model, width)
+    n = _schmidt_nodes(model, width) if n_bins is None else two_party_nodes(model, width)
     a_lo, a_hi = centers_a - half_a, centers_a + half_a
     b_lo, b_hi = centers_b - half_b, centers_b + half_b
     prob = np.clip(joint_masses(model, a_lo, a_hi, b_lo, b_hi, n), 0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.size)
     values[live] = _entropies(model, *_two_party_sides(
-        a_lo[live], a_hi[live], b_lo[live], b_hi[live], n, spec))
+        a_lo[live], a_hi[live], b_lo[live], b_hi[live], n, n_bins))
     return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)
 
 
@@ -799,7 +760,7 @@ def _one_party_cells(model: OscillatorModel, centers, halves, n_bins: int) -> np
 def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
                      widths=None, half_width: float | None = None,
                      half_width_b: float | None = None,
-                     spec: DiscretizationSpec | None = None) -> Distribution2D:
+                     n_bins: int | None = None) -> Distribution2D:
     """Entanglement surface over region placements.
 
     Two scan layouts:
@@ -811,8 +772,9 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
       its own peak for shape comparisons.
 
     Cells whose region carries no mass are emitted as 0 with extra layer
-    "flag" set to 1. A one-party map samples Alice's region on the grid of
-    the spec's n_bins (DEFAULT_BINS_ONE by default); a basis spec is refused.
+    "flag" set to 1. A one-party map samples Alice's region on a grid of
+    n_bins intervals (DEFAULT_BINS_ONE by default); a two-party map runs on
+    Gauss-Legendre nodes, or on the grid of n_bins when it is given.
     """
     centers_a = np.asarray(centers_a, dtype=np.float64)
     if (centers_b is None) == (widths is None):
@@ -825,13 +787,11 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
         b = half_width_b if half_width_b is not None else half_width
         axis_b = np.asarray(centers_b, dtype=np.float64)
         data = _two_party_cells(model, np.repeat(centers_a, axis_b.size), half_width,
-                                np.tile(axis_b, centers_a.size), b, spec)
+                                np.tile(axis_b, centers_a.size), b, n_bins)
     else:
-        if spec is not None and spec.method == "basis":
-            raise DomainError("one-party maps have no basis method")
         axis_b = np.asarray(widths, dtype=np.float64)
         data = _one_party_cells(model, centers_a, axis_b / 2.0,
-                                _n_bins(spec, DEFAULT_BINS_ONE))
+                                _n_bins(n_bins, DEFAULT_BINS_ONE))
     data = data.reshape(centers_a.size, axis_b.size, 3)
     values = data[..., 0]
     extra = {"prob": data[..., 1], "flag": data[..., 2]}
@@ -846,7 +806,7 @@ def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
 
 def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
                             bob_center: float | None = None,
-                            spec: DiscretizationSpec | None = None):
+                            n_bins: int | None = None):
     """One-dimensional slice of the two-party map.
 
     Bob's region tracks Alice's center when bob_center is None, otherwise
@@ -855,5 +815,5 @@ def both_restricted_profile(model: OscillatorModel, centers, half_width: float,
     centers = np.asarray(centers, dtype=np.float64)
     rows = _two_party_cells(model, centers, half_width,
                             centers if bob_center is None else bob_center, half_width,
-                            spec)
+                            n_bins)
     return centers, rows[:, 0], rows[:, 1], rows[:, 2]

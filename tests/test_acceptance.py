@@ -24,7 +24,6 @@ from entloc.oscillator import (
     small_a_epsilon_one,
 )
 from entloc.restrict import (
-    DiscretizationSpec,
     Partition,
     Region,
     both_restricted_entropy,
@@ -77,7 +76,7 @@ def test_criterion_2_weak_coupling_eof():
 def test_criterion_3_saturation():
     exact = gaussian_eof(MODEL)
     result, elapsed = timed(one_restricted_entropy, MODEL, Region(0.0, 5.0),
-                            DiscretizationSpec(n_bins=200))
+                            n_bins=200)
     ok = abs(result.entanglement - exact) <= 5e-3 and elapsed < 5.0
     report(3, "wide-region saturation to the full entanglement", ok,
            f"S={result.entanglement:.6f} vs exact {exact:.6f}, {elapsed:.2f} s")
@@ -86,10 +85,10 @@ def test_criterion_3_saturation():
 def test_criterion_4_small_region_limits():
     start = time.perf_counter()
     one = one_restricted_entropy(MODEL, Region(0.0, 0.025),
-                                 DiscretizationSpec(n_bins=200))
+                                 n_bins=200)
     one_target = binary_entropy(small_a_epsilon_one(MODEL, 0.025))
     both = both_restricted_entropy(MODEL, Region(0.0, 0.05), Region(0.0, 0.05),
-                                   DiscretizationSpec(n_bins=100))
+                                   n_bins=100)
     both_target = binary_entropy(small_a_epsilon_both(MODEL, 0.05, 0.05))
     elapsed = time.perf_counter() - start
     rel_one = abs(one.entanglement - one_target) / one_target
@@ -113,11 +112,11 @@ def test_criterion_5_classical_widths_row():
            f"(target {printed}), {elapsed * 1e3:.3f} ms")
 
 
-def _fitted_quantum_widths(width: float, spec: DiscretizationSpec | None):
+def _fitted_quantum_widths(width: float, n_bins: int | None):
     centers = np.linspace(-4.0, 4.0, 41)
     start = time.perf_counter()
     surface = entanglement_map(MODEL, centers, centers_b=centers,
-                               half_width=width / 2.0, spec=spec)
+                               half_width=width / 2.0, n_bins=n_bins)
     fit = fit_surface(surface, "symmetric_pm")
     return fit, time.perf_counter() - start
 
@@ -127,9 +126,9 @@ def test_criterion_6_quantum_width_rows():
     targets = ((0.5, (10.4, 2.29)), (4.0, (3.44, 2.10)))
     ok = True
     details = []
-    for spec, method in ((DiscretizationSpec(n_bins=100), "grid"), (None, "nodes")):
+    for n_bins, method in ((100, "grid"), (None, "nodes")):
         for width, (plus, minus) in targets:
-            fit, elapsed = _fitted_quantum_widths(width, spec)
+            fit, elapsed = _fitted_quantum_widths(width, n_bins)
             rel_plus = abs(fit.sigma_plus - plus) / plus
             rel_minus = abs(fit.sigma_minus - minus) / minus
             ok = ok and rel_plus <= 0.15 and rel_minus <= 0.15 and elapsed < 180.0
@@ -219,10 +218,10 @@ def test_criterion_10_property_suite():
         center = rng.uniform(-1.5, 1.5)
         half_width = rng.uniform(0.3, 1.5)
         one = one_restricted_entropy(MODEL, Region(center, half_width),
-                                     DiscretizationSpec(n_bins=150))
+                                     n_bins=150)
         both = both_restricted_entropy(MODEL, Region(center, half_width),
                                        Region(rng.uniform(-1, 1), half_width),
-                                       DiscretizationSpec(n_bins=80))
+                                       n_bins=80)
         if not (both.entanglement <= one.entanglement + 1e-6
                 and one.entanglement <= full + 1e-6):
             failures.append("locc ordering")
@@ -232,9 +231,9 @@ def test_criterion_10_property_suite():
         center = rng.uniform(0.2, 2.0)
         half_width = rng.uniform(0.2, 1.0)
         left = one_restricted_entropy(MODEL, Region(-center, half_width),
-                                      DiscretizationSpec(n_bins=100))
+                                      n_bins=100)
         right = one_restricted_entropy(MODEL, Region(center, half_width),
-                                       DiscretizationSpec(n_bins=100))
+                                       n_bins=100)
         if abs(left.entanglement - right.entanglement) > 1e-9:
             failures.append("mirror symmetry")
 
@@ -242,9 +241,9 @@ def test_criterion_10_property_suite():
     for _ in range(3):
         half_width = rng.uniform(0.25, 2.0)
         coarse = one_restricted_entropy(MODEL, Region(0.0, half_width),
-                                        DiscretizationSpec(n_bins=200))
+                                        n_bins=200)
         fine = one_restricted_entropy(MODEL, Region(0.0, half_width),
-                                      DiscretizationSpec(n_bins=400))
+                                      n_bins=400)
         if abs(coarse.entanglement - fine.entanglement) > 2e-3:
             failures.append("refinement convergence")
 

@@ -56,6 +56,8 @@ class TestExitCodes:
           "--centers", "-1", "1", "3"], 2, "DomainError"),
         (["gauss-one-restricted", "--alpha", "1e12", "--centers", "-1", "1", "3",
           "--widths", "0.5,1"], 2, "QuadratureNotConverged"),
+        (["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
+          "--widths", "1", "--method", "basis"], 2, "DomainError"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
         got, _, err = run_capture(capsys, argv)

@@ -22,7 +22,7 @@ from entloc.oscillator import (
     joint_position_density,
     marginal_position_density,
 )
-from entloc.restrict import Partition, Region, entanglement_map, DiscretizationSpec
+from entloc.restrict import Partition, Region, entanglement_map
 
 MODEL = OscillatorModel(alpha=6)
 UNCOUPLED = OscillatorModel(alpha=0)
@@ -215,7 +215,7 @@ class TestFitSurface:
         quantum_fit = fit_surface(
             entanglement_map(MODEL, centers, centers_b=centers,
                              half_width=0.25,
-                             spec=DiscretizationSpec(n_bins=60)),
+                             n_bins=60),
             "symmetric_pm")
         assert quantum_fit.sigma_plus > classical_fit.sigma_plus
         assert quantum_fit.sigma_minus > classical_fit.sigma_minus

@@ -130,6 +130,19 @@ class TestReducedDensity:
         assert np.allclose(reduced_density_value(model, q, q), expected,
                            atol=1e-14)
 
+    @pytest.mark.parametrize("alpha", [1e4, 1e8, 1e12])
+    def test_strong_coupling_diagonal_against_mpmath(self, alpha):
+        # c1 and c2 each grow like sqrt(alpha)/8; the diagonal must not
+        # inherit the cancellation of their difference
+        model = OscillatorModel(alpha=alpha)
+        with mp.workdps(40):
+            s = mp.sqrt(1 + 4 * mp.mpf(alpha))
+            sigma = 1 / mp.sqrt(2 * s / (1 + s))
+            q = np.linspace(-3.0, 3.0, 13) * float(sigma)
+            expected = np.array([float(mp.npdf(mp.mpf(x), 0, sigma)) for x in q])
+        got = marginal_position_density(model, q)
+        assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+
     def test_origin_value(self):
         value = reduced_density_value(OscillatorModel(alpha=6), 0.0, 0.0)
         assert value == pytest.approx(math.sqrt((2 * 5.0 / 12.0) / math.pi),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from entloc.correlate import joint_probability, sigma_vs_alpha_scan
 from entloc.errors import DomainError, EmptyRegionMass, QuadratureNotConverged
 from entloc.linalg import binary_entropy, spectral_entropy_bits
 from entloc.oscillator import (
@@ -13,20 +14,20 @@ from entloc.oscillator import (
     reduced_density_value,
     small_a_epsilon_both,
     small_a_epsilon_one,
+    two_particle_wavefunction,
 )
-from entloc.quadrature import panel_nodes
+from entloc.quadrature import gauss_legendre
 from entloc.restrict import (
     EMPTY_MASS,
     MAX_NODES,
-    DiscretizationSpec,
     Partition,
     Region,
     basis_expansion_entropy,
     both_restricted_entropy,
+    both_restricted_profile,
     domain_half_length,
     entanglement_map,
     joint_masses,
-    joint_survival_probability,
     method_equivalence,
     non_discarding_entanglement,
     non_discarding_two_path,
@@ -68,24 +69,46 @@ class TestRegionTypes:
         with pytest.raises(DomainError):
             Partition((Region(0.0, 1.0), Region(3.0, 1.0)))
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            DiscretizationSpec(method="fft")
-        with pytest.raises(DomainError):
-            DiscretizationSpec(n_bins=1)
+    @pytest.mark.parametrize("call", [
+        lambda: one_restricted_entropy(MODEL, Region(0.0, 1.0), n_bins=1),
+        lambda: both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.0, 1.0), n_bins=1),
+        lambda: entanglement_map(MODEL, [0.0, 1.0], widths=[1.0], n_bins=1),
+        lambda: entanglement_map(MODEL, [0.0, 1.0], centers_b=[0.0], half_width=0.5,
+                                 n_bins=1),
+        lambda: both_restricted_profile(MODEL, [0.0, 1.0], 0.5, n_bins=1),
+        lambda: partition_inequality_check(MODEL, Partition.uniform(-4, 4, 2),
+                                           Partition.uniform(-4, 4, 2), n_bins=1),
+        lambda: non_discarding_entanglement(MODEL, Region(0.0, 1.0), n_bins=1),
+        lambda: non_discarding_two_path(MODEL, Region(0.0, 1.0), n_bins=1),
+        lambda: precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=1),
+        lambda: sigma_vs_alpha_scan([6.0], which="quantum", steps=3, n_bins=1),
+        # the coarse grid of a 3-bin comparison has 1 bin
+        lambda: method_equivalence(MODEL, Region(0.0, 1.0), n_bins=3),
+        lambda: basis_expansion_entropy(MODEL, Region(0.0, 1.0), quadrature_order=1),
+    ], ids=["one", "both", "one-party-map", "two-party-map", "profile", "partition",
+            "non-discarding", "two-path", "precise", "sigma-scan", "method-equivalence",
+            "basis-quadrature-order"])
+    def test_resolution_below_its_floor_refused_before_any_mass(self, call, monkeypatch):
+        import entloc.restrict as restrict
+        masses = []
+        for name in ("integrate_1d", "marginal_masses", "joint_masses"):
+            monkeypatch.setattr(restrict, name, lambda *a, _name=name: masses.append(_name))
+        with pytest.raises(DomainError, match=r"n_bins must be >= 2|quadrature_order must"):
+            call()
+        assert masses == []
 
 
 class TestOneRestricted:
     def test_saturates_to_full_entanglement(self):
         result = one_restricted_entropy(MODEL, Region(0.0, 5.0),
-                                        DiscretizationSpec(n_bins=200))
+                                        n_bins=200)
         assert result.entanglement == pytest.approx(gaussian_eof(MODEL),
                                                     abs=5e-3)
         assert result.survival_probability == pytest.approx(1.0, abs=1e-6)
 
     def test_small_region_matches_analytic_limit(self):
         result = one_restricted_entropy(MODEL, Region(0.0, 0.025),
-                                        DiscretizationSpec(n_bins=200))
+                                        n_bins=200)
         expected = binary_entropy(small_a_epsilon_one(MODEL, 0.025))
         assert result.entanglement == pytest.approx(expected, rel=0.10)
 
@@ -100,21 +123,21 @@ class TestOneRestricted:
     def test_grid_refinement_convergence(self):
         for width in (0.5, 2.0, 4.0):
             coarse = one_restricted_entropy(
-                MODEL, Region(0.0, width / 2), DiscretizationSpec(n_bins=200))
+                MODEL, Region(0.0, width / 2), n_bins=200)
             fine = one_restricted_entropy(
-                MODEL, Region(0.0, width / 2), DiscretizationSpec(n_bins=400))
+                MODEL, Region(0.0, width / 2), n_bins=400)
             assert abs(coarse.entanglement - fine.entanglement) <= 2e-3
 
     def test_monotone_saturation_in_width(self):
         values = [one_restricted_entropy(MODEL, Region(0.0, a),
-                                         DiscretizationSpec(n_bins=100)).entanglement
+                                         n_bins=100).entanglement
                   for a in np.linspace(0.1, 6.0, 24)]
         assert np.all(np.diff(values) >= -1e-6)
 
     def test_assembled_matrix_positivity(self):
         for region in (Region(0.0, 1.0), Region(2.0, 0.3), Region(-1.5, 2.0)):
             result = one_restricted_entropy(MODEL, region,
-                                            DiscretizationSpec(n_bins=150))
+                                            n_bins=150)
             assert result.spectrum.eigenvalues[-1] >= -1e-9
             assert result.spectrum.eigenvalues.sum() == pytest.approx(1.0,
                                                                       abs=1e-10)
@@ -133,19 +156,18 @@ class TestOneRestricted:
         integrate = restrict.integrate_1d
         monkeypatch.setattr(restrict, "integrate_1d",
                             lambda *a, **k: masses.append(1) or integrate(*a, **k))
-        spec = DiscretizationSpec(method="basis", n_basis=24)
-        result = one_restricted_entropy(MODEL, Region(0.0, 1.0), spec)
-        assert result.spec.method == "basis"
+        result = basis_expansion_entropy(MODEL, Region(0.0, 1.0), 24)
+        assert result.resolution == 24
         assert result.entanglement > 0.0
         assert len(masses) == 1  # the region mass is computed once
         with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
-            one_restricted_entropy(MODEL, Region(50.0, 0.2), spec)
+            basis_expansion_entropy(MODEL, Region(50.0, 0.2), 24)
 
 
 class TestBasisExpansion:
     def test_gram_matrix_orthonormal(self):
         region = Region(0.3, 1.0)
-        nodes, weights = panel_nodes(region.lo, region.hi, 24)
+        nodes, weights = gauss_legendre(region.lo, region.hi, 16, 24)
         phi = region_basis(region, 40, nodes)
         gram = (phi * weights[None, :]) @ phi.T
         assert np.abs(gram - np.eye(40)).max() <= 1e-10
@@ -163,7 +185,7 @@ class TestBasisExpansion:
     def test_raw_values_converge_to_common_limit(self):
         region = Region(0.0, 1.0)
         grid = [one_restricted_entropy(MODEL, region,
-                                       DiscretizationSpec(n_bins=n)).entanglement
+                                       n_bins=n).entanglement
                 for n in (100, 200, 400, 800)]
         basis = [basis_expansion_entropy(MODEL, region, n).entanglement
                  for n in (20, 40, 80)]
@@ -179,7 +201,7 @@ class TestBothRestricted:
     def test_small_regions_match_analytic_limit(self):
         result = both_restricted_entropy(MODEL, Region(0.0, 0.05),
                                          Region(0.0, 0.05),
-                                         DiscretizationSpec(n_bins=100))
+                                         n_bins=100)
         expected = binary_entropy(small_a_epsilon_both(MODEL, 0.05, 0.05))
         assert result.entanglement == pytest.approx(expected, rel=0.15)
 
@@ -191,7 +213,7 @@ class TestBothRestricted:
 
     def test_bob_measurement_cannot_help(self):
         one = one_restricted_entropy(MODEL, Region(0.5, 1.0),
-                                     DiscretizationSpec(n_bins=100))
+                                     n_bins=100)
         for qb in (-1.0, 0.0, 0.5, 2.0):
             both = both_restricted_entropy(MODEL, Region(0.5, 1.0),
                                            Region(qb, 1.0))
@@ -202,19 +224,13 @@ class TestBothRestricted:
                                          Region(0.3, 0.5))
         assert result.entanglement <= 1e-8
 
-    def test_basis_method_rejected(self):
-        with pytest.raises(DomainError):
-            both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.0, 1.0),
-                                    DiscretizationSpec(method="basis"))
-
     def test_locc_ordering_across_scan(self):
         full = gaussian_eof(MODEL)
-        spec = DiscretizationSpec(n_bins=80)
         for center in np.linspace(-2.0, 2.0, 5):
             one = one_restricted_entropy(MODEL, Region(center, 1.0),
-                                         DiscretizationSpec(n_bins=160))
+                                         n_bins=160)
             both = both_restricted_entropy(MODEL, Region(center, 1.0),
-                                           Region(center, 1.0), spec)
+                                           Region(center, 1.0), n_bins=80)
             assert both.entanglement <= one.entanglement + 1e-6
             assert one.entanglement <= full + 1e-6
 
@@ -229,13 +245,13 @@ class TestPreciseMeasurement:
 
     def test_off_diagonal_blocks_vanish(self):
         # assemble the ensemble the same way and verify exact block structure
-        from entloc.restrict import _grid_points, _wavefunction_grid
+        from entloc.restrict import _grid_points
         region = Region(0.0, 1.0)
         n = 8
         qa = _grid_points(region, n)
         qb = np.linspace(-domain_half_length(MODEL), domain_half_length(MODEL),
                          n + 1)
-        psi = _wavefunction_grid(MODEL, qa, qb)
+        psi = two_particle_wavefunction(MODEL, qa[:, None], qb[None, :])
         dim = (n + 1) ** 2
         rho = np.zeros((dim, dim))
         for i in range(n + 1):
@@ -285,7 +301,7 @@ class TestNonDiscarding:
         lam = lam[lam > 1e-12]
         reference = float(-(lam * np.log2(lam)).sum())
         errors = [abs(non_discarding_entanglement(
-            MODEL, region, DiscretizationSpec(n_bins=n)).entanglement_outside - reference)
+            MODEL, region, n_bins=n).entanglement_outside - reference)
             for n in (200, 400)]
         assert errors[0] < 0.015
         assert errors[1] < 0.6 * errors[0]
@@ -345,15 +361,13 @@ class TestPartitionInequality:
         assert mass_merged == pytest.approx(1.0, abs=1e-8)
         assert merged.slack >= -1e-6
 
-    def test_empty_cells_and_basis_spec(self):
+    def test_empty_cells(self):
         far = Partition.uniform(-40.0, 40.0, 4)
         report = partition_inequality_check(MODEL, far, far)
         empty = [cell for cell in report.cells
                  if abs(cell.region_a.center) > 20 or abs(cell.region_b.center) > 20]
         assert len(empty) == 12
         assert all(cell.probability == 0.0 and cell.entanglement == 0.0 for cell in empty)
-        with pytest.raises(DomainError):
-            partition_inequality_check(MODEL, far, far, DiscretizationSpec(method="basis"))
 
     def test_tail_handling_validation(self):
         with pytest.raises(DomainError):
@@ -374,7 +388,7 @@ class TestEntanglementMap:
         centers = np.linspace(-2.0, 2.0, 9)
         dist = entanglement_map(MODEL, centers, centers_b=centers,
                                 half_width=0.25,
-                                spec=DiscretizationSpec(n_bins=60))
+                                n_bins=60)
         assert dist.shape == (9, 9)
         # swapping both centers with their negatives is a symmetry
         assert np.allclose(dist.values, dist.values[::-1, ::-1], atol=1e-9)
@@ -383,7 +397,7 @@ class TestEntanglementMap:
     def test_one_party_map_profiles(self):
         centers = np.linspace(-4.0, 4.0, 17)
         dist = entanglement_map(MODEL, centers, widths=[2.0],
-                                spec=DiscretizationSpec(n_bins=100))
+                                n_bins=100)
         values = dist.values[:, 0]
         # symmetric about the origin and decaying away from it
         assert np.allclose(values, values[::-1], atol=1e-9)
@@ -394,16 +408,16 @@ class TestEntanglementMap:
     def test_small_width_profile_flat(self):
         centers = np.linspace(-2.0, 2.0, 9)
         dist = entanglement_map(MODEL, centers, widths=[0.05],
-                                spec=DiscretizationSpec(n_bins=100))
+                                n_bins=100)
         values = dist.values[:, 0]
         assert (values.max() - values.min()) / values.max() <= 0.05
 
     def test_weak_coupling_smaller_and_narrower(self):
         centers = np.linspace(-4.0, 4.0, 17)
         strong = entanglement_map(MODEL, centers, widths=[4.0],
-                                  spec=DiscretizationSpec(n_bins=100))
+                                  n_bins=100)
         weak = entanglement_map(WEAK, centers, widths=[4.0],
-                                spec=DiscretizationSpec(n_bins=100))
+                                n_bins=100)
         assert weak.values.max() < strong.values.max()
         # rescaled profile of the weak coupling decays faster at this width
         strong_tail = strong.extra["rescaled"][-3, 0]
@@ -414,7 +428,7 @@ class TestEntanglementMap:
         centers = np.array([0.0, 45.0])
         dist = entanglement_map(MODEL, centers, centers_b=centers,
                                 half_width=0.5,
-                                spec=DiscretizationSpec(n_bins=40))
+                                n_bins=40)
         assert dist.extra["flag"][1, 1] == 1.0
         assert dist.values[1, 1] == 0.0
         assert dist.extra["flag"][0, 0] == 0.0
@@ -444,7 +458,7 @@ class TestGaussLegendreEngine:
                     assert dist.extra["flag"][i, j] == 1.0
                     assert dist.values[i, j] == dist.extra["prob"][i, j] == 0.0
                     continue
-                assert cell.spec == DiscretizationSpec(n_bins=n)
+                assert cell.resolution == n
                 assert cell.spectrum.size == n
                 assert dist.extra["flag"][i, j] == 0.0
                 assert dist.values[i, j] == pytest.approx(cell.entanglement, abs=1e-12)
@@ -497,7 +511,7 @@ class TestGaussLegendreEngine:
             for (qa, qb), value in zip(cells, base):
                 cell = both_restricted_entropy(model, Region(qa, width / 2),
                                                Region(qb, width / 2))
-                assert cell.spec.n_bins == n
+                assert cell.resolution == n
                 assert cell.entanglement == pytest.approx(value, abs=1e-12)
 
     def test_node_rule(self):
@@ -517,8 +531,8 @@ class TestGaussLegendreEngine:
         with pytest.raises(QuadratureNotConverged):
             entanglement_map(extreme, [0.0, 1.0], centers_b=[0.0], half_width=5.0)
         with pytest.raises(QuadratureNotConverged, match="exceeds the chunk"):
-            joint_survival_probability(OscillatorModel(alpha=1e20), Region(0.0, 5.0),
-                                       Region(0.0, 0.1))
+            joint_probability(OscillatorModel(alpha=1e20), Region(0.0, 5.0),
+                              Region(0.0, 0.1))
         assert built == []
 
     def test_one_cell_chunks_change_no_byte(self, monkeypatch):
@@ -548,7 +562,7 @@ class TestGaussLegendreEngine:
            ha=st.floats(0.05, 2.0), hb=st.floats(0.05, 2.0))
     def test_bounded_by_eof_with_mirror_and_exchange_symmetry(self, alpha, qa, qb, ha, hb):
         model = OscillatorModel(alpha=alpha)
-        assume(joint_survival_probability(model, Region(qa, ha), Region(qb, hb)) > 1e-12)
+        assume(joint_probability(model, Region(qa, ha), Region(qb, hb)) > 1e-12)
         base = both_restricted_entropy(model, Region(qa, ha), Region(qb, hb))
         mirror = both_restricted_entropy(model, Region(-qa, ha), Region(-qb, hb))
         exchange = both_restricted_entropy(model, Region(qb, hb), Region(qa, ha))
@@ -622,11 +636,6 @@ class TestOnePartyMap:
             entanglement_map(OscillatorModel(alpha=1e12), [0.0, 1.0], widths=[0.5, 1.0])
         assert built == []
 
-    def test_basis_spec_refused(self):
-        with pytest.raises(DomainError):
-            entanglement_map(MODEL, [0.0], widths=[2.0],
-                             spec=DiscretizationSpec(method="basis", n_basis=40))
-
     def test_invalid_widths_refused(self):
         for widths in ([0.0], [-1.0], [math.nan]):
             with pytest.raises(DomainError):
@@ -635,26 +644,29 @@ class TestOnePartyMap:
 
 class TestTwoPartyGrid:
     def test_grid_cell_equals_the_grid_eigensolve(self):
-        from entloc.restrict import _amplitude_entropy, _grid_points
         for region_a, region_b in ((Region(0.0, 0.25), Region(0.5, 0.25)),
                                    (Region(-1.0, 2.0), Region(0.5, 1.0))):
-            cell = both_restricted_entropy(MODEL, region_a, region_b,
-                                           DiscretizationSpec(n_bins=60))
-            expected, spectrum = _amplitude_entropy(MODEL, _grid_points(region_a, 60),
-                                                    _grid_points(region_b, 60))
+            cell = both_restricted_entropy(MODEL, region_a, region_b, n_bins=60)
+            qa = np.linspace(region_a.lo, region_a.hi, 61)
+            qb = np.linspace(region_b.lo, region_b.hi, 61)
+            psi = two_particle_wavefunction(MODEL, qa[:, None], qb[None, :])
+            rho = psi @ psi.T
+            lam = np.linalg.eigvalsh(rho / np.trace(rho))
+            lam = lam[lam > 1e-12]
+            expected = float(-(lam * np.log2(lam)).sum())
             assert cell.entanglement == pytest.approx(expected, abs=1e-12)
-            assert cell.spectrum.size == spectrum.size == 61
+            assert cell.spectrum.size == rho.shape[0] == 61
 
     def test_grid_map_equals_single_cells(self):
         centers = np.array([-1.0, 0.0, 0.75, 45.0])
-        spec = DiscretizationSpec(n_bins=40)
         dist = entanglement_map(MODEL, centers, centers_b=centers[:3], half_width=0.5,
-                                half_width_b=0.25, spec=spec)
+                                half_width_b=0.25, n_bins=40)
         for i, ca in enumerate(centers):
             for j, cb in enumerate(centers[:3]):
                 if i == 3:
                     assert dist.extra["flag"][i, j] == 1.0 and dist.values[i, j] == 0.0
                     continue
-                cell = both_restricted_entropy(MODEL, Region(ca, 0.5), Region(cb, 0.25), spec)
+                cell = both_restricted_entropy(MODEL, Region(ca, 0.5), Region(cb, 0.25),
+                                               n_bins=40)
                 assert dist.values[i, j] == cell.entanglement
                 assert dist.extra["prob"][i, j] == cell.survival_probability
