@@ -294,6 +294,10 @@ def _cmd_gauss_limits(ns, metadata):
 
 
 def _cmd_gauss_one_restricted(ns, metadata):
+    if ns.n_bins is not None and ns.method == "basis":
+        raise UsageError("--n-bins applies to --method grid, not basis")
+    if ns.n_basis is not None and (ns.method != "basis" or ns.centers is not None):
+        raise UsageError("--n-basis applies only to --method basis at one region (--qbar)")
     model = _model(ns)
     if ns.centers is None:
         if ns.qbar is None or ns.width is None:
@@ -588,7 +592,8 @@ def _config_value(action, key: str, value):
 
     A string goes through the flag's type, as argparse treats a string
     default; a typed flag otherwise takes a JSON number (a list of them for
-    a LO HI STEPS range) or null.
+    a LO HI STEPS range) or null. An integer flag takes an integral number
+    only, and an integral float becomes an int.
     """
     if action is None or action.type is None or value is None:
         return value
@@ -607,6 +612,10 @@ def _typed(kind, key: str, value):
             raise ConfigParse(f"config value {key!r}: {exc}") from exc
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigParse(f"config value {key!r} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float):
+        if not value.is_integer():
+            raise ConfigParse(f"config value {key!r} must be an integer, got {value!r}")
+        return int(value)
     return value
 
 

@@ -9,6 +9,10 @@ party's two spins onto the zero-total-z-component subspace
 Basis convention: |up> = 0, |down> = 1, row index = 8 a1 + 4 a2 + 2 b1 + b2,
 i.e. Alice's index is the most significant pair, so the A|B cut is the
 (4, 4) split used by the partial transpose and partial trace.
+
+spin_entropy and spin_negativity evaluate one cell from the 16x16
+matrices; spin_scan and negativity_vanish_point use closed forms in the
+four Schmidt coefficients of the pure state, which the tests hold to them.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .linalg import (
     DensityMatrix,
     negativity,
     reduce_to_party,
+    spectral_entropy_bits,
     von_neumann_entropy,
 )
 
@@ -37,6 +42,8 @@ _MS0 = {"A": (((_INDEX >> 3) ^ (_INDEX >> 2)) & 1).astype(np.float64),
         "B": (((_INDEX >> 1) ^ _INDEX) & 1).astype(np.float64)}
 _MS0_BOTH = _MS0["A"] * _MS0["B"]
 _MS0_BOTH_OUTER = np.outer(_MS0_BOTH, _MS0_BOTH)
+# index pairs k < l of the four Schmidt coefficients
+_PAIR_K, _PAIR_L = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,22 @@ def ms0_outcome_branches(state: np.ndarray):
     return branches
 
 
+def _schmidt_coefficients(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients (c1c2, c1s2, s1c2, s1s2) at every (theta1[i], theta2[j]).
+
+    Shape (n1, n2, 4). They are the amplitudes build_pure_state writes, bit
+    for bit: cos and sin come from math, as there, since a vectorized cos
+    may differ in the last bit. Entries 1 and 2 are the two amplitudes the
+    moment filter keeps.
+    """
+    if not (np.isfinite(theta1).all() and np.isfinite(theta2).all()):
+        raise DomainError("pair angles must be finite")
+    c1, s1 = (np.array([f(t) for t in theta1]) for f in (math.cos, math.sin))
+    c2, s2 = (np.array([f(t) for t in theta2]) for f in (math.cos, math.sin))
+    return np.stack([np.multiply.outer(x, y) for x in (c1, s1) for y in (c2, s2)],
+                    axis=-1)
+
+
 def _pure_entropy(psi: np.ndarray) -> float:
     rho_a = reduce_to_party(DensityMatrix.from_state(psi), (4, 4), "A")
     return von_neumann_entropy(rho_a)
@@ -172,22 +195,22 @@ def negativity_vanish_point(theta1: float, theta2: float,
                             restricted: bool = False) -> float:
     """Purity parameter F below which the negativity vanishes.
 
-    Located to within 1e-6 by bisection of negativity(F) against a 1e-9
-    floor; the negativity is non-decreasing in F.
+    The negativity is positive exactly where p_F m > (1 - F)/15, with m the
+    largest product |s_k s_l| of two Schmidt coefficients of the pure state
+    or, restricted, the product |ab| of the two amplitudes the filter keeps.
+    So F* = (1 + m)/(1 + 16 m), which is 1 when m = 0. A restricted state
+    that does not survive the filter raises ZeroNormSubspace.
     """
-    threshold, tol = 1e-9, 1e-6
-    lo, hi = 1.0 / 16.0, 1.0
-    if spin_negativity(theta1, theta2, hi, restricted) <= threshold:
-        return hi
-    if spin_negativity(theta1, theta2, lo, restricted) > threshold:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if spin_negativity(theta1, theta2, mid, restricted) > threshold:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    s = _schmidt_coefficients(np.array([theta1]), np.array([theta2]))[0, 0]
+    if restricted:
+        a, b = s[1], s[2]
+        p = float(a * a + b * b)
+        if p < SINGULAR_TRACE:
+            raise ZeroNormSubspace(f"restricted trace {p:.3e} is numerically zero")
+        m = abs(float(a * b))
+    else:
+        m = float(np.abs(s[_PAIR_K] * s[_PAIR_L]).max())
+    return (1.0 + m) / (1.0 + 16.0 * m)
 
 
 def negativity_vs_purity(theta1: float, theta2: float, f_values, *,
@@ -218,33 +241,51 @@ def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
     measure is "entropy" (pure state) or "negativity" (mixed state at F).
     Restricted scans also carry the difference to the unrestricted surface
     as extra layer "delta" and the survival probability as "prob";
-    singular grid points become NaN cells flagged in the mask.
+    singular grid points (survival below SINGULAR_TRACE) become NaN cells
+    flagged in the mask.
+
+    Each surface is one closed-form expression in the Schmidt coefficients
+    s = (c1c2, c1s2, s1c2, s1s2) of the pure state; the filter keeps
+    a = c1s2 and b = s1c2. The entropy is that of the weights s^2, or
+    (a^2, b^2)/p restricted. The negativity is
+    sum_{k<l} max(0, p_F |s_k s_l| - (1 - F)/15), or
+    max(0, p_F |ab| - (1 - F)/15) / trace restricted, with
+    p_F = (16F - 1)/15.
     """
     t1 = np.asarray(theta1_values, dtype=np.float64)
     t2 = np.asarray(theta2_values, dtype=np.float64)
     if t1.size < 2 or t2.size < 2:
         raise DomainError("scan grid needs at least 2 steps per axis")
-    if measure == "entropy":
-        build, value = build_pure_state, _pure_entropy
-    elif measure == "negativity":
-        build, value = (lambda a, b: build_mixed_state(a, b, F)), _negativity
-    else:
+    if measure not in ("entropy", "negativity"):
         raise DomainError(f"unknown measure {measure!r}")
+    if measure == "negativity" and not 1.0 / 16.0 <= F <= 1.0:
+        raise DomainError(f"F must lie in [1/16, 1], got {F}")
+    s = _schmidt_coefficients(t1, t2)
+    a, b = s[..., 1], s[..., 2]
+    if measure == "entropy":
+        base = spectral_entropy_bits(s * s)
+        trace = a * a + b * b  # the survivor's squared norm
+    else:
+        pf, floor = (16.0 * F - 1.0) / 15.0, (1.0 - F) / 15.0
+        base = np.maximum(0.0, pf * np.abs(s[..., _PAIR_K] * s[..., _PAIR_L])
+                          - floor).sum(axis=-1)
+        # the filtered matrix's diagonal pf a^2 + floor, floor, floor,
+        # pf b^2 + floor, summed in the order np.trace sums it in
+        # restrict_ms0, so that prob and the mask equal its trace bit for bit
+        trace = (floor + (pf * (b * b) + floor)) + ((pf * (a * a) + floor) + floor)
 
-    shape = (t1.size, t2.size)
-    base = np.empty(shape)
-    values = np.empty(shape) if restricted else base
-    prob = np.ones(shape)
-    for i, a in enumerate(t1):
-        for j, b in enumerate(t2):
-            state = build(a, b)
-            base[i, j] = value(state)
-            if restricted:
-                values[i, j], prob[i, j] = _filtered(state, value)
-
-    extra = {"prob": prob}
+    values, mask = base, np.zeros(base.shape, dtype=bool)
+    extra = {"prob": np.ones(base.shape)}
     if restricted:
-        extra["delta"] = values - base
+        mask = trace < SINGULAR_TRACE
+        safe = np.where(mask, 1.0, trace)
+        if measure == "entropy":
+            values = spectral_entropy_bits(np.stack([a * a, b * b], axis=-1)
+                                           / safe[..., None])
+        else:
+            values = np.maximum(0.0, pf * np.abs(a * b) - floor) / safe
+        values[mask] = np.nan
+        extra = {"prob": np.where(mask, 0.0, trace), "delta": values - base}
     return Distribution2D(axis_a=t1, axis_b=t2, values=values,
-                          kind="entanglement", mask=prob == 0.0,
+                          kind="entanglement", mask=mask,
                           axis_names=("theta1", "theta2"), extra=extra)

@@ -58,6 +58,15 @@ class TestExitCodes:
           "--widths", "0.5,1"], 2, "QuadratureNotConverged"),
         (["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
           "--widths", "1", "--method", "basis"], 2, "DomainError"),
+        # a flag the chosen method never reads
+        (["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "2",
+          "--method", "basis", "--n-bins", "40"], 1, "UsageError"),
+        (["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "2",
+          "--n-basis", "20"], 1, "UsageError"),
+        (["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
+          "--widths", "1", "--n-basis", "5"], 1, "UsageError"),
+        (["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
+          "--widths", "1", "--method", "basis", "--n-basis", "5"], 1, "UsageError"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
         got, _, err = run_capture(capsys, argv)
@@ -452,6 +461,9 @@ class TestConfigFile:
         (["gauss-one-restricted", "--qbar", "0", "--width", "1"],
          b'{"alpha": 6, "centers": [-1, 1]}'),
         (["gauss-constants"], b'\xff\xfe{"alpha": 6}'),
+        (["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "2",
+          "--method", "basis"], b'{"n_basis": 20.5}'),
+        (["spin-scan"], b'{"steps": Infinity}'),
     ])
     def test_config_value_that_does_not_convert(self, capsys, tmp_path, argv, content):
         config = tmp_path / "bad.json"
@@ -471,6 +483,17 @@ class TestConfigFile:
         payload, by_flag = json.loads(out), json.loads(flag_out)
         assert payload["metadata"]["config"].pop("steps") == "3"  # no such flag: as given
         assert payload == by_flag
+
+    def test_integral_number_for_an_integer_flag(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n_basis": 20.0}))
+        code, out, _ = run_capture(capsys, [
+            "gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "2",
+            "--method", "basis", "--config", str(config)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_basis"] == payload["spectrum_size"] == 20
+        assert payload["metadata"]["config"]["n_basis"] == 20
 
     def test_config_numbers_are_echoed_as_given(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entloc.errors import DomainError, ZeroNormSubspace
 from entloc.linalg import DensityMatrix, eigen_symmetric, von_neumann_entropy
@@ -19,6 +21,12 @@ from entloc.spin import (
 )
 
 QUARTER = math.pi / 4.0
+
+# pair angles in [0, 2 pi], with extra weight within 1e-7 of the singular
+# points 0 and pi/2 of the moment filter
+ANGLES = st.one_of(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1e-7),
+                   st.floats(math.pi / 2.0 - 1e-7, math.pi / 2.0 + 1e-7))
+PURITIES = st.one_of(st.just(1.0), st.floats(1.0 / 16.0, 1.0))
 
 
 def analytic_restricted(theta1, theta2):
@@ -207,6 +215,38 @@ class TestNegativity:
         assert negativity_vanish_point(QUARTER, QUARTER, restricted=True) == \
             pytest.approx(0.25, abs=1e-4)
 
+    @staticmethod
+    def bisected_vanish_point(theta1, theta2, restricted):
+        """F* to 1e-6 by bisection of the 16x16 negativity against a 1e-9 floor."""
+        lo, hi = 1.0 / 16.0, 1.0
+        if spin_negativity(theta1, theta2, hi, restricted) <= 1e-9:
+            return hi
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if spin_negativity(theta1, theta2, mid, restricted) > 1e-9:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("theta1,theta2", [
+        (QUARTER, QUARTER), (0.3, 1.1), (0.2, 0.0), (2.0, 4.4), (0.7, 0.7),
+        (1.0, 0.05), (1e-9, 0.5)])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_vanish_point_equals_bisection(self, theta1, theta2, restricted):
+        assert negativity_vanish_point(theta1, theta2, restricted) == \
+            pytest.approx(self.bisected_vanish_point(theta1, theta2, restricted),
+                          abs=1e-6)
+
+    def test_vanish_point_edges(self):
+        # m = 0: the negativity vanishes at every F < 1
+        assert negativity_vanish_point(0.0, 0.0) == 1.0
+        assert negativity_vanish_point(0.2, 0.0, restricted=True) == 1.0
+        with pytest.raises(ZeroNormSubspace):
+            negativity_vanish_point(0.0, 0.0, restricted=True)
+        with pytest.raises(DomainError):
+            negativity_vanish_point(math.nan, 0.3)
+
 
 class TestOutcomeBranches:
     def test_probabilities_sum_to_one(self):
@@ -284,6 +324,49 @@ class TestScan:
         with pytest.raises(DomainError):
             spin_scan([0.1], [0.1, 0.2])
 
+    def test_domain_errors(self):
+        thetas = [0.1, 0.2]
+        with pytest.raises(DomainError):
+            spin_scan(thetas, thetas, measure="concurrence")
+        for f in (0.05, 1.01, math.nan):
+            with pytest.raises(DomainError):
+                spin_scan(thetas, thetas, measure="negativity", F=f)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                spin_scan([0.1, bad], thetas)
+
+    @given(ANGLES, ANGLES, PURITIES, st.sampled_from(["entropy", "negativity"]),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_cell_matches_the_matrices(self, theta1, theta2, F, measure,
+                                            restricted):
+        dist = spin_scan([theta1, 0.5], [theta2, 0.5], measure=measure,
+                         restricted=restricted, F=F)
+        value, prob, masked = dist.values[0, 0], dist.extra["prob"][0, 0], dist.mask[0, 0]
+        if measure == "entropy":
+            state = build_pure_state(theta1, theta2)
+
+            def cell(restricted):
+                return spin_entropy(theta1, theta2, restricted)
+        else:
+            state = build_mixed_state(theta1, theta2, F)
+
+            def cell(restricted):
+                return spin_negativity(theta1, theta2, F, restricted)
+        if not restricted:
+            assert value == pytest.approx(cell(False), abs=1e-12)
+            assert prob == 1.0 and not masked
+            return
+        try:
+            _, p = restrict_ms0(state)
+        except ZeroNormSubspace:
+            assert masked and prob == 0.0 and np.isnan(value)
+            return
+        assert not masked and prob == p
+        assert value == pytest.approx(cell(True), abs=1e-12)
+        assert dist.extra["delta"][0, 0] == \
+            pytest.approx(cell(True) - cell(False), abs=1e-12)
+
     @pytest.mark.parametrize("measure,F", [("entropy", 1.0), ("negativity", 0.65),
                                            ("negativity", 1.0)])
     @pytest.mark.parametrize("restricted", [False, True])
@@ -301,7 +384,7 @@ class TestScan:
                     else build_mixed_state(a, b, F)
                 base = value(restricted=False)
                 if not restricted:
-                    assert dist.values[i, j] == base
+                    assert dist.values[i, j] == pytest.approx(base, abs=1e-12)
                     assert dist.extra["prob"][i, j] == 1.0 and not dist.mask[i, j]
                     continue
                 try:
@@ -312,8 +395,9 @@ class TestScan:
                     assert np.isnan(dist.values[i, j])
                     continue
                 assert not dist.mask[i, j] and dist.extra["prob"][i, j] == p
-                assert dist.values[i, j] == value(restricted=True)
-                assert dist.extra["delta"][i, j] == dist.values[i, j] - base
+                assert dist.values[i, j] == pytest.approx(value(restricted=True), abs=1e-12)
+                assert dist.extra["delta"][i, j] == \
+                    pytest.approx(dist.values[i, j] - base, abs=1e-12)
         assert (singular > 0) == (restricted and F == 1.0)
 
     @pytest.mark.parametrize("restricted", [False, True])
