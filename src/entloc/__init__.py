@@ -38,12 +38,13 @@ from .restrict import (
     Region,
     basis_expansion_entropy,
     both_restricted_entropy,
-    entanglement_map,
     method_equivalence,
     non_discarding_entanglement,
+    one_party_map,
     one_restricted_entropy,
     partition_inequality_check,
     precise_measurement_entanglement,
+    two_party_map,
 )
 from .correlate import (
     FitParams,

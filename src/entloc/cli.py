@@ -50,11 +50,12 @@ from .restrict import (
     basis_expansion_entropy,
     both_restricted_entropy,
     both_restricted_profile,
-    entanglement_map,
     method_equivalence,
     non_discarding_two_path,
+    one_party_map,
     one_restricted_entropy,
     partition_inequality_check,
+    two_party_map,
 )
 from .spin import negativity_vanish_point, negativity_vs_purity, spin_scan
 
@@ -86,8 +87,9 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-def _flag_token(masked: bool, empty: bool) -> str:
-    return "masked" if masked else "empty" if empty else "ok"
+def _flags(masked, empty) -> np.ndarray:
+    """Flag tokens of cells from their mask and empty-region flags (arrays)."""
+    return np.where(masked, "masked", np.where(empty, "empty", "ok"))
 
 
 def _json_safe(obj):
@@ -133,38 +135,27 @@ def _emit_table(ns, metadata, header, rows, json_rows) -> None:
         _emit_json({"rows": json_rows}, ns.output, metadata)
 
 
-def distribution_rows(dist: Distribution2D, layer: str | None = None):
-    """Row-major (axis_a, axis_b, value, prob, flag) records of a surface."""
-    values = dist.extra[layer] if layer else dist.values
-    prob = dist.extra.get("prob")
-    empty = dist.extra.get("flag")
-    rows = []
-    for i, a in enumerate(dist.axis_a):
-        for j, b in enumerate(dist.axis_b):
-            masked = bool(dist.mask[i, j])
-            value = math.nan if masked else float(values[i, j])
-            p = math.nan if prob is None else float(prob[i, j])
-            is_empty = bool(empty is not None and empty[i, j] > 0.5)
-            rows.append((float(a), float(b), value, p,
-                         _flag_token(masked, is_empty)))
-    return rows
-
-
 def emit_distribution(dist: Distribution2D, path: str | None, fmt: str,
                       metadata: dict | None = None,
                       layer: str | None = None) -> None:
-    """Write a surface as CSV (pure data) or JSON (data plus metadata)."""
-    rows = distribution_rows(dist, layer)
+    """Write a surface as CSV (pure data) or JSON (data plus metadata), its
+    cells in row-major order; a masked value and a missing prob are nan."""
+    values = np.where(dist.mask, np.nan, dist.extra[layer] if layer else dist.values)
+    prob = dist.extra.get("prob", np.full(dist.shape, np.nan))
+    flag = _flags(dist.mask, dist.extra.get("flag", 0.0) > 0.5)
+    values, prob, flag = (column.ravel().tolist() for column in (values, prob, flag))
     name_a, name_b = dist.axis_names
     if fmt == "csv":
-        _write_csv(path, (name_a, name_b, "value", "prob", "flag"), rows)
+        axis_a, axis_b = (axis.ravel().tolist() for axis in dist.meshgrid())
+        _write_csv(path, (name_a, name_b, "value", "prob", "flag"),
+                   zip(axis_a, axis_b, values, prob, flag))
         return
     _emit_json({
         "axes": {name_a: dist.axis_a.tolist(), name_b: dist.axis_b.tolist()},
         "kind": dist.kind,
-        "values": [v for _, _, v, _, _ in rows],
-        "prob": [p for _, _, _, p, _ in rows],
-        "flag": [flag for *_, flag in rows],
+        "values": values,
+        "prob": prob,
+        "flag": flag,
     }, path, metadata or {})
 
 
@@ -247,6 +238,8 @@ def _check_workers(ns) -> None:
 
 def _cmd_spin_scan(ns, metadata):
     if getattr(ns, "f_range", None) is not None:
+        if ns.surface == "delta":
+            raise UsageError("--surface delta needs a theta scan, not --f-range")
         dist = negativity_vs_purity(ns.theta1, ns.theta2, _linspace(*ns.f_range),
                                     restricted=bool(ns.restricted))
         emit_distribution(dist, ns.output, ns.format, metadata)
@@ -326,7 +319,7 @@ def _cmd_gauss_one_restricted(ns, metadata):
     _check_workers(ns)
     if ns.method == "basis":
         raise DomainError("one-party maps have no basis method")
-    dist = entanglement_map(model, centers, widths=np.asarray(widths), n_bins=_n_bins(ns))
+    dist = one_party_map(model, centers, widths=widths, n_bins=_n_bins(ns))
     layer = "rescaled" if ns.surface == "rescaled" else None
     emit_distribution(dist, ns.output, ns.format, metadata, layer)
 
@@ -355,16 +348,16 @@ def _cmd_gauss_both_restricted(ns, metadata):
     centers = _linspace(*ns.centers)
     _check_workers(ns)
     if ns.mode == "grid":
-        dist = entanglement_map(model, centers, centers_b=centers,
-                                half_width=half, half_width_b=half_b, n_bins=_n_bins(ns))
+        dist = two_party_map(model, centers, centers_b=centers,
+                             half_width=half, half_width_b=half_b, n_bins=_n_bins(ns))
         emit_distribution(dist, ns.output, ns.format, metadata)
         return
     bob_center = None if ns.mode == "profile-equal" else ns.bob_center
     cs, values, probs, flags = both_restricted_profile(
         model, centers, half, bob_center=bob_center, n_bins=_n_bins(ns))
-    rows = [(c, c if bob_center is None else bob_center, v, p,
-             _flag_token(False, f > 0.5))
-            for c, v, p, f in zip(cs, values, probs, flags)]
+    cs = cs.tolist()
+    rows = list(zip(cs, cs if bob_center is None else [bob_center] * len(cs),
+                    values.tolist(), probs.tolist(), _flags(False, flags > 0.5).tolist()))
     _emit_table(ns, metadata, ("q_bar_A", "q_bar_B", "value", "prob", "flag"), rows, rows)
 
 

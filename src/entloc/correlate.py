@@ -31,9 +31,9 @@ from .restrict import (
     EMPTY_MASS,
     Region,
     _cell_arrays,
-    entanglement_map,
     joint_masses,
     marginal_masses,
+    two_party_map,
     two_party_nodes,
 )
 
@@ -229,8 +229,8 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                                  sigma_2=cond_fit.sigma_2,
                                  sigma_12=cond_fit.sigma_12))
         elif which == "quantum":
-            surface = entanglement_map(model, centers, centers_b=centers,
-                                       half_width=half_width, n_bins=n_bins)
+            surface = two_party_map(model, centers, centers_b=centers,
+                                    half_width=half_width, n_bins=n_bins)
             pm_fit = fit_surface(surface, "symmetric_pm")
             rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
                                  sigma_minus=pm_fit.sigma_minus))

@@ -31,12 +31,13 @@ and quadrature_order); grid matrices are renormalized by their trace and
 its survival probability comes from adaptive quadrature of the analytic
 density.
 
-Every other entry point takes one resolution, n_bins: the number of grid
-intervals per region. Where Alice's region is sampled on a grid (one-party
-cells and maps, the non-discarding ensemble, the precise readout), None
-means the default, DEFAULT_BINS_ONE or DEFAULT_BINS_PRECISE; for two-party
-cells None means Gauss-Legendre nodes and an integer the uniform grid. An
-n_bins below 2 is refused with DomainError before any mass is computed.
+Maps: one_party_map (Alice's center by width) and two_party_map (both
+centers). Every other entry point takes one resolution, n_bins: the number
+of grid intervals per region. Where Alice's region is sampled on a grid
+(one-party cells and maps, the non-discarding ensemble, the precise
+readout), None means DEFAULT_BINS_ONE or DEFAULT_BINS_PRECISE; two-party
+cells and maps run on Gauss-Legendre nodes without it. An n_bins below 2
+is refused with DomainError before any mass is computed.
 """
 
 from __future__ import annotations
@@ -403,6 +404,19 @@ def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
     return xa, np.ones_like(xa), xb, np.ones_like(xb)
 
 
+def _two_party_setup(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
+                     n_bins: int | None):
+    """(n, (a_lo, a_hi, b_lo, b_hi), joint masses clipped to [0, 1]) of the
+    cells centers_a[i] +- half_a[i] for Alice, centers_b[i] +- half_b[i] for
+    Bob (a half width may be one number). n is the node rule of the widest
+    region, refused past MAX_NODES on Gauss-Legendre nodes before any mass."""
+    centers_a, half_a, centers_b, half_b = _cell_arrays(centers_a, half_a, centers_b, half_b)
+    width = 2.0 * max(half_a.max(initial=0.0), half_b.max(initial=0.0))
+    n = _schmidt_nodes(model, width) if n_bins is None else two_party_nodes(model, width)
+    bounds = (centers_a - half_a, centers_a + half_a, centers_b - half_b, centers_b + half_b)
+    return n, bounds, np.clip(joint_masses(model, *bounds, n), 0.0, 1.0)
+
+
 def both_restricted_entropy(model: OscillatorModel, region_a: Region,
                             region_b: Region,
                             n_bins: int | None = None) -> EnsembleResult:
@@ -414,10 +428,9 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
     samples the amplitudes on n_bins + 1 uniform points per region instead.
     """
     n_bins = _n_bins(n_bins)
-    width = max(region_a.width, region_b.width)
-    n = _schmidt_nodes(model, width) if n_bins is None else two_party_nodes(model, width)
-    bounds = ([region_a.lo], [region_a.hi], [region_b.lo], [region_b.hi])
-    p = float(joint_masses(model, *bounds, n)[0])
+    n, bounds, prob = _two_party_setup(model, [region_a.center], region_a.half_width,
+                                       [region_b.center], region_b.half_width, n_bins)
+    p = float(prob[0])
     if p < EMPTY_MASS:
         raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
     weights = _schmidt_weights(model, *_two_party_sides(*bounds, n, n_bins))
@@ -500,10 +513,10 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
     qb = np.linspace(-half, half, n_bins + 1)
     psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])
     n_a, n_b = psi.shape
-    rho = np.zeros((n_a * n_b, n_a * n_b))
-    for i in range(n_a):
-        block = np.outer(psi[i], psi[i])
-        rho[i * n_b:(i + 1) * n_b, i * n_b:(i + 1) * n_b] = block
+    rho = np.zeros((n_a, n_b, n_a, n_b))
+    i = np.arange(n_a)
+    rho[i, :, i, :] = psi[:, :, None] * psi[:, None, :]
+    rho = rho.reshape(n_a * n_b, n_a * n_b)
     trace = float(np.trace(rho))
     if trace <= 0.0:
         raise EmptyRegionMass("precise-measurement ensemble has no mass")
@@ -556,8 +569,8 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region,
     gets n_bins intervals too (DEFAULT_BINS_ONE by default).
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
-    p = _region_mass(model, region)
-    e_in, _ = _kernel_entropy(model, _grid_points(region, n_bins))
+    inside = one_restricted_entropy(model, region, n_bins)
+    p, e_in = inside.survival_probability, inside.entanglement
 
     complement = _complement_points(region, domain_half_length(model), n_bins)
     if complement.size == 0 or 1.0 - p < EMPTY_MASS:
@@ -701,50 +714,43 @@ def _cell_arrays(*centers_and_halves) -> list[np.ndarray]:
 
 def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
                      n_bins: int | None) -> np.ndarray:
-    """(entanglement, survival probability, empty flag) rows of two-party cells.
-
-    Cell i restricts Alice to centers_a[i] +- half_a[i] and Bob to
-    centers_b[i] +- half_b[i]; a half width may be one number for all cells.
-    Every joint mass comes from one call and the entropies of the cells
-    with mass from one SVD call per chunk of CHUNK_BYTES, on Gauss-Legendre
-    nodes or on the grid of an explicit n_bins. A cell whose mass is below
-    EMPTY_MASS is empty: value 0, probability 0, flag 1.
+    """(entanglement, survival probability, empty flag) rows of the cells of
+    _two_party_setup, with one SVD call per chunk of CHUNK_BYTES. A cell
+    whose mass is below EMPTY_MASS is empty: value 0, probability 0, flag 1.
     """
     n_bins = _n_bins(n_bins)
-    centers_a, half_a, centers_b, half_b = _cell_arrays(centers_a, half_a, centers_b, half_b)
-    width = 2.0 * max(half_a.max(initial=0.0), half_b.max(initial=0.0))
-    n = _schmidt_nodes(model, width) if n_bins is None else two_party_nodes(model, width)
-    a_lo, a_hi = centers_a - half_a, centers_a + half_a
-    b_lo, b_hi = centers_b - half_b, centers_b + half_b
-    prob = np.clip(joint_masses(model, a_lo, a_hi, b_lo, b_hi, n), 0.0, 1.0)
+    n, bounds, prob = _two_party_setup(model, centers_a, half_a, centers_b, half_b, n_bins)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.size)
-    values[live] = _entropies(model, *_two_party_sides(
-        a_lo[live], a_hi[live], b_lo[live], b_hi[live], n, n_bins))
+    values[live] = _entropies(model, *_two_party_sides(*(edge[live] for edge in bounds),
+                                                       n, n_bins))
     return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)
 
 
-def _one_party_cells(model: OscillatorModel, centers, halves, n_bins: int) -> np.ndarray:
-    """(entanglement, survival probability, empty flag) of the cell where
-    Alice alone restricts to each center +- half width, shape
-    (centers, halves, 3).
+def one_party_map(model: OscillatorModel, centers, widths,
+                  n_bins: int | None = None) -> Distribution2D:
+    """Entanglement when Alice alone restricts to centers[i] +- widths[j] / 2.
 
-    The grid kernel on Alice's n_bins + 1 points is K = A A^T with
-    A = psi(x_i, y_k) sqrt(w_k) on Gauss-Legendre nodes y_k of Bob's
-    conditional support [slope lo - 8 sd, slope hi + 8 sd]: given q_a, Bob
-    is normal with mean slope q_a, slope = (s-1)/(s+1), and standard
-    deviation sd = sqrt(2/(m omega (1+s))). Each half width takes the
-    two-party node rule for its support length, and a count past MAX_NODES
-    is refused before any array is built. Masses are in closed form; a cell
-    whose mass is below EMPTY_MASS is empty: value 0, probability 0, flag 1.
+    n_bins is the number of grid intervals on Alice's region
+    (DEFAULT_BINS_ONE by default), as in one_restricted_entropy, whose grid
+    kernel K = A A^T is factorized with A = psi(x_i, y_k) sqrt(w_k) on
+    Gauss-Legendre nodes y_k of Bob's conditional support [slope lo - 8 sd,
+    slope hi + 8 sd]: given q_a, Bob is normal with mean slope q_a, slope =
+    (s-1)/(s+1), and sd = sqrt(2/(m omega (1+s))). Each width takes the
+    two-party node rule for its support, refused past MAX_NODES before any
+    array is built. Masses are in closed form. Extra layers: "prob", "flag"
+    (1 for a cell below EMPTY_MASS: value 0, probability 0) and "rescaled",
+    each width's profile over its own peak.
     """
-    centers, halves = _cell_arrays(np.asarray(centers, dtype=np.float64)[:, None],
-                                   np.asarray(halves, dtype=np.float64)[None, :])
+    n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
+    centers = np.asarray(centers, dtype=np.float64)
+    widths = np.asarray(widths, dtype=np.float64)
+    cell_centers, halves = _cell_arrays(centers[:, None], widths[None, :] / 2.0)
     s = model.stiffness_root
     slope = (s - 1.0) / (s + 1.0)
     sd = math.sqrt(2.0 / (model.m * model.omega * (1.0 + s)))
     nodes = [_schmidt_nodes(model, 2.0 * slope * half + 16.0 * sd) for half in halves[0]]
-    lo, hi = centers - halves, centers + halves
+    lo, hi = cell_centers - halves, cell_centers + halves
     prob = np.clip(marginal_masses(model, lo, hi), 0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.shape)
@@ -754,54 +760,35 @@ def _one_party_cells(model: OscillatorModel, centers, halves, n_bins: int) -> np
         xa = np.linspace(a_lo, a_hi, n_bins + 1, axis=-1)
         xb, wb = gauss_legendre(slope * a_lo - 8.0 * sd, slope * a_hi + 8.0 * sd, nb)
         values[cells, j] = _entropies(model, xa, np.ones_like(xa), xb, wb)
-    return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)
+    peaks = values.max(axis=0)
+    rescaled = np.divide(values, peaks[None, :], out=np.zeros_like(values),
+                         where=peaks[None, :] > 0)
+    return Distribution2D(axis_a=centers, axis_b=widths, values=values,
+                          kind="entanglement", axis_names=("q_bar_A", "width"),
+                          extra={"prob": np.where(live, prob, 0.0), "flag": ~live,
+                                 "rescaled": rescaled})
 
 
-def entanglement_map(model: OscillatorModel, centers_a, *, centers_b=None,
-                     widths=None, half_width: float | None = None,
-                     half_width_b: float | None = None,
-                     n_bins: int | None = None) -> Distribution2D:
-    """Entanglement surface over region placements.
+def two_party_map(model: OscillatorModel, centers_a, centers_b, half_width: float,
+                  half_width_b: float | None = None,
+                  n_bins: int | None = None) -> Distribution2D:
+    """Entanglement when Alice restricts to centers_a[i] +- half_width and Bob
+    to centers_b[j] +- half_width_b (Alice's half width by default).
 
-    Two scan layouts:
-
-    * centers_b given: both parties restrict; axes are the two region
-      centers at fixed half widths (Bob's defaults to Alice's).
-    * widths given: only Alice restricts; axes are (center, full width),
-      and extra layer "rescaled" holds each width's profile normalized to
-      its own peak for shape comparisons.
-
-    Cells whose region carries no mass are emitted as 0 with extra layer
-    "flag" set to 1. A one-party map samples Alice's region on a grid of
-    n_bins intervals (DEFAULT_BINS_ONE by default); a two-party map runs on
-    Gauss-Legendre nodes, or on the grid of n_bins when it is given.
+    n_bins is the number of grid intervals per region, as in
+    both_restricted_entropy; without it the cells run on Gauss-Legendre
+    nodes. Extra layers: "prob" and "flag" (1 for a cell below EMPTY_MASS:
+    value 0, probability 0).
     """
     centers_a = np.asarray(centers_a, dtype=np.float64)
-    if (centers_b is None) == (widths is None):
-        raise DomainError("provide exactly one of centers_b or widths")
-
-    two_party = centers_b is not None
-    if two_party:
-        if half_width is None:
-            raise DomainError("half_width is required for a two-party map")
-        b = half_width_b if half_width_b is not None else half_width
-        axis_b = np.asarray(centers_b, dtype=np.float64)
-        data = _two_party_cells(model, np.repeat(centers_a, axis_b.size), half_width,
-                                np.tile(axis_b, centers_a.size), b, n_bins)
-    else:
-        axis_b = np.asarray(widths, dtype=np.float64)
-        data = _one_party_cells(model, centers_a, axis_b / 2.0,
-                                _n_bins(n_bins, DEFAULT_BINS_ONE))
-    data = data.reshape(centers_a.size, axis_b.size, 3)
-    values = data[..., 0]
-    extra = {"prob": data[..., 1], "flag": data[..., 2]}
-    if not two_party:
-        peaks = values.max(axis=0)
-        extra["rescaled"] = np.divide(values, peaks[None, :], out=np.zeros_like(values),
-                                      where=peaks[None, :] > 0)
-    return Distribution2D(axis_a=centers_a, axis_b=axis_b, values=values,
-                          kind="entanglement", extra=extra,
-                          axis_names=("q_bar_A", "q_bar_B" if two_party else "width"))
+    centers_b = np.asarray(centers_b, dtype=np.float64)
+    data = _two_party_cells(model, np.repeat(centers_a, centers_b.size), half_width,
+                            np.tile(centers_b, centers_a.size),
+                            half_width if half_width_b is None else half_width_b, n_bins)
+    data = data.reshape(centers_a.size, centers_b.size, 3)
+    return Distribution2D(axis_a=centers_a, axis_b=centers_b, values=data[..., 0],
+                          kind="entanglement",
+                          extra={"prob": data[..., 1], "flag": data[..., 2]})
 
 
 def both_restricted_profile(model: OscillatorModel, centers, half_width: float,

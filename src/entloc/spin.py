@@ -238,7 +238,8 @@ def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
               restricted: bool = False, F: float = 1.0) -> Distribution2D:
     """Tabulate an entanglement surface over a (theta1, theta2) grid.
 
-    measure is "entropy" (pure state) or "negativity" (mixed state at F).
+    measure is "entropy" (pure state) or "negativity" (mixed state at F);
+    F outside [1/16, 1] is refused for either measure.
     Restricted scans also carry the difference to the unrestricted surface
     as extra layer "delta" and the survival probability as "prob";
     singular grid points (survival below SINGULAR_TRACE) become NaN cells
@@ -258,7 +259,7 @@ def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
         raise DomainError("scan grid needs at least 2 steps per axis")
     if measure not in ("entropy", "negativity"):
         raise DomainError(f"unknown measure {measure!r}")
-    if measure == "negativity" and not 1.0 / 16.0 <= F <= 1.0:
+    if not 1.0 / 16.0 <= F <= 1.0:
         raise DomainError(f"F must lie in [1/16, 1], got {F}")
     s = _schmidt_coefficients(t1, t2)
     a, b = s[..., 1], s[..., 2]

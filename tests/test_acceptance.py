@@ -27,12 +27,12 @@ from entloc.restrict import (
     Partition,
     Region,
     both_restricted_entropy,
-    entanglement_map,
     method_equivalence,
     non_discarding_two_path,
     one_restricted_entropy,
     partition_inequality_check,
     precise_measurement_entanglement,
+    two_party_map,
 )
 from entloc.spin import (
     negativity_vanish_point,
@@ -115,8 +115,8 @@ def test_criterion_5_classical_widths_row():
 def _fitted_quantum_widths(width: float, n_bins: int | None):
     centers = np.linspace(-4.0, 4.0, 41)
     start = time.perf_counter()
-    surface = entanglement_map(MODEL, centers, centers_b=centers,
-                               half_width=width / 2.0, n_bins=n_bins)
+    surface = two_party_map(MODEL, centers, centers_b=centers,
+                            half_width=width / 2.0, n_bins=n_bins)
     fit = fit_surface(surface, "symmetric_pm")
     return fit, time.perf_counter() - start
 

@@ -67,6 +67,10 @@ class TestExitCodes:
           "--widths", "1", "--n-basis", "5"], 1, "UsageError"),
         (["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
           "--widths", "1", "--method", "basis", "--n-basis", "5"], 1, "UsageError"),
+        # an F sweep has no delta surface; F is checked for either measure
+        (["spin-negativity-scan", "--f-range", "0.0625", "1", "3", "--surface", "delta"],
+         1, "UsageError"),
+        (["spin-scan", "--steps", "3", "--f-value", "7"], 2, "DomainError"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
         got, _, err = run_capture(capsys, argv)
@@ -359,6 +363,47 @@ class TestScanCommands:
         assert [row[0] for row in rows] == [-1.0, 0.0, 1.0]
         assert all(row[1] == 0.5 and row[4] == "ok" for row in rows)
         assert all(0.0 < row[2] and 0.0 < row[3] < 1.0 for row in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["gauss-one-restricted", "--alpha", "6", "--widths", "1,2"],
+        ["gauss-both-restricted", "--alpha", "6", "--width", "1", "--mode", "profile-equal"],
+    ], ids=["one-party-map", "profile"])
+    def test_zero_mass_cells_written_empty(self, capsys, argv):
+        argv = argv + ["--centers", "-40", "0", "3"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        empty = [row for row in rows if float(row.split(",")[0]) < -10.0]
+        assert empty and all(row.endswith(",0,0,empty") for row in empty)
+        assert all(row.endswith(",ok") for row in rows if row not in empty)
+        code, out, _ = run_capture(capsys, argv + ["--format", "json"])
+        payload = json.loads(out)
+        if "rows" in payload:  # a profile's JSON rows are its CSV rows
+            flags = [row[4] for row in payload["rows"]]
+            probs = [row[3] for row in payload["rows"]]
+        else:
+            flags, probs = payload["flag"], payload["prob"]
+        assert flags.count("empty") == len(empty)
+        assert all(p == 0.0 for p, flag in zip(probs, flags) if flag == "empty")
+
+    def test_masked_surface_same_cells_in_csv_and_json(self, capsys):
+        argv = ["spin-scan", "--steps", "8", "--theta-max", "3.14159265", "--restricted"]
+        _, csv_out, _ = run_capture(capsys, argv)
+        _, json_out, _ = run_capture(capsys, argv + ["--format", "json"])
+        rows = [row.split(",") for row in csv_out.strip().split("\n")[1:]]
+        payload = json.loads(json_out)
+        assert "masked" in payload["flag"]
+        assert [row[4] for row in rows] == payload["flag"]
+        for column, key in ((2, "values"), (3, "prob")):
+            # CSV keeps 12 significant digits; nan (JSON null) where masked
+            np.testing.assert_allclose([float(row[column]) for row in rows],
+                                       [math.nan if v is None else v for v in payload[key]],
+                                       rtol=1e-11, atol=0.0)
+        axes = np.meshgrid(payload["axes"]["theta1"], payload["axes"]["theta2"],
+                           indexing="ij")
+        np.testing.assert_allclose([[float(row[0]), float(row[1])] for row in rows],
+                                   np.stack([axis.ravel() for axis in axes], axis=-1),
+                                   rtol=1e-11, atol=0.0)
 
     def test_converge_csv(self, capsys):
         code, out, _ = run_capture(capsys, [

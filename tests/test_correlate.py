@@ -22,7 +22,7 @@ from entloc.oscillator import (
     joint_position_density,
     marginal_position_density,
 )
-from entloc.restrict import Partition, Region, entanglement_map
+from entloc.restrict import Partition, Region, two_party_map
 
 MODEL = OscillatorModel(alpha=6)
 UNCOUPLED = OscillatorModel(alpha=0)
@@ -213,9 +213,9 @@ class TestFitSurface:
         classical_fit = fit_surface(
             probability_map(MODEL, centers, centers, 0.25), "symmetric_pm")
         quantum_fit = fit_surface(
-            entanglement_map(MODEL, centers, centers_b=centers,
-                             half_width=0.25,
-                             n_bins=60),
+            two_party_map(MODEL, centers, centers_b=centers,
+                          half_width=0.25,
+                          n_bins=60),
             "symmetric_pm")
         assert quantum_fit.sigma_plus > classical_fit.sigma_plus
         assert quantum_fit.sigma_minus > classical_fit.sigma_minus

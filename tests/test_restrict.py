@@ -26,17 +26,18 @@ from entloc.restrict import (
     both_restricted_entropy,
     both_restricted_profile,
     domain_half_length,
-    entanglement_map,
     joint_masses,
     method_equivalence,
     non_discarding_entanglement,
     non_discarding_two_path,
+    one_party_map,
     one_restricted_entropy,
     partition_inequality_check,
     precise_measurement_entanglement,
     region_basis,
     _schmidt_weights,
     _two_party_sides,
+    two_party_map,
     two_party_nodes,
 )
 
@@ -72,9 +73,9 @@ class TestRegionTypes:
     @pytest.mark.parametrize("call", [
         lambda: one_restricted_entropy(MODEL, Region(0.0, 1.0), n_bins=1),
         lambda: both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.0, 1.0), n_bins=1),
-        lambda: entanglement_map(MODEL, [0.0, 1.0], widths=[1.0], n_bins=1),
-        lambda: entanglement_map(MODEL, [0.0, 1.0], centers_b=[0.0], half_width=0.5,
-                                 n_bins=1),
+        lambda: one_party_map(MODEL, [0.0, 1.0], widths=[1.0], n_bins=1),
+        lambda: two_party_map(MODEL, [0.0, 1.0], centers_b=[0.0], half_width=0.5,
+                              n_bins=1),
         lambda: both_restricted_profile(MODEL, [0.0, 1.0], 0.5, n_bins=1),
         lambda: partition_inequality_check(MODEL, Partition.uniform(-4, 4, 2),
                                            Partition.uniform(-4, 4, 2), n_bins=1),
@@ -386,9 +387,9 @@ class TestPartitionInequality:
 class TestEntanglementMap:
     def test_two_party_map_shape_and_symmetry(self):
         centers = np.linspace(-2.0, 2.0, 9)
-        dist = entanglement_map(MODEL, centers, centers_b=centers,
-                                half_width=0.25,
-                                n_bins=60)
+        dist = two_party_map(MODEL, centers, centers_b=centers,
+                             half_width=0.25,
+                             n_bins=60)
         assert dist.shape == (9, 9)
         # swapping both centers with their negatives is a symmetry
         assert np.allclose(dist.values, dist.values[::-1, ::-1], atol=1e-9)
@@ -396,8 +397,8 @@ class TestEntanglementMap:
 
     def test_one_party_map_profiles(self):
         centers = np.linspace(-4.0, 4.0, 17)
-        dist = entanglement_map(MODEL, centers, widths=[2.0],
-                                n_bins=100)
+        dist = one_party_map(MODEL, centers, widths=[2.0],
+                             n_bins=100)
         values = dist.values[:, 0]
         # symmetric about the origin and decaying away from it
         assert np.allclose(values, values[::-1], atol=1e-9)
@@ -407,17 +408,17 @@ class TestEntanglementMap:
 
     def test_small_width_profile_flat(self):
         centers = np.linspace(-2.0, 2.0, 9)
-        dist = entanglement_map(MODEL, centers, widths=[0.05],
-                                n_bins=100)
+        dist = one_party_map(MODEL, centers, widths=[0.05],
+                             n_bins=100)
         values = dist.values[:, 0]
         assert (values.max() - values.min()) / values.max() <= 0.05
 
     def test_weak_coupling_smaller_and_narrower(self):
         centers = np.linspace(-4.0, 4.0, 17)
-        strong = entanglement_map(MODEL, centers, widths=[4.0],
-                                  n_bins=100)
-        weak = entanglement_map(WEAK, centers, widths=[4.0],
-                                n_bins=100)
+        strong = one_party_map(MODEL, centers, widths=[4.0],
+                               n_bins=100)
+        weak = one_party_map(WEAK, centers, widths=[4.0],
+                             n_bins=100)
         assert weak.values.max() < strong.values.max()
         # rescaled profile of the weak coupling decays faster at this width
         strong_tail = strong.extra["rescaled"][-3, 0]
@@ -426,18 +427,12 @@ class TestEntanglementMap:
 
     def test_empty_cells_flagged(self):
         centers = np.array([0.0, 45.0])
-        dist = entanglement_map(MODEL, centers, centers_b=centers,
-                                half_width=0.5,
-                                n_bins=40)
+        dist = two_party_map(MODEL, centers, centers_b=centers,
+                             half_width=0.5,
+                             n_bins=40)
         assert dist.extra["flag"][1, 1] == 1.0
         assert dist.values[1, 1] == 0.0
         assert dist.extra["flag"][0, 0] == 0.0
-
-    def test_requires_exactly_one_layout(self):
-        with pytest.raises(DomainError):
-            entanglement_map(MODEL, [0.0, 1.0])
-        with pytest.raises(DomainError):
-            entanglement_map(MODEL, [0.0, 1.0], centers_b=[0.0], widths=[1.0])
 
 
 class TestGaussLegendreEngine:
@@ -445,8 +440,8 @@ class TestGaussLegendreEngine:
 
     def test_map_equals_single_cells(self):
         centers = np.linspace(-6.0, 6.0, 7)
-        dist = entanglement_map(MODEL, centers, centers_b=centers[::2], half_width=0.5,
-                                half_width_b=1.0)
+        dist = two_party_map(MODEL, centers, centers_b=centers[::2], half_width=0.5,
+                             half_width_b=1.0)
         n = two_party_nodes(MODEL, 2.0)
         empty = 0
         for i, ca in enumerate(centers):
@@ -529,7 +524,7 @@ class TestGaussLegendreEngine:
         with pytest.raises(QuadratureNotConverged, match=f"cap of {MAX_NODES}"):
             both_restricted_entropy(extreme, Region(0.0, 5.0), Region(0.0, 5.0))
         with pytest.raises(QuadratureNotConverged):
-            entanglement_map(extreme, [0.0, 1.0], centers_b=[0.0], half_width=5.0)
+            two_party_map(extreme, [0.0, 1.0], centers_b=[0.0], half_width=5.0)
         with pytest.raises(QuadratureNotConverged, match="exceeds the chunk"):
             joint_probability(OscillatorModel(alpha=1e20), Region(0.0, 5.0),
                               Region(0.0, 0.1))
@@ -544,14 +539,14 @@ class TestGaussLegendreEngine:
         monkeypatch.setattr(restrict, "marginal_position_density",
                             lambda model, x: mass_calls.append(len(x)) or density(model, x))
         centers = np.linspace(-4.0, 4.0, 9)
-        whole = entanglement_map(MODEL, centers, centers_b=centers, half_width=0.25)
+        whole = two_party_map(MODEL, centers, centers_b=centers, half_width=0.25)
         live = int((whole.extra["flag"] == 0.0).sum())
         assert calls == [live] and mass_calls == [81]
         calls.clear()
         mass_calls.clear()
         # one cell per chunk, for the (cells, n, n) stacks and the (cells, n) masses
         monkeypatch.setattr(restrict, "CHUNK_BYTES", 8 * two_party_nodes(MODEL, 0.5))
-        single = entanglement_map(MODEL, centers, centers_b=centers, half_width=0.25)
+        single = two_party_map(MODEL, centers, centers_b=centers, half_width=0.25)
         assert calls == [1] * live and mass_calls == [1] * 81
         for layer in ("prob", "flag"):
             assert whole.extra[layer].tobytes() == single.extra[layer].tobytes()
@@ -583,7 +578,7 @@ class TestOnePartyMap:
     @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e2, 1e4])
     def test_map_equals_single_cells(self, alpha):
         model = OscillatorModel(alpha=alpha)
-        dist = entanglement_map(model, self.CENTERS, widths=self.WIDTHS)
+        dist = one_party_map(model, self.CENTERS, widths=self.WIDTHS)
         empty = 0
         for i, center in enumerate(self.CENTERS):
             for j, width in enumerate(self.WIDTHS):
@@ -604,10 +599,10 @@ class TestOnePartyMap:
     def test_doubling_bob_nodes_moves_no_entropy(self, alpha, monkeypatch):
         import entloc.restrict as restrict
         model = OscillatorModel(alpha=alpha)
-        base = entanglement_map(model, self.CENTERS, widths=self.WIDTHS)
+        base = one_party_map(model, self.CENTERS, widths=self.WIDTHS)
         rule = restrict._schmidt_nodes
         monkeypatch.setattr(restrict, "_schmidt_nodes", lambda m, w: 2 * rule(m, w))
-        fine = entanglement_map(model, self.CENTERS, widths=self.WIDTHS)
+        fine = one_party_map(model, self.CENTERS, widths=self.WIDTHS)
         assert np.all(np.abs(base.values - fine.values) <= 1e-12)
 
     def test_one_cell_chunks_change_no_byte(self, monkeypatch):
@@ -616,12 +611,12 @@ class TestOnePartyMap:
         weights = restrict._schmidt_weights
         monkeypatch.setattr(restrict, "_schmidt_weights",
                             lambda model, *a: calls.append(len(a[0])) or weights(model, *a))
-        whole = entanglement_map(MODEL, self.CENTERS, widths=self.WIDTHS)
+        whole = one_party_map(MODEL, self.CENTERS, widths=self.WIDTHS)
         live = int((whole.extra["flag"] == 0.0).sum())
         assert sum(calls) == live and len(calls) < live
         calls.clear()
         monkeypatch.setattr(restrict, "CHUNK_BYTES", 1)
-        single = entanglement_map(MODEL, self.CENTERS, widths=self.WIDTHS)
+        single = one_party_map(MODEL, self.CENTERS, widths=self.WIDTHS)
         assert calls == [1] * live
         for layer in ("prob", "flag", "rescaled"):
             assert whole.extra[layer].tobytes() == single.extra[layer].tobytes()
@@ -633,13 +628,13 @@ class TestOnePartyMap:
         for name in ("gauss_legendre", "marginal_masses", "_schmidt_weights"):
             monkeypatch.setattr(restrict, name, lambda *a, _name=name: built.append(_name))
         with pytest.raises(QuadratureNotConverged, match=f"cap of {MAX_NODES}"):
-            entanglement_map(OscillatorModel(alpha=1e12), [0.0, 1.0], widths=[0.5, 1.0])
+            one_party_map(OscillatorModel(alpha=1e12), [0.0, 1.0], widths=[0.5, 1.0])
         assert built == []
 
     def test_invalid_widths_refused(self):
         for widths in ([0.0], [-1.0], [math.nan]):
             with pytest.raises(DomainError):
-                entanglement_map(MODEL, [0.0, 1.0], widths=widths)
+                one_party_map(MODEL, [0.0, 1.0], widths=widths)
 
 
 class TestTwoPartyGrid:
@@ -659,8 +654,8 @@ class TestTwoPartyGrid:
 
     def test_grid_map_equals_single_cells(self):
         centers = np.array([-1.0, 0.0, 0.75, 45.0])
-        dist = entanglement_map(MODEL, centers, centers_b=centers[:3], half_width=0.5,
-                                half_width_b=0.25, n_bins=40)
+        dist = two_party_map(MODEL, centers, centers_b=centers[:3], half_width=0.5,
+                             half_width_b=0.25, n_bins=40)
         for i, ca in enumerate(centers):
             for j, cb in enumerate(centers[:3]):
                 if i == 3:

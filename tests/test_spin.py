@@ -328,9 +328,10 @@ class TestScan:
         thetas = [0.1, 0.2]
         with pytest.raises(DomainError):
             spin_scan(thetas, thetas, measure="concurrence")
-        for f in (0.05, 1.01, math.nan):
-            with pytest.raises(DomainError):
-                spin_scan(thetas, thetas, measure="negativity", F=f)
+        for measure in ("negativity", "entropy"):
+            for f in (0.05, 1.01, math.nan):
+                with pytest.raises(DomainError):
+                    spin_scan(thetas, thetas, measure=measure, F=f)
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 spin_scan([0.1, bad], thetas)
