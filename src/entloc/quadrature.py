@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre rules.
+"""Composite Gauss-Legendre rules, and Gauss rules for a uniform grid's sum.
 
 Integrands here are smooth Gaussians, so fixed-order panels with panel
 doubling converge extremely fast; adaptivity is just a safety net. Batches
@@ -40,6 +40,33 @@ def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):
     mid = (0.5 * (edges[..., 1:] + edges[..., :-1]))[..., None]
     shape = lo.shape[:-1] + (n_panels * n_points,)
     return (half * x + mid).reshape(shape), (half * w).reshape(shape)
+
+
+@lru_cache(maxsize=16)
+def _grid_rule(points: int, m: int):
+    # Jacobi matrix of the discrete Chebyshev polynomials on t = 0 ... N - 1,
+    # centred on (N - 1)/2 and scaled to [-1, 1]; weights are N v_0^2
+    k = np.arange(1.0, m)
+    scale = 2.0 / (points - 1)
+    off = scale * np.sqrt(k * k * (points * points - k * k) / (4.0 * (4.0 * k * k - 1.0)))
+    u, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return u, points * v[0] ** 2
+
+
+def grid_gauss(lo, hi, points: int, m: int):
+    """Nodes and weights of the m-node Gauss rule for the unit-weight sum over
+    the `points` uniform grid points of each [lo, hi] (Golub & Welsch, Math.
+    Comp. 23 (1969) 221-230).
+
+    The rule sums every polynomial of degree up to 2m - 1 exactly as the grid
+    does; its weights add up to `points`, and at m = points it is the grid
+    itself. lo and hi are arrays of one shape; nodes and weights have that
+    shape plus a trailing axis of length m.
+    """
+    u, w = _grid_rule(points, m)
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
+    return 0.5 * (hi - lo) * u + 0.5 * (hi + lo), np.broadcast_to(w, lo.shape[:-1] + (m,))
 
 
 def integrate_1d(f, a: float, b: float) -> float:

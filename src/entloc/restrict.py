@@ -13,23 +13,24 @@ evaluates the entanglement left in each ensemble:
   region, which is diagonal in Alice's coordinate and therefore carries no
   entanglement at all.
 
-Entropies come from the singular values of an amplitude matrix
-sqrt(Wa) psi(x_i, y_k) sqrt(Wb) on nodes of Alice's and Bob's sides. When
-both parties restrict, the default nodes are Gauss-Legendre nodes of the two
-regions (a Nystrom discretization, exponentially convergent for these
-analytic amplitudes; Bornemann, Math. Comp. 79 (2010) 871-915), and a cell's
-joint mass is a Gauss-Legendre integral over Alice's region of Bob's
-conditional mass in closed form; an explicit n_bins puts a uniform grid with
-unit weights on both sides instead. A one-party map keeps Alice's uniform
-grid and factorizes its kernel K(x_i, x_j) = int psi(x_i, y) psi(x_j, y) dy
-on Gauss-Legendre nodes of Bob's conditional support, with Alice's mass in
-closed form. Maps stack their cells and make one LAPACK call per chunk. A
-single one-party cell samples the one-particle kernel on a grid
-(one_restricted_entropy), or projects it onto an orthonormal sine/cosine
-family supported on the region (basis_expansion_entropy, which takes n_basis
-and quadrature_order); grid matrices are renormalized by their trace and
-its survival probability comes from adaptive quadrature of the analytic
-density.
+When both parties restrict, entropies come from the singular values of an
+amplitude matrix sqrt(Wa) psi(x_i, y_k) sqrt(Wb), by default on
+Gauss-Legendre nodes of the two regions (a Nystrom discretization,
+exponentially convergent for these analytic amplitudes; Bornemann, Math.
+Comp. 79 (2010) 871-915), and a cell's joint mass is a Gauss-Legendre
+integral over Alice's region of Bob's conditional mass in closed form; an
+explicit n_bins puts a uniform grid with unit weights on both sides instead.
+A one-party map takes the eigenvalues of Alice's reduced kernel in the same
+Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
+own unit-weight sum (quadrature.grid_gauss), which converges exponentially
+to the spectrum of the kernel on the grid and builds nothing on Bob's side;
+Alice's mass is in closed form. Maps stack their cells and make one LAPACK
+call per chunk. A single one-party cell samples the one-particle kernel on
+a grid (one_restricted_entropy), or projects it onto an orthonormal
+sine/cosine family supported on the region (basis_expansion_entropy, which
+takes n_basis and quadrature_order); grid matrices are renormalized by their
+trace and its survival probability comes from adaptive quadrature of the
+analytic density.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point takes one resolution, n_bins: the number
@@ -70,17 +71,17 @@ from .oscillator import (
     reduced_density_value,
     two_particle_wavefunction,
 )
-from .quadrature import gauss_legendre, integrate_1d
+from .quadrature import gauss_legendre, grid_gauss, integrate_1d
 
 DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 EMPTY_MASS = 1e-14
 _TWO_PATH_BOB_BINS = 256
-# Gauss-Legendre nodes per region of a two-party cell, and on Bob's side of a
-# one-party map: NODES_PER_LENGTH per narrow length of the widest interval, at
-# least NODE_FLOOR. No rule has more than MAX_NODES nodes: Schmidt weights
-# refuse past it, masses use panels.
+# Gauss-Legendre nodes per region of a two-party cell, and the most Gauss
+# nodes of a one-party map's grid rule: NODES_PER_LENGTH per narrow length of
+# the widest interval, at least NODE_FLOOR. No rule has more than MAX_NODES
+# nodes: Schmidt weights refuse past it, masses use panels.
 NODE_FLOOR = 24
 NODES_PER_LENGTH = 2.0
 MAX_NODES = 512
@@ -381,16 +382,43 @@ def _schmidt_weights(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def _kernel_weights(model: OscillatorModel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Normalized eigenvalues of sqrt(W) K sqrt(W), one row per cell.
+
+    Row i of x (and of its weights w) holds the nodes of cell i on Alice's
+    side, and K(x_g, x_h) is the closed-form reduced kernel; this is the
+    Nystrom discretization of the kernel on the rule (x, w). One batched
+    LAPACK call serves all cells.
+    """
+    root = np.sqrt(w)
+    matrix = reduced_density_value(model, x[:, :, None], x[:, None, :])
+    matrix *= root[:, :, None]
+    matrix *= root[:, None, :]
+    try:
+        lam = np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return lam / lam.sum(axis=1, keepdims=True)
+
+
+def _chunked_entropies(spectra, cell_bytes: int, model: OscillatorModel,
+                       *sides: np.ndarray) -> np.ndarray:
+    """Entropy of each cell's spectrum, spectra(model, *rows) on the rows of
+    the arrays in sides, with one call per chunk of cells of cell_bytes each
+    that fits CHUNK_BYTES."""
+    out = np.empty(sides[0].shape[0])
+    for cells in _cell_slices(out.size, cell_bytes):
+        out[cells] = spectral_entropy_bits(spectra(model, *(side[cells] for side in sides)))
+    return out
+
+
 def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
                xb: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Entropy of each cell's Schmidt weights (see _schmidt_weights), with one
     SVD call per chunk of cells whose amplitude stack, together with the one
     temporary of the same size that its assembly makes, fits CHUNK_BYTES."""
-    out = np.empty(xa.shape[0])
-    for cells in _cell_slices(out.size, 16 * xa.shape[1] * xb.shape[1]):
-        out[cells] = spectral_entropy_bits(
-            _schmidt_weights(model, xa[cells], wa[cells], xb[cells], wb[cells]))
-    return out
+    return _chunked_entropies(_schmidt_weights, 16 * xa.shape[1] * xb.shape[1], model,
+                              xa, wa, xb, wb)
 
 
 def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
@@ -732,35 +760,42 @@ def one_party_map(model: OscillatorModel, centers, widths,
     """Entanglement when Alice alone restricts to centers[i] +- widths[j] / 2.
 
     n_bins is the number of grid intervals on Alice's region
-    (DEFAULT_BINS_ONE by default), as in one_restricted_entropy, whose grid
-    kernel K = A A^T is factorized with A = psi(x_i, y_k) sqrt(w_k) on
-    Gauss-Legendre nodes y_k of Bob's conditional support [slope lo - 8 sd,
-    slope hi + 8 sd]: given q_a, Bob is normal with mean slope q_a, slope =
-    (s-1)/(s+1), and sd = sqrt(2/(m omega (1+s))). Each width takes the
-    two-party node rule for its support, refused past MAX_NODES before any
-    array is built. Masses are in closed form. Extra layers: "prob", "flag"
-    (1 for a cell below EMPTY_MASS: value 0, probability 0) and "rescaled",
-    each width's profile over its own peak.
+    (DEFAULT_BINS_ONE by default), as in one_restricted_entropy: a cell's
+    entropy is that of the reduced kernel K on the region's n_bins + 1
+    uniform points. It is taken by Nystrom discretization on the n-node Gauss
+    rule (x_g, w_g) of the unit-weight sum over those points
+    (quadrature.grid_gauss): the normalized eigenvalues of
+    sqrt(w_g) K(x_g, x_h) sqrt(w_h), which converge exponentially in n to
+    the nonzero spectrum of the grid kernel. n is the two-party node rule of
+    the width, at most n_bins + 1, where the rule is the grid itself. A width
+    is refused with QuadratureNotConverged before any array is built when
+    Bob's conditional support over the region (his mean slope q_a, slope =
+    (s-1)/(s+1), +- 8 conditional standard deviations) would need more than
+    MAX_NODES nodes under that rule. Masses are in closed form. Extra layers: "prob", "flag" (1 for a cell
+    below EMPTY_MASS: value 0, probability 0) and "rescaled", each width's
+    profile over its own peak. An empty centers gives an empty surface.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     centers = np.asarray(centers, dtype=np.float64)
     widths = np.asarray(widths, dtype=np.float64)
-    cell_centers, halves = _cell_arrays(centers[:, None], widths[None, :] / 2.0)
+    _, halves = _cell_arrays(0.0, widths / 2.0)
+    cell_centers, cell_halves = _cell_arrays(centers[:, None], halves[None, :])
     s = model.stiffness_root
     slope = (s - 1.0) / (s + 1.0)
     sd = math.sqrt(2.0 / (model.m * model.omega * (1.0 + s)))
-    nodes = [_schmidt_nodes(model, 2.0 * slope * half + 16.0 * sd) for half in halves[0]]
-    lo, hi = cell_centers - halves, cell_centers + halves
+    for half in halves:
+        _schmidt_nodes(model, 2.0 * slope * half + 16.0 * sd)
+    lo, hi = cell_centers - cell_halves, cell_centers + cell_halves
     prob = np.clip(marginal_masses(model, lo, hi), 0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.shape)
-    for j, nb in enumerate(nodes):
+    for j, width in enumerate(widths):
+        n = min(n_bins + 1, two_party_nodes(model, width))
         cells = live[:, j]
-        a_lo, a_hi = lo[cells, j], hi[cells, j]
-        xa = np.linspace(a_lo, a_hi, n_bins + 1, axis=-1)
-        xb, wb = gauss_legendre(slope * a_lo - 8.0 * sd, slope * a_hi + 8.0 * sd, nb)
-        values[cells, j] = _entropies(model, xa, np.ones_like(xa), xb, wb)
-    peaks = values.max(axis=0)
+        x, w = grid_gauss(lo[cells, j], hi[cells, j], n_bins + 1, n)
+        # 32 bytes a kernel entry: the stack and the temporaries of its assembly
+        values[cells, j] = _chunked_entropies(_kernel_weights, 32 * n * n, model, x, w)
+    peaks = values.max(axis=0, initial=0.0)
     rescaled = np.divide(values, peaks[None, :], out=np.zeros_like(values),
                          where=peaks[None, :] > 0)
     return Distribution2D(axis_a=centers, axis_b=widths, values=values,

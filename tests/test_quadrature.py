@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entloc.errors import QuadratureNotConverged
-from entloc.quadrature import DEFAULT_PANEL_POINTS, gauss_legendre, integrate_1d
+from entloc.quadrature import DEFAULT_PANEL_POINTS, gauss_legendre, grid_gauss, integrate_1d
 
 
 def test_polynomial_exact():
@@ -69,3 +71,25 @@ def test_gauss_legendre_panels():
 def test_degenerate_bounds_rejected():
     with pytest.raises(ValueError):
         integrate_1d(lambda x: x, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("points", [2, 3, 41, 201, 400])
+def test_grid_rule_at_full_order_is_the_grid(points):
+    lo, hi = np.array([-1.0, 0.5]), np.array([3.0, 0.75])
+    nodes, weights = grid_gauss(lo, hi, points, points)
+    assert nodes.shape == weights.shape == (2, points)
+    assert np.abs(nodes - np.linspace(lo, hi, points, axis=-1)).max() <= 1e-12
+    assert np.abs(weights - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(2, 400), data=st.data())
+def test_grid_rule_sums_polynomials_as_the_grid(points, data):
+    m = data.draw(st.integers(1, points))
+    nodes, weights = grid_gauss(0.0, 1.0, points, m)
+    assert np.all(weights > 0.0)
+    assert weights.sum() == pytest.approx(points, rel=1e-12)
+    degrees = np.arange(2 * m)[:, None]
+    rule = (weights * nodes ** degrees).sum(axis=-1)
+    grid = (np.linspace(0.0, 1.0, points) ** degrees).sum(axis=-1)
+    assert np.all(np.abs(rule - grid) <= 1e-12 * grid)

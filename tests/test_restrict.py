@@ -18,6 +18,7 @@ from entloc.oscillator import (
 )
 from entloc.quadrature import gauss_legendre
 from entloc.restrict import (
+    DEFAULT_BINS_ONE,
     EMPTY_MASS,
     MAX_NODES,
     Partition,
@@ -569,8 +570,10 @@ class TestGaussLegendreEngine:
 
 
 class TestOnePartyMap:
-    """One-party maps: Alice's grid kernel factorized on Gauss-Legendre nodes
-    of Bob's conditional support, masses in closed form, batched SVDs."""
+    """One-party maps: each cell's grid kernel by Nystrom discretization on the
+    Gauss rule of the grid's own sum (at most n_bins + 1 nodes of Alice's
+    region, nothing on Bob's side), masses in closed form, batched
+    eigensolves."""
 
     CENTERS = np.array([-8.0, -3.0, -1.0, 0.0, 0.5, 2.0, 8.0])  # +-8: empty at width 0.5
     WIDTHS = [0.5, 2.0, 10.0]
@@ -595,22 +598,49 @@ class TestOnePartyMap:
                                                                  rel=1e-12)
         assert 0 < empty < dist.values.size
 
+    @pytest.mark.parametrize("n_bins", [40, 200])
+    @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e4])
+    def test_map_equals_the_grid_eigensolve(self, alpha, n_bins):
+        model = OscillatorModel(alpha=alpha)
+        dist = one_party_map(model, self.CENTERS, widths=self.WIDTHS, n_bins=n_bins)
+        live = 0
+        for i, center in enumerate(self.CENTERS):
+            for j, width in enumerate(self.WIDTHS):
+                if dist.extra["flag"][i, j]:
+                    continue
+                live += 1
+                q = np.linspace(center - width / 2, center + width / 2, n_bins + 1)
+                kernel = reduced_density_value(model, q[:, None], q[None, :])
+                lam = np.linalg.eigvalsh(kernel / np.trace(kernel))
+                expected = float(spectral_entropy_bits(lam[None, :])[0])
+                assert dist.values[i, j] == pytest.approx(expected, abs=1e-12)
+        assert live > 0
+
     @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e2, 1e4])
     def test_doubling_bob_nodes_moves_no_entropy(self, alpha, monkeypatch):
+        # the map has no Bob side: double Alice's rule, still capped at n_bins + 1
         import entloc.restrict as restrict
         model = OscillatorModel(alpha=alpha)
         base = one_party_map(model, self.CENTERS, widths=self.WIDTHS)
-        rule = restrict._schmidt_nodes
-        monkeypatch.setattr(restrict, "_schmidt_nodes", lambda m, w: 2 * rule(m, w))
+        rule, used = restrict.grid_gauss, []
+
+        def doubled(lo, hi, points, m):
+            used.append(min(points, 2 * m))
+            return rule(lo, hi, points, used[-1])
+
+        monkeypatch.setattr(restrict, "grid_gauss", doubled)
         fine = one_party_map(model, self.CENTERS, widths=self.WIDTHS)
+        expected = [min(DEFAULT_BINS_ONE + 1, 2 * two_party_nodes(model, width))
+                    for width in self.WIDTHS]
+        assert used == expected
         assert np.all(np.abs(base.values - fine.values) <= 1e-12)
 
     def test_one_cell_chunks_change_no_byte(self, monkeypatch):
         import entloc.restrict as restrict
         calls = []
-        weights = restrict._schmidt_weights
-        monkeypatch.setattr(restrict, "_schmidt_weights",
-                            lambda model, *a: calls.append(len(a[0])) or weights(model, *a))
+        weights = restrict._kernel_weights
+        monkeypatch.setattr(restrict, "_kernel_weights",
+                            lambda model, x, w: calls.append(len(x)) or weights(model, x, w))
         whole = one_party_map(MODEL, self.CENTERS, widths=self.WIDTHS)
         live = int((whole.extra["flag"] == 0.0).sum())
         assert sum(calls) == live and len(calls) < live
@@ -625,11 +655,22 @@ class TestOnePartyMap:
     def test_node_cap_refuses_before_any_array(self, monkeypatch):
         import entloc.restrict as restrict
         built = []
-        for name in ("gauss_legendre", "marginal_masses", "_schmidt_weights"):
+        for name in ("gauss_legendre", "grid_gauss", "marginal_masses", "_schmidt_weights",
+                     "_kernel_weights"):
             monkeypatch.setattr(restrict, name, lambda *a, _name=name: built.append(_name))
         with pytest.raises(QuadratureNotConverged, match=f"cap of {MAX_NODES}"):
             one_party_map(OscillatorModel(alpha=1e12), [0.0, 1.0], widths=[0.5, 1.0])
         assert built == []
+
+    def test_empty_centers_give_empty_surfaces(self):
+        one = one_party_map(MODEL, [], widths=self.WIDTHS)
+        assert one.values.shape == (0, len(self.WIDTHS))
+        assert all(layer.shape == one.values.shape for layer in one.extra.values())
+        two = two_party_map(MODEL, [], centers_b=[0.0, 1.0], half_width=0.5)
+        assert two.values.shape == (0, 2)
+        assert all(layer.shape == two.values.shape for layer in two.extra.values())
+        with pytest.raises(DomainError):
+            one_party_map(MODEL, [], widths=[-1.0])
 
     def test_invalid_widths_refused(self):
         for widths in ([0.0], [-1.0], [math.nan]):
