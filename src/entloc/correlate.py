@@ -30,7 +30,7 @@ from .oscillator import (
 from .restrict import (
     EMPTY_MASS,
     Region,
-    _cell_arrays,
+    _two_party_orbits,
     joint_masses,
     marginal_masses,
     two_party_map,
@@ -43,10 +43,11 @@ MIN_SAMPLES = 12
 
 def joint_probability(model: OscillatorModel, region_a: Region,
                       region_b: Region) -> float:
-    """P(q_a in A and q_b in B) from the normalized position density."""
-    n = two_party_nodes(model, max(region_a.width, region_b.width))
-    return float(joint_masses(model, [region_a.lo], [region_a.hi],
-                              [region_b.lo], [region_b.hi], n)[0])
+    """P(q_a in A and q_b in B) from the normalized position density, taken
+    on the cell's symmetry representative as a map cell is."""
+    width, bounds, _ = _two_party_orbits([region_a.center], region_a.half_width,
+                                         [region_b.center], region_b.half_width)
+    return float(joint_masses(model, *bounds, two_party_nodes(model, width))[0])
 
 
 def conditional_probability(model: OscillatorModel, region_b: Region,
@@ -78,19 +79,22 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
     """Joint or conditional probability surface over region centers.
 
     The joint table is computed once, in one batched call of the closed-form
-    joint masses; a conditional surface divides each row by Alice's
-    marginal (all in one closed-form call) and masks rows whose marginal has
-    no mass.
+    joint masses, one per symmetry orbit of its cells: A x B, B x A,
+    -A x -B and -B x -A share one mass (restrict._two_party_orbits). Exchanged
+    cells pair up on any axes; mirrored ones only where an axis holds the
+    exact negative of a center, as linspace(-4, 4, 33) does bit for bit. A
+    conditional surface divides each row by Alice's marginal (all in one
+    closed-form call) and masks rows whose marginal has no mass.
     """
     if kind not in ("joint_probability", "conditional_probability"):
         raise DomainError(f"unknown probability kind {kind!r}")
     centers_a = np.asarray(centers_a, dtype=np.float64)
     centers_b = np.asarray(centers_b, dtype=np.float64)
     b = half_width_b if half_width_b is not None else half_width_a
-    ca, ha, cb, hb = _cell_arrays(np.repeat(centers_a, centers_b.size), half_width_a,
-                                  np.tile(centers_b, centers_a.size), b)
-    n = two_party_nodes(model, 2.0 * max(half_width_a, b))
-    values = joint_masses(model, ca - ha, ca + ha, cb - hb, cb + hb, n)
+    width, bounds, inverse = _two_party_orbits(np.repeat(centers_a, centers_b.size),
+                                               half_width_a,
+                                               np.tile(centers_b, centers_a.size), b)
+    values = joint_masses(model, *bounds, two_party_nodes(model, width))[inverse]
     joint = Distribution2D(axis_a=centers_a, axis_b=centers_b, kind="joint_probability",
                            values=values.reshape(centers_a.size, centers_b.size))
     return joint if kind == "joint_probability" else _conditional_map(

@@ -20,6 +20,12 @@ exponentially convergent for these analytic amplitudes; Bornemann, Math.
 Comp. 79 (2010) 871-915), and a cell's joint mass is a Gauss-Legendre
 integral over Alice's region of Bob's conditional mass in closed form; an
 explicit n_bins puts a uniform grid with unit weights on both sides instead.
+psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
+-A x -B and -B x -A share their mass and entropy: every two-party path solves
+each cell once per orbit of these symmetries (_two_party_orbits) and copies
+the result to its images. Exchanged cells meet on any square map, mirrored
+ones only where an axis holds the exact negative of a center, as
+linspace(-4, 4, 33) does bit for bit and linspace(-4, 4, 41) does not.
 A one-party map takes the eigenvalues of Alice's reduced kernel in the same
 Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
 own unit-weight sum (quadrature.grid_gauss), which converges exponentially
@@ -434,15 +440,14 @@ def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
 
 def _two_party_setup(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
                      n_bins: int | None):
-    """(n, (a_lo, a_hi, b_lo, b_hi), joint masses clipped to [0, 1]) of the
-    cells centers_a[i] +- half_a[i] for Alice, centers_b[i] +- half_b[i] for
-    Bob (a half width may be one number). n is the node rule of the widest
-    region, refused past MAX_NODES on Gauss-Legendre nodes before any mass."""
-    centers_a, half_a, centers_b, half_b = _cell_arrays(centers_a, half_a, centers_b, half_b)
-    width = 2.0 * max(half_a.max(initial=0.0), half_b.max(initial=0.0))
+    """(n, (a_lo, a_hi, b_lo, b_hi), joint masses clipped to [0, 1], inverse)
+    of the distinct cells of _two_party_orbits: the cell centers_a[i] +-
+    half_a[i] for Alice, centers_b[i] +- half_b[i] for Bob (a half width may
+    be one number) is row inverse[i]. n is the node rule of the widest region,
+    refused past MAX_NODES on Gauss-Legendre nodes before any mass."""
+    width, bounds, inverse = _two_party_orbits(centers_a, half_a, centers_b, half_b)
     n = _schmidt_nodes(model, width) if n_bins is None else two_party_nodes(model, width)
-    bounds = (centers_a - half_a, centers_a + half_a, centers_b - half_b, centers_b + half_b)
-    return n, bounds, np.clip(joint_masses(model, *bounds, n), 0.0, 1.0)
+    return n, bounds, np.clip(joint_masses(model, *bounds, n), 0.0, 1.0), inverse
 
 
 def both_restricted_entropy(model: OscillatorModel, region_a: Region,
@@ -456,8 +461,8 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
     samples the amplitudes on n_bins + 1 uniform points per region instead.
     """
     n_bins = _n_bins(n_bins)
-    n, bounds, prob = _two_party_setup(model, [region_a.center], region_a.half_width,
-                                       [region_b.center], region_b.half_width, n_bins)
+    n, bounds, prob, _ = _two_party_setup(model, [region_a.center], region_a.half_width,
+                                          [region_b.center], region_b.half_width, n_bins)
     p = float(prob[0])
     if p < EMPTY_MASS:
         raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
@@ -731,28 +736,62 @@ def method_equivalence(model: OscillatorModel, region: Region,
 def _cell_arrays(*centers_and_halves) -> list[np.ndarray]:
     """Cells as broadcast float arrays of (center, half width) pairs, after the
     checks that Region makes of each: finite centers, positive finite half
-    widths."""
-    cells = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
-                                  for v in centers_and_halves))
-    if not (np.isfinite(cells).all() and all((half > 0.0).all() for half in cells[1::2])):
+    widths. The checks run before broadcasting, so a bad half width is refused
+    even when there are no cells."""
+    parts = [np.asarray(v, dtype=np.float64) for v in centers_and_halves]
+    if not (all(np.isfinite(part).all() for part in parts)
+            and all((half > 0.0).all() for half in parts[1::2])):
         raise DomainError("region centers and half widths must be finite, "
                           "half widths positive")
-    return cells
+    return np.broadcast_arrays(*parts)
+
+
+def _two_party_orbits(centers_a, half_a, centers_b, half_b):
+    """(width, (a_lo, a_hi, b_lo, b_hi), inverse): the widest region of the
+    cells centers_a[i] +- half_a[i] by centers_b[i] +- half_b[i] (see
+    _cell_arrays), and the bounds of one representative per symmetry orbit,
+    cell i being representative inverse[i].
+
+    psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B,
+    B x A, -A x -B and -B x -A have one joint mass and one set of Schmidt
+    weights. A cell's representative is the lexicographically smallest of
+    these four images as (c_a, h_a, c_b, h_b) rows; swapping and negating are
+    exact in floating point, so every image of a cell gets the same
+    representative, bit for bit. A cell none of whose images is among the
+    cells is its own representative, so a result never depends on finding
+    one, only on each image being an exact symmetry of psi.
+    """
+    cells = np.stack(_cell_arrays(centers_a, half_a, centers_b, half_b), axis=-1).reshape(-1, 4)
+    width = 2.0 * cells[:, 1::2].max(initial=0.0)
+    swapped = cells[:, [2, 3, 0, 1]]
+    mirror = np.array([-1.0, 1.0, -1.0, 1.0])
+    rows = np.arange(len(cells))
+    rep = cells
+    for image in (swapped, cells * mirror, swapped * mirror):
+        first = (image != rep).argmax(axis=1)  # the first column that differs
+        rep = np.where((image[rows, first] < rep[rows, first])[:, None], image, rep)
+    # + 0.0 turns -0.0 into 0.0; both give the same bounds
+    reps, inverse = np.unique(rep + 0.0, axis=0, return_inverse=True)
+    ca, ha, cb, hb = reps.T
+    # reshape: numpy 2.0.0 alone returns the inverse of an axis unique as a column
+    return width, (ca - ha, ca + ha, cb - hb, cb + hb), inverse.reshape(-1)
 
 
 def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
                      n_bins: int | None) -> np.ndarray:
     """(entanglement, survival probability, empty flag) rows of the cells of
-    _two_party_setup, with one SVD call per chunk of CHUNK_BYTES. A cell
-    whose mass is below EMPTY_MASS is empty: value 0, probability 0, flag 1.
+    _two_party_setup, solved once per distinct cell with one SVD call per
+    chunk of CHUNK_BYTES. A cell whose mass is below EMPTY_MASS is empty:
+    value 0, probability 0, flag 1.
     """
     n_bins = _n_bins(n_bins)
-    n, bounds, prob = _two_party_setup(model, centers_a, half_a, centers_b, half_b, n_bins)
+    n, bounds, prob, inverse = _two_party_setup(model, centers_a, half_a, centers_b, half_b,
+                                                n_bins)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.size)
     values[live] = _entropies(model, *_two_party_sides(*(edge[live] for edge in bounds),
                                                        n, n_bins))
-    return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)
+    return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)[inverse]
 
 
 def one_party_map(model: OscillatorModel, centers, widths,
@@ -778,7 +817,7 @@ def one_party_map(model: OscillatorModel, centers, widths,
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     centers = np.asarray(centers, dtype=np.float64)
     widths = np.asarray(widths, dtype=np.float64)
-    _, halves = _cell_arrays(0.0, widths / 2.0)
+    halves = widths / 2.0
     cell_centers, cell_halves = _cell_arrays(centers[:, None], halves[None, :])
     s = model.stiffness_root
     slope = (s - 1.0) / (s + 1.0)

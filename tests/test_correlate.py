@@ -13,6 +13,7 @@ from entloc.correlate import (
 from entloc.distribution import Distribution2D
 from entloc.errors import (
     ConditioningOnNullEvent,
+    DomainError,
     InsufficientSupport,
     NonPositiveCurvature,
 )
@@ -153,6 +154,16 @@ class TestProbabilityMap:
                 assert dist.values[i, j] == joint_probability(
                     MODEL, Region(ca, 0.25), Region(cb, 0.4))
         assert not dist.mask.any()
+
+    def test_empty_centers(self):
+        for kind in ("joint_probability", "conditional_probability"):
+            dist = probability_map(MODEL, [], [0.0, 1.0], 0.25, kind=kind)
+            assert dist.values.shape == (0, 2)
+            for half in (-1.0, 0.0, np.nan):
+                with pytest.raises(DomainError):
+                    probability_map(MODEL, [], [0.0, 1.0], half, kind=kind)
+                with pytest.raises(DomainError):
+                    probability_map(MODEL, [0.0], [], 0.25, half, kind=kind)
 
     def test_probability_kind_validation(self):
         axis = np.array([0.0, 1.0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entloc.correlate import joint_probability, sigma_vs_alpha_scan
+from entloc.correlate import joint_probability, probability_map, sigma_vs_alpha_scan
 from entloc.errors import DomainError, EmptyRegionMass, QuadratureNotConverged
 from entloc.linalg import binary_entropy, spectral_entropy_bits
 from entloc.oscillator import (
@@ -343,7 +343,9 @@ class TestPartitionInequality:
                             lambda *a: calls.append(np.size(a[1])) or masses(*a))
         partition = Partition.uniform(-4.0, 4.0, 4)
         report = partition_inequality_check(MODEL, partition, partition)
-        assert calls == [16]  # one batched call: one joint mass per cell
+        # one batched call: one joint mass per symmetry orbit of the 16 cells
+        # (centers -3, -1, 1, 3; four diagonal, four anti-diagonal, 8 others)
+        assert calls == [6]
         assert report.weighted_sum < gaussian_eof(MODEL)
         assert report.slack >= -1e-6
         assert len(report.cells) == 16
@@ -541,14 +543,20 @@ class TestGaussLegendreEngine:
                             lambda model, x: mass_calls.append(len(x)) or density(model, x))
         centers = np.linspace(-4.0, 4.0, 9)
         whole = two_party_map(MODEL, centers, centers_b=centers, half_width=0.25)
-        live = int((whole.extra["flag"] == 0.0).sum())
-        assert calls == [live] and mass_calls == [81]
+        # the axis is its own mirror bit for bit: one cell per orbit of
+        # exchange and mirror, (i, j) -> (j, i), (8 - i, 8 - j), (8 - j, 8 - i)
+        def orbits(cells):
+            return len({min((i, j), (j, i), (8 - i, 8 - j), (8 - j, 8 - i)) for i, j in cells})
+        live = orbits(zip(*np.nonzero(whole.extra["flag"] == 0.0)))
+        distinct = orbits(np.ndindex(9, 9))
+        assert distinct == 25
+        assert calls == [live] and mass_calls == [distinct]
         calls.clear()
         mass_calls.clear()
         # one cell per chunk, for the (cells, n, n) stacks and the (cells, n) masses
         monkeypatch.setattr(restrict, "CHUNK_BYTES", 8 * two_party_nodes(MODEL, 0.5))
         single = two_party_map(MODEL, centers, centers_b=centers, half_width=0.25)
-        assert calls == [1] * live and mass_calls == [1] * 81
+        assert calls == [1] * live and mass_calls == [1] * distinct
         for layer in ("prob", "flag"):
             assert whole.extra[layer].tobytes() == single.extra[layer].tobytes()
         assert whole.values.tobytes() == single.values.tobytes()
@@ -706,3 +714,99 @@ class TestTwoPartyGrid:
                                                n_bins=40)
                 assert dist.values[i, j] == cell.entanglement
                 assert dist.extra["prob"][i, j] == cell.survival_probability
+
+
+class TestSymmetryOrbits:
+    """psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b): a two-party cell is
+    solved once per orbit of exchange and mirror, and every image of a cell
+    reads its representative's row."""
+
+    def test_images_equal_the_single_cell_bit_for_bit(self):
+        centers = np.linspace(-2.0, 2.0, 9)  # holds the exact negative of each center
+        last = centers.size - 1
+        dist = two_party_map(MODEL, centers, centers_b=centers, half_width=0.5,
+                             half_width_b=0.25)
+        swapped = two_party_map(MODEL, centers, centers_b=centers, half_width=0.25,
+                                half_width_b=0.5)
+        joint = probability_map(MODEL, centers, centers, 0.5, 0.25)
+        swapped_joint = probability_map(MODEL, centers, centers, 0.25, 0.5)
+        for i, j in np.ndindex(dist.shape):
+            cell = both_restricted_entropy(MODEL, Region(centers[i], 0.5),
+                                           Region(centers[j], 0.25))
+            mass = joint_probability(MODEL, Region(centers[i], 0.5), Region(centers[j], 0.25))
+            for surface, masses, (k, m) in ((dist, joint, (i, j)),
+                                            (dist, joint, (last - i, last - j)),
+                                            (swapped, swapped_joint, (j, i)),
+                                            (swapped, swapped_joint, (last - j, last - i))):
+                assert surface.values[k, m] == cell.entanglement
+                assert surface.extra["prob"][k, m] == cell.survival_probability
+                assert masses.values[k, m] == mass
+            assert cell.survival_probability == min(1.0, mass)
+            for ca, ha, cb, hb in ((centers[last - i], 0.5, centers[last - j], 0.25),
+                                   (centers[j], 0.25, centers[i], 0.5),
+                                   (centers[last - j], 0.25, centers[last - i], 0.5)):
+                image = both_restricted_entropy(MODEL, Region(ca, ha), Region(cb, hb))
+                assert image.entanglement == cell.entanglement
+                assert image.spectrum.eigenvalues.tobytes() == cell.spectrum.eigenvalues.tobytes()
+                assert joint_probability(MODEL, Region(ca, ha), Region(cb, hb)) == mass
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.0, 100.0),
+           centers_a=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+           extra_b=st.lists(st.floats(-3.0, 3.0), max_size=3),
+           ha=st.floats(0.05, 2.0), hb=st.floats(0.05, 2.0),
+           n_bins=st.sampled_from([None, 20]))
+    def test_map_equals_the_unreduced_cells(self, alpha, centers_a, extra_b, ha, hb, n_bins):
+        model = OscillatorModel(alpha=alpha)
+        # Bob's axis holds Alice's centers and their negatives, so cells have images
+        centers_b = np.array(centers_a + [-c for c in centers_a] + extra_b)
+        dist = two_party_map(model, centers_a, centers_b=centers_b, half_width=ha,
+                             half_width_b=hb, n_bins=n_bins)
+        ca, cb = np.repeat(centers_a, centers_b.size), np.tile(centers_b, len(centers_a))
+        n = two_party_nodes(model, 2.0 * max(ha, hb))
+        bounds = (ca - ha, ca + ha, cb - hb, cb + hb)
+        mass = np.clip(joint_masses(model, *bounds, n), 0.0, 1.0)
+        assume(np.all(np.abs(mass - EMPTY_MASS) > 1e-9 * EMPTY_MASS))
+        live = mass >= EMPTY_MASS
+        entropy = np.zeros(mass.size)
+        if live.any():
+            entropy[live] = spectral_entropy_bits(_schmidt_weights(
+                model, *_two_party_sides(*(edge[live] for edge in bounds), n, n_bins)))
+        assert np.array_equal(dist.extra["flag"].ravel(), ~live)
+        assert np.all(np.abs(dist.values.ravel() - entropy) <= 1e-14)
+        # an exchanged image is a different Gauss-Legendre integral of the same
+        # mass, so it agrees to the node rule's accuracy (see
+        # test_masses_match_twice_the_nodes), not to the last bit
+        prob = dist.extra["prob"].ravel()[live]
+        assert np.all(np.abs(prob - mass[live]) <= np.minimum(1e-14, 1e-12 * mass[live]))
+
+    def test_square_map_solves_one_cell_per_orbit(self, monkeypatch):
+        import entloc.correlate as correlate
+        import entloc.restrict as restrict
+        calls = []
+        for module in (restrict, correlate):
+            monkeypatch.setattr(module, "joint_masses",
+                                lambda *a, _f=module.joint_masses: calls.append(np.size(a[1]))
+                                or _f(*a))
+        model = OscillatorModel(alpha=1)
+        # 33 centers that are their own mirror bit for bit: (33^2 + 33 + 1 + 33) / 4 orbits
+        centers = np.linspace(-4.0, 4.0, 33)
+        two_party_map(model, centers, centers_b=centers, half_width=0.25)
+        probability_map(model, centers, centers, 0.25)
+        assert calls == [289, 289]
+        calls.clear()
+        # no center's negative on the axis: the exchange half only, 33 * 34 / 2
+        two_party_map(model, centers + 0.1, centers_b=centers + 0.1, half_width=0.25)
+        assert calls == [561]
+
+    def test_empty_centers_refuse_a_bad_half_width(self):
+        for call in (lambda h: two_party_map(MODEL, [], centers_b=[0.0, 1.0], half_width=h),
+                     lambda h: two_party_map(MODEL, [0.0], centers_b=[], half_width=0.5,
+                                             half_width_b=h),
+                     lambda h: both_restricted_profile(MODEL, [], h),
+                     lambda h: both_restricted_profile(MODEL, [], h, bob_center=0.0)):
+            for half in (-1.0, 0.0, math.nan):
+                with pytest.raises(DomainError):
+                    call(half)
+        profile = both_restricted_profile(MODEL, [], 0.5)
+        assert [part.shape for part in profile] == [(0,)] * 4
