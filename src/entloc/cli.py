@@ -11,8 +11,8 @@ Exit codes, with a JSON error description on stderr for 1 and 2:
 
 * 0: success.
 * 1: this module rejects the invocation itself: an unknown subcommand or
-  flag, a missing flag, a value or config file that does not parse, or a
-  range with fewer than 2 steps.
+  flag, a flag that the chosen mode does not read, a missing flag, a value
+  or config file that does not parse, or a range with fewer than 2 steps.
 * 2: the library raises an EntlocError on the parsed values, for example
   DomainError for a negative width or n_bins below 2, or EmptyRegionMass.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, astuple, fields
 from typing import Callable, NamedTuple
@@ -198,10 +197,12 @@ def _float_list(text: str) -> list[float]:
 
 
 def _linspace(lo: float, hi: float, steps: int) -> np.ndarray:
+    """np.linspace, made its own mirror image bit for bit when lo == -hi."""
     steps = int(steps)
     if steps < 2:
         raise UsageError("ranges need at least 2 steps")
-    return np.linspace(lo, hi, steps)
+    x = np.linspace(lo, hi, steps)
+    return (x - x[::-1]) / 2.0 if lo == -hi else x
 
 
 def _model(ns) -> OscillatorModel:
@@ -213,43 +214,36 @@ def _n_bins(ns) -> int | None:
     return None if ns.n_bins is None else int(ns.n_bins)
 
 
+def _flag_names(dests) -> str:
+    return ", ".join("--" + dest.replace("_", "-") for dest in dests)
+
+
 def _require(ns, *names) -> None:
     """Presence check deferred to after the config-file merge."""
     missing = [name for name in names if getattr(ns, name, None) is None]
     if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise UsageError(f"missing required flag(s): {flags}")
-
-
-def _check_workers(ns) -> None:
-    """Validate the worker count of a map command: --workers, else the
-    ENTLOC_THREADS variable. Maps run batched and serially at any count."""
-    env = os.environ.get("ENTLOC_THREADS")
-    if getattr(ns, "workers", None) is None and env:
-        try:
-            int(env)
-        except ValueError as exc:
-            raise ConfigParse(f"bad ENTLOC_THREADS value {env!r}") from exc
+        raise UsageError(f"missing required flag(s): {_flag_names(missing)}")
 
 
 # -- subcommand implementations ------------------------------------------------
 # Each handler takes the parsed flags and the metadata block that JSON
 # output carries ({"config": flags echoed, "version": ...}).
 
-def _cmd_spin_scan(ns, metadata):
-    if getattr(ns, "f_range", None) is not None:
-        if ns.surface == "delta":
-            raise UsageError("--surface delta needs a theta scan, not --f-range")
-        dist = negativity_vs_purity(ns.theta1, ns.theta2, _linspace(*ns.f_range),
-                                    restricted=bool(ns.restricted))
-        emit_distribution(dist, ns.output, ns.format, metadata)
-        return
+def _cmd_spin_scan(ns, metadata, f_value=1.0):
     thetas = _linspace(ns.theta_min, ns.theta_max, ns.steps)
     restricted = bool(ns.restricted) or ns.surface == "delta"
     dist = spin_scan(thetas, thetas, measure=ns.measure,
-                     restricted=restricted, F=ns.f_value)
+                     restricted=restricted, F=f_value)
     layer = "delta" if ns.surface == "delta" else None
     emit_distribution(dist, ns.output, ns.format, metadata, layer)
+
+
+def _cmd_spin_negativity_scan(ns, metadata):
+    if ns.f_range is None:
+        return _cmd_spin_scan(ns, metadata, ns.f_value)
+    dist = negativity_vs_purity(ns.theta1, ns.theta2, _linspace(*ns.f_range),
+                                restricted=bool(ns.restricted))
+    emit_distribution(dist, ns.output, ns.format, metadata)
 
 
 def _cmd_spin_vanish_point(ns, metadata):
@@ -287,10 +281,6 @@ def _cmd_gauss_limits(ns, metadata):
 
 
 def _cmd_gauss_one_restricted(ns, metadata):
-    if ns.n_bins is not None and ns.method == "basis":
-        raise UsageError("--n-bins applies to --method grid, not basis")
-    if ns.n_basis is not None and (ns.method != "basis" or ns.centers is not None):
-        raise UsageError("--n-basis applies only to --method basis at one region (--qbar)")
     model = _model(ns)
     if ns.centers is None:
         if ns.qbar is None or ns.width is None:
@@ -299,8 +289,7 @@ def _cmd_gauss_one_restricted(ns, metadata):
         basis = ns.method == "basis"
         if basis:
             result = basis_expansion_entropy(
-                model, region, DEFAULT_BASIS_SIZE if ns.n_basis is None else ns.n_basis,
-                quadrature_order=ns.quadrature_order)
+                model, region, DEFAULT_BASIS_SIZE if ns.n_basis is None else ns.n_basis)
         else:
             result = one_restricted_entropy(model, region, _n_bins(ns))
         _emit_json({
@@ -316,7 +305,6 @@ def _cmd_gauss_one_restricted(ns, metadata):
     widths = _float_list(ns.widths) if ns.widths else [ns.width]
     if widths == [None]:
         raise UsageError("map mode needs --widths or --width")
-    _check_workers(ns)
     if ns.method == "basis":
         raise DomainError("one-party maps have no basis method")
     dist = one_party_map(model, centers, widths=widths, n_bins=_n_bins(ns))
@@ -346,7 +334,6 @@ def _cmd_gauss_both_restricted(ns, metadata):
     if ns.centers is None:
         raise UsageError(f"{ns.mode} mode needs --centers lo hi steps")
     centers = _linspace(*ns.centers)
-    _check_workers(ns)
     if ns.mode == "grid":
         dist = two_party_map(model, centers, centers_b=centers,
                              half_width=half, half_width_b=half_b, n_bins=_n_bins(ns))
@@ -395,7 +382,6 @@ def _cmd_gauss_fit(ns, metadata):
 
 def _cmd_gauss_sigma_scan(ns, metadata):
     _require(ns, "alphas")
-    _check_workers(ns)
     rows = sigma_vs_alpha_scan(_float_list(ns.alphas), which=ns.which.replace("-", "_"),
                                half_width=ns.width / 2.0, extent=ns.extent, steps=ns.steps)
     _emit_table(ns, metadata, [f.name for f in fields(SigmaRow)],
@@ -460,8 +446,6 @@ _COMMON = (
     _arg("--config", help="flat JSON file of flag defaults"),
     _arg("--output", "-o", help="output path (default stdout)"),
     _arg("--format", choices=("csv", "json"), default="csv"),
-    _arg("--workers", type=int),
-    _arg("--seed", type=int, default=0),
 )
 _MODEL = (
     _arg("--alpha", type=float),
@@ -475,7 +459,6 @@ _SPIN = (
     _arg("--theta-max", type=float, default=2.0 * math.pi),
     _RESTRICTED,
     _arg("--surface", choices=("value", "delta"), default="value"),
-    _arg("--f-value", type=float, default=1.0),
 )
 
 
@@ -483,16 +466,20 @@ class _Subcommand(NamedTuple):
     handler: Callable
     flags: tuple            # after the common flags, in help and config-echo order
     defaults: dict | None = None  # namespace entries that no flag sets
+    # the flags (as dests) that the mode of the parsed namespace does not read
+    unread: Callable = lambda ns: ()
 
 
 # Every subcommand, in the order `--help` lists them.
 _SUBCOMMANDS = {
     "spin-scan": _Subcommand(_cmd_spin_scan, _SPIN, {"measure": "entropy"}),
-    "spin-negativity-scan": _Subcommand(_cmd_spin_scan, _SPIN + (
+    "spin-negativity-scan": _Subcommand(_cmd_spin_negativity_scan, _SPIN + (
+        _arg("--f-value", type=float, default=1.0),
         _range("--f-range", help="sweep F at fixed angles instead"),
         _arg("--theta1", type=float, default=0.25 * math.pi),
         _arg("--theta2", type=float, default=0.25 * math.pi),
-    ), {"measure": "negativity"}),
+    ), {"measure": "negativity"}, lambda ns: ("theta1", "theta2") if ns.f_range is None
+        else ("steps", "theta_min", "theta_max", "surface", "f_value")),
     "spin-vanish-point": _Subcommand(_cmd_spin_vanish_point, (
         _arg("--theta1", type=float), _arg("--theta2", type=float), _RESTRICTED)),
     "gauss-constants": _Subcommand(_cmd_gauss_constants, _MODEL),
@@ -505,8 +492,8 @@ _SUBCOMMANDS = {
         _arg("--n-bins", type=int),
         _arg("--method", choices=("grid", "basis"), default="grid"),
         _arg("--n-basis", type=int),
-        _arg("--quadrature-order", type=int, default=16),
-    )),
+    ), unread=lambda ns: ("widths", "surface", "n_bins" if ns.method == "basis" else "n_basis")
+        if ns.centers is None else ("qbar", "n_basis") + (("width",) if ns.widths else ())),
     "gauss-both-restricted": _Subcommand(_cmd_gauss_both_restricted, _MODEL + (
         _arg("--mode", choices=("point", "grid", "profile-equal", "profile-fixed"),
              default="point"),
@@ -517,7 +504,12 @@ _SUBCOMMANDS = {
         _arg("--width", type=float),
         _arg("--width-b", type=float),
         _arg("--n-bins", type=int),
-    )),
+    ), unread=lambda ns: {
+        "point": ("centers", "bob_center"),
+        "grid": ("qbar_a", "qbar_b", "bob_center"),
+        "profile-equal": ("qbar_a", "qbar_b", "bob_center", "width_b"),
+        "profile-fixed": ("qbar_a", "qbar_b", "width_b"),
+    }[ns.mode]),
     "gauss-limits": _Subcommand(_cmd_gauss_limits, _MODEL + (
         _arg("--a", type=float), _arg("--b", type=float))),
     "gauss-classical-map": _Subcommand(_cmd_gauss_classical_map, _MODEL + (
@@ -527,12 +519,13 @@ _SUBCOMMANDS = {
         _arg("--kind", choices=("joint", "conditional"), default="joint"),
     )),
     "gauss-fit": _Subcommand(_cmd_gauss_fit, (
+        _arg("--seed", type=int, default=0),
         _arg("--input"),
         _arg("--form", choices=("symmetric", "conditional"), default="symmetric"),
         _arg("--threshold", type=float, default=1e-3),
         _arg("--window", type=float),
         _arg("--jitter", type=float, default=0.0),
-    )),
+    ), unread=lambda ns: () if ns.jitter else ("seed",)),
     "gauss-sigma-scan": _Subcommand(_cmd_gauss_sigma_scan, (
         _arg("--alphas"),
         _arg("--which", choices=("classical", "quantum", "small-a-analytic"),
@@ -540,7 +533,7 @@ _SUBCOMMANDS = {
         _arg("--width", type=float, default=0.5),
         _arg("--extent", type=float, default=4.0),
         _arg("--steps", type=int, default=33),
-    )),
+    ), unread=lambda ns: ("width", "extent", "steps") if ns.which == "small-a-analytic" else ()),
     "gauss-inequality": _Subcommand(_cmd_gauss_inequality, _MODEL + (
         _arg("--grid-a", type=int, default=4),
         _arg("--grid-b", type=int, default=4),
@@ -550,7 +543,8 @@ _SUBCOMMANDS = {
         _arg("--n-bins", type=int),
         _arg("--nd-center", type=float),
         _arg("--nd-half-width", type=float),
-    )),
+    ), unread=lambda ns: () if ns.nd_center is not None and ns.nd_half_width is not None
+        else ("nd_center", "nd_half_width")),
     "gauss-converge": _Subcommand(_cmd_gauss_converge, _MODEL + (
         _arg("--qbar", type=float, default=0.0),
         _arg("--widths", default="1,2,4"),
@@ -586,8 +580,11 @@ def _config_value(action, key: str, value):
     A string goes through the flag's type, as argparse treats a string
     default; a typed flag otherwise takes a JSON number (a list of them for
     a LO HI STEPS range) or null. An integer flag takes an integral number
-    only, and an integral float becomes an int.
+    only, and an integral float becomes an int. A flag with choices takes
+    one of them.
     """
+    if action is not None and action.choices and value not in action.choices:
+        raise ConfigParse(f"config value {key!r} must be one of {', '.join(action.choices)}")
     if action is None or action.type is None or value is None:
         return value
     if action.nargs is None:
@@ -612,18 +609,26 @@ def _typed(kind, key: str, value):
     return value
 
 
+_UNSET = object()  # a seeded namespace value that no flag on argv replaced
+
+
 def _parse(subcommand: str, argv: list[str]):
-    """Parse flags, letting explicit flags override config-file values."""
+    """Parse flags over config-file values over flag defaults, and refuse a
+    flag given on the command line that the chosen mode does not read."""
     parser = _build_parser(subcommand)
-    probe = parser.parse_args(argv)
-    if not probe.config:
-        return probe
     actions = {action.dest: action for action in parser._actions}
+    # argparse leaves a seeded attribute alone unless argv gives its flag
+    given = vars(parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(actions, _UNSET))))
     seeded = argparse.Namespace()
-    for key, value in _load_config(probe.config).items():
-        dest = key.replace("-", "_")
-        setattr(seeded, dest, _config_value(actions.get(dest), key, value))
-    return parser.parse_args(argv, namespace=seeded)
+    if given["config"] not in (_UNSET, ""):
+        for key, value in _load_config(given["config"]).items():
+            dest = key.replace("-", "_")
+            setattr(seeded, dest, _config_value(actions.get(dest), key, value))
+    ns = parser.parse_args(argv, namespace=seeded)
+    unread = [dest for dest in _SUBCOMMANDS[subcommand].unread(ns) if given[dest] is not _UNSET]
+    if unread:
+        raise UsageError(f"{subcommand} does not read {_flag_names(unread)} in this mode")
+    return ns
 
 
 def run(argv: list[str]) -> int:

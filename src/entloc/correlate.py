@@ -82,9 +82,10 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
     joint masses, one per symmetry orbit of its cells: A x B, B x A,
     -A x -B and -B x -A share one mass (restrict._two_party_orbits). Exchanged
     cells pair up on any axes; mirrored ones only where an axis holds the
-    exact negative of a center, as linspace(-4, 4, 33) does bit for bit. A
-    conditional surface divides each row by Alice's marginal (all in one
-    closed-form call) and masks rows whose marginal has no mass.
+    exact negative of a center, as linspace(-4, 4, 33) and every CLI axis
+    centred on 0 do bit for bit. A conditional surface divides each row by
+    Alice's marginal (all in one closed-form call) and masks rows whose
+    marginal has no mass.
     """
     if kind not in ("joint_probability", "conditional_probability"):
         raise DomainError(f"unknown probability kind {kind!r}")

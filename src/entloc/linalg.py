@@ -95,20 +95,13 @@ class Spectrum:
     def size(self) -> int:
         return self.eigenvalues.size
 
-    def entropy_bits(self) -> float:
-        """Shannon entropy (base 2) of the eigenvalues above EIGENVALUE_CLAMP."""
-        lam = self.eigenvalues[self.eigenvalues > EIGENVALUE_CLAMP]
-        if lam.size == 0:
-            return 0.0
-        # rounding can leave an eigenvalue marginally above 1; floor at 0
-        return max(0.0, float(-(lam * np.log2(lam)).sum()))
-
 
 def spectral_entropy_bits(weights: np.ndarray) -> np.ndarray:
-    """Spectrum.entropy_bits of each row of a stack of normalized spectra.
+    """Shannon entropy (base 2) of each row of a stack of normalized spectra.
 
     Entries at or below EIGENVALUE_CLAMP are dropped (replaced by 1, whose
-    term vanishes), and each entropy is floored at 0.
+    term vanishes), and each entropy is floored at 0: rounding can leave an
+    eigenvalue marginally above 1.
     """
     lam = np.where(weights > EIGENVALUE_CLAMP, weights, 1.0)
     return np.maximum(0.0, -(lam * np.log2(lam)).sum(axis=-1))
@@ -148,7 +141,7 @@ def von_neumann_entropy(m: DensityMatrix) -> float:
     lam_min = float(spectrum.eigenvalues[-1])
     if lam_min < -1e-8:
         raise NegativeEigenvalue(f"eigenvalue {lam_min:.3e} below tolerance")
-    return spectrum.entropy_bits()
+    return float(spectral_entropy_bits(spectrum.eigenvalues))
 
 
 def binary_entropy(eps: float) -> float:

@@ -25,7 +25,7 @@ psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
 each cell once per orbit of these symmetries (_two_party_orbits) and copies
 the result to its images. Exchanged cells meet on any square map, mirrored
 ones only where an axis holds the exact negative of a center, as
-linspace(-4, 4, 33) does bit for bit and linspace(-4, 4, 41) does not.
+linspace(-4, 4, 33) does bit for bit, and so does every CLI axis centred on 0.
 A one-party map takes the eigenvalues of Alice's reduced kernel in the same
 Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
 own unit-weight sum (quadrature.grid_gauss), which converges exponentially
@@ -34,9 +34,8 @@ Alice's mass is in closed form. Maps stack their cells and make one LAPACK
 call per chunk. A single one-party cell samples the one-particle kernel on
 a grid (one_restricted_entropy), or projects it onto an orthonormal
 sine/cosine family supported on the region (basis_expansion_entropy, which
-takes n_basis and quadrature_order); grid matrices are renormalized by their
-trace and its survival probability comes from adaptive quadrature of the
-analytic density.
+takes n_basis); grid matrices are renormalized by their trace and its
+survival probability comes from adaptive quadrature of the analytic density.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point takes one resolution, n_bins: the number
@@ -77,7 +76,7 @@ from .oscillator import (
     reduced_density_value,
     two_particle_wavefunction,
 )
-from .quadrature import gauss_legendre, grid_gauss, integrate_1d
+from .quadrature import DEFAULT_PANEL_POINTS, gauss_legendre, grid_gauss, integrate_1d
 
 DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
@@ -335,7 +334,7 @@ def _entropy_and_spectrum(matrix: np.ndarray) -> tuple[float, Spectrum]:
     if spectrum.eigenvalues[-1] < -1e-8:
         raise NegativeEigenvalue(
             f"restricted matrix eigenvalue {spectrum.eigenvalues[-1]:.3e}")
-    return spectrum.entropy_bits(), spectrum
+    return float(spectral_entropy_bits(spectrum.eigenvalues)), spectrum
 
 
 def _grid_points(region: Region, n_bins: int) -> np.ndarray:
@@ -487,36 +486,31 @@ def region_basis(region: Region, n_basis: int, points: np.ndarray) -> np.ndarray
 
 
 def _basis_projected_matrix(model: OscillatorModel, region: Region,
-                            n_basis: int, n_panels: int,
-                            quadrature_order: int) -> np.ndarray:
-    nodes, weights = gauss_legendre(region.lo, region.hi, quadrature_order, n_panels)
+                            n_basis: int, n_panels: int) -> np.ndarray:
+    nodes, weights = gauss_legendre(region.lo, region.hi, DEFAULT_PANEL_POINTS, n_panels)
     phi_w = region_basis(region, n_basis, nodes) * weights[None, :]
     kernel = reduced_density_value(model, nodes[:, None], nodes[None, :])
     return phi_w @ kernel @ phi_w.T
 
 
 def basis_expansion_entropy(model: OscillatorModel, region: Region,
-                            n_basis: int = DEFAULT_BASIS_SIZE, *,
-                            quadrature_order: int = 16) -> EnsembleResult:
+                            n_basis: int = DEFAULT_BASIS_SIZE) -> EnsembleResult:
     """One-restricted entanglement from the basis-projected kernel.
 
-    The projected matrix is integrated on composite Gauss-Legendre panels,
-    doubling the panel count until the matrix stabilizes; entropy comes from
-    the trace-normalized result. The basis functions oscillate n_basis/2
-    times across the region, so panel counts start proportional to n_basis.
+    The projected matrix is integrated on composite Gauss-Legendre panels of
+    DEFAULT_PANEL_POINTS points, doubling the panel count until the matrix
+    stabilizes; entropy comes from the trace-normalized result. The basis
+    functions oscillate n_basis/2 times across the region, so panel counts
+    start proportional to n_basis.
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
-    if quadrature_order < 2:
-        raise DomainError("quadrature_order must be >= 2")
     p = _region_mass(model, region)
     n_panels = max(2, -(-n_basis // 4))
-    projected = _basis_projected_matrix(model, region, n_basis, n_panels,
-                                        quadrature_order)
+    projected = _basis_projected_matrix(model, region, n_basis, n_panels)
     for _ in range(8):
         n_panels *= 2
-        refined = _basis_projected_matrix(model, region, n_basis, n_panels,
-                                          quadrature_order)
+        refined = _basis_projected_matrix(model, region, n_basis, n_panels)
         change = float(np.abs(refined - projected).max())
         projected = refined
         if change <= 1e-10 * max(1.0, float(np.abs(projected).max())):
@@ -747,10 +741,11 @@ def _cell_arrays(*centers_and_halves) -> list[np.ndarray]:
 
 
 def _two_party_orbits(centers_a, half_a, centers_b, half_b):
-    """(width, (a_lo, a_hi, b_lo, b_hi), inverse): the widest region of the
-    cells centers_a[i] +- half_a[i] by centers_b[i] +- half_b[i] (see
-    _cell_arrays), and the bounds of one representative per symmetry orbit,
-    cell i being representative inverse[i].
+    """(width, (a_lo, a_hi, b_lo, b_hi), inverse): the widest region that
+    half_a and half_b give, even when there are no cells, and, of the cells
+    centers_a[i] +- half_a[i] by centers_b[i] +- half_b[i] (see _cell_arrays),
+    the bounds of one representative per symmetry orbit, cell i being
+    representative inverse[i].
 
     psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B,
     B x A, -A x -B and -B x -A have one joint mass and one set of Schmidt
@@ -762,7 +757,7 @@ def _two_party_orbits(centers_a, half_a, centers_b, half_b):
     one, only on each image being an exact symmetry of psi.
     """
     cells = np.stack(_cell_arrays(centers_a, half_a, centers_b, half_b), axis=-1).reshape(-1, 4)
-    width = 2.0 * cells[:, 1::2].max(initial=0.0)
+    width = 2.0 * max(np.max(half_a, initial=0.0), np.max(half_b, initial=0.0))
     swapped = cells[:, [2, 3, 0, 1]]
     mirror = np.array([-1.0, 1.0, -1.0, 1.0])
     rows = np.arange(len(cells))

@@ -16,6 +16,52 @@ from entloc.cli import (
 )
 from entloc.correlate import fit_surface
 from entloc.distribution import Distribution2D
+from entloc.restrict import _two_party_orbits
+
+
+F_SWEEP = ["spin-negativity-scan", "--f-range", "0.0625", "1", "3"]
+ONE_CELL = ["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "2"]
+ONE_MAP = ["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3"]
+BOTH = ["gauss-both-restricted", "--alpha", "6", "--width", "1"]
+BOTH_MAP = BOTH + ["--centers", "-1", "1", "3"]
+ANALYTIC = ["gauss-sigma-scan", "--alphas", "1", "--which", "small-a-analytic"]
+INEQUALITY = ["gauss-inequality", "--alpha", "6", "--grid-a", "2", "--grid-b", "2"]
+
+# (argv, flag): a flag given on the command line that the chosen mode does
+# not read, or that no subcommand of that name has
+REFUSED = [
+    (F_SWEEP + ["--steps", "4"], "--steps"),
+    (F_SWEEP + ["--theta-min", "0.1"], "--theta-min"),
+    (F_SWEEP + ["--theta-max", "3"], "--theta-max"),
+    (F_SWEEP + ["--surface", "value"], "--surface"),
+    (F_SWEEP + ["--f-value", "0.5"], "--f-value"),
+    (["spin-negativity-scan", "--steps", "3", "--theta1", "0.5"], "--theta1"),
+    (["spin-negativity-scan", "--steps", "3", "--theta2", "0.5"], "--theta2"),
+    (ONE_CELL + ["--widths", "1,2"], "--widths"),
+    (ONE_CELL + ["--surface", "rescaled"], "--surface"),
+    (ONE_MAP + ["--widths", "1", "--qbar", "0"], "--qbar"),
+    (ONE_MAP + ["--widths", "1", "--width", "2"], "--width"),
+    (BOTH_MAP + ["--mode", "profile-equal", "--width-b", "2"], "--width-b"),
+    (BOTH_MAP + ["--mode", "profile-fixed", "--width-b", "2"], "--width-b"),
+    (BOTH + ["--qbar-a", "0", "--qbar-b", "0", "--bob-center", "1"], "--bob-center"),
+    (BOTH_MAP + ["--mode", "grid", "--bob-center", "1"], "--bob-center"),
+    (BOTH_MAP + ["--mode", "profile-equal", "--bob-center", "1"], "--bob-center"),
+    (BOTH_MAP + ["--mode", "grid", "--qbar-a", "0"], "--qbar-a"),
+    (BOTH_MAP + ["--mode", "profile-equal", "--qbar-b", "0"], "--qbar-b"),
+    (BOTH_MAP + ["--mode", "profile-fixed", "--qbar-a", "0"], "--qbar-a"),
+    (BOTH + ["--qbar-a", "0", "--qbar-b", "0", "--centers", "-1", "1", "3"], "--centers"),
+    (ANALYTIC + ["--width", "1"], "--width"),
+    (ANALYTIC + ["--extent", "3"], "--extent"),
+    (ANALYTIC + ["--steps", "9"], "--steps"),
+    (INEQUALITY + ["--nd-center", "0"], "--nd-center"),
+    (INEQUALITY + ["--nd-half-width", "1"], "--nd-half-width"),
+    (["gauss-fit", "--input", "map.csv", "--seed", "3"], "--seed"),
+    # flags that were removed: they never changed a result
+    (BOTH_MAP + ["--mode", "grid", "--workers", "2"], "--workers"),
+    (["gauss-constants", "--alpha", "6", "--seed", "1"], "--seed"),
+    (["spin-scan", "--steps", "3", "--f-value", "0.5"], "--f-value"),
+    (ONE_CELL + ["--method", "basis", "--quadrature-order", "8"], "--quadrature-order"),
+]
 
 
 def run_capture(capsys, argv):
@@ -67,15 +113,27 @@ class TestExitCodes:
           "--widths", "1", "--n-basis", "5"], 1, "UsageError"),
         (["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
           "--widths", "1", "--method", "basis", "--n-basis", "5"], 1, "UsageError"),
-        # an F sweep has no delta surface; F is checked for either measure
+        # an F sweep has no delta surface; an F outside [1/16, 1] is the library's to refuse
         (["spin-negativity-scan", "--f-range", "0.0625", "1", "3", "--surface", "delta"],
          1, "UsageError"),
-        (["spin-scan", "--steps", "3", "--f-value", "7"], 2, "DomainError"),
+        (["spin-negativity-scan", "--steps", "3", "--f-value", "7"], 2, "DomainError"),
+        *[(argv, 1, "UsageError") for argv, _ in REFUSED],
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
         got, _, err = run_capture(capsys, argv)
         assert got == code
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("argv,flag", REFUSED + [
+        (ONE_CELL + ["--method", "basis", "--n-bins", "40"], "--n-bins"),
+        (ONE_CELL + ["--n-basis", "20"], "--n-basis"),
+        (ONE_MAP + ["--widths", "1", "--n-basis", "5"], "--n-basis"),
+        (F_SWEEP + ["--surface", "delta"], "--surface"),
+    ])
+    def test_refusal_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert flag in re.findall(r"--[a-z0-9-]+", json.loads(err)["message"])
 
     def test_node_cap_refused_without_large_allocation(self, capsys):
         tracemalloc.start()
@@ -193,8 +251,8 @@ class TestScalarCommands:
             "spin-scan", "--steps", "2", "--format", "json"])
         assert code == 0
         assert list(json.loads(out)["metadata"]["config"]) == [
-            "format", "seed", "steps", "theta_min", "theta_max", "surface",
-            "f_value", "measure", "subcommand"]
+            "format", "steps", "theta_min", "theta_max", "surface", "measure",
+            "subcommand"]
 
 
 class TestDistributionIo:
@@ -442,28 +500,6 @@ class TestScanCommands:
         assert payload["non_discarding"]["two_path_gap"] <= 1e-6
 
 
-class TestWorkersResolution:
-    def test_env_override_honored(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("ENTLOC_THREADS", "2")
-        path = tmp_path / "env.csv"
-        args = ["gauss-both-restricted", "--alpha", "6", "--mode", "grid",
-                "--centers", "-1", "1", "4", "--width", "1",
-                "--n-bins", "40", "--output", str(path)]
-        assert run(args) == 0
-        env_bytes = path.read_bytes()
-        monkeypatch.delenv("ENTLOC_THREADS")
-        assert run(args) == 0
-        assert path.read_bytes() == env_bytes
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTLOC_THREADS", "many")
-        code, _, err = run_capture(capsys, [
-            "gauss-both-restricted", "--alpha", "6", "--mode", "grid",
-            "--centers", "-1", "1", "4", "--width", "1", "--n-bins", "40"])
-        assert code == 1
-        assert json.loads(err)["error"] == "ConfigParse"
-
-
 class TestBasisMethodFlag:
     def test_point_evaluation_via_basis(self, capsys):
         code, out, _ = run_capture(capsys, [
@@ -509,6 +545,7 @@ class TestConfigFile:
         (["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "2",
           "--method", "basis"], b'{"n_basis": 20.5}'),
         (["spin-scan"], b'{"steps": Infinity}'),
+        (["gauss-both-restricted", "--alpha", "6", "--width", "1"], b'{"mode": "line"}'),
     ])
     def test_config_value_that_does_not_convert(self, capsys, tmp_path, argv, content):
         config = tmp_path / "bad.json"
@@ -540,6 +577,17 @@ class TestConfigFile:
         assert payload["n_basis"] == payload["spectrum_size"] == 20
         assert payload["metadata"]["config"]["n_basis"] == 20
 
+    def test_config_keys_a_mode_does_not_read_are_shared_defaults(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"alpha": 6, "bob_center": 1, "centers": [-1, 1, 3],
+                                      "width_b": 2, "seed": 4}))
+        code, _, _ = run_capture(capsys, BOTH + ["--qbar-a", "0", "--qbar-b", "0",
+                                                 "--config", str(config)])
+        assert code == 0
+        code, _, _ = run_capture(capsys, BOTH + ["--mode", "profile-equal",
+                                                 "--config", str(config)])
+        assert code == 0
+
     def test_config_numbers_are_echoed_as_given(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"alpha": 6, "centers": [-1, 1, 3], "width": 1,
@@ -553,31 +601,6 @@ class TestConfigFile:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_csv(self, tmp_path):
-        args = ["gauss-both-restricted", "--alpha", "6", "--mode", "grid",
-                "--centers", "-1", "1", "5", "--width", "1",
-                "--n-bins", "40"]
-        path_serial = tmp_path / "serial.csv"
-        path_parallel = tmp_path / "parallel.csv"
-        assert run(args + ["--workers", "1", "--output", str(path_serial)]) == 0
-        assert run(args + ["--workers", "2",
-                           "--output", str(path_parallel)]) == 0
-        assert path_serial.read_bytes() == path_parallel.read_bytes()
-
-    @pytest.mark.parametrize("args", [
-        ["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
-         "--widths", "0.5,1", "--n-bins", "40"],
-        ["gauss-classical-map", "--alpha", "6", "--kind", "conditional",
-         "--width", "0.5", "--centers", "-1", "1", "4"],
-        ["gauss-both-restricted", "--alpha", "6", "--mode", "grid",
-         "--centers", "-1", "1", "5", "--width", "1"],
-    ])
-    def test_worker_count_does_not_change_other_maps(self, tmp_path, args):
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert run(args + ["--workers", "1", "--output", str(serial)]) == 0
-        assert run(args + ["--workers", "2", "--output", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_repeat_runs_identical(self, tmp_path):
         args = ["spin-scan", "--steps", "10", "--restricted"]
         first = tmp_path / "a.csv"
@@ -585,6 +608,28 @@ class TestDeterminism:
         assert run(args + ["--output", str(first)]) == 0
         assert run(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestAxes:
+    @pytest.mark.parametrize("steps", [41, 81])
+    def test_centred_axis_is_its_own_mirror(self, steps):
+        axis = cli._linspace(-4.0, 4.0, steps)
+        assert np.array_equal(-axis[::-1], axis)
+        assert np.abs(axis - np.linspace(-4.0, 4.0, steps)).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("lo,hi,steps", [(0.0, 2.0 * math.pi, 64), (-6.0, 4.0, 41),
+                                             (0.0625, 1.0, 128)])
+    def test_other_axes_are_linspace(self, lo, hi, steps):
+        assert cli._linspace(lo, hi, steps).tobytes() == np.linspace(lo, hi, steps).tobytes()
+
+    def test_centred_axes_get_the_mirror_half_of_the_orbits(self):
+        axis = cli._linspace(-4.0, 4.0, 41)
+        _, square, _ = _two_party_orbits(np.repeat(axis, 41), 0.25, np.tile(axis, 41), 0.25)
+        assert square[0].size == 441  # (41^2 + 41 + 1 + 41) / 4
+        profile = cli._linspace(-4.0, 4.0, 81)
+        for bob in (profile, 0.0):
+            _, cells, _ = _two_party_orbits(profile, 0.25, bob, 0.25)
+            assert cells[0].size == 41
 
 
 class TestReadmeCommands:
