@@ -407,7 +407,7 @@ def _cmd_gauss_inequality(ns, metadata):
     }
     if ns.nd_center is not None and ns.nd_half_width is not None:
         identity, mixture, gap = non_discarding_two_path(
-            model, Region(ns.nd_center, ns.nd_half_width), _n_bins(ns))
+            model, Region(ns.nd_center, ns.nd_half_width))
         payload["non_discarding"] = {
             "entanglement": identity.entanglement,
             "prob": identity.survival_probability,
@@ -614,16 +614,20 @@ _UNSET = object()  # a seeded namespace value that no flag on argv replaced
 
 def _parse(subcommand: str, argv: list[str]):
     """Parse flags over config-file values over flag defaults, and refuse a
-    flag given on the command line that the chosen mode does not read."""
+    flag given on the command line that the chosen mode does not read. A
+    config key that names one of the subcommand's own defaults is left
+    unused: argparse sets those after the config, as it does without one."""
     parser = _build_parser(subcommand)
     actions = {action.dest: action for action in parser._actions}
     # argparse leaves a seeded attribute alone unless argv gives its flag
     given = vars(parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(actions, _UNSET))))
     seeded = argparse.Namespace()
+    fixed = _SUBCOMMANDS[subcommand].defaults or {}
     if given["config"] not in (_UNSET, ""):
         for key, value in _load_config(given["config"]).items():
             dest = key.replace("-", "_")
-            setattr(seeded, dest, _config_value(actions.get(dest), key, value))
+            if dest not in fixed:
+                setattr(seeded, dest, _config_value(actions.get(dest), key, value))
     ns = parser.parse_args(argv, namespace=seeded)
     unread = [dest for dest in _SUBCOMMANDS[subcommand].unread(ns) if given[dest] is not _UNSET]
     if unread:

@@ -11,6 +11,7 @@ space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +153,16 @@ def fit_surface(dist: Distribution2D, form: str = "symmetric_pm", *,
     Samples below threshold * max (or masked, or outside |center| <= window)
     are excluded; the remaining log values are fit by weighted linear least
     squares with weights proportional to the sample value, which keeps the
-    high signal region in charge of the curvature.
+    high signal region in charge of the curvature. A threshold that is not
+    finite, or a window that is not finite and positive, is refused with
+    DomainError.
     """
     if form not in ("symmetric_pm", "conditional"):
         raise DomainError(f"unknown fit form {form!r}")
+    if not math.isfinite(threshold):
+        raise DomainError(f"fit threshold must be finite, got {threshold}")
+    if window is not None and not (math.isfinite(window) and window > 0.0):
+        raise DomainError(f"fit window must be finite and positive, got {window}")
     xg, yg = dist.meshgrid()
     values = dist.values
     keep = ~dist.mask & np.isfinite(values) & (values > 0.0)

@@ -30,20 +30,23 @@ A one-party map takes the eigenvalues of Alice's reduced kernel in the same
 Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
 own unit-weight sum (quadrature.grid_gauss), which converges exponentially
 to the spectrum of the kernel on the grid and builds nothing on Bob's side;
-Alice's mass is in closed form. Maps stack their cells and make one LAPACK
-call per chunk. A single one-party cell samples the one-particle kernel on
-a grid (one_restricted_entropy), or projects it onto an orthonormal
-sine/cosine family supported on the region (basis_expansion_entropy, which
-takes n_basis); grid matrices are renormalized by their trace and its
-survival probability comes from adaptive quadrature of the analytic density.
+Alice's mass is in closed form. The non-discarding ensemble takes the same
+Nystrom kernel on Gauss-Legendre nodes of Alice's region and of the pieces of
+its complement, with a closed-form mass. Maps stack their cells and make one
+LAPACK call per chunk. A single one-party cell samples the one-particle
+kernel on a grid (one_restricted_entropy), or projects it onto an
+orthonormal sine/cosine family supported on the region
+(basis_expansion_entropy, which takes n_basis); grid matrices are
+renormalized by their trace and its survival probability comes from
+adaptive quadrature of the analytic density.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
-centers). Every other entry point takes one resolution, n_bins: the number
-of grid intervals per region. Where Alice's region is sampled on a grid
-(one-party cells and maps, the non-discarding ensemble, the precise
-readout), None means DEFAULT_BINS_ONE or DEFAULT_BINS_PRECISE; two-party
-cells and maps run on Gauss-Legendre nodes without it. An n_bins below 2
-is refused with DomainError before any mass is computed.
+centers). Every other entry point but the non-discarding ensemble takes one
+resolution, n_bins: the number of grid intervals per region. Where Alice's
+region is sampled on a grid (one-party cells and maps, the precise readout),
+None means DEFAULT_BINS_ONE or DEFAULT_BINS_PRECISE; two-party cells and maps
+run on Gauss-Legendre nodes without it. An n_bins below 2 is refused with
+DomainError before any mass is computed.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 EMPTY_MASS = 1e-14
-_TWO_PATH_BOB_BINS = 256
 # Gauss-Legendre nodes per region of a two-party cell, and the most Gauss
 # nodes of a one-party map's grid rule: NODES_PER_LENGTH per narrow length of
 # the widest interval, at least NODE_FLOOR. No rule has more than MAX_NODES
@@ -304,9 +306,8 @@ def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
     return n
 
 
-def _region_mass(model: OscillatorModel, region: Region) -> float:
-    """Alice's mass in the region; EmptyRegionMass below EMPTY_MASS."""
-    p = region_survival_probability(model, region)
+def _region_mass(region: Region, p: float) -> float:
+    """p, Alice's mass in the region; EmptyRegionMass below EMPTY_MASS."""
     if p < EMPTY_MASS:
         raise EmptyRegionMass(
             f"region [{region.lo:.3g}, {region.hi:.3g}] carries mass {p:.3e}")
@@ -341,11 +342,6 @@ def _grid_points(region: Region, n_bins: int) -> np.ndarray:
     return np.linspace(region.lo, region.hi, n_bins + 1)
 
 
-def _kernel_entropy(model: OscillatorModel, points: np.ndarray) -> tuple[float, Spectrum]:
-    kernel = reduced_density_value(model, points[:, None], points[None, :])
-    return _entropy_and_spectrum(kernel)
-
-
 def one_restricted_entropy(model: OscillatorModel, region: Region,
                            n_bins: int | None = None) -> EnsembleResult:
     """Discarding-ensemble entanglement when only Alice restricts.
@@ -355,8 +351,10 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     survival probability is the quadrature mass of the region.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
-    p = _region_mass(model, region)
-    entropy, spectrum = _kernel_entropy(model, _grid_points(region, n_bins))
+    p = _region_mass(region, region_survival_probability(model, region))
+    points = _grid_points(region, n_bins)
+    entropy, spectrum = _entropy_and_spectrum(
+        reduced_density_value(model, points[:, None], points[None, :]))
     return EnsembleResult(entropy, p, spectrum, n_bins)
 
 
@@ -505,7 +503,7 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
-    p = _region_mass(model, region)
+    p = _region_mass(region, region_survival_probability(model, region))
     n_panels = max(2, -(-n_basis // 4))
     projected = _basis_projected_matrix(model, region, n_basis, n_panels)
     for _ in range(8):
@@ -569,77 +567,65 @@ class NonDiscardingResult:
     locally_accessible: float
 
 
-def _complement_points(region: Region, half_domain: float, n_bins: int) -> np.ndarray:
-    """Grid on the parts of [-half_domain, half_domain] outside the region.
-
-    Every point carries the same weight in the kernel matrix, so both parts
-    are sampled at one spacing: the longer part gets n_bins intervals.
-    """
-    pieces = [(lo, hi) for lo, hi in ((-half_domain, region.lo), (region.hi, half_domain))
-              if hi > lo]
-    if not pieces:
-        return np.empty(0)
-    longest = max(hi - lo for lo, hi in pieces)
-    return np.concatenate([
-        np.linspace(lo, hi, max(1, round(n_bins * (hi - lo) / longest)) + 1)
-        for lo, hi in pieces])
+def _nodes_on(model: OscillatorModel, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of one cell as (1, n) rows:
+    _schmidt_nodes(model, hi - lo) nodes on each (lo, hi) of pieces, joined."""
+    rules = [gauss_legendre(lo, hi, _schmidt_nodes(model, hi - lo)) for lo, hi in pieces]
+    return tuple(np.concatenate(part)[None, :] for part in zip(*rules))
 
 
-def non_discarding_entanglement(model: OscillatorModel, region: Region,
-                                n_bins: int | None = None) -> NonDiscardingResult:
+def _ensemble(model: OscillatorModel, region: Region, entropy) -> NonDiscardingResult:
+    """The non-discarding ensemble of Alice's region, each conditional entropy
+    taken by entropy(x, w) on Gauss-Legendre nodes (_nodes_on) of the region
+    and of the pieces of its complement in the truncated domain. The mass is
+    in closed form; a region that leaves no outside outcome (no piece, or an
+    outside mass below EMPTY_MASS) has mass 1 and outside entropy 0."""
+    p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
+    e_in = float(entropy(*_nodes_on(model, [(region.lo, region.hi)]))[0])
+    half = domain_half_length(model)
+    pieces = [(lo, hi) for lo, hi in ((-half, region.lo), (region.hi, half)) if hi > lo]
+    e_out = 0.0
+    if not pieces or 1.0 - p < EMPTY_MASS:
+        p = 1.0
+    else:
+        e_out = float(entropy(*_nodes_on(model, pieces))[0])
+    return NonDiscardingResult(entanglement=p * e_in + (1.0 - p) * e_out,
+                               survival_probability=p, entanglement_inside=e_in,
+                               entanglement_outside=e_out, locally_accessible=p * e_in)
+
+
+def non_discarding_entanglement(model: OscillatorModel, region: Region) -> NonDiscardingResult:
     """Entanglement of the non-discarding ensemble for Alice's region.
 
     Both conditional states are pure, so the ensemble entanglement is the
     probability-weighted average of the in-region and out-of-region
-    discarding entanglements. The complement is sampled on the truncated
-    domain at one spacing, n_bins intervals on its longer segment; the region
-    gets n_bins intervals too (DEFAULT_BINS_ONE by default).
+    discarding entanglements. Each is the entropy of Alice's reduced kernel
+    in Nystrom form (_kernel_weights) on Gauss-Legendre nodes, the two-party
+    node rule of its length on the region and on each piece of the region's
+    complement in the truncated domain. A piece that needs more than
+    MAX_NODES nodes is refused with QuadratureNotConverged.
     """
-    n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
-    inside = one_restricted_entropy(model, region, n_bins)
-    p, e_in = inside.survival_probability, inside.entanglement
-
-    complement = _complement_points(region, domain_half_length(model), n_bins)
-    if complement.size == 0 or 1.0 - p < EMPTY_MASS:
-        e_out = 0.0
-        p = 1.0
-    else:
-        e_out, _ = _kernel_entropy(model, complement)
-
-    e_nd = p * e_in + (1.0 - p) * e_out
-    return NonDiscardingResult(entanglement=e_nd, survival_probability=p,
-                               entanglement_inside=e_in,
-                               entanglement_outside=e_out,
-                               locally_accessible=p * e_in)
+    return _ensemble(model, region,
+                     lambda x, w: spectral_entropy_bits(_kernel_weights(model, x, w)))
 
 
-def non_discarding_two_path(model: OscillatorModel, region: Region,
-                            n_bins: int | None = None):
+def non_discarding_two_path(model: OscillatorModel, region: Region):
     """Check the two-outcome identity along two independent routes.
 
-    Route one reduces to Alice first and evaluates each conditional
-    entanglement from the analytic one-particle kernel. Route two assembles
-    the block-diagonal two-outcome mixture of the full two-particle state
-    on a grid (Bob unrestricted) and averages the conditional entropies of
-    its blocks, each from the Schmidt weights of its amplitudes with unit
-    weights. Returns (identity_result, mixture_value, gap).
+    Route one reduces to Alice first and takes each conditional entanglement
+    from the analytic one-particle kernel (non_discarding_entanglement).
+    Route two averages the conditional entropies of the blocks of the
+    two-outcome mixture of the full two-particle state, each from the
+    Schmidt weights of its amplitudes (_entropies) on the same nodes of
+    Alice's side against Gauss-Legendre nodes of the whole truncated domain
+    on Bob's, the node rule of its length; past MAX_NODES Bob nodes (alpha
+    above about 4100) it is refused with QuadratureNotConverged. Returns
+    (identity_result, mixture_value, gap).
     """
-    n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     half = domain_half_length(model)
-    identity = non_discarding_entanglement(model, region, n_bins)
-    p = identity.survival_probability
-
-    bob = np.linspace(-half, half, _TWO_PATH_BOB_BINS + 1)[None, :]
-
-    def block_entropy(alice: np.ndarray) -> float:
-        xa = alice[None, :]
-        return float(_entropies(model, xa, np.ones_like(xa), bob, np.ones_like(bob))[0])
-
-    e_in = block_entropy(_grid_points(region, n_bins))
-    e_out = 0.0
-    if p < 1.0:  # the identity sets p to 1 when the region leaves no outside
-        e_out = block_entropy(_complement_points(region, half, n_bins))
-    mixture = p * e_in + (1.0 - p) * e_out
+    xb, wb = _nodes_on(model, [(-half, half)])
+    identity = non_discarding_entanglement(model, region)
+    mixture = _ensemble(model, region, lambda x, w: _entropies(model, x, w, xb, wb)).entanglement
     return identity, mixture, abs(mixture - identity.entanglement)
 
 

@@ -118,8 +118,19 @@ class TestExitCodes:
          1, "UsageError"),
         (["spin-negativity-scan", "--steps", "3", "--f-value", "7"], 2, "DomainError"),
         *[(argv, 1, "UsageError") for argv, _ in REFUSED],
+        # a fit threshold or window that selects no meaningful samples
+        *[(["gauss-fit", "--input", "map.csv", flag, value], 2, "DomainError")
+          for flag, value in (("--threshold", "nan"), ("--threshold", "inf"),
+                              ("--window", "nan"), ("--window", "inf"),
+                              ("--window", "0"), ("--window", "-1"))],
     ])
-    def test_rule_cli_rejects_1_library_rejects_2(self, capsys, argv, code, error):
+    def test_rule_cli_rejects_1_library_rejects_2(self, capsys, tmp_path, monkeypatch,
+                                                  argv, code, error):
+        monkeypatch.chdir(tmp_path)
+        x = np.linspace(-2.0, 2.0, 9)
+        emit_distribution(Distribution2D(axis_a=x, axis_b=x,
+                                         values=np.exp(-np.add.outer(x * x, x * x))),
+                          "map.csv", "csv")
         got, _, err = run_capture(capsys, argv)
         assert got == code
         assert json.loads(err)["error"] == error
@@ -576,6 +587,19 @@ class TestConfigFile:
         payload = json.loads(out)
         assert payload["n_basis"] == payload["spectrum_size"] == 20
         assert payload["metadata"]["config"]["n_basis"] == 20
+
+    @pytest.mark.parametrize("subcommand,measure", [
+        ("spin-scan", "negativity"), ("spin-scan", "x"),
+        ("spin-negativity-scan", "entropy"), ("spin-negativity-scan", "x")])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_config_cannot_set_the_subcommand_measure(self, capsys, tmp_path, subcommand,
+                                                      measure, fmt):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"measure": measure}))
+        argv = [subcommand, "--steps", "3", "--format", fmt]
+        code, out, _ = run_capture(capsys, argv + ["--config", str(config)])
+        assert code == 0
+        assert out == run_capture(capsys, argv)[1]
 
     def test_config_keys_a_mode_does_not_read_are_shared_defaults(self, capsys, tmp_path):
         config = tmp_path / "run.json"

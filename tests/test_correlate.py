@@ -238,6 +238,16 @@ class TestFitSurface:
         with pytest.raises(InsufficientSupport):
             fit_surface(dist, "symmetric_pm")
 
+    @pytest.mark.parametrize("threshold,window", [
+        (np.nan, None), (np.inf, None), (-np.inf, None),
+        (1e-3, np.nan), (1e-3, np.inf), (1e-3, 0.0), (1e-3, -1.0)])
+    def test_non_finite_threshold_or_bad_window_refused(self, threshold, window):
+        x = np.linspace(-2, 2, 9)
+        xg, yg = np.meshgrid(x, x, indexing="ij")
+        dist = Distribution2D(axis_a=x, axis_b=x, values=np.exp(-xg**2 - yg**2))
+        with pytest.raises(DomainError, match="threshold|window"):
+            fit_surface(dist, "symmetric_pm", threshold=threshold, window=window)
+
     def test_non_positive_curvature(self):
         x = np.linspace(-2, 2, 15)
         xg, yg = np.meshgrid(x, x, indexing="ij")

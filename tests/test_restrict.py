@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,14 +81,12 @@ class TestRegionTypes:
         lambda: both_restricted_profile(MODEL, [0.0, 1.0], 0.5, n_bins=1),
         lambda: partition_inequality_check(MODEL, Partition.uniform(-4, 4, 2),
                                            Partition.uniform(-4, 4, 2), n_bins=1),
-        lambda: non_discarding_entanglement(MODEL, Region(0.0, 1.0), n_bins=1),
-        lambda: non_discarding_two_path(MODEL, Region(0.0, 1.0), n_bins=1),
         lambda: precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=1),
         lambda: sigma_vs_alpha_scan([6.0], which="quantum", steps=3, n_bins=1),
         # the coarse grid of a 3-bin comparison has 1 bin
         lambda: method_equivalence(MODEL, Region(0.0, 1.0), n_bins=3),
     ], ids=["one", "both", "one-party-map", "two-party-map", "profile", "partition",
-            "non-discarding", "two-path", "precise", "sigma-scan", "method-equivalence"])
+            "precise", "sigma-scan", "method-equivalence"])
     def test_resolution_below_its_floor_refused_before_any_mass(self, call, monkeypatch):
         import entloc.restrict as restrict
         masses = []
@@ -285,26 +284,80 @@ class TestNonDiscarding:
             + (1 - identity.survival_probability) * identity.entanglement_outside,
             abs=1e-12)
 
-    def test_off_centre_outside_entropy_converges(self):
-        # The two parts of the complement of Region(0.5, 1) differ in length;
-        # the outside entropy must still converge at first order to the
-        # Gauss-Legendre Nystrom value of the complement's kernel.
-        region = Region(0.5, 1.0)
-        half = domain_half_length(MODEL)
-        x, w = np.polynomial.legendre.leggauss(64)
-        pieces = ((-half, region.lo), (region.hi, half))
+    @staticmethod
+    def reference(model, pieces, n=64):
+        """Entropy of the reduced kernel, Gauss-Legendre Nystrom on n nodes per piece."""
+        x, w = np.polynomial.legendre.leggauss(n)
         nodes = np.concatenate([0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in pieces])
         root_w = np.sqrt(np.concatenate([0.5 * (hi - lo) * w for lo, hi in pieces]))
-        kernel = (root_w[:, None] * reduced_density_value(MODEL, nodes[:, None], nodes[None, :])
+        kernel = (root_w[:, None] * reduced_density_value(model, nodes[:, None], nodes[None, :])
                   * root_w[None, :])
         lam = np.linalg.eigvalsh(kernel / np.trace(kernel))
         lam = lam[lam > 1e-12]
-        reference = float(-(lam * np.log2(lam)).sum())
-        errors = [abs(non_discarding_entanglement(
-            MODEL, region, n_bins=n).entanglement_outside - reference)
-            for n in (200, 400)]
-        assert errors[0] < 0.015
-        assert errors[1] < 0.6 * errors[0]
+        return float(-(lam * np.log2(lam)).sum())
+
+    def test_off_centre_outside_entropy_converges(self):
+        # The two parts of the complement of Region(0.5, 1) differ in length;
+        # the outside entropy must equal the Gauss-Legendre Nystrom value of
+        # the complement's kernel on 64 nodes per part.
+        region = Region(0.5, 1.0)
+        half = domain_half_length(MODEL)
+        reference = self.reference(MODEL, ((-half, region.lo), (region.hi, half)))
+        result = non_discarding_entanglement(MODEL, region)
+        assert abs(result.entanglement_outside - reference) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.06, 6.0, 100.0])
+    @pytest.mark.parametrize("region", [Region(0.0, 1.0), Region(0.5, 1.0)])
+    def test_both_sides_match_the_nystrom_reference(self, alpha, region):
+        model = OscillatorModel(alpha=alpha)
+        half = domain_half_length(model)
+        result = non_discarding_entanglement(model, region)
+        assert abs(result.entanglement_inside
+                   - self.reference(model, ((region.lo, region.hi),))) < 1e-10
+        assert abs(result.entanglement_outside
+                   - self.reference(model, ((-half, region.lo), (region.hi, half)))) < 1e-10
+
+    @given(st.floats(0.05, 1000.0), st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
+    @settings(max_examples=25, deadline=None)
+    def test_identity_bounds_and_convergence(self, alpha, center, half_width):
+        import entloc.restrict as restrict
+        model, region = OscillatorModel(alpha=alpha), Region(center, half_width)
+        identity, mixture, gap = non_discarding_two_path(model, region)
+        p = identity.survival_probability
+        assert identity.entanglement == pytest.approx(
+            p * identity.entanglement_inside + (1.0 - p) * identity.entanglement_outside,
+            abs=1e-12)
+        assert identity.locally_accessible <= identity.entanglement <= gaussian_eof(model) + 1e-9
+        assert gap <= 1e-10
+        nodes = restrict._schmidt_nodes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(restrict, "_schmidt_nodes", lambda m, width: 2 * nodes(m, width))
+            doubled = non_discarding_entanglement(model, region)
+        assert abs(doubled.entanglement_inside - identity.entanglement_inside) <= 1e-10
+        assert abs(doubled.entanglement_outside - identity.entanglement_outside) <= 1e-10
+
+    def test_two_path_peak_memory(self):
+        tracemalloc.start()
+        try:
+            non_discarding_two_path(MODEL, Region(0.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_no_grid_cell_or_adaptive_mass(self, monkeypatch):
+        import entloc.restrict as restrict
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ensemble ran a grid cell or an adaptive mass")
+        for name in ("integrate_1d", "one_restricted_entropy"):
+            monkeypatch.setattr(restrict, name, refuse)
+        non_discarding_two_path(MODEL, Region(0.5, 1.0))
+
+    def test_bob_nodes_past_the_cap_refused(self):
+        with pytest.raises(QuadratureNotConverged, match="more than the cap"):
+            non_discarding_two_path(OscillatorModel(alpha=5000.0), Region(0.0, 1.0))
+        non_discarding_entanglement(OscillatorModel(alpha=5000.0), Region(0.0, 1.0))
 
     def test_empty_region_refused(self):
         with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
