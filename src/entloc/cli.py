@@ -76,33 +76,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):  # flag tokens
-        return value
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    if value == 0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.12g}"
-
-
 def _flags(masked, empty) -> np.ndarray:
     """Flag tokens of cells from their mask and empty-region flags (arrays)."""
     return np.where(masked, "masked", np.where(empty, "empty", "ok"))
 
 
-def _json_safe(obj):
-    if isinstance(obj, float):
-        return None if math.isnan(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+_JSON_SCALARS = {float, int, str, bool, type(None)}
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """obj as json.dumps(obj, indent=2) writes it at indent pad, with NaN as
+    null and numpy numbers as floats. A flat list of scalars is encoded by
+    one call of the C encoder, which json.dumps skips whenever it indents."""
     if isinstance(obj, np.ndarray):
-        return _json_safe(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _json_safe(float(obj))
-    return obj
+        obj = obj.tolist()
+    elif isinstance(obj, (np.floating, np.integer)):
+        obj = float(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if items else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(None if isinstance(obj, float) and obj != obj else obj)
+    if not obj:
+        return "[]"
+    kinds = set(map(type, obj))
+    if kinds <= _JSON_SCALARS:
+        if float in kinds:
+            obj = [None if value != value else value for value in obj]  # NaN -> null
+        body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+    else:
+        body = (",\n" + inner).join(_json_text(value, inner) for value in obj)
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -113,23 +118,32 @@ def _write_text(path: str | None, text: str) -> None:
         handle.write(text)
 
 
-def _write_csv(path: str | None, header, rows) -> None:
-    """Header line plus one line per row, numbers at 12 significant digits."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+def _column_text(column) -> list[str]:
+    """The CSV words of one column: flag tokens as they are, numbers at 12
+    significant digits with -0 written as 0 and a missing value as nan."""
+    column = np.asarray(column).ravel()
+    if column.dtype.kind == "U":
+        return column.tolist()
+    distinct, index = np.unique(column.astype(np.float64) + 0.0, return_inverse=True)
+    words = ("%.12g\n" * distinct.size % tuple(distinct.tolist())).split("\n")
+    return np.array(words[:-1], dtype=object)[index].tolist()
+
+
+def _write_csv(path: str | None, header, columns) -> None:
+    """Header line plus one line per row of the columns (one array each)."""
+    lines = map(",".join, zip(*map(_column_text, columns)))
+    _write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _emit_json(payload: dict, path: str | None, metadata: dict) -> None:
     """Write payload as indented JSON with the metadata block last."""
-    document = _json_safe({**payload, "metadata": metadata})
-    _write_text(path, json.dumps(document, indent=2) + "\n")
+    _write_text(path, _json_text({**payload, "metadata": metadata}) + "\n")
 
 
 def _emit_table(ns, metadata, header, rows, json_rows) -> None:
     """A table as CSV, or as JSON whose "rows" are json_rows."""
     if ns.format == "csv":
-        _write_csv(ns.output, header, rows)
+        _write_csv(ns.output, header, zip(*rows))
     else:
         _emit_json({"rows": json_rows}, ns.output, metadata)
 
@@ -142,19 +156,17 @@ def emit_distribution(dist: Distribution2D, path: str | None, fmt: str,
     values = np.where(dist.mask, np.nan, dist.extra[layer] if layer else dist.values)
     prob = dist.extra.get("prob", np.full(dist.shape, np.nan))
     flag = _flags(dist.mask, dist.extra.get("flag", 0.0) > 0.5)
-    values, prob, flag = (column.ravel().tolist() for column in (values, prob, flag))
     name_a, name_b = dist.axis_names
     if fmt == "csv":
-        axis_a, axis_b = (axis.ravel().tolist() for axis in dist.meshgrid())
         _write_csv(path, (name_a, name_b, "value", "prob", "flag"),
-                   zip(axis_a, axis_b, values, prob, flag))
+                   (*dist.meshgrid(), values, prob, flag))
         return
     _emit_json({
-        "axes": {name_a: dist.axis_a.tolist(), name_b: dist.axis_b.tolist()},
+        "axes": {name_a: dist.axis_a, name_b: dist.axis_b},
         "kind": dist.kind,
-        "values": values,
-        "prob": prob,
-        "flag": flag,
+        "values": values.ravel(),
+        "prob": prob.ravel(),
+        "flag": flag.ravel(),
     }, path, metadata or {})
 
 
@@ -170,19 +182,28 @@ def parse_distribution(path: str) -> Distribution2D:
     header = lines[0].split(",")
     if len(header) < 3:
         raise ConfigParse(f"{path} does not look like a surface CSV")
-    index_a, index_b, records = {}, {}, []  # axis value -> index, first-seen order
-    for line in lines[1:]:
+    index_a, index_b, cells = {}, {}, {}  # axis value -> index, first-seen order
+    for row, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
         try:
             a, b, v = float(parts[0]), float(parts[1]), float(parts[2])
         except (ValueError, IndexError) as exc:
             raise ConfigParse(f"{path}: malformed row {line!r}") from exc
-        records.append((index_a.setdefault(a, len(index_a)),
-                        index_b.setdefault(b, len(index_b)),
-                        v, len(parts) > 4 and parts[4] == "masked"))
+        if not (math.isfinite(a) and math.isfinite(b)) or math.isinf(v):
+            raise ConfigParse(f"{path}: row {row} {line!r} has a non-finite axis value "
+                              "or an infinite value")
+        cell = index_a.setdefault(a, len(index_a)), index_b.setdefault(b, len(index_b))
+        if cell in cells:
+            raise ConfigParse(f"{path}: row {row} repeats the cell ({a!r}, {b!r})")
+        cells[cell] = v, len(parts) > 4 and parts[4] == "masked"
+    if len(cells) < len(index_a) * len(index_b):
+        a, b = next((a, b) for a, i in index_a.items() for b, j in index_b.items()
+                    if (i, j) not in cells)
+        raise ConfigParse(f"{path}: no row for the cell ({a!r}, {b!r}) of its "
+                          f"{len(index_a)}x{len(index_b)} grid")
     values = np.full((len(index_a), len(index_b)), np.nan)
     mask = np.zeros_like(values, dtype=bool)
-    for i, j, v, masked in records:
+    for (i, j), (v, masked) in cells.items():
         values[i, j] = v
         mask[i, j] = masked
     return Distribution2D(axis_a=list(index_a), axis_b=list(index_b), values=values,

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import re
 import shlex
+import struct
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entloc import cli
 from entloc.cli import (
@@ -62,6 +67,25 @@ REFUSED = [
     (["spin-scan", "--steps", "3", "--f-value", "0.5"], "--f-value"),
     (ONE_CELL + ["--method", "basis", "--quadrature-order", "8"], "--quadrature-order"),
 ]
+
+
+
+def _surface_text(cells) -> str:
+    return "q_bar_A,q_bar_B,value,prob,flag\n" + "".join(
+        f"{a},{b},{v},0.1,ok\n" for a, b, v in cells)
+
+
+_GRID = [(a, b, 1.0 - 0.1 * (a * a + b * b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+# surfaces whose every row parses but that are no surface: (text, what the
+# refusal names)
+MALFORMED = [
+    (_surface_text([("nan", -1, 1.0)] + _GRID[1:]), "row 1"),        # NaN axis value
+    (_surface_text(_GRID[:4] + [(0, "inf", 1.0)] + _GRID[5:]), "row 5"),  # infinite axis
+    (_surface_text(_GRID[:4] + [(0, 0, "inf")] + _GRID[5:]), "row 5"),    # infinite value
+    (_surface_text(_GRID + [(0, 0, 0.5)]), "(0.0, 0.0)"),             # cell given twice
+    (_surface_text(_GRID[:-2]), "(1.0, 0.0)"),                        # last rows cut off
+]
+MALFORMED_SURFACES = [text for text, _ in MALFORMED]
 
 
 def run_capture(capsys, argv):
@@ -200,6 +224,7 @@ class TestExitCodes:
         "q_bar_A,q_bar_B,value,prob,flag\n0,0,abc,0.1,ok\n",  # non-numeric value
         "q_bar_A,q_bar_B,value,prob,flag\n0,0\n",             # short row
         None,                                                   # no such file
+        *MALFORMED_SURFACES,
     ])
     def test_fit_bad_input_csv(self, capsys, tmp_path, text):
         path = tmp_path / "surface.csv"
@@ -209,6 +234,16 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "ConfigParse"
+
+
+    @pytest.mark.parametrize("text,named", MALFORMED)
+    def test_malformed_surface_refusal_names_its_row_or_cell(self, capsys, tmp_path,
+                                                            text, named):
+        path = tmp_path / "surface.csv"
+        path.write_text(text)
+        code, _, err = run_capture(capsys, ["gauss-fit", "--input", str(path)])
+        assert code == 1
+        assert named in json.loads(err)["message"]
 
 
 class TestScalarCommands:
@@ -622,6 +657,170 @@ class TestConfigFile:
         echo = json.loads(out)["metadata"]["config"]
         assert list(echo.items())[:4] == [("alpha", 6), ("centers", [-1, 1, 3]),
                                           ("width", 1), ("n_bins", 20)]
+
+
+def reference_word(value) -> str:
+    """One CSV word by the per-value rule the writer must reproduce."""
+    if isinstance(value, str):
+        return value
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return "nan"
+    if value == 0:
+        value = 0.0
+    return f"{value:.12g}"
+
+
+def reference_safe(obj):
+    """A document as json.dumps(..., indent=2) must take it: NaN as None,
+    numpy arrays as lists and numpy numbers as floats."""
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else obj
+    if isinstance(obj, dict):
+        return {key: reference_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_safe(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        return reference_safe(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return reference_safe(float(obj))
+    return obj
+
+
+def _stdout_of(write) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write()
+    return out.getvalue()
+
+
+_RAW_FLOATS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+_FLOATS = _RAW_FLOATS | st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                         1.7976931348623157e308, 0.123456789012345])
+
+
+def _column(rows: int):
+    """One column of a table: numbers of one kind, or flag tokens."""
+    def cells(values):
+        return st.lists(values, min_size=rows, max_size=rows)
+
+    return st.one_of(
+        cells(_FLOATS).map(np.array),
+        cells(st.integers(-2**63, 2**63 - 1)).map(np.array),
+        cells(st.booleans()).map(np.array),
+        cells(st.none() | _FLOATS).map(tuple),
+        cells(st.sampled_from(["ok", "masked", "empty"])).map(np.array),
+    )
+
+
+_TABLES = st.integers(0, 12).flatmap(lambda rows: st.lists(_column(rows), min_size=1, max_size=6))
+
+_LEAVES = (st.floats() | st.integers(-2**70, 2**70) | st.text(max_size=6) | st.none()
+           | st.booleans()
+           | st.lists(st.floats(), max_size=6).map(lambda v: np.array(v, dtype=float))
+           | st.lists(st.integers(-9, 9), max_size=6).map(np.array)
+           | st.lists(st.floats(), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
+           | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+           | st.integers(-2**40, 2**40).map(np.int64))
+_DOCUMENTS = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=5)
+                          | st.lists(inner, max_size=5).map(tuple)
+                          | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                          max_leaves=25)
+
+# One surface with masked, empty, -0.0 and subnormal cells, and the texts
+# emit_distribution wrote for it before its writers worked by column.
+GOLDEN = Distribution2D(
+    axis_a=[-0.5, 0.0, 1e-310], axis_b=[-0.0, 2.5],
+    values=[[-0.0, 5e-324], [1.0 / 3.0, 7.0], [1e300, 0.123456789012345]],
+    mask=[[False, False], [False, True], [False, False]],
+    axis_names=("x", "y"),
+    extra={"prob": [[0.5, 0.0], [np.nan, 1.0], [-0.0, 2.2250738585072014e-308]],
+           "flag": [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]})
+GOLDEN_METADATA = {"config": {"alpha": 6.0, "centers": [-1.0, 1.0, 3], "restricted": True},
+                   "version": "0"}
+GOLDEN_CSV = (
+    "x,y,value,prob,flag\n"
+    "-0.5,0,0,0.5,ok\n"
+    "-0.5,2.5,4.94065645841e-324,0,empty\n"
+    "0,0,0.333333333333,nan,ok\n"
+    "0,2.5,nan,1,masked\n"
+    "1e-310,0,1e+300,0,empty\n"
+    "1e-310,2.5,0.123456789012,2.22507385851e-308,ok\n")
+GOLDEN_JSON = """{
+  "axes": {
+    "x": [
+      -0.5,
+      0.0,
+      1e-310
+    ],
+    "y": [
+      -0.0,
+      2.5
+    ]
+  },
+  "kind": "entanglement",
+  "values": [
+    -0.0,
+    5e-324,
+    0.3333333333333333,
+    null,
+    1e+300,
+    0.123456789012345
+  ],
+  "prob": [
+    0.5,
+    0.0,
+    null,
+    1.0,
+    -0.0,
+    2.2250738585072014e-308
+  ],
+  "flag": [
+    "ok",
+    "empty",
+    "ok",
+    "masked",
+    "empty",
+    "ok"
+  ],
+  "metadata": {
+    "config": {
+      "alpha": 6.0,
+      "centers": [
+        -1.0,
+        1.0,
+        3
+      ],
+      "restricted": true
+    },
+    "version": "0"
+  }
+}
+"""
+
+
+class TestByteContract:
+    """The writers against per-value references and texts fixed in advance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TABLES)
+    def test_csv_writes_each_value_by_the_per_value_rule(self, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        rows = zip(*(column.tolist() if isinstance(column, np.ndarray) else column
+                     for column in columns))
+        expected = "".join(",".join(map(reference_word, row)) + "\n"
+                           for row in [header, *rows])
+        assert _stdout_of(lambda: cli._write_csv(None, header, columns)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENTS)
+    def test_json_matches_the_indenting_encoder(self, document):
+        assert cli._json_text(document) == json.dumps(reference_safe(document), indent=2)
+
+    @pytest.mark.parametrize("fmt,expected", [("csv", GOLDEN_CSV), ("json", GOLDEN_JSON)])
+    def test_golden_surface(self, fmt, expected):
+        assert _stdout_of(lambda: emit_distribution(GOLDEN, None, fmt, GOLDEN_METADATA)) \
+            == expected
 
 
 class TestDeterminism:
