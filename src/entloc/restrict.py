@@ -30,7 +30,10 @@ A one-party map takes the eigenvalues of Alice's reduced kernel in the same
 Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
 own unit-weight sum (quadrature.grid_gauss), which converges exponentially
 to the spectrum of the kernel on the grid and builds nothing on Bob's side;
-Alice's mass is in closed form. The non-discarding ensemble takes the same
+Alice's mass is in closed form. Its cells of one width share one reference
+rule, so the matrix factors as diag(d) E diag(d) with E built once per
+width, and K(x, x') = K(-x, -x') makes the cells at c and -c one cell,
+solved once on -|c|. The non-discarding ensemble takes the same
 Nystrom kernel on Gauss-Legendre nodes of Alice's region and of the pieces of
 its complement, with a closed-form mass. Maps stack their cells and make one
 LAPACK call per chunk. A single one-party cell samples the one-particle
@@ -264,7 +267,7 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
     """
     if 8 * n > CHUNK_BYTES:
         raise QuadratureNotConverged(
-            f"a joint mass on {n} Gauss-Legendre nodes exceeds the chunk of "
+            f"a joint mass on {n:.4g} Gauss-Legendre nodes exceeds the chunk of "
             f"{CHUNK_BYTES} bytes")
     panels = -(-n // MAX_NODES)
     points = -(-n // panels)
@@ -289,10 +292,16 @@ def two_party_nodes(model: OscillatorModel, width: float) -> int:
     The amplitude varies on the narrow length 1/sqrt(m omega s), so the
     rule puts NODES_PER_LENGTH nodes per narrow length, and at least
     NODE_FLOOR. The rule's count and twice it agree to 1e-10 ebit for alpha
-    from 0.25 to 1e4 and widths up to 4.
+    from 0.25 to 1e4 and widths up to 4. A count past the largest float is
+    refused with QuadratureNotConverged.
     """
-    narrow = width * math.sqrt(model.m * model.omega * model.stiffness_root)
-    return max(NODE_FLOOR, math.ceil(NODES_PER_LENGTH * narrow))
+    narrow = float(width) * math.sqrt(model.m * model.omega * model.stiffness_root)
+    count = NODES_PER_LENGTH * narrow
+    if math.isinf(count):
+        raise QuadratureNotConverged(
+            f"intervals {width:.3g} wide at alpha {model.alpha:.3g} need more "
+            f"Gauss-Legendre nodes than a float can count")
+    return max(NODE_FLOOR, math.ceil(count))
 
 
 def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
@@ -301,7 +310,7 @@ def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
     n = two_party_nodes(model, width)
     if n > MAX_NODES:
         raise QuadratureNotConverged(
-            f"intervals {width:.3g} wide at alpha {model.alpha:.3g} need {n} "
+            f"intervals {width:.3g} wide at alpha {model.alpha:.3g} need {n:.4g} "
             f"Gauss-Legendre nodes, more than the cap of {MAX_NODES}")
     return n
 
@@ -390,13 +399,18 @@ def _kernel_weights(model: OscillatorModel, x: np.ndarray, w: np.ndarray) -> np.
 
     Row i of x (and of its weights w) holds the nodes of cell i on Alice's
     side, and K(x_g, x_h) is the closed-form reduced kernel; this is the
-    Nystrom discretization of the kernel on the rule (x, w). One batched
-    LAPACK call serves all cells.
+    Nystrom discretization of the kernel on the rule (x, w).
     """
-    root = np.sqrt(w)
-    matrix = reduced_density_value(model, x[:, :, None], x[:, None, :])
-    matrix *= root[:, :, None]
-    matrix *= root[:, None, :]
+    return _factored_weights(reduced_density_value(model, x[:, :, None], x[:, None, :]),
+                             np.sqrt(w))
+
+
+def _factored_weights(factor: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Normalized eigenvalues of diag(d_i) E diag(d_i) for each row d_i of d,
+    E being factor, one (n, n) matrix for every cell or a stack of one per
+    cell. One batched LAPACK call serves all cells."""
+    matrix = d[:, :, None] * factor
+    matrix *= d[:, None, :]
     try:
         lam = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -404,14 +418,13 @@ def _kernel_weights(model: OscillatorModel, x: np.ndarray, w: np.ndarray) -> np.
     return lam / lam.sum(axis=1, keepdims=True)
 
 
-def _chunked_entropies(spectra, cell_bytes: int, model: OscillatorModel,
-                       *sides: np.ndarray) -> np.ndarray:
-    """Entropy of each cell's spectrum, spectra(model, *rows) on the rows of
-    the arrays in sides, with one call per chunk of cells of cell_bytes each
-    that fits CHUNK_BYTES."""
+def _chunked_entropies(spectra, cell_bytes: int, *sides: np.ndarray) -> np.ndarray:
+    """Entropy of each cell's spectrum, spectra(*rows) on the rows of the
+    arrays in sides, with one call per chunk of cells of cell_bytes each that
+    fits CHUNK_BYTES."""
     out = np.empty(sides[0].shape[0])
     for cells in _cell_slices(out.size, cell_bytes):
-        out[cells] = spectral_entropy_bits(spectra(model, *(side[cells] for side in sides)))
+        out[cells] = spectral_entropy_bits(spectra(*(side[cells] for side in sides)))
     return out
 
 
@@ -420,8 +433,8 @@ def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
     """Entropy of each cell's Schmidt weights (see _schmidt_weights), with one
     SVD call per chunk of cells whose amplitude stack, together with the one
     temporary of the same size that its assembly makes, fits CHUNK_BYTES."""
-    return _chunked_entropies(_schmidt_weights, 16 * xa.shape[1] * xb.shape[1], model,
-                              xa, wa, xb, wb)
+    return _chunked_entropies(lambda *rows: _schmidt_weights(model, *rows),
+                              16 * xa.shape[1] * xb.shape[1], xa, wa, xb, wb)
 
 
 def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
@@ -783,38 +796,54 @@ def one_party_map(model: OscillatorModel, centers, widths,
     (DEFAULT_BINS_ONE by default), as in one_restricted_entropy: a cell's
     entropy is that of the reduced kernel K on the region's n_bins + 1
     uniform points. It is taken by Nystrom discretization on the n-node Gauss
-    rule (x_g, w_g) of the unit-weight sum over those points
-    (quadrature.grid_gauss): the normalized eigenvalues of
-    sqrt(w_g) K(x_g, x_h) sqrt(w_h), which converge exponentially in n to
+    rule of the unit-weight sum over those points: the normalized eigenvalues
+    of sqrt(w_g) K(x_g, x_h) sqrt(w_h), which converge exponentially in n to
     the nonzero spectrum of the grid kernel. n is the two-party node rule of
-    the width, at most n_bins + 1, where the rule is the grid itself. A width
-    is refused with QuadratureNotConverged before any array is built when
-    Bob's conditional support over the region (his mean slope q_a, slope =
-    (s-1)/(s+1), +- 8 conditional standard deviations) would need more than
-    MAX_NODES nodes under that rule. Masses are in closed form. Extra layers: "prob", "flag" (1 for a cell
-    below EMPTY_MASS: value 0, probability 0) and "rescaled", each width's
-    profile over its own peak. An empty centers gives an empty surface.
+    the width, at most n_bins + 1, where the rule is the grid itself.
+
+    Every cell of a width maps one reference rule (u, w) = grid_gauss(-1, 1,
+    n_bins + 1, n) onto its region, x = c + h u, so the Nystrom matrix is
+    diag(d) E diag(d) up to a constant: E_gh = exp(-c2 h^2 (u_g - u_h)^2) is
+    built once per width, d = sqrt(w) exp(-x^2 / (4 sigma^2)) once per cell,
+    and no factor exceeds 1 (_factored_weights). K(x, x') = K(-x, -x') and
+    Alice's marginal is even, so the cells at c and -c are one cell: each is
+    solved on its representative -|c|, and every center reads its
+    representative's row, which makes the map its own mirror bit for bit.
+
+    A width is refused with QuadratureNotConverged before any array is built
+    when Bob's conditional support over the region (his mean slope q_a,
+    slope = (s-1)/(s+1), +- 8 conditional standard deviations) would need
+    more than MAX_NODES nodes under that rule. Masses are in closed form.
+    Extra layers: "prob", "flag" (1 for a cell below EMPTY_MASS: value 0,
+    probability 0) and "rescaled", each width's profile over its own peak.
+    An empty centers gives an empty surface.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     centers = np.asarray(centers, dtype=np.float64)
     widths = np.asarray(widths, dtype=np.float64)
     halves = widths / 2.0
-    cell_centers, cell_halves = _cell_arrays(centers[:, None], halves[None, :])
+    reps, inverse = np.unique(-np.abs(centers), return_inverse=True)
+    rep_centers, rep_halves = _cell_arrays(reps[:, None], halves[None, :])
+    gs = ground_state_constants(model)
     s = model.stiffness_root
     slope = (s - 1.0) / (s + 1.0)
     sd = math.sqrt(2.0 / (model.m * model.omega * (1.0 + s)))
     for half in halves:
         _schmidt_nodes(model, 2.0 * slope * half + 16.0 * sd)
-    lo, hi = cell_centers - cell_halves, cell_centers + cell_halves
-    prob = np.clip(marginal_masses(model, lo, hi), 0.0, 1.0)
+    prob = np.clip(marginal_masses(model, rep_centers - rep_halves, rep_centers + rep_halves),
+                   0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.shape)
-    for j, width in enumerate(widths):
+    for j, (width, half) in enumerate(zip(widths, halves)):
         n = min(n_bins + 1, two_party_nodes(model, width))
-        cells = live[:, j]
-        x, w = grid_gauss(lo[cells, j], hi[cells, j], n_bins + 1, n)
-        # 32 bytes a kernel entry: the stack and the temporaries of its assembly
-        values[cells, j] = _chunked_entropies(_kernel_weights, 32 * n * n, model, x, w)
+        u, w = grid_gauss(-1.0, 1.0, n_bins + 1, n)
+        x = reps[live[:, j], None] + half * u
+        d = np.sqrt(w) * np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (x * x))
+        shared = np.exp(-np.square((math.sqrt(gs.c2) * half) * (u[:, None] - u[None, :])))
+        # 8 bytes a kernel entry: the stack is the one array of its size
+        values[live[:, j], j] = _chunked_entropies(
+            lambda rows: _factored_weights(shared, rows), 8 * n * n, d)
+    values, prob, live = values[inverse], prob[inverse], live[inverse]
     peaks = values.max(axis=0, initial=0.0)
     rescaled = np.divide(values, peaks[None, :], out=np.zeros_like(values),
                          where=peaks[None, :] > 0)

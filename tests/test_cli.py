@@ -147,6 +147,13 @@ class TestExitCodes:
           for flag, value in (("--threshold", "nan"), ("--threshold", "inf"),
                               ("--window", "nan"), ("--window", "inf"),
                               ("--window", "0"), ("--window", "-1"))],
+        # a finite width whose node count overflows a float
+        (["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
+          "--widths", "1e308"], 2, "QuadratureNotConverged"),
+        (["gauss-both-restricted", "--alpha", "6", "--mode", "grid", "--centers", "-1", "1",
+          "3", "--width", "1e308"], 2, "QuadratureNotConverged"),
+        (["gauss-classical-map", "--alpha", "6", "--centers", "-1", "1", "3",
+          "--width", "1e308"], 2, "QuadratureNotConverged"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, tmp_path, monkeypatch,
                                                   argv, code, error):

@@ -675,6 +675,38 @@ class TestOnePartyMap:
                 assert dist.values[i, j] == pytest.approx(expected, abs=1e-12)
         assert live > 0
 
+    @staticmethod
+    def grid_entropy(model, center, width, n_bins):
+        q = np.linspace(center - width / 2, center + width / 2, n_bins + 1)
+        kernel = reduced_density_value(model, q[:, None], q[None, :])
+        lam = np.linalg.eigvalsh(kernel / np.trace(kernel))
+        return float(spectral_entropy_bits(lam[None, :])[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(0.05, 1e3), half_range=st.floats(0.25, 8.0),
+           steps=st.integers(2, 41), widths=st.lists(st.floats(0.05, 6.0), min_size=1,
+                                                     max_size=3))
+    def test_map_is_its_own_mirror_and_the_grid_eigensolve(self, alpha, half_range, steps,
+                                                           widths):
+        from entloc.cli import _linspace
+        model = OscillatorModel(alpha=alpha)
+        centers = _linspace(-half_range, half_range, steps)
+        dist = one_party_map(model, centers, widths=widths, n_bins=40)
+        for layer in (dist.values, *(dist.extra[name] for name in ("prob", "flag", "rescaled"))):
+            assert layer.tobytes() == np.ascontiguousarray(layer[::-1]).tobytes()
+        assert np.all(dist.values <= math.log2(41))
+        for i, j in zip(*np.nonzero(dist.extra["flag"] == 0.0)):
+            expected = self.grid_entropy(model, centers[i], widths[j], 40)
+            assert abs(dist.values[i, j] - expected) <= 1e-12
+
+    def test_wide_cells_far_off_centre_match_the_grid_eigensolve(self):
+        # every factor of the Nystrom matrix is at most 1, so cells reaching 60
+        # sigma from the centre assemble without overflow
+        dist = one_party_map(MODEL, [-30.0, 30.0], widths=[60.0], n_bins=120)
+        expected = self.grid_entropy(MODEL, 30.0, 60.0, 120)
+        assert np.all(dist.extra["flag"] == 0.0)
+        assert np.all(np.abs(dist.values - expected) <= 1e-12)
+
     @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e2, 1e4])
     def test_doubling_bob_nodes_moves_no_entropy(self, alpha, monkeypatch):
         # the map has no Bob side: double Alice's rule, still capped at n_bins + 1
@@ -695,17 +727,22 @@ class TestOnePartyMap:
         assert np.all(np.abs(base.values - fine.values) <= 1e-12)
 
     def test_one_cell_chunks_change_no_byte(self, monkeypatch):
+        # the eigensolve sees each live mirror orbit once: a centred 81-point
+        # axis has 41 representatives, the centers <= 0
         import entloc.restrict as restrict
+        from entloc.cli import _linspace
+        centers = _linspace(-4.0, 4.0, 81)
         calls = []
-        weights = restrict._kernel_weights
-        monkeypatch.setattr(restrict, "_kernel_weights",
-                            lambda model, x, w: calls.append(len(x)) or weights(model, x, w))
-        whole = one_party_map(MODEL, self.CENTERS, widths=self.WIDTHS)
-        live = int((whole.extra["flag"] == 0.0).sum())
+        weights = restrict._factored_weights
+        monkeypatch.setattr(restrict, "_factored_weights",
+                            lambda factor, d: calls.append(len(d)) or weights(factor, d))
+        whole = one_party_map(MODEL, centers, widths=self.WIDTHS)
+        assert np.count_nonzero(centers <= 0.0) == 41
+        live = int((whole.extra["flag"][centers <= 0.0] == 0.0).sum())
         assert sum(calls) == live and len(calls) < live
         calls.clear()
         monkeypatch.setattr(restrict, "CHUNK_BYTES", 1)
-        single = one_party_map(MODEL, self.CENTERS, widths=self.WIDTHS)
+        single = one_party_map(MODEL, centers, widths=self.WIDTHS)
         assert calls == [1] * live
         for layer in ("prob", "flag", "rescaled"):
             assert whole.extra[layer].tobytes() == single.extra[layer].tobytes()
