@@ -34,8 +34,8 @@ from .restrict import (
     _two_party_orbits,
     joint_masses,
     marginal_masses,
+    mass_nodes,
     two_party_map,
-    two_party_nodes,
 )
 
 DEFAULT_THRESHOLD = 1e-3
@@ -48,7 +48,7 @@ def joint_probability(model: OscillatorModel, region_a: Region,
     on the cell's symmetry representative as a map cell is."""
     width, bounds, _ = _two_party_orbits([region_a.center], region_a.half_width,
                                          [region_b.center], region_b.half_width)
-    return float(joint_masses(model, *bounds, two_party_nodes(model, width))[0])
+    return float(joint_masses(model, *bounds, mass_nodes(model, width))[0])
 
 
 def conditional_probability(model: OscillatorModel, region_b: Region,
@@ -96,7 +96,7 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
     width, bounds, inverse = _two_party_orbits(np.repeat(centers_a, centers_b.size),
                                                half_width_a,
                                                np.tile(centers_b, centers_a.size), b)
-    values = joint_masses(model, *bounds, two_party_nodes(model, width))[inverse]
+    values = joint_masses(model, *bounds, mass_nodes(model, width))[inverse]
     joint = Distribution2D(axis_a=centers_a, axis_b=centers_b, kind="joint_probability",
                            values=values.reshape(centers_a.size, centers_b.size))
     return joint if kind == "joint_probability" else _conditional_map(

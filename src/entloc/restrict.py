@@ -20,6 +20,9 @@ exponentially convergent for these analytic amplitudes; Bornemann, Math.
 Comp. 79 (2010) 871-915), and a cell's joint mass is a Gauss-Legendre
 integral over Alice's region of Bob's conditional mass in closed form; an
 explicit n_bins puts a uniform grid with unit weights on both sides instead.
+Every spectrum taken on Gauss-Legendre nodes has the count it needs,
+two_party_nodes: 10 plus 1.4 per narrow length of the amplitude, measured
+within 1e-12 ebit on map cells; a joint mass has its own count, mass_nodes.
 psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
 -A x -B and -B x -A share their mass and entropy: every two-party path solves
 each cell once per orbit of these symmetries (_two_party_orbits) and copies
@@ -88,12 +91,16 @@ DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 EMPTY_MASS = 1e-14
-# Gauss-Legendre nodes per region of a two-party cell, and the most Gauss
-# nodes of a one-party map's grid rule: NODES_PER_LENGTH per narrow length of
-# the widest interval, at least NODE_FLOOR. No rule has more than MAX_NODES
-# nodes: Schmidt weights refuse past it, masses use panels.
-NODE_FLOOR = 24
-NODES_PER_LENGTH = 2.0
+# Gauss-Legendre nodes per region, by the narrow length of the widest interval.
+# A spectrum (the Schmidt weights of a two-party cell, the Nystrom kernel of
+# the non-discarding ensemble, the most Gauss nodes of a one-party map's grid
+# rule) takes SPECTRAL_NODES plus SPECTRAL_NODES_PER_LENGTH per narrow length;
+# a joint mass MASS_NODES_PER_LENGTH per narrow length, at least MASS_NODE_FLOOR.
+# No spectrum has more than MAX_NODES nodes; masses use panels past it.
+SPECTRAL_NODES = 10
+SPECTRAL_NODES_PER_LENGTH = 1.4
+MASS_NODE_FLOOR = 24
+MASS_NODES_PER_LENGTH = 2.0
 MAX_NODES = 512
 # Bytes of one float64 chunk of cells: a (cells, nodes_a, nodes_b) amplitude
 # stack handed to LAPACK in one call with the temporary of its assembly, or a
@@ -286,26 +293,45 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
     return out.reshape(np.shape(a_lo))
 
 
-def two_party_nodes(model: OscillatorModel, width: float) -> int:
-    """Gauss-Legendre nodes per region for two-party cells up to `width` wide.
-
-    The amplitude varies on the narrow length 1/sqrt(m omega s), so the
-    rule puts NODES_PER_LENGTH nodes per narrow length, and at least
-    NODE_FLOOR. The rule's count and twice it agree to 1e-10 ebit for alpha
-    from 0.25 to 1e4 and widths up to 4. A count past the largest float is
-    refused with QuadratureNotConverged.
-    """
+def _nodes_per_length(model: OscillatorModel, width: float, per_length: float) -> int:
+    """ceil(per_length * width * sqrt(m omega s)): per_length nodes per narrow
+    length 1/sqrt(m omega s), the length on which the amplitude varies. A
+    count past the largest float is refused with QuadratureNotConverged."""
     narrow = float(width) * math.sqrt(model.m * model.omega * model.stiffness_root)
-    count = NODES_PER_LENGTH * narrow
+    count = per_length * narrow
     if math.isinf(count):
         raise QuadratureNotConverged(
             f"intervals {width:.3g} wide at alpha {model.alpha:.3g} need more "
             f"Gauss-Legendre nodes than a float can count")
-    return max(NODE_FLOOR, math.ceil(count))
+    return math.ceil(count)
+
+
+def two_party_nodes(model: OscillatorModel, width: float) -> int:
+    """Gauss-Legendre nodes per region for the spectrum of cells up to `width` wide.
+
+    SPECTRAL_NODES plus SPECTRAL_NODES_PER_LENGTH per narrow length. The
+    Nystrom spectra of these analytic kernels converge exponentially: over
+    the live cells of 17 x 17 maps on [-4, 4], the fewest even counts within
+    1e-12 ebit of a reference of at least 64 nodes are 8, 12, 14, 18, 30, 80
+    and 352 at narrow lengths 1.1, 2.2, 4.5, 8.9, 17.9, 56.6 and 268, where
+    the rule gives 12, 14, 17, 23, 36, 90 and 386. The rule's count and twice
+    it agree to 1e-12 ebit for alpha from 0.06 to 1e6 and widths up to 8. A
+    count past the largest float is refused with QuadratureNotConverged.
+    """
+    return SPECTRAL_NODES + _nodes_per_length(model, width, SPECTRAL_NODES_PER_LENGTH)
+
+
+def mass_nodes(model: OscillatorModel, width: float) -> int:
+    """Gauss-Legendre nodes of the joint masses of cells up to `width` wide:
+    MASS_NODES_PER_LENGTH per narrow length, at least MASS_NODE_FLOOR. The
+    count and twice it agree to 1e-12 relative for alpha from 0.25 to 1e4
+    and widths up to 4. A count past the largest float is refused with
+    QuadratureNotConverged."""
+    return max(MASS_NODE_FLOOR, _nodes_per_length(model, width, MASS_NODES_PER_LENGTH))
 
 
 def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
-    """two_party_nodes for cells whose Schmidt weights are taken; a count past
+    """two_party_nodes for every spectrum that is taken; a count past
     MAX_NODES is refused with QuadratureNotConverged before any array is built."""
     n = two_party_nodes(model, width)
     if n > MAX_NODES:
@@ -453,11 +479,13 @@ def _two_party_setup(model: OscillatorModel, centers_a, half_a, centers_b, half_
     """(n, (a_lo, a_hi, b_lo, b_hi), joint masses clipped to [0, 1], inverse)
     of the distinct cells of _two_party_orbits: the cell centers_a[i] +-
     half_a[i] for Alice, centers_b[i] +- half_b[i] for Bob (a half width may
-    be one number) is row inverse[i]. n is the node rule of the widest region,
-    refused past MAX_NODES on Gauss-Legendre nodes before any mass."""
+    be one number) is row inverse[i]. n is the points per region: on
+    Gauss-Legendre nodes the spectral rule of the widest region, refused past
+    MAX_NODES before any mass, else n_bins + 1. Masses take mass_nodes."""
     width, bounds, inverse = _two_party_orbits(centers_a, half_a, centers_b, half_b)
-    n = _schmidt_nodes(model, width) if n_bins is None else two_party_nodes(model, width)
-    return n, bounds, np.clip(joint_masses(model, *bounds, n), 0.0, 1.0), inverse
+    n = _schmidt_nodes(model, width) if n_bins is None else n_bins + 1
+    masses = joint_masses(model, *bounds, mass_nodes(model, width))
+    return n, bounds, np.clip(masses, 0.0, 1.0), inverse
 
 
 def both_restricted_entropy(model: OscillatorModel, region_a: Region,
@@ -613,10 +641,10 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region) -> NonDi
     Both conditional states are pure, so the ensemble entanglement is the
     probability-weighted average of the in-region and out-of-region
     discarding entanglements. Each is the entropy of Alice's reduced kernel
-    in Nystrom form (_kernel_weights) on Gauss-Legendre nodes, the two-party
-    node rule of its length on the region and on each piece of the region's
-    complement in the truncated domain. A piece that needs more than
-    MAX_NODES nodes is refused with QuadratureNotConverged.
+    in Nystrom form (_kernel_weights) on Gauss-Legendre nodes, the spectral
+    node rule (two_party_nodes) of its length on the region and on each
+    piece of the region's complement in the truncated domain. A piece that
+    needs more than MAX_NODES nodes is refused with QuadratureNotConverged.
     """
     return _ensemble(model, region,
                      lambda x, w: spectral_entropy_bits(_kernel_weights(model, x, w)))
@@ -631,9 +659,9 @@ def non_discarding_two_path(model: OscillatorModel, region: Region):
     two-outcome mixture of the full two-particle state, each from the
     Schmidt weights of its amplitudes (_entropies) on the same nodes of
     Alice's side against Gauss-Legendre nodes of the whole truncated domain
-    on Bob's, the node rule of its length; past MAX_NODES Bob nodes (alpha
-    above about 4100) it is refused with QuadratureNotConverged. Returns
-    (identity_result, mixture_value, gap).
+    on Bob's, the spectral node rule of its length; past MAX_NODES Bob nodes
+    (alpha above about 1.6e4) it is refused with QuadratureNotConverged.
+    Returns (identity_result, mixture_value, gap).
     """
     half = domain_half_length(model)
     xb, wb = _nodes_on(model, [(-half, half)])
@@ -764,11 +792,17 @@ def _two_party_orbits(centers_a, half_a, centers_b, half_b):
     for image in (swapped, cells * mirror, swapped * mirror):
         first = (image != rep).argmax(axis=1)  # the first column that differs
         rep = np.where((image[rows, first] < rep[rows, first])[:, None], image, rep)
-    # + 0.0 turns -0.0 into 0.0; both give the same bounds
-    reps, inverse = np.unique(rep + 0.0, axis=0, return_inverse=True)
-    ca, ha, cb, hb = reps.T
-    # reshape: numpy 2.0.0 alone returns the inverse of an axis unique as a column
-    return width, (ca - ha, ca + ha, cb - hb, cb + hb), inverse.reshape(-1)
+    # the distinct rows in lexicographic order, as np.unique(axis=0) gives
+    # them; + 0.0 turns -0.0 into 0.0, both giving the same bounds
+    rep = rep + 0.0
+    order = np.lexsort(rep.T[::-1])
+    ordered = rep[order]
+    starts = np.ones(len(rep), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rep), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    ca, ha, cb, hb = ordered[starts].T
+    return width, (ca - ha, ca + ha, cb - hb, cb + hb), inverse
 
 
 def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
@@ -798,8 +832,9 @@ def one_party_map(model: OscillatorModel, centers, widths,
     uniform points. It is taken by Nystrom discretization on the n-node Gauss
     rule of the unit-weight sum over those points: the normalized eigenvalues
     of sqrt(w_g) K(x_g, x_h) sqrt(w_h), which converge exponentially in n to
-    the nonzero spectrum of the grid kernel. n is the two-party node rule of
-    the width, at most n_bins + 1, where the rule is the grid itself.
+    the nonzero spectrum of the grid kernel. n is the spectral node rule of
+    the width (two_party_nodes), at most n_bins + 1, where the rule is the
+    grid itself.
 
     Every cell of a width maps one reference rule (u, w) = grid_gauss(-1, 1,
     n_bins + 1, n) onto its region, x = c + h u, so the Nystrom matrix is
@@ -810,10 +845,9 @@ def one_party_map(model: OscillatorModel, centers, widths,
     solved on its representative -|c|, and every center reads its
     representative's row, which makes the map its own mirror bit for bit.
 
-    A width is refused with QuadratureNotConverged before any array is built
-    when Bob's conditional support over the region (his mean slope q_a,
-    slope = (s-1)/(s+1), +- 8 conditional standard deviations) would need
-    more than MAX_NODES nodes under that rule. Masses are in closed form.
+    A width whose rule needs more than MAX_NODES nodes (_schmidt_nodes) is
+    refused with QuadratureNotConverged before any array is built, as a
+    two-party cell of that width is. Masses are in closed form.
     Extra layers: "prob", "flag" (1 for a cell below EMPTY_MASS: value 0,
     probability 0) and "rescaled", each width's profile over its own peak.
     An empty centers gives an empty surface.
@@ -824,18 +858,13 @@ def one_party_map(model: OscillatorModel, centers, widths,
     halves = widths / 2.0
     reps, inverse = np.unique(-np.abs(centers), return_inverse=True)
     rep_centers, rep_halves = _cell_arrays(reps[:, None], halves[None, :])
+    counts = [min(n_bins + 1, _schmidt_nodes(model, width)) for width in widths]
     gs = ground_state_constants(model)
-    s = model.stiffness_root
-    slope = (s - 1.0) / (s + 1.0)
-    sd = math.sqrt(2.0 / (model.m * model.omega * (1.0 + s)))
-    for half in halves:
-        _schmidt_nodes(model, 2.0 * slope * half + 16.0 * sd)
     prob = np.clip(marginal_masses(model, rep_centers - rep_halves, rep_centers + rep_halves),
                    0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.shape)
-    for j, (width, half) in enumerate(zip(widths, halves)):
-        n = min(n_bins + 1, two_party_nodes(model, width))
+    for j, (half, n) in enumerate(zip(halves, counts)):
         u, w = grid_gauss(-1.0, 1.0, n_bins + 1, n)
         x = reps[live[:, j], None] + half * u
         d = np.sqrt(w) * np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (x * x))

@@ -154,6 +154,11 @@ class TestExitCodes:
           "3", "--width", "1e308"], 2, "QuadratureNotConverged"),
         (["gauss-classical-map", "--alpha", "6", "--centers", "-1", "1", "3",
           "--width", "1e308"], 2, "QuadratureNotConverged"),
+        # one-party widths whose nodes would all lie where the kernel underflows
+        (["gauss-one-restricted", "--alpha", "0", "--centers", "-1", "1", "3",
+          "--widths", "1e200"], 2, "QuadratureNotConverged"),
+        (["gauss-one-restricted", "--alpha", "0", "--centers", "-1", "1", "3",
+          "--widths", "1e5"], 2, "QuadratureNotConverged"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, tmp_path, monkeypatch,
                                                   argv, code, error):
@@ -189,6 +194,21 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "QuadratureNotConverged"
         assert peak < 1 << 20
+
+    def test_one_party_map_width_refused_by_its_own_rule(self, capsys, tmp_path):
+        # the map builds nothing on Bob's side, so a width his conditional
+        # support could not take is accepted when Alice's rule (386 nodes) is
+        out = tmp_path / "one.csv"
+        code, _, err = run_capture(capsys, [
+            "gauss-one-restricted", "--alpha", "1e6", "--centers", "-1", "1", "3",
+            "--widths", "6", "--output", str(out)])
+        assert (code, err) == (0, "")
+        code, single, _ = run_capture(capsys, [
+            "gauss-one-restricted", "--alpha", "1e6", "--qbar", "1", "--width", "6"])
+        assert code == 0
+        row = out.read_text().splitlines()[3].split(",")
+        assert row[0] == "1" and row[4] == "ok"
+        assert float(row[2]) == pytest.approx(json.loads(single)["entanglement"], abs=1e-10)
 
     def test_masses_past_the_node_cap_still_computed(self, capsys, tmp_path):
         # 2829 nodes per region: too many for Schmidt weights, not for masses;

@@ -29,6 +29,7 @@ from entloc.restrict import (
     both_restricted_profile,
     domain_half_length,
     joint_masses,
+    mass_nodes,
     method_equivalence,
     non_discarding_entanglement,
     non_discarding_two_path,
@@ -38,6 +39,7 @@ from entloc.restrict import (
     precise_measurement_entanglement,
     region_basis,
     _schmidt_weights,
+    _two_party_orbits,
     _two_party_sides,
     two_party_map,
     two_party_nodes,
@@ -356,8 +358,13 @@ class TestNonDiscarding:
 
     def test_bob_nodes_past_the_cap_refused(self):
         with pytest.raises(QuadratureNotConverged, match="more than the cap"):
-            non_discarding_two_path(OscillatorModel(alpha=5000.0), Region(0.0, 1.0))
-        non_discarding_entanglement(OscillatorModel(alpha=5000.0), Region(0.0, 1.0))
+            non_discarding_two_path(OscillatorModel(alpha=2e4), Region(0.0, 1.0))
+        non_discarding_entanglement(OscillatorModel(alpha=2e4), Region(0.0, 1.0))
+
+    def test_two_paths_agree_below_the_cap(self):
+        # Bob's 10 + 1.4 nodes per narrow length of the whole domain: 459 at 1e4
+        _, _, gap = non_discarding_two_path(OscillatorModel(alpha=1e4), Region(0.0, 1.0))
+        assert gap <= 1e-10
 
     def test_empty_region_refused(self):
         with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
@@ -521,7 +528,7 @@ class TestGaussLegendreEngine:
         for alpha in (0.25, 6.0, 1e2, 1e4):
             model = OscillatorModel(alpha=alpha)
             for width in (0.5, 2.0, 4.0):
-                n = two_party_nodes(model, width)
+                n = mass_nodes(model, width)
                 edges = (ca - width / 2, ca + width / 2, cb - width / 2, cb + width / 2)
                 mass, fine = joint_masses(model, *edges, n), joint_masses(model, *edges, 2 * n)
                 live = fine >= EMPTY_MASS
@@ -532,7 +539,7 @@ class TestGaussLegendreEngine:
         # alpha 1e8, width 10 asks for 2829 nodes: six panels of 472 nodes;
         # the expected masses are the former 2-d adaptive quadrature's
         strong = OscillatorModel(alpha=1e8)
-        n = two_party_nodes(strong, 10.0)
+        n = mass_nodes(strong, 10.0)
         assert n == 2829
         lo = np.array([-9.0, -9.0, -13.0, -13.0])
         lo_b = np.array([-9.0, -1.0, -9.0, 3.0])
@@ -544,30 +551,61 @@ class TestGaussLegendreEngine:
         fine = joint_masses(strong, *edges, 2 * n)
         assert np.all(np.abs(mass - fine)[:3] <= 1e-11 * fine[:3])
 
-    @pytest.mark.parametrize("alpha", [0.25, 6.0, 1e2, 1e4])
+    @pytest.mark.parametrize("alpha", [0.25, 6.0, 1e2, 1e4, 1e6])
     def test_doubling_the_rule_moves_no_entropy(self, alpha):
         model = OscillatorModel(alpha=alpha)
-        for width in (0.5, 2.0, 4.0):
+        for width in (0.5, 2.0, 4.0, 8.0):
             n = two_party_nodes(model, width)
-            cells = np.array([(0.0, 0.0), (0.3 * width, -0.2 * width), (1.0, 0.5)])
+            cells = np.array([(0.0, 0.0), (0.3 * width, -0.2 * width), (1.0, 0.5),
+                              (-1.5, -1.0), (2.5, 2.0)])
             edges = (cells[:, 0] - width / 2, cells[:, 0] + width / 2,
                      cells[:, 1] - width / 2, cells[:, 1] + width / 2)
             base = spectral_entropy_bits(
                 _schmidt_weights(model, *_two_party_sides(*edges, n, None)))
             fine = spectral_entropy_bits(
                 _schmidt_weights(model, *_two_party_sides(*edges, 2 * n, None)))
-            assert np.all(np.abs(base - fine) <= 1e-10)
+            assert np.all(np.abs(base - fine) <= 1e-12)
             for (qa, qb), value in zip(cells, base):
                 cell = both_restricted_entropy(model, Region(qa, width / 2),
                                                Region(qb, width / 2))
                 assert cell.resolution == n
                 assert cell.entanglement == pytest.approx(value, abs=1e-12)
 
+    @settings(max_examples=20, deadline=None)
+    @given(log_alpha=st.floats(-1.3, 4.0), width=st.floats(0.1, 4.0),
+           start_a=st.floats(-5.0, 1.0), start_b=st.floats(-5.0, 1.0),
+           step=st.floats(0.2, 1.5))
+    def test_rule_and_twice_the_rule_agree_on_whole_maps(self, log_alpha, width, start_a,
+                                                         start_b, step):
+        import entloc.restrict as restrict
+        model = OscillatorModel(alpha=10.0 ** log_alpha)
+        centers_a = start_a + step * np.arange(7)
+        centers_b = start_b + step * np.arange(7)
+        base = two_party_map(model, centers_a, centers_b=centers_b, half_width=width / 2)
+        nodes = restrict._schmidt_nodes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(restrict, "_schmidt_nodes", lambda m, w: 2 * nodes(m, w))
+            fine = two_party_map(model, centers_a, centers_b=centers_b, half_width=width / 2)
+        # the masses do not read the spectral rule
+        for layer in ("prob", "flag"):
+            assert base.extra[layer].tobytes() == fine.extra[layer].tobytes()
+        live = base.extra["flag"] == 0.0
+        assert np.all(np.abs(base.values - fine.values)[live] <= 1e-12)
+
     def test_node_rule(self):
-        assert two_party_nodes(MODEL, 4.0) == 24  # the floor
+        assert mass_nodes(MODEL, 4.0) == 24  # the floor
         strong = OscillatorModel(alpha=1e4)
-        assert two_party_nodes(strong, 2.0) == 57
-        assert two_party_nodes(strong, 4.0) == 114
+        assert mass_nodes(strong, 2.0) == 57
+        assert mass_nodes(strong, 4.0) == 114
+
+    def test_spectral_node_rule(self):
+        # 10 + ceil(1.4 width sqrt(m omega s)), no floor
+        assert two_party_nodes(MODEL, 0.5) == 12
+        assert two_party_nodes(MODEL, 4.0) == 23
+        strong = OscillatorModel(alpha=1e4)
+        assert two_party_nodes(strong, 2.0) == 50
+        assert two_party_nodes(strong, 4.0) == 90
+        assert two_party_nodes(OscillatorModel(alpha=1e6), 8.0) == 511
 
     def test_node_cap_refuses_before_any_array(self, monkeypatch):
         import entloc.restrict as restrict
@@ -605,7 +643,7 @@ class TestGaussLegendreEngine:
         calls.clear()
         mass_calls.clear()
         # one cell per chunk, for the (cells, n, n) stacks and the (cells, n) masses
-        monkeypatch.setattr(restrict, "CHUNK_BYTES", 8 * two_party_nodes(MODEL, 0.5))
+        monkeypatch.setattr(restrict, "CHUNK_BYTES", 8 * mass_nodes(MODEL, 0.5))
         single = two_party_map(MODEL, centers, centers_b=centers, half_width=0.25)
         assert calls == [1] * live and mass_calls == [1] * distinct
         for layer in ("prob", "flag"):
@@ -853,7 +891,8 @@ class TestSymmetryOrbits:
         ca, cb = np.repeat(centers_a, centers_b.size), np.tile(centers_b, len(centers_a))
         n = two_party_nodes(model, 2.0 * max(ha, hb))
         bounds = (ca - ha, ca + ha, cb - hb, cb + hb)
-        mass = np.clip(joint_masses(model, *bounds, n), 0.0, 1.0)
+        mass = np.clip(joint_masses(model, *bounds, mass_nodes(model, 2.0 * max(ha, hb))),
+                       0.0, 1.0)
         assume(np.all(np.abs(mass - EMPTY_MASS) > 1e-9 * EMPTY_MASS))
         live = mass >= EMPTY_MASS
         entropy = np.zeros(mass.size)
@@ -886,6 +925,28 @@ class TestSymmetryOrbits:
         # no center's negative on the axis: the exchange half only, 33 * 34 / 2
         two_party_map(model, centers + 0.1, centers_b=centers + 0.1, half_width=0.25)
         assert calls == [561]
+
+    @settings(max_examples=40, deadline=None)
+    @given(centers=st.lists(st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 1.5, 2.0]),
+                            max_size=12),
+           halves=st.lists(st.sampled_from([0.25, 0.5]), min_size=1, max_size=12))
+    def test_orbits_match_an_axis_unique(self, centers, halves):
+        # the representatives, their order and the inverse are those of
+        # np.unique(axis=0) over the representative rows
+        k = min(len(centers), len(halves)) // 2
+        ca, cb = np.array(centers[:k]), np.array(centers[k:2 * k])
+        ha, hb = np.array(halves[:k]), np.array(halves[-k:] if k else [])
+        width, bounds, inverse = _two_party_orbits(ca, ha, cb, hb)
+        rows = np.stack([(bounds[0] + bounds[1]) / 2, (bounds[1] - bounds[0]) / 2,
+                         (bounds[2] + bounds[3]) / 2, (bounds[3] - bounds[2]) / 2], axis=-1)
+        reps = rows[inverse]
+        expected, expected_inverse = np.unique(reps, axis=0, return_inverse=True)
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+        for i in range(k):
+            images = {(ca[i], ha[i], cb[i], hb[i]), (cb[i], hb[i], ca[i], ha[i]),
+                      (-ca[i], ha[i], -cb[i], hb[i]), (-cb[i], hb[i], -ca[i], ha[i])}
+            assert tuple(reps[i]) == min(images)
 
     def test_empty_centers_refuse_a_bad_half_width(self):
         for call in (lambda h: two_party_map(MODEL, [], centers_b=[0.0, 1.0], half_width=h),
