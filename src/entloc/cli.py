@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .correlate import SigmaRow, fit_surface, probability_map, sigma_vs_alpha_scan
-from .distribution import Distribution2D
+from .distribution import Distribution2D, scan_axis
 from .errors import DomainError, EntlocError
 from .oscillator import (
     OscillatorModel,
@@ -217,22 +217,17 @@ def _float_list(text: str) -> list[float]:
         raise UsageError(f"bad numeric list {text!r}") from exc
 
 
-def _linspace(lo: float, hi: float, steps: int) -> np.ndarray:
-    """np.linspace, made its own mirror image bit for bit when lo == -hi."""
+def _linspace(lo: float, hi: float, steps: float) -> np.ndarray:
+    """The scan axis of a LO HI STEPS range."""
     steps = int(steps)
     if steps < 2:
         raise UsageError("ranges need at least 2 steps")
-    x = np.linspace(lo, hi, steps)
-    return (x - x[::-1]) / 2.0 if lo == -hi else x
+    return scan_axis(lo, hi, steps)
 
 
 def _model(ns) -> OscillatorModel:
     _require(ns, "alpha")
-    return OscillatorModel(alpha=ns.alpha, m=ns.m, omega=ns.omega)
-
-
-def _n_bins(ns) -> int | None:
-    return None if ns.n_bins is None else int(ns.n_bins)
+    return OscillatorModel(alpha=ns.alpha)
 
 
 def _flag_names(dests) -> str:
@@ -312,7 +307,7 @@ def _cmd_gauss_one_restricted(ns, metadata):
             result = basis_expansion_entropy(
                 model, region, DEFAULT_BASIS_SIZE if ns.n_basis is None else ns.n_basis)
         else:
-            result = one_restricted_entropy(model, region, _n_bins(ns))
+            result = one_restricted_entropy(model, region, ns.n_bins)
         _emit_json({
             "entanglement": result.entanglement,
             "prob": result.survival_probability,
@@ -328,7 +323,7 @@ def _cmd_gauss_one_restricted(ns, metadata):
         raise UsageError("map mode needs --widths or --width")
     if ns.method == "basis":
         raise DomainError("one-party maps have no basis method")
-    dist = one_party_map(model, centers, widths=widths, n_bins=_n_bins(ns))
+    dist = one_party_map(model, centers, widths=widths, n_bins=ns.n_bins)
     layer = "rescaled" if ns.surface == "rescaled" else None
     emit_distribution(dist, ns.output, ns.format, metadata, layer)
 
@@ -344,7 +339,7 @@ def _cmd_gauss_both_restricted(ns, metadata):
         result = both_restricted_entropy(
             model, Region(ns.qbar_a, half),
             Region(ns.qbar_b, half_b if half_b is not None else half),
-            _n_bins(ns))
+            ns.n_bins)
         _emit_json({
             "entanglement": result.entanglement,
             "prob": result.survival_probability,
@@ -357,12 +352,12 @@ def _cmd_gauss_both_restricted(ns, metadata):
     centers = _linspace(*ns.centers)
     if ns.mode == "grid":
         dist = two_party_map(model, centers, centers_b=centers,
-                             half_width=half, half_width_b=half_b, n_bins=_n_bins(ns))
+                             half_width=half, half_width_b=half_b, n_bins=ns.n_bins)
         emit_distribution(dist, ns.output, ns.format, metadata)
         return
     bob_center = None if ns.mode == "profile-equal" else ns.bob_center
     cs, values, probs, flags = both_restricted_profile(
-        model, centers, half, bob_center=bob_center, n_bins=_n_bins(ns))
+        model, centers, half, bob_center=bob_center, n_bins=ns.n_bins)
     cs = cs.tolist()
     rows = list(zip(cs, cs if bob_center is None else [bob_center] * len(cs),
                     values.tolist(), probs.tolist(), _flags(False, flags > 0.5).tolist()))
@@ -412,9 +407,9 @@ def _cmd_gauss_sigma_scan(ns, metadata):
 def _cmd_gauss_inequality(ns, metadata):
     model = _model(ns)
     partition_a, partition_b = (
-        Partition.uniform(-ns.extent, ns.extent, int(n), ns.tail_handling)
+        Partition.uniform(-ns.extent, ns.extent, n, ns.tail_handling)
         for n in (ns.grid_a, ns.grid_b))
-    report = partition_inequality_check(model, partition_a, partition_b, _n_bins(ns))
+    report = partition_inequality_check(model, partition_a, partition_b, ns.n_bins)
     payload = {
         "weighted_sum": report.weighted_sum,
         "full_entanglement": report.full_entanglement,
@@ -447,7 +442,7 @@ def _cmd_gauss_converge(ns, metadata):
     rows = []
     for width in _float_list(ns.widths):
         eq = method_equivalence(model, Region(ns.qbar, width / 2.0),
-                                n_bins=int(ns.n_bins), n_basis=int(ns.n_basis))
+                                n_bins=ns.n_bins, n_basis=ns.n_basis)
         rows.append((width, *astuple(eq)))
     _emit_table(ns, metadata, header, rows, [dict(zip(header, row)) for row in rows])
 
@@ -468,11 +463,7 @@ _COMMON = (
     _arg("--output", "-o", help="output path (default stdout)"),
     _arg("--format", choices=("csv", "json"), default="csv"),
 )
-_MODEL = (
-    _arg("--alpha", type=float),
-    _arg("--m", type=float, default=1.0),
-    _arg("--omega", type=float, default=1.0),
-)
+_MODEL = (_arg("--alpha", type=float),)
 _RESTRICTED = _arg("--restricted", action="store_true", default=None)
 _SPIN = (
     _arg("--steps", type=int, default=64),
@@ -600,13 +591,12 @@ def _config_value(action, key: str, value):
 
     A string goes through the flag's type, as argparse treats a string
     default; a typed flag otherwise takes a JSON number (a list of them for
-    a LO HI STEPS range) or null. An integer flag takes an integral number
-    only, and an integral float becomes an int. A flag with choices takes
-    one of them.
+    a LO HI STEPS range). An integer flag takes an integral number only, and
+    an integral float becomes an int. A flag with choices takes one of them.
     """
     if action is not None and action.choices and value not in action.choices:
         raise ConfigParse(f"config value {key!r} must be one of {', '.join(action.choices)}")
-    if action is None or action.type is None or value is None:
+    if action is None or action.type is None:
         return value
     if action.nargs is None:
         return _typed(action.type, key, value)
@@ -636,8 +626,8 @@ _UNSET = object()  # a seeded namespace value that no flag on argv replaced
 def _parse(subcommand: str, argv: list[str]):
     """Parse flags over config-file values over flag defaults, and refuse a
     flag given on the command line that the chosen mode does not read. A
-    config key that names one of the subcommand's own defaults is left
-    unused: argparse sets those after the config, as it does without one."""
+    config key that is null, or that names one of the subcommand's own
+    defaults, is left unused, as if the file did not hold it."""
     parser = _build_parser(subcommand)
     actions = {action.dest: action for action in parser._actions}
     # argparse leaves a seeded attribute alone unless argv gives its flag
@@ -647,7 +637,7 @@ def _parse(subcommand: str, argv: list[str]):
     if given["config"] not in (_UNSET, ""):
         for key, value in _load_config(given["config"]).items():
             dest = key.replace("-", "_")
-            if dest not in fixed:
+            if value is not None and dest not in fixed:
                 setattr(seeded, dest, _config_value(actions.get(dest), key, value))
     ns = parser.parse_args(argv, namespace=seeded)
     unread = [dest for dest in _SUBCOMMANDS[subcommand].unread(ns) if given[dest] is not _UNSET]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Distribution2D
+from .distribution import Distribution2D, scan_axis
 from .errors import (
     ConditioningOnNullEvent,
     DomainError,
@@ -210,13 +210,14 @@ class SigmaRow:
 
 def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                         half_width: float = 0.25, extent: float = 4.0,
-                        steps: int = 33, n_bins: int | None = None) -> list[SigmaRow]:
+                        steps: int = 33) -> list[SigmaRow]:
     """Widths of the chosen surfaces tabulated against the coupling.
 
     which selects the branch: "small_a_analytic" evaluates the closed-form
     classical widths; "classical" fits the numeric joint and conditional
     probability maps at the given region half width; "quantum" fits the
-    numeric entanglement map. Fit failures propagate.
+    numeric entanglement map. Both maps run on scan_axis(-extent, extent,
+    steps), which is its own mirror image. Fit failures propagate.
     """
     rows = []
     for alpha in alphas:
@@ -229,7 +230,7 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                                  sigma_2=analytic.sigma_2,
                                  sigma_12=analytic.sigma_12))
             continue
-        centers = np.linspace(-extent, extent, steps)
+        centers = scan_axis(-extent, extent, steps)
         if which == "classical":
             joint = probability_map(model, centers, centers, half_width)
             pm_fit = fit_surface(joint, "symmetric_pm")
@@ -242,7 +243,7 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                                  sigma_12=cond_fit.sigma_12))
         elif which == "quantum":
             surface = two_party_map(model, centers, centers_b=centers,
-                                    half_width=half_width, n_bins=n_bins)
+                                    half_width=half_width)
             pm_fit = fit_surface(surface, "symmetric_pm")
             rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
                                  sigma_minus=pm_fit.sigma_minus))

@@ -6,6 +6,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
+
+def scan_axis(lo: float, hi: float, steps: int) -> np.ndarray:
+    """np.linspace(lo, hi, steps), made its own mirror image bit for bit when
+    lo == -hi, so that mirrored cells of a map meet exactly. Fewer than 2
+    steps are refused with DomainError."""
+    if steps < 2:
+        raise DomainError(f"a scan axis needs at least 2 steps, got {steps}")
+    x = np.linspace(lo, hi, steps)
+    return (x - x[::-1]) / 2.0 if lo == -hi else x
+
 
 @dataclass
 class Distribution2D:

@@ -1,13 +1,16 @@
 """Closed-form ground-state quantities for two coupled harmonic oscillators.
 
-Two unit-mass oscillators joined by a spring are fully characterized by the
-dimensionless coupling alpha = 2K/(m omega^2). The ground-state wavefunction
-is a correlated Gaussian exp(-q^T L q); everything downstream (reduced
-density kernel, characteristic length, exact entanglement of formation,
-small-region limits, classical widths) follows from alpha in closed form.
+Two oscillators of mass m and frequency omega joined by a spring of
+stiffness K are fully characterized by the dimensionless coupling
+alpha = 2K/(m omega^2). The ground-state wavefunction is a correlated
+Gaussian exp(-q^T L q); everything downstream (reduced density kernel,
+characteristic length, exact entanglement of formation, small-region
+limits, classical widths) follows from alpha in closed form.
 
-Units are m = omega = hbar = 1 by default, which makes the uncoupled
-single-particle width sigma(alpha=0) = 1 the unit of length.
+Units are m = omega = hbar = 1, which makes the uncoupled single-particle
+width sigma(alpha=0) = 1 the unit of length. Other masses and frequencies
+only change that unit: a length here is sqrt(m omega / hbar) times the
+physical length.
 """
 
 from __future__ import annotations
@@ -23,20 +26,15 @@ from .linalg import binary_entropy
 
 @dataclass(frozen=True)
 class OscillatorModel:
-    """Pair of coupled oscillators: dimensionless coupling plus units."""
+    """Pair of coupled oscillators, given by their dimensionless coupling."""
 
     alpha: float
-    m: float = 1.0
-    omega: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.alpha, self.m, self.omega)):
-            raise DomainError(f"alpha, m and omega must be finite, got "
-                              f"{self.alpha}, {self.m}, {self.omega}")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0.0:
             raise DomainError(f"coupling alpha must be >= 0, got {self.alpha}")
-        if self.m <= 0.0 or self.omega <= 0.0:
-            raise DomainError("mass and frequency must be positive")
 
     @property
     def stiffness_root(self) -> float:
@@ -110,13 +108,12 @@ def gaussian_eof(model: OscillatorModel) -> float:
 
 def ground_state_constants(model: OscillatorModel) -> GroundStateConstants:
     """All closed-form ground-state constants for the given coupling."""
-    m_om = model.m * model.omega
     s = model.stiffness_root
-    l_matrix = (m_om / 8.0) * np.array([[1.0 + s, 1.0 - s],
-                                        [1.0 - s, 1.0 + s]])
-    c1 = (1.0 + 2.0 * model.alpha + 3.0 * s) / (8.0 + 8.0 * s) * m_om
-    c2 = model.alpha * (s - 1.0) / (8.0 * (1.0 + 2.0 * model.alpha + s)) * m_om
-    sigma = (2.0 * m_om * s / (1.0 + s)) ** -0.5
+    l_matrix = np.array([[1.0 + s, 1.0 - s],
+                         [1.0 - s, 1.0 + s]]) / 8.0
+    c1 = (1.0 + 2.0 * model.alpha + 3.0 * s) / (8.0 + 8.0 * s)
+    c2 = model.alpha * (s - 1.0) / (8.0 * (1.0 + 2.0 * model.alpha + s))
+    sigma = (2.0 * s / (1.0 + s)) ** -0.5
     w = spectral_weight(model)
     return GroundStateConstants(l_matrix=l_matrix, c1=c1, c2=c2,
                                 sigma=sigma, w=w, eof=gaussian_eof(model))
@@ -125,15 +122,14 @@ def ground_state_constants(model: OscillatorModel) -> GroundStateConstants:
 def two_particle_wavefunction(model: OscillatorModel, qa, qb):
     """Unnormalized ground-state amplitude exp(-q^T L q); vectorized.
 
-    The symmetric mode is spring-free: psi(q, q) = exp(-(m omega/2) q^2)
-    for every coupling, while psi(q, -q) narrows with the stiff mode.
+    The symmetric mode is spring-free: psi(q, q) = exp(-q^2/2) for every
+    coupling, while psi(q, -q) narrows with the stiff mode.
     """
     qa = np.asarray(qa, dtype=np.float64)
     qb = np.asarray(qb, dtype=np.float64)
-    m_om = model.m * model.omega
     s = model.stiffness_root
-    l_diag = m_om / 8.0 * (1.0 + s)
-    l_off = m_om / 8.0 * (1.0 - s)
+    l_diag = (1.0 + s) / 8.0
+    l_off = (1.0 - s) / 8.0
     exponent = l_diag * (qa * qa + qb * qb) + 2.0 * l_off * qa * qb
     return np.exp(-exponent)
 
@@ -163,11 +159,10 @@ def joint_position_density(model: OscillatorModel, qa, qb):
     """Normalized two-particle position density |psi(q_a, q_b)|^2; vectorized."""
     qa = np.asarray(qa, dtype=np.float64)
     qb = np.asarray(qb, dtype=np.float64)
-    m_om = model.m * model.omega
     s = model.stiffness_root
     # |psi|^2 factorizes over the normal modes (q_a + q_b) and (q_a - q_b).
-    c_plus = m_om / 4.0
-    c_minus = m_om * s / 4.0
+    c_plus = 0.25
+    c_minus = s / 4.0
     norm = 2.0 * math.sqrt(c_plus * c_minus) / math.pi
     u = qa + qb
     v = qa - qb
@@ -183,8 +178,7 @@ def small_a_epsilon_one(model: OscillatorModel, a: float) -> float:
     if a <= 0.0:
         raise DomainError(f"half width must be positive, got {a}")
     s = model.stiffness_root
-    m_om = model.m * model.omega
-    return a * a * m_om * model.alpha * (s - 1.0) / (
+    return a * a * model.alpha * (s - 1.0) / (
         12.0 * (1.0 + 2.0 * model.alpha + s))
 
 
@@ -193,8 +187,7 @@ def small_a_epsilon_both(model: OscillatorModel, a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise DomainError("half widths must be positive")
     s = model.stiffness_root
-    m_om = model.m * model.omega
-    return a * a * b * b * m_om * m_om / 72.0 * (1.0 + 2.0 * model.alpha - s)
+    return a * a * b * b / 72.0 * (1.0 + 2.0 * model.alpha - s)
 
 
 def concurrence_density(model: OscillatorModel) -> float:
@@ -204,8 +197,7 @@ def concurrence_density(model: OscillatorModel) -> float:
     eps_both = (density * a * b / 2)^2.
     """
     s = model.stiffness_root
-    m_om = model.m * model.omega
-    return math.sqrt(2.0) * m_om / 6.0 * math.sqrt(1.0 + 2.0 * model.alpha - s)
+    return math.sqrt(2.0) / 6.0 * math.sqrt(1.0 + 2.0 * model.alpha - s)
 
 
 def small_a_entanglement_one(model: OscillatorModel, a: float) -> float:
@@ -227,10 +219,9 @@ def classical_widths(model: OscillatorModel) -> ClassicalWidths:
     if model.alpha == 0.0:
         raise DivergentWidth("sigma_1 and sigma_12 diverge at alpha = 0")
     s = model.stiffness_root
-    unit = (model.m * model.omega) ** -0.5
-    sigma_plus = math.sqrt(2.0) * unit
-    sigma_minus = math.sqrt(2.0 / s) * unit
-    sigma_1 = math.sqrt(2.0 * (1.0 + s)) / (s - 1.0) * unit
-    sigma_2 = math.sqrt(2.0 / (1.0 + s)) * unit
-    sigma_12 = math.sqrt(1.0 / (s - 1.0)) * unit
+    sigma_plus = math.sqrt(2.0)
+    sigma_minus = math.sqrt(2.0 / s)
+    sigma_1 = math.sqrt(2.0 * (1.0 + s)) / (s - 1.0)
+    sigma_2 = math.sqrt(2.0 / (1.0 + s))
+    sigma_12 = math.sqrt(1.0 / (s - 1.0))
     return ClassicalWidths(sigma_plus, sigma_minus, sigma_1, sigma_2, sigma_12)

@@ -27,8 +27,8 @@ psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
 -A x -B and -B x -A share their mass and entropy: every two-party path solves
 each cell once per orbit of these symmetries (_two_party_orbits) and copies
 the result to its images. Exchanged cells meet on any square map, mirrored
-ones only where an axis holds the exact negative of a center, as
-linspace(-4, 4, 33) does bit for bit, and so does every CLI axis centred on 0.
+ones only where an axis holds the exact negative of a center, as every
+distribution.scan_axis centred on 0 does (the CLI's axes and the sigma scan's).
 A one-party map takes the eigenvalues of Alice's reduced kernel in the same
 Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
 own unit-weight sum (quadrature.grid_gauss), which converges exponentially
@@ -102,6 +102,9 @@ SPECTRAL_NODES_PER_LENGTH = 1.4
 MASS_NODE_FLOOR = 24
 MASS_NODES_PER_LENGTH = 2.0
 MAX_NODES = 512
+# Truncation half-length standing in for the unrestricted line: eight times the
+# widest normal-mode width, sqrt(2); the neglected tail mass is below 1e-14.
+DOMAIN_HALF_LENGTH = 8.0 * math.sqrt(2.0)
 # Bytes of one float64 chunk of cells: a (cells, nodes_a, nodes_b) amplitude
 # stack handed to LAPACK in one call with the temporary of its assembly, or a
 # (cells, n) array of mass nodes.
@@ -215,15 +218,6 @@ class EnsembleResult:
                            min(1.0, max(0.0, self.survival_probability)))
 
 
-def domain_half_length(model: OscillatorModel) -> float:
-    """Truncation half-length standing in for the unrestricted line.
-
-    Eight times the widest normal-mode width; the neglected tail mass is
-    below 1e-14.
-    """
-    return 8.0 * math.sqrt(2.0 / (model.m * model.omega))
-
-
 def region_survival_probability(model: OscillatorModel, region: Region) -> float:
     """Probability of finding Alice's particle inside the region."""
     return integrate_1d(lambda q: marginal_position_density(model, q),
@@ -264,7 +258,7 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
     """P(q_a in [a_lo, a_hi] and q_b in [b_lo, b_hi]) for each cell.
 
     Given q_a, Bob's position is normal with mean (s-1)/(s+1) q_a and
-    variance 2/(m omega (1+s)), s = sqrt(1 + 4 alpha), so each cell is an
+    variance 2/(1+s), s = sqrt(1 + 4 alpha), so each cell is an
     n-node Gauss-Legendre integral over Alice's interval of her marginal
     density times Bob's conditional mass in closed form. Past MAX_NODES
     nodes the interval is split into equal panels of at most MAX_NODES
@@ -280,7 +274,7 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
     points = -(-n // panels)
     s = model.stiffness_root
     slope = (s - 1.0) / (s + 1.0)
-    scale = math.sqrt(model.m * model.omega * (1.0 + s) / 4.0)  # 1 / (sqrt(2) sd)
+    scale = math.sqrt((1.0 + s) / 4.0)  # 1 / (sqrt(2) sd)
     bounds = [np.asarray(edge, dtype=np.float64).ravel() for edge in (a_lo, a_hi, b_lo, b_hi)]
     out = np.empty(bounds[0].size)
     for cells in _cell_slices(out.size, 8 * n):
@@ -294,10 +288,11 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
 
 
 def _nodes_per_length(model: OscillatorModel, width: float, per_length: float) -> int:
-    """ceil(per_length * width * sqrt(m omega s)): per_length nodes per narrow
-    length 1/sqrt(m omega s), the length on which the amplitude varies. A
-    count past the largest float is refused with QuadratureNotConverged."""
-    narrow = float(width) * math.sqrt(model.m * model.omega * model.stiffness_root)
+    """ceil(per_length * width * sqrt(s)): per_length nodes per narrow length
+    1/sqrt(s), s = sqrt(1 + 4 alpha), the length on which the amplitude
+    varies. A count past the largest float is refused with
+    QuadratureNotConverged."""
+    narrow = float(width) * math.sqrt(model.stiffness_root)
     count = per_length * narrow
     if math.isinf(count):
         raise QuadratureNotConverged(
@@ -574,9 +569,8 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
     (n_bins + 1)^2, so keep n_bins modest (DEFAULT_BINS_PRECISE by default).
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_PRECISE)
-    half = domain_half_length(model)
     qa = _grid_points(region, n_bins)
-    qb = np.linspace(-half, half, n_bins + 1)
+    qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n_bins + 1)
     psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])
     n_a, n_b = psi.shape
     rho = np.zeros((n_a, n_b, n_a, n_b))
@@ -623,7 +617,7 @@ def _ensemble(model: OscillatorModel, region: Region, entropy) -> NonDiscardingR
     outside mass below EMPTY_MASS) has mass 1 and outside entropy 0."""
     p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
     e_in = float(entropy(*_nodes_on(model, [(region.lo, region.hi)]))[0])
-    half = domain_half_length(model)
+    half = DOMAIN_HALF_LENGTH
     pieces = [(lo, hi) for lo, hi in ((-half, region.lo), (region.hi, half)) if hi > lo]
     e_out = 0.0
     if not pieces or 1.0 - p < EMPTY_MASS:
@@ -663,8 +657,7 @@ def non_discarding_two_path(model: OscillatorModel, region: Region):
     (alpha above about 1.6e4) it is refused with QuadratureNotConverged.
     Returns (identity_result, mixture_value, gap).
     """
-    half = domain_half_length(model)
-    xb, wb = _nodes_on(model, [(-half, half)])
+    xb, wb = _nodes_on(model, [(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH)])
     identity = non_discarding_entanglement(model, region)
     mixture = _ensemble(model, region, lambda x, w: _entropies(model, x, w, xb, wb)).entanglement
     return identity, mixture, abs(mixture - identity.entanglement)
@@ -700,9 +693,8 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     unrestricted entanglement of formation. Cells run on Gauss-Legendre
     nodes, or on the grid of n_bins as in both_restricted_entropy.
     """
-    half = domain_half_length(model)
-    pairs = [(seg_a, seg_b) for seg_a in partition_a.effective_segments(half)
-             for seg_b in partition_b.effective_segments(half)]
+    pairs = [(seg_a, seg_b) for seg_a in partition_a.effective_segments(DOMAIN_HALF_LENGTH)
+             for seg_b in partition_b.effective_segments(DOMAIN_HALF_LENGTH)]
     segs_a, segs_b = zip(*pairs)
     rows = _two_party_cells(model, [seg.center for seg in segs_a],
                             [seg.half_width for seg in segs_a],

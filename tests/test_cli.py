@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entloc.correlate
+import entloc.restrict
 from entloc import cli
 from entloc.cli import (
     emit_distribution,
     parse_distribution,
     run,
 )
-from entloc.correlate import fit_surface
-from entloc.distribution import Distribution2D
+from entloc.correlate import fit_surface, sigma_vs_alpha_scan
+from entloc.distribution import Distribution2D, scan_axis
 from entloc.restrict import _two_party_orbits
 
 
@@ -159,6 +161,9 @@ class TestExitCodes:
           "--widths", "1e200"], 2, "QuadratureNotConverged"),
         (["gauss-one-restricted", "--alpha", "0", "--centers", "-1", "1", "3",
           "--widths", "1e5"], 2, "QuadratureNotConverged"),
+        # the sigma scan's axis is the library's to refuse
+        (["gauss-sigma-scan", "--alphas", "6", "--steps", "-1"], 2, "DomainError"),
+        (["gauss-sigma-scan", "--alphas", "6", "--steps", "1"], 2, "DomainError"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, tmp_path, monkeypatch,
                                                   argv, code, error):
@@ -181,6 +186,17 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (1, "")
         assert flag in re.findall(r"--[a-z0-9-]+", json.loads(err)["message"])
+
+    @pytest.mark.parametrize("flag", ["--m", "--omega"])
+    @pytest.mark.parametrize("subcommand", [
+        "gauss-constants", "gauss-one-restricted", "gauss-both-restricted", "gauss-limits",
+        "gauss-classical-map", "gauss-inequality", "gauss-converge"])
+    def test_mass_and_frequency_flags_are_gone(self, capsys, subcommand, flag):
+        # the model is its coupling alone; lengths are in units of 1/sqrt(m omega)
+        code, out, err = run_capture(capsys, [subcommand, "--alpha", "6", flag, "2"])
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "UsageError"
 
     def test_node_cap_refused_without_large_allocation(self, capsys):
         tracemalloc.start()
@@ -674,6 +690,44 @@ class TestConfigFile:
                                                  "--config", str(config)])
         assert code == 0
 
+    # every required value of each subcommand, given by config
+    CONFIG_BASE = {
+        "spin-scan": {"steps": 3},
+        "spin-negativity-scan": {"steps": 3},
+        "spin-vanish-point": {"theta1": 0.5, "theta2": 0.5},
+        "gauss-constants": {"alpha": 6},
+        "gauss-one-restricted": {"alpha": 6, "qbar": 0, "width": 1},
+        "gauss-both-restricted": {"alpha": 6, "qbar_a": 0, "qbar_b": 0, "width": 1},
+        "gauss-limits": {"alpha": 6, "a": 0.1},
+        "gauss-classical-map": {"alpha": 6, "centers": [-1, 1, 3], "width": 1},
+        "gauss-fit": {"input": "map.csv"},
+        "gauss-sigma-scan": {"alphas": "6", "steps": 9, "extent": 2},
+        "gauss-inequality": {"alpha": 6, "grid_a": 2, "grid_b": 2},
+        "gauss-converge": {"alpha": 6, "widths": "1", "n_bins": 40, "n_basis": 8},
+    }
+
+    @pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+    def test_null_leaves_the_flag_at_its_default(self, capsys, tmp_path, monkeypatch,
+                                                 subcommand):
+        monkeypatch.chdir(tmp_path)
+        x = np.linspace(-2.0, 2.0, 9)
+        emit_distribution(Distribution2D(axis_a=x, axis_b=x,
+                                         values=np.exp(-np.add.outer(x * x, x * x))),
+                          "map.csv", "csv")
+        assert set(self.CONFIG_BASE) == set(cli._SUBCOMMANDS)
+        dests = [action.dest for action in cli._build_parser(subcommand)._actions
+                 if action.dest != "help"]
+        for dest in dests:
+            Path("run.json").write_text(json.dumps({**self.CONFIG_BASE[subcommand],
+                                                    dest: None}))
+            code, _, err = run_capture(capsys, [subcommand, "--config", "run.json"])
+            assert code in (0, 1), (dest, err)
+            assert len(err.splitlines()) == code, (dest, err)
+            assert all(json.loads(line)["error"] for line in err.splitlines())
+            if dest not in ("alpha", "alphas", "theta1", "theta2", "a", "qbar", "width",
+                            "qbar_a", "qbar_b", "centers", "input"):
+                assert code == 0, (dest, err)
+
     def test_config_numbers_are_echoed_as_given(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"alpha": 6, "centers": [-1, 1, 3], "width": 1,
@@ -880,6 +934,38 @@ class TestAxes:
         for bob in (profile, 0.0):
             _, cells, _ = _two_party_orbits(profile, 0.25, bob, 0.25)
             assert cells[0].size == 41
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.integers(2, 90), extent=st.floats(0.1, 20.0))
+    def test_sigma_scan_axis_is_the_centred_cli_axis(self, steps, extent):
+        axis = scan_axis(-extent, extent, steps)
+        assert np.array_equal(-axis[::-1], axis)
+        assert axis.tobytes() == cli._linspace(-extent, extent, float(steps)).tobytes()
+        _, square, _ = _two_party_orbits(np.repeat(axis, steps), 0.25,
+                                         np.tile(axis, steps), 0.25)
+        # Burnside over exchange and mirror: n^2 cells, n fixed by each of the
+        # two reflections, the centre cell fixed by the mirror when n is odd
+        assert square[0].size == (steps * steps + 2 * steps + steps % 2) // 4
+
+    def test_sigma_scan_solves_each_orbit_once(self, monkeypatch):
+        cells, maps = [], []
+        orbits, surface = entloc.restrict._two_party_orbits, entloc.correlate.two_party_map
+
+        def counted(*args):
+            result = orbits(*args)
+            cells.append(result[1][0].size)
+            return result
+
+        def kept(*args, **kwargs):
+            maps.append(surface(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(entloc.restrict, "_two_party_orbits", counted)
+        monkeypatch.setattr(entloc.correlate, "two_party_map", kept)
+        sigma_vs_alpha_scan([6.0], which="quantum", half_width=0.25, steps=41)
+        assert cells == [441]
+        values = maps[0].values
+        assert values.tobytes() == values[::-1, ::-1].tobytes() == values.T.tobytes()
 
 
 class TestReadmeCommands:

@@ -296,5 +296,5 @@ class TestSigmaScan:
 
     def test_quantum_branch(self):
         rows = sigma_vs_alpha_scan([6.0], which="quantum", half_width=0.25,
-                                   extent=4.0, steps=17, n_bins=60)
+                                   extent=4.0, steps=17)
         assert rows[0].sigma_plus > rows[0].sigma_minus > 0.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entloc.correlate import joint_probability, probability_map, sigma_vs_alpha_scan
+from entloc.correlate import joint_probability, probability_map
 from entloc.errors import DomainError, EmptyRegionMass, QuadratureNotConverged
 from entloc.linalg import binary_entropy, spectral_entropy_bits
 from entloc.oscillator import (
@@ -20,6 +20,7 @@ from entloc.oscillator import (
 from entloc.quadrature import gauss_legendre
 from entloc.restrict import (
     DEFAULT_BINS_ONE,
+    DOMAIN_HALF_LENGTH,
     EMPTY_MASS,
     MAX_NODES,
     Partition,
@@ -27,7 +28,6 @@ from entloc.restrict import (
     basis_expansion_entropy,
     both_restricted_entropy,
     both_restricted_profile,
-    domain_half_length,
     joint_masses,
     mass_nodes,
     method_equivalence,
@@ -84,11 +84,10 @@ class TestRegionTypes:
         lambda: partition_inequality_check(MODEL, Partition.uniform(-4, 4, 2),
                                            Partition.uniform(-4, 4, 2), n_bins=1),
         lambda: precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=1),
-        lambda: sigma_vs_alpha_scan([6.0], which="quantum", steps=3, n_bins=1),
         # the coarse grid of a 3-bin comparison has 1 bin
         lambda: method_equivalence(MODEL, Region(0.0, 1.0), n_bins=3),
     ], ids=["one", "both", "one-party-map", "two-party-map", "profile", "partition",
-            "precise", "sigma-scan", "method-equivalence"])
+            "precise", "method-equivalence"])
     def test_resolution_below_its_floor_refused_before_any_mass(self, call, monkeypatch):
         import entloc.restrict as restrict
         masses = []
@@ -250,8 +249,7 @@ class TestPreciseMeasurement:
         region = Region(0.0, 1.0)
         n = 8
         qa = _grid_points(region, n)
-        qb = np.linspace(-domain_half_length(MODEL), domain_half_length(MODEL),
-                         n + 1)
+        qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n + 1)
         psi = two_particle_wavefunction(MODEL, qa[:, None], qb[None, :])
         dim = (n + 1) ** 2
         rho = np.zeros((dim, dim))
@@ -267,7 +265,7 @@ class TestPreciseMeasurement:
 
 class TestNonDiscarding:
     def test_whole_domain_recovers_full_entanglement(self):
-        half = domain_half_length(MODEL)
+        half = DOMAIN_HALF_LENGTH
         result = non_discarding_entanglement(MODEL, Region(0.0, half * 0.999))
         assert result.entanglement == pytest.approx(gaussian_eof(MODEL),
                                                     abs=5e-3)
@@ -303,7 +301,7 @@ class TestNonDiscarding:
         # the outside entropy must equal the Gauss-Legendre Nystrom value of
         # the complement's kernel on 64 nodes per part.
         region = Region(0.5, 1.0)
-        half = domain_half_length(MODEL)
+        half = DOMAIN_HALF_LENGTH
         reference = self.reference(MODEL, ((-half, region.lo), (region.hi, half)))
         result = non_discarding_entanglement(MODEL, region)
         assert abs(result.entanglement_outside - reference) < 1e-10
@@ -312,7 +310,7 @@ class TestNonDiscarding:
     @pytest.mark.parametrize("region", [Region(0.0, 1.0), Region(0.5, 1.0)])
     def test_both_sides_match_the_nystrom_reference(self, alpha, region):
         model = OscillatorModel(alpha=alpha)
-        half = domain_half_length(model)
+        half = DOMAIN_HALF_LENGTH
         result = non_discarding_entanglement(model, region)
         assert abs(result.entanglement_inside
                    - self.reference(model, ((region.lo, region.hi),))) < 1e-10
@@ -372,7 +370,7 @@ class TestNonDiscarding:
 
     def test_two_path_without_outside(self):
         # a region covering the truncated domain leaves no outside outcome
-        half = domain_half_length(MODEL)
+        half = DOMAIN_HALF_LENGTH
         identity, mixture, gap = non_discarding_two_path(MODEL, Region(0.0, 2.0 * half))
         assert identity.survival_probability == 1.0
         assert identity.entanglement_outside == 0.0
@@ -387,7 +385,7 @@ class TestNonDiscarding:
 
 class TestPartitionInequality:
     def test_single_cell_has_no_slack(self):
-        half = domain_half_length(MODEL)
+        half = DOMAIN_HALF_LENGTH
         partition = Partition.uniform(-half, half, 1)
         report = partition_inequality_check(MODEL, partition, partition)
         assert report.slack == pytest.approx(0.0, abs=5e-3)
@@ -599,7 +597,7 @@ class TestGaussLegendreEngine:
         assert mass_nodes(strong, 4.0) == 114
 
     def test_spectral_node_rule(self):
-        # 10 + ceil(1.4 width sqrt(m omega s)), no floor
+        # 10 + ceil(1.4 width sqrt(s)), no floor
         assert two_party_nodes(MODEL, 0.5) == 12
         assert two_party_nodes(MODEL, 4.0) == 23
         strong = OscillatorModel(alpha=1e4)
