@@ -218,7 +218,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def _linspace(lo: float, hi: float, steps: float) -> np.ndarray:
-    """The scan axis of a LO HI STEPS range."""
+    """The scan axis of a LO HI STEPS range; STEPS is a whole number."""
+    if not float(steps).is_integer():
+        raise UsageError(f"range {lo:g} {hi:g} {steps:g} needs a whole number of steps")
     steps = int(steps)
     if steps < 2:
         raise UsageError("ranges need at least 2 steps")
@@ -567,7 +569,8 @@ _SUBCOMMANDS = {
 
 
 def _build_parser(subcommand: str) -> _Parser:
-    parser = _Parser(prog=f"entloc {subcommand}", add_help=True)
+    # allow_abbrev=False: a prefix of a flag is an unknown flag, not that flag
+    parser = _Parser(prog=f"entloc {subcommand}", add_help=True, allow_abbrev=False)
     command = _SUBCOMMANDS[subcommand]
     for names, kwargs in _COMMON + command.flags:
         parser.add_argument(*names, **kwargs)

@@ -24,9 +24,19 @@ from .errors import DivergentWidth, DomainError
 from .linalg import binary_entropy
 
 
+# Couplings from here on are refused. The spectral weight is ((t-1)/(t+1))^2
+# with t = (1 + 4 alpha)^(1/4); below alpha = 2^210 (1.6455e63), t <= 2^53 and
+# the weight is below 1. Above it, t - 1 and t + 1 are no longer exact: the
+# weight rounds to 1 at some couplings (the first is 7 doubles above 2^210)
+# and at every one from 2^214 (2.6e64), where the entanglement of formation
+# is no longer finite.
+ALPHA_LIMIT = 2.0 ** 210
+
+
 @dataclass(frozen=True)
 class OscillatorModel:
-    """Pair of coupled oscillators, given by their dimensionless coupling."""
+    """Pair of coupled oscillators, given by their dimensionless coupling,
+    finite, >= 0 and below ALPHA_LIMIT."""
 
     alpha: float
 
@@ -35,6 +45,10 @@ class OscillatorModel:
             raise DomainError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0.0:
             raise DomainError(f"coupling alpha must be >= 0, got {self.alpha}")
+        if self.alpha >= ALPHA_LIMIT:
+            raise DomainError(f"coupling alpha {float(self.alpha)!r} is past the range where "
+                              f"the spectral weight is below 1: alpha must be below 2^210 "
+                              f"({ALPHA_LIMIT!r})")
 
     @property
     def stiffness_root(self) -> float:

@@ -6,6 +6,7 @@ import re
 import shlex
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,10 +194,86 @@ class TestExitCodes:
         "gauss-classical-map", "gauss-inequality", "gauss-converge"])
     def test_mass_and_frequency_flags_are_gone(self, capsys, subcommand, flag):
         # the model is its coupling alone; lengths are in units of 1/sqrt(m omega)
-        code, out, err = run_capture(capsys, [subcommand, "--alpha", "6", flag, "2"])
-        assert code == 1 and out == ""
+        calls = [[subcommand, "--alpha", "6", flag, "2"]]
+        if subcommand == "gauss-both-restricted":
+            # a whole grid-map call, but --m does not abbreviate --mode
+            calls.append(BOTH_MAP + [flag, "grid"])
+        for argv in calls:
+            code, out, err = run_capture(capsys, argv)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+    def test_abbreviated_flags_refused(self, capsys, subcommand):
+        # a strict prefix of a long flag that is not itself a flag is unknown
+        flags = {name for action in cli._build_parser(subcommand)._actions
+                 for name in action.option_strings if name.startswith("--")}
+        prefixes = {flag[:end] for flag in flags for end in range(3, len(flag))} - flags
+        assert prefixes
+        for prefix in sorted(prefixes):
+            code, out, err = run_capture(capsys, [subcommand, prefix])
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1
+            assert json.loads(err) == {"error": "UsageError",
+                                       "message": f"unrecognized arguments: {prefix}"}
+
+    @pytest.mark.parametrize("argv,text", [
+        (F_SWEEP[:-1] + ["3.9"], "0.0625 1 3.9"),
+        (["gauss-both-restricted", "--alpha", "6", "--mode", "grid", "--width", "1",
+          "--centers", "-4", "4", "40.7"], "-4 4 40.7"),
+        (ONE_MAP[:-1] + ["nan", "--widths", "1"], "-1 1 nan"),
+        (["gauss-classical-map", "--alpha", "6", "--width", "1",
+          "--centers", "-4", "4", "inf"], "-4 4 inf"),
+    ])
+    def test_steps_that_are_no_whole_number_refused(self, capsys, argv, text):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "UsageError", "message": f"range {text} needs a whole number of steps"}
+
+    def test_steps_from_a_config_file_must_be_whole(self, capsys, tmp_path):
+        map_argv = ["gauss-classical-map", "--alpha", "6", "--width", "1"]
+        config = tmp_path / "axis.json"
+        config.write_text(json.dumps({"centers": [-4, 4, 40.7]}))
+        code, out, err = run_capture(capsys, map_argv + ["--config", str(config)])
+        assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "UsageError"
+        # a whole number written as a float is that many steps
+        config.write_text(json.dumps({"centers": [-4, 4, 41.0]}))
+        code, whole, _ = run_capture(capsys, map_argv + ["--config", str(config)])
+        assert code == 0
+        code, flag, _ = run_capture(capsys, map_argv + ["--centers", "-4", "4", "41.0"])
+        assert code == 0
+        assert run_capture(capsys, map_argv + ["--centers", "-4", "4", "41"])[1] == whole == flag
+        assert len(whole.splitlines()) == 1 + 41 * 41
+
+    @pytest.mark.parametrize("argv", [
+        ["gauss-constants", "--alpha", "1e300"],
+        ["gauss-one-restricted", "--alpha", "1e300", "--qbar", "0", "--width", "1"],
+        ["gauss-constants", "--alpha", repr(2.0 ** 210)],
+    ])
+    def test_coupling_past_the_limit_refused_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "DomainError"
+        assert f"alpha {float(argv[2])!r} " in error["message"]
+
+    def test_largest_coupling_gives_finite_constants(self, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_capture(capsys, [
+                "gauss-constants", "--alpha", repr(float(np.nextafter(2.0 ** 210, 0.0)))])
+        assert code == 0
+        constants = json.loads(out, parse_constant=refuse)
+        assert constants["w"] < 1.0 and constants["eof"] > 50.0
 
     def test_node_cap_refused_without_large_allocation(self, capsys):
         tracemalloc.start()

@@ -1,12 +1,16 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entloc.errors import DivergentWidth, DomainError
 from entloc.linalg import binary_entropy
 from entloc.oscillator import (
+    ALPHA_LIMIT,
     OscillatorModel,
     classical_widths,
     concurrence_density,
@@ -80,6 +84,30 @@ class TestGroundStateConstants:
     def test_non_finite_model(self, value):
         with pytest.raises(DomainError):
             OscillatorModel(alpha=value)
+
+    def test_couplings_from_the_limit_on_refused(self):
+        # 2^210: t = (1 + 4 alpha)^(1/4) reaches 2^53, and a few doubles on the
+        # spectral weight rounds to 1; at 2^214 and past it, it always does
+        largest = np.nextafter(ALPHA_LIMIT, 0.0)
+        assert ALPHA_LIMIT == 2.0 ** 210
+        model = OscillatorModel(alpha=largest)
+        assert spectral_weight(model) < 1.0
+        assert math.isfinite(gaussian_eof(model))
+        for alpha in (ALPHA_LIMIT, 2.0 ** 214, 1e300, sys.float_info.max):
+            with pytest.raises(DomainError, match="below 2\\^210"):
+                OscillatorModel(alpha=alpha)
+        rounds_to_one = [ALPHA_LIMIT]
+        while len(rounds_to_one) < 8:
+            rounds_to_one.append(np.nextafter(rounds_to_one[-1], math.inf))
+        t = (1.0 + 4.0 * rounds_to_one[-1]) ** 0.25
+        assert ((t - 1.0) / (t + 1.0)) ** 2 == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(0.0, float(np.nextafter(2.0 ** 210, 0.0))))
+    def test_weight_below_one_below_the_limit(self, alpha):
+        model = OscillatorModel(alpha=alpha)
+        assert spectral_weight(model) < 1.0
+        assert math.isfinite(gaussian_eof(model))
 
 
 class TestSpectralWeight:

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entloc.correlate import joint_probability, probability_map
@@ -22,6 +23,8 @@ from entloc.restrict import (
     DEFAULT_BINS_ONE,
     DOMAIN_HALF_LENGTH,
     EMPTY_MASS,
+    ERFC_COEFFS,
+    ERFC_SHIFT,
     MAX_NODES,
     Partition,
     Region,
@@ -38,6 +41,8 @@ from entloc.restrict import (
     partition_inequality_check,
     precise_measurement_entanglement,
     region_basis,
+    _erfc,
+    _normal_interval,
     _schmidt_weights,
     _two_party_orbits,
     _two_party_sides,
@@ -48,6 +53,86 @@ from entloc.restrict import (
 MODEL = OscillatorModel(alpha=6)
 WEAK = OscillatorModel(alpha=0.06)
 UNCOUPLED = OscillatorModel(alpha=0)
+
+
+class TestErfcKernel:
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(19)
+        x = np.concatenate([np.linspace(-6.0, 26.0, 3201), rng.uniform(-6.0, 26.0, 3000)])
+        with mp.workdps(32):
+            expected = np.array([float(mp.erfc(mp.mpf(float(v)))) for v in x])
+        assert np.all(np.abs(_erfc(x) - expected) <= 1e-15 * expected)
+
+    def test_special_values_and_underflow_as_math_erfc(self):
+        special = np.array([0.0, -0.0, math.inf, -math.inf])
+        assert _erfc(special).tolist() == [math.erfc(v) for v in special] == [1, 1, 0, 2]
+        assert math.isnan(_erfc(np.array([math.nan]))[0])
+        x = np.concatenate([np.linspace(26.0, 40.0, 28001),
+                            [1e3, 1e300, np.finfo(np.float64).max]])
+        # the 3000 doubles on each side of the first grid point where it underflows
+        first = x[[math.erfc(v) == 0.0 for v in x].index(True)]
+        below, above = [first], [first]
+        for _ in range(3000):
+            below.append(np.nextafter(below[-1], -math.inf))
+            above.append(np.nextafter(above[-1], math.inf))
+        x = np.concatenate([x, below, above])
+        zero = np.array([math.erfc(v) == 0.0 for v in x])
+        assert zero.sum() > 3000
+        assert np.all(_erfc(x)[zero] == 0.0)
+        assert np.all(_erfc(-x[zero]) == 2.0)
+
+    def test_coefficients_rebuilt_from_mpmath(self):
+        # R(t) = (P(t) - 1) / (1 + t), P = (1 + 2x) exp(x^2) erfc(x) with x =
+        # ERFC_SHIFT (1 + t) / (1 - t): its Chebyshev interpolant on 64 points
+        # at 40 digits, truncated to 24 terms, in monomials of t
+        with mp.workdps(40):
+            shift = mp.mpf(ERFC_SHIFT)
+
+            def r(t):
+                x = shift * (1 + t) / (1 - t)
+                return ((1 + 2 * x) * mp.exp(x * x) * mp.erfc(x) - 1) * (x + shift) / (2 * x)
+
+            angles = [mp.pi * (j + mp.mpf(1) / 2) / 64 for j in range(64)]
+            values = [r(mp.cos(angle)) for angle in angles]
+            cheb = [mp.fsum(v * mp.cos(k * angle) for v, angle in zip(values, angles)) / 32
+                    for k in range(26)]
+            cheb[0] /= 2
+            assert abs(cheb[24]) < 1e-17 and abs(cheb[25]) < 1e-17  # the first terms left out
+            zero = [mp.mpf(0)] * 24
+            basis = [[mp.mpf(1)] + zero[1:], [mp.mpf(0), mp.mpf(1)] + zero[2:]]
+            while len(basis) < 24:  # T_(k+1) = 2 t T_k - T_(k-1)
+                basis.append([2 * a - b for a, b in zip([mp.mpf(0)] + basis[-1][:-1],
+                                                        basis[-2])])
+            mono = [mp.fsum(c * poly[i] for c, poly in zip(cheb, basis)) for i in range(24)]
+            rebuilt = [float(m) for m in mono]
+        np.testing.assert_allclose(ERFC_COEFFS, rebuilt, rtol=2.0 ** -52, atol=0.0)
+
+    def test_same_bits_in_any_block_and_call(self, monkeypatch):
+        import entloc.restrict as restrict
+        x = np.random.default_rng(7).uniform(-8.0, 30.0, 3000)
+        whole = _erfc(x)
+        monkeypatch.setattr(restrict, "ERFC_BLOCK", 7)
+        assert _erfc(x).tobytes() == whole.tobytes()
+        assert _erfc(x.reshape(30, 100)).tobytes() == whole.tobytes()
+        singles = np.concatenate([_erfc(x[i:i + 1]) for i in range(0, x.size, 37)])
+        assert singles.tobytes() == whole[::37].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(lo=st.floats(-27.0, 27.0), width=st.floats(0.0, 20.0))
+    @example(lo=-1.0, width=3.0)    # straddles 0
+    @example(lo=-5.0, width=2.0)    # flipped: both edges below 0
+    @example(lo=-26.0, width=6.0)   # far out below 0
+    @example(lo=20.0, width=6.0)    # far out above 0
+    @example(lo=-0.0, width=0.0)
+    def test_normal_interval_against_mpmath(self, lo, width):
+        hi = lo + width
+        got = float(_normal_interval(np.array([lo]), np.array([hi]))[0])
+        # 400 digits resolve 1 - erf(27), about 5e-319
+        with mp.workdps(400):
+            expected = (mp.erf(hi) - mp.erf(lo)) / 2
+            tails = mp.erfc(-hi) + mp.erfc(-lo) if hi < 0 else mp.erfc(lo) + mp.erfc(hi)
+        # each erfc within 5e-16 relative: the difference within that of the tails
+        assert abs(got - float(expected)) <= 1e-15 * float(tails)
 
 
 class TestRegionTypes:
@@ -523,9 +608,9 @@ class TestGaussLegendreEngine:
     def test_masses_match_twice_the_nodes(self):
         centers = np.linspace(-6.0, 6.0, 25)
         ca, cb = (grid.ravel() for grid in np.meshgrid(centers, centers, indexing="ij"))
-        for alpha in (0.25, 6.0, 1e2, 1e4):
+        for alpha in (0.05, 0.25, 1.0, 6.0, 30.0, 1e2, 1e4):
             model = OscillatorModel(alpha=alpha)
-            for width in (0.5, 2.0, 4.0):
+            for width in (0.1, 0.5, 1.0, 2.0, 4.0):
                 n = mass_nodes(model, width)
                 edges = (ca - width / 2, ca + width / 2, cb - width / 2, cb + width / 2)
                 mass, fine = joint_masses(model, *edges, n), joint_masses(model, *edges, 2 * n)
@@ -591,7 +676,7 @@ class TestGaussLegendreEngine:
         assert np.all(np.abs(base.values - fine.values)[live] <= 1e-12)
 
     def test_node_rule(self):
-        assert mass_nodes(MODEL, 4.0) == 24  # the floor
+        assert mass_nodes(MODEL, 4.0) == 23  # the spectral rule's count
         strong = OscillatorModel(alpha=1e4)
         assert mass_nodes(strong, 2.0) == 57
         assert mass_nodes(strong, 4.0) == 114
