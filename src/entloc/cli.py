@@ -170,11 +170,45 @@ def emit_distribution(dist: Distribution2D, path: str | None, fmt: str,
     }, path, metadata or {})
 
 
+def _float_columns(rows) -> list[np.ndarray]:
+    """The first three fields of the split rows as three float arrays, each
+    column converted by float as a whole: IndexError if a row is short,
+    ValueError if a field is not a number."""
+    columns = list(zip(*rows))[:3] if rows else [()] * 3
+    if len(columns) < 3:
+        raise IndexError("short row")
+    return [np.array(list(map(float, column)), dtype=np.float64) for column in columns]
+
+
+def _is_malformed(parts) -> bool:
+    try:
+        _float_columns([parts])
+    except (ValueError, IndexError):
+        return True
+    return False
+
+
+def _first_seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of x in first-seen order, and the index of each
+    element's value among them."""
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return x[first[order]], rank[inverse.ravel()]
+
+
 def parse_distribution(path: str) -> Distribution2D:
-    """Re-ingest a CSV surface produced by emit_distribution."""
+    """Re-ingest a CSV surface produced by emit_distribution.
+
+    The rows are split first and each column is converted by float as a
+    whole; the axes take their values in first-seen order, and cell (i, j)
+    has the code i * n_b + j. A refusal names the first row in file order
+    that is malformed, has a non-finite axis value or an infinite value, or
+    repeats a cell, else the first cell with no row."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            lines = list(filter(None, map(str.strip, handle.read().split("\n"))))
     except (OSError, ValueError) as exc:
         raise ConfigParse(f"cannot read {path}: {exc}") from exc
     if not lines:
@@ -182,31 +216,41 @@ def parse_distribution(path: str) -> Distribution2D:
     header = lines[0].split(",")
     if len(header) < 3:
         raise ConfigParse(f"{path} does not look like a surface CSV")
-    index_a, index_b, cells = {}, {}, {}  # axis value -> index, first-seen order
-    for row, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        try:
-            a, b, v = float(parts[0]), float(parts[1]), float(parts[2])
-        except (ValueError, IndexError) as exc:
-            raise ConfigParse(f"{path}: malformed row {line!r}") from exc
-        if not (math.isfinite(a) and math.isfinite(b)) or math.isinf(v):
-            raise ConfigParse(f"{path}: row {row} {line!r} has a non-finite axis value "
-                              "or an infinite value")
-        cell = index_a.setdefault(a, len(index_a)), index_b.setdefault(b, len(index_b))
-        if cell in cells:
-            raise ConfigParse(f"{path}: row {row} repeats the cell ({a!r}, {b!r})")
-        cells[cell] = v, len(parts) > 4 and parts[4] == "masked"
-    if len(cells) < len(index_a) * len(index_b):
-        a, b = next((a, b) for a, i in index_a.items() for b, j in index_b.items()
-                    if (i, j) not in cells)
-        raise ConfigParse(f"{path}: no row for the cell ({a!r}, {b!r}) of its "
-                          f"{len(index_a)}x{len(index_b)} grid")
-    values = np.full((len(index_a), len(index_b)), np.nan)
-    mask = np.zeros_like(values, dtype=bool)
-    for (i, j), (v, masked) in cells.items():
-        values[i, j] = v
-        mask[i, j] = masked
-    return Distribution2D(axis_a=list(index_a), axis_b=list(index_b), values=values,
+    rows = [line.split(",") for line in lines[1:]]
+    malformed = None  # the first malformed row; the checks below see the rows before it
+    try:
+        a, b, v = _float_columns(rows)
+    except (ValueError, IndexError):
+        malformed = next(k for k, parts in enumerate(rows) if _is_malformed(parts))
+        a, b, v = _float_columns(rows[:malformed])
+    bad = ~(np.isfinite(a) & np.isfinite(b)) | np.isinf(v)
+    finite = int(bad.argmax()) if bad.any() else bad.size  # rows before the first bad one
+    axis_a, index_a = _first_seen(a[:finite])
+    axis_b, index_b = _first_seen(b[:finite])
+    codes = index_a * axis_b.size + index_b
+    first = np.zeros(finite, dtype=bool)
+    first[np.unique(codes, return_index=True)[1]] = True
+    if not first.all():
+        row = int(first.argmin())
+        raise ConfigParse(f"{path}: row {row + 1} repeats the cell "
+                          f"({float(a[row])!r}, {float(b[row])!r})")
+    if finite < bad.size:
+        raise ConfigParse(f"{path}: row {finite + 1} {lines[finite + 1]!r} has a non-finite "
+                          "axis value or an infinite value")
+    if malformed is not None:
+        raise ConfigParse(f"{path}: malformed row {lines[malformed + 1]!r}")
+    shape = (axis_a.size, axis_b.size)
+    present = np.zeros(shape, dtype=bool)
+    present.flat[codes] = True
+    if not present.all():
+        i, j = np.unravel_index(int(present.argmin()), shape)
+        raise ConfigParse(f"{path}: no row for the cell ({float(axis_a[i])!r}, "
+                          f"{float(axis_b[j])!r}) of its {shape[0]}x{shape[1]} grid")
+    values = np.empty(shape)
+    values.flat[codes] = v
+    mask = np.zeros(shape, dtype=bool)
+    mask.flat[codes] = [len(parts) > 4 and parts[4] == "masked" for parts in rows]
+    return Distribution2D(axis_a=axis_a, axis_b=axis_b, values=values,
                           mask=mask, axis_names=(header[0], header[1]))
 
 

@@ -37,17 +37,19 @@ Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
 own unit-weight sum (quadrature.grid_gauss), which converges exponentially
 to the spectrum of the kernel on the grid and builds nothing on Bob's side;
 Alice's mass is in closed form. Its cells of one width share one reference
-rule, so the matrix factors as diag(d) E diag(d) with E built once per
-width, and K(x, x') = K(-x, -x') makes the cells at c and -c one cell,
-solved once on -|c|. The non-discarding ensemble takes the same
-Nystrom kernel on Gauss-Legendre nodes of Alice's region and of the pieces of
-its complement, with a closed-form mass. Maps stack their cells and make one
-LAPACK call per chunk. A single one-party cell samples the one-particle
-kernel on a grid (one_restricted_entropy), or projects it onto an
-orthonormal sine/cosine family supported on the region
-(basis_expansion_entropy, which takes n_basis); grid matrices are
-renormalized by their trace and its survival probability comes from
-adaptive quadrature of the analytic density.
+rule, so the matrix factors as diag(d) E diag(d) with E shared by the width.
+E is numerically low-rank: one eigendecomposition per width gives the factor
+G (n x r) of its eigenpairs above machine epsilon times the largest, and a
+cell's spectrum is that of the r x r matrix X^T X, X = diag(d) G.
+K(x, x') = K(-x, -x') makes the cells at c and -c one cell, solved once on
+-|c|. The non-discarding ensemble takes the same Nystrom kernel on
+Gauss-Legendre nodes of Alice's region and of the pieces of its complement,
+with a closed-form mass. Maps stack their cells and make one LAPACK call per
+chunk. A single one-party cell samples the one-particle kernel on a grid
+(one_restricted_entropy), or projects it onto an orthonormal sine/cosine
+family supported on the region (basis_expansion_entropy, which takes
+n_basis); grid matrices are renormalized by their trace and its survival
+probability comes from adaptive quadrature of the analytic density.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point but the non-discarding ensemble takes one
@@ -131,7 +133,8 @@ _ERFC_HEAD_BITS = np.int64(-1 << 27)  # clears the 27 low mantissa bits
 # Values per erfc block: the block's temporaries stay in the core's cache.
 ERFC_BLOCK = 8192
 # Bytes of one float64 chunk of cells: a (cells, nodes_a, nodes_b) amplitude
-# stack handed to LAPACK in one call with the temporary of its assembly, or a
+# stack handed to LAPACK in one call with the temporary of its assembly, a
+# (cells, n, r) stack of a one-party map's weighted kernel factors, or a
 # (cells, n) array of mass nodes.
 CHUNK_BYTES = 1 << 20
 
@@ -501,20 +504,40 @@ def _kernel_weights(model: OscillatorModel, x: np.ndarray, w: np.ndarray) -> np.
 
     Row i of x (and of its weights w) holds the nodes of cell i on Alice's
     side, and K(x_g, x_h) is the closed-form reduced kernel; this is the
-    Nystrom discretization of the kernel on the rule (x, w).
+    Nystrom discretization of the kernel on the rule (x, w). One batched
+    LAPACK call serves all cells.
     """
-    return _factored_weights(reduced_density_value(model, x[:, :, None], x[:, None, :]),
-                             np.sqrt(w))
-
-
-def _factored_weights(factor: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Normalized eigenvalues of diag(d_i) E diag(d_i) for each row d_i of d,
-    E being factor, one (n, n) matrix for every cell or a stack of one per
-    cell. One batched LAPACK call serves all cells."""
-    matrix = d[:, :, None] * factor
+    d = np.sqrt(w)
+    matrix = d[:, :, None] * reduced_density_value(model, x[:, :, None], x[:, None, :])
     matrix *= d[:, None, :]
     try:
         lam = np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return lam / lam.sum(axis=1, keepdims=True)
+
+
+def _low_rank_factor(kernel: np.ndarray) -> np.ndarray:
+    """G = Q_r sqrt(L_r), (n, r), with kernel ~ G G^T: the r eigenpairs of the
+    symmetric positive semidefinite kernel whose eigenvalues exceed machine
+    epsilon times the largest, from one LAPACK call. What is left out is
+    below the round-off of the kernel's own eigensolve."""
+    try:
+        lam, q = np.linalg.eigh(kernel)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    keep = lam > np.finfo(np.float64).eps * lam[-1]
+    return q[:, keep] * np.sqrt(lam[keep])
+
+
+def _factored_weights(factor: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Normalized nonzero eigenvalues of diag(d_i) G G^T diag(d_i) for each
+    row d_i of d, G being factor (n, r): those of the r x r matrix X^T X,
+    X = diag(d_i) G. One batched product and one batched LAPACK call on
+    r x r matrices serve all cells."""
+    x = d[:, :, None] * factor
+    try:
+        lam = np.linalg.eigvalsh(np.matmul(x.transpose(0, 2, 1), x))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return lam / lam.sum(axis=1, keepdims=True)
@@ -912,11 +935,17 @@ def one_party_map(model: OscillatorModel, centers, widths,
     Every cell of a width maps one reference rule (u, w) = grid_gauss(-1, 1,
     n_bins + 1, n) onto its region, x = c + h u, so the Nystrom matrix is
     diag(d) E diag(d) up to a constant: E_gh = exp(-c2 h^2 (u_g - u_h)^2) is
-    built once per width, d = sqrt(w) exp(-x^2 / (4 sigma^2)) once per cell,
-    and no factor exceeds 1 (_factored_weights). K(x, x') = K(-x, -x') and
-    Alice's marginal is even, so the cells at c and -c are one cell: each is
-    solved on its representative -|c|, and every center reads its
-    representative's row, which makes the map its own mirror bit for bit.
+    built once per width and d = sqrt(w) exp(-x^2 / (4 sigma^2)) once per
+    cell. One eigendecomposition per width factors E ~ G G^T, G = Q_r
+    sqrt(L_r) with the r eigenvalues above machine epsilon times the largest
+    (_low_rank_factor); each cell's nonzero eigenvalues are then those of the
+    r x r matrix X^T X, X = diag(d) G (_factored_weights), which agree with
+    the full n x n eigensolve's to about 2e-15 of their sum. d is at most 1
+    and each row of G has norm about 1, the diagonal of E, so nothing
+    overflows. K(x, x') = K(-x, -x') and Alice's marginal is even, so the
+    cells at c and -c are one cell: each is solved on its representative
+    -|c|, and every center reads its representative's row, which makes the
+    map its own mirror bit for bit.
 
     A width whose rule needs more than MAX_NODES nodes (_schmidt_nodes) is
     refused with QuadratureNotConverged before any array is built, as a
@@ -941,10 +970,11 @@ def one_party_map(model: OscillatorModel, centers, widths,
         u, w = grid_gauss(-1.0, 1.0, n_bins + 1, n)
         x = reps[live[:, j], None] + half * u
         d = np.sqrt(w) * np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (x * x))
-        shared = np.exp(-np.square((math.sqrt(gs.c2) * half) * (u[:, None] - u[None, :])))
-        # 8 bytes a kernel entry: the stack is the one array of its size
+        shared = _low_rank_factor(
+            np.exp(-np.square((math.sqrt(gs.c2) * half) * (u[:, None] - u[None, :]))))
+        # 8 bytes an entry of the (cells, n, r) stack, the largest array of a chunk
         values[live[:, j], j] = _chunked_entropies(
-            lambda rows: _factored_weights(shared, rows), 8 * n * n, d)
+            lambda rows: _factored_weights(shared, rows), 8 * shared.size, d)
     values, prob, live = values[inverse], prob[inverse], live[inverse]
     peaks = values.max(axis=0, initial=0.0)
     rescaled = np.divide(values, peaks[None, :], out=np.zeros_like(values),

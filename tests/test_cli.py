@@ -462,6 +462,107 @@ class TestDistributionIo:
         row = path.read_text().strip().split("\n")[1]
         assert row.split(",")[2] == "0.123456789012"
 
+    @pytest.mark.parametrize("argv", [
+        ["gauss-both-restricted", "--alpha", "6", "--mode", "grid", "--width", "0.5",
+         "--centers", "-4", "4", "41"],
+        ["spin-scan", "--steps", "8", "--theta-min", "0", "--theta-max", "3.14159265",
+         "--restricted"],
+    ], ids=["41x41-map", "masked-spin-surface"])
+    def test_parse_then_emit_round_trips(self, capsys, tmp_path, argv):
+        path = tmp_path / "surface.csv"
+        assert run(argv + ["-o", str(path)]) == 0
+        original = path.read_text().splitlines()
+        parsed = parse_distribution(str(path))
+        emit_distribution(parsed, str(path), "csv")
+        emitted = path.read_text()
+        # the parser reads axes, values and the mask; prob goes back as nan
+        for before, after in zip(original, emitted.splitlines(), strict=True):
+            before, after = before.split(","), after.split(",")
+            assert after[:3] == before[:3]
+            assert (after[4] == "masked") == (before[4] == "masked")
+        assert ("masked" in emitted) == (argv[0] == "spin-scan")
+        emit_distribution(parse_distribution(str(path)), str(path), "csv")
+        assert path.read_text() == emitted
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           axis_a=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True),
+           axis_b=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True))
+    def test_axes_in_first_seen_order_of_shuffled_rows(self, tmp_path_factory, data,
+                                                       axis_a, axis_b):
+        # -0.0 and 0.0 are one axis value, which the first row spells
+        axis_a = [a for k, a in enumerate(axis_a) if a not in axis_a[:k]]
+        axis_b = [b for k, b in enumerate(axis_b) if b not in axis_b[:k]]
+        cells = data.draw(st.permutations([(i, j) for i in range(len(axis_a))
+                                           for j in range(len(axis_b))]))
+        masked = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        path = tmp_path_factory.mktemp("shuffled") / "surface.csv"
+        path.write_text("x,y,value,prob,flag\n" + "".join(
+            f"{axis_a[i]!r},{axis_b[j]!r},{0.5 * i - j},0.1,{'masked' if m else 'ok'}\n"
+            for (i, j), m in zip(cells, masked)))
+        parsed = parse_distribution(str(path))
+        order_a = list(dict.fromkeys(i for i, _ in cells))
+        order_b = list(dict.fromkeys(j for _, j in cells))
+        assert parsed.axis_a.tolist() == [axis_a[i] for i in order_a]
+        assert parsed.axis_b.tolist() == [axis_b[j] for j in order_b]
+        assert parsed.axis_names == ("x", "y")
+        for (i, j), m in zip(cells, masked):
+            k, n = order_a.index(i), order_b.index(j)
+            assert parsed.values[k, n] == 0.5 * i - j
+            assert parsed.mask[k, n] == m
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "{path} is empty"),
+        ("\n  \n", "{path} is empty"),
+        ("q_bar_A,q_bar_B\n0,0\n", "{path} does not look like a surface CSV"),
+        (_surface_text(_GRID[:2]) + "0,0,abc,0.1,ok\n", "{path}: malformed row '0,0,abc,0.1,ok'"),
+        (_surface_text(_GRID[:3]) + "0,0\n", "{path}: malformed row '0,0'"),
+        (MALFORMED_SURFACES[0], "{path}: row 1 'nan,-1,1.0,0.1,ok' has a non-finite axis "
+                                "value or an infinite value"),
+        (MALFORMED_SURFACES[1], "{path}: row 5 '0,inf,1.0,0.1,ok' has a non-finite axis "
+                                "value or an infinite value"),
+        (MALFORMED_SURFACES[2], "{path}: row 5 '0,0,inf,0.1,ok' has a non-finite axis "
+                                "value or an infinite value"),
+        (MALFORMED_SURFACES[3], "{path}: row 10 repeats the cell (0.0, 0.0)"),
+        (_surface_text(_GRID + [("-0", 0, 0.5)]), "{path}: row 10 repeats the cell (-0.0, 0.0)"),
+        (MALFORMED_SURFACES[4], "{path}: no row for the cell (1.0, 0.0) of its 3x3 grid"),
+        (_surface_text(_GRID[:4] + _GRID[5:]), "{path}: no row for the cell (0.0, 0.0) of "
+                                               "its 3x3 grid"),
+        # several faults: the first row in file order names the refusal
+        (_surface_text(_GRID[:2] + [(0, "inf", 1)] + [("x", 0, 1)]),
+         "{path}: row 3 '0,inf,1,0.1,ok' has a non-finite axis value or an infinite value"),
+        (_surface_text(_GRID[:2] + [("x", 0, 1)] + [(0, "inf", 1)]),
+         "{path}: malformed row 'x,0,1,0.1,ok'"),
+        (_surface_text(_GRID[:2] + [_GRID[0]] + [(0, "inf", 1)]),
+         "{path}: row 3 repeats the cell (-1.0, -1.0)"),
+        (_surface_text(_GRID[:2] + [(0, "inf", 1)] + [_GRID[0]]),
+         "{path}: row 3 '0,inf,1,0.1,ok' has a non-finite axis value or an infinite value"),
+        (_surface_text(_GRID[:2] + [_GRID[0]]) + "0,x\n",
+         "{path}: row 3 repeats the cell (-1.0, -1.0)"),
+        (_surface_text(_GRID[:2]) + "0,x\n" + _surface_text([_GRID[0]]).split("\n", 1)[1],
+         "{path}: malformed row '0,x'"),
+        (_surface_text(_GRID[:5]) + "zz\n", "{path}: malformed row 'zz'"),
+    ])
+    def test_each_refusal_names_its_row_or_cell(self, tmp_path, text, message):
+        path = tmp_path / "surface.csv"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigParse) as info:
+            parse_distribution(str(path))
+        assert str(info.value) == message.format(path=path)
+
+    def test_fields_are_read_by_float(self, tmp_path):
+        # float takes "1_0" and " 2" as numbers and "nan" as a value
+        path = tmp_path / "surface.csv"
+        path.write_text("a,b,value,prob,flag\n"
+                        "1_0, 2,nan,0.1,ok\n1_0,3 ,1.5,0.1,masked\n"
+                        "-1, 2,0.25,0.1,ok\n-1,3,NaN,0.1,empty\n")
+        parsed = parse_distribution(str(path))
+        assert parsed.axis_a.tolist() == [10.0, -1.0]
+        assert parsed.axis_b.tolist() == [2.0, 3.0]
+        assert np.isnan(parsed.values[0, 0]) and np.isnan(parsed.values[1, 1])
+        assert parsed.values[0, 1] == 1.5 and parsed.values[1, 0] == 0.25
+        assert parsed.mask.tolist() == [[False, True], [False, False]]
+
     def test_json_format(self, tmp_path):
         path = tmp_path / "surface.json"
         emit_distribution(self.make_distribution(), str(path), "json",

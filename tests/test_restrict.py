@@ -8,17 +8,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entloc.correlate import joint_probability, probability_map
-from entloc.errors import DomainError, EmptyRegionMass, QuadratureNotConverged
-from entloc.linalg import binary_entropy, spectral_entropy_bits
+from entloc.errors import DomainError, EmptyRegionMass, NoConvergence, QuadratureNotConverged
+from entloc.linalg import EIGENVALUE_CLAMP, binary_entropy, spectral_entropy_bits
 from entloc.oscillator import (
     OscillatorModel,
     gaussian_eof,
+    ground_state_constants,
     reduced_density_value,
     small_a_epsilon_both,
     small_a_epsilon_one,
     two_particle_wavefunction,
 )
-from entloc.quadrature import gauss_legendre
+from entloc.quadrature import gauss_legendre, grid_gauss
 from entloc.restrict import (
     DEFAULT_BINS_ONE,
     DOMAIN_HALF_LENGTH,
@@ -893,6 +894,105 @@ class TestOnePartyMap:
         for widths in ([0.0], [-1.0], [math.nan]):
             with pytest.raises(DomainError):
                 one_party_map(MODEL, [0.0, 1.0], widths=widths)
+
+    # -- the low-rank factor of each width's shared kernel --
+
+    @staticmethod
+    def nystrom_cell(model, center, width, n_bins=DEFAULT_BINS_ONE):
+        """Nodes, weights and (n, n) Nystrom matrix of one map cell on the map's
+        own rule (Gauss nodes of the grid sum), up to a constant."""
+        n = min(n_bins + 1, two_party_nodes(model, width))
+        u, w = grid_gauss(-1.0, 1.0, n_bins + 1, n)
+        gs = ground_state_constants(model)
+        x = center + width / 2 * u
+        d = np.sqrt(w) * np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (x * x))
+        return x, w, d[:, None] * np.exp(-gs.c2 * np.square(x[:, None] - x[None, :])) * d
+
+    @classmethod
+    def direct_weights(cls, model, center, width):
+        """Normalized eigenvalues of the cell's full n x n Nystrom matrix."""
+        lam = np.linalg.eigvalsh(cls.nystrom_cell(model, center, width)[2])
+        return lam / lam.sum()
+
+    @staticmethod
+    def clamp_allowance(weights, window=1e-14):
+        """The entropy terms of weights within `window` of EIGENVALUE_CLAMP: a
+        weight that close may land on either side of the clamp under round-off,
+        which moves an entropy by its whole term (about 4e-11 ebit)."""
+        near = np.abs(weights - EIGENVALUE_CLAMP) <= window
+        return float(-(weights[near] * np.log2(weights[near])).sum())
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.05, 1e4),
+           widths=st.lists(st.floats(0.05, 12.0), min_size=1, max_size=3),
+           centers=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=4))
+    def test_factored_cells_equal_the_direct_eigensolve(self, alpha, widths, centers):
+        model = OscillatorModel(alpha=alpha)
+        axis = np.array(centers + [-c for c in centers])
+        dist = one_party_map(model, axis, widths=widths)
+        k = len(centers)
+        for layer in (dist.values, *dist.extra.values()):
+            assert layer[:k].tobytes() == layer[k:].tobytes()
+        for i, j in zip(*np.nonzero(dist.extra["flag"] == 0.0)):
+            weights = self.direct_weights(model, axis[i], widths[j])
+            expected = float(spectral_entropy_bits(weights[None, :])[0])
+            assert abs(dist.values[i, j] - expected) <= 1e-13 + self.clamp_allowance(weights)
+
+    @pytest.mark.parametrize("alpha, center, width", [
+        (6.0, 0.0, 2.0), (6.0, -1.5, 0.5), (0.06, -3.0, 10.0), (1e2, -0.4, 1.0),
+        (1e4, 0.0, 0.25)])
+    def test_cells_against_a_34_digit_eigensolve(self, alpha, center, width):
+        model = OscillatorModel(alpha=alpha)
+        x, w, _ = self.nystrom_cell(model, center, width)
+        with mp.workdps(34):
+            a = mp.mpf(alpha)
+            s = mp.sqrt(1 + 4 * a)
+            c2 = a * (s - 1) / (8 * (1 + 2 * a + s))
+            inv_4sigma2 = s / (2 * (1 + s))
+            xs = [mp.mpf(float(xg)) for xg in x]
+            d = [mp.sqrt(mp.mpf(float(wg))) * mp.exp(-inv_4sigma2 * xg * xg)
+                 for wg, xg in zip(w, xs)]
+            matrix = mp.matrix(len(xs), len(xs))
+            for g, h in np.ndindex(len(xs), len(xs)):
+                matrix[g, h] = d[g] * d[h] * mp.exp(-c2 * (xs[g] - xs[h]) ** 2)
+            lam = mp.eigsy(matrix, eigvals_only=True)
+            total = sum(lam)
+            weights = [value / total for value in lam]
+            expected = float(-sum(p * mp.log(p, 2) for p in weights if p > EIGENVALUE_CLAMP))
+        value = one_party_map(model, [center], widths=[width]).values[0, 0]
+        assert abs(value - expected) <= 5e-14
+
+    @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e2, 1e4])
+    def test_entropy_is_within_the_rank_of_the_factor(self, alpha, monkeypatch):
+        import entloc.restrict as restrict
+        shapes = []
+        factor = restrict._low_rank_factor
+
+        def recorded(kernel):
+            shapes.append(factor(kernel).shape)
+            return factor(kernel)
+
+        monkeypatch.setattr(restrict, "_low_rank_factor", recorded)
+        widths = [0.5, 1.0, 2.0, 4.0, 8.0, 10.0]
+        dist = one_party_map(OscillatorModel(alpha=alpha), np.linspace(-4.0, 4.0, 9),
+                             widths=widths)
+        assert len(shapes) == len(widths)
+        for j, (n, r) in enumerate(shapes):
+            assert 1 <= r <= n
+            assert np.all(dist.values[:, j] <= math.log2(r) + 1e-15)
+
+    def test_uncoupled_cells_carry_no_entanglement(self):
+        dist = one_party_map(UNCOUPLED, np.linspace(-4.0, 4.0, 9), widths=[0.5, 2.0, 10.0])
+        assert np.any(dist.extra["flag"] == 0.0)
+        assert np.all(dist.values == 0.0)
+
+    def test_failed_factor_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            one_party_map(MODEL, [0.0, 1.0], widths=[1.0])
 
 
 class TestTwoPartyGrid:
