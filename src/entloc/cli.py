@@ -170,6 +170,11 @@ def emit_distribution(dist: Distribution2D, path: str | None, fmt: str,
     }, path, metadata or {})
 
 
+# Rows split at a time when a surface is read: the split fields of a block,
+# not of the whole file, are alive at once.
+PARSE_BLOCK = 256
+
+
 def _float_columns(rows) -> list[np.ndarray]:
     """The first three fields of the split rows as three float arrays, each
     column converted by float as a whole: IndexError if a row is short,
@@ -177,7 +182,7 @@ def _float_columns(rows) -> list[np.ndarray]:
     columns = list(zip(*rows))[:3] if rows else [()] * 3
     if len(columns) < 3:
         raise IndexError("short row")
-    return [np.array(list(map(float, column)), dtype=np.float64) for column in columns]
+    return [np.fromiter(map(float, column), np.float64, len(column)) for column in columns]
 
 
 def _is_malformed(parts) -> bool:
@@ -188,24 +193,42 @@ def _is_malformed(parts) -> bool:
     return False
 
 
+def _surface_rows(body: list[str]):
+    """(a, b, v, masked, malformed): the axis values, values and mask flags
+    of the rows of body before the first malformed one, which is row
+    malformed (None when every row parses). Rows are split PARSE_BLOCK at a
+    time and each block's columns are converted by float as a whole."""
+    columns = np.empty((3, len(body)))
+    masked = np.zeros(len(body), dtype=bool)
+    for start in range(0, len(body), PARSE_BLOCK):
+        rows = [line.split(",") for line in body[start:start + PARSE_BLOCK]]
+        try:
+            columns[:, start:start + len(rows)] = _float_columns(rows)
+        except (ValueError, IndexError):
+            good = next(k for k, parts in enumerate(rows) if _is_malformed(parts))
+            columns[:, start:start + good] = _float_columns(rows[:good])
+            return (*columns[:, :start + good], masked[:start + good], start + good)
+        masked[start:start + len(rows)] = [len(parts) > 4 and parts[4] == "masked"
+                                           for parts in rows]
+    return (*columns, masked, None)
+
+
 def _first_seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of x in first-seen order, and the index of each
     element's value among them."""
     _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return x[first[order]], rank[inverse.ravel()]
+    return x[first[order]], np.argsort(order)[inverse.ravel()]
 
 
 def parse_distribution(path: str) -> Distribution2D:
     """Re-ingest a CSV surface produced by emit_distribution.
 
-    The rows are split first and each column is converted by float as a
-    whole; the axes take their values in first-seen order, and cell (i, j)
-    has the code i * n_b + j. A refusal names the first row in file order
-    that is malformed, has a non-finite axis value or an infinite value, or
-    repeats a cell, else the first cell with no row."""
+    Each column is converted by float as a whole (_surface_rows); the axes
+    take their values in first-seen order, and cell (i, j) has the code
+    i * n_b + j. A refusal names the first row in file order that is
+    malformed, has a non-finite axis value or an infinite value, or repeats
+    a cell, else the first cell with no row."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = list(filter(None, map(str.strip, handle.read().split("\n"))))
@@ -216,13 +239,8 @@ def parse_distribution(path: str) -> Distribution2D:
     header = lines[0].split(",")
     if len(header) < 3:
         raise ConfigParse(f"{path} does not look like a surface CSV")
-    rows = [line.split(",") for line in lines[1:]]
-    malformed = None  # the first malformed row; the checks below see the rows before it
-    try:
-        a, b, v = _float_columns(rows)
-    except (ValueError, IndexError):
-        malformed = next(k for k, parts in enumerate(rows) if _is_malformed(parts))
-        a, b, v = _float_columns(rows[:malformed])
+    # the checks below see the rows before the first malformed one
+    a, b, v, masked, malformed = _surface_rows(lines[1:])
     bad = ~(np.isfinite(a) & np.isfinite(b)) | np.isinf(v)
     finite = int(bad.argmax()) if bad.any() else bad.size  # rows before the first bad one
     axis_a, index_a = _first_seen(a[:finite])
@@ -249,7 +267,7 @@ def parse_distribution(path: str) -> Distribution2D:
     values = np.empty(shape)
     values.flat[codes] = v
     mask = np.zeros(shape, dtype=bool)
-    mask.flat[codes] = [len(parts) > 4 and parts[4] == "masked" for parts in rows]
+    mask.flat[codes] = masked
     return Distribution2D(axis_a=axis_a, axis_b=axis_b, values=values,
                           mask=mask, axis_names=(header[0], header[1]))
 

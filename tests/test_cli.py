@@ -89,6 +89,7 @@ MALFORMED = [
     (_surface_text(_GRID[:-2]), "(1.0, 0.0)"),                        # last rows cut off
 ]
 MALFORMED_SURFACES = [text for text, _ in MALFORMED]
+_BIG = [(a, b, 0.5) for a in range(30) for b in range(30)]  # several parse blocks
 
 
 def run_capture(capsys, argv):
@@ -465,7 +466,7 @@ class TestDistributionIo:
     @pytest.mark.parametrize("argv", [
         ["gauss-both-restricted", "--alpha", "6", "--mode", "grid", "--width", "0.5",
          "--centers", "-4", "4", "41"],
-        ["spin-scan", "--steps", "8", "--theta-min", "0", "--theta-max", "3.14159265",
+        ["spin-scan", "--steps", "24", "--theta-min", "0", "--theta-max", "3.14159265",
          "--restricted"],
     ], ids=["41x41-map", "masked-spin-surface"])
     def test_parse_then_emit_round_trips(self, capsys, tmp_path, argv):
@@ -542,6 +543,14 @@ class TestDistributionIo:
         (_surface_text(_GRID[:2]) + "0,x\n" + _surface_text([_GRID[0]]).split("\n", 1)[1],
          "{path}: malformed row '0,x'"),
         (_surface_text(_GRID[:5]) + "zz\n", "{path}: malformed row 'zz'"),
+        # rows are split in blocks: faults in later blocks keep the file order
+        (_surface_text(_BIG[:400] + [(0, "nan", 1)] + _BIG[401:800] + [("y", 0, 1)]),
+         "{path}: row 401 '0,nan,1,0.1,ok' has a non-finite axis value or an infinite value"),
+        (_surface_text(_BIG[:300] + [("y", 0, 1)] + _BIG[301:700] + [_BIG[0]]),
+         "{path}: malformed row 'y,0,1,0.1,ok'"),
+        (_surface_text(_BIG[:600] + _BIG[:1]), "{path}: row 601 repeats the cell (0.0, 0.0)"),
+        (_surface_text(_BIG[:555] + _BIG[556:]), "{path}: no row for the cell (18.0, 15.0) "
+                                                 "of its 30x30 grid"),
     ])
     def test_each_refusal_names_its_row_or_cell(self, tmp_path, text, message):
         path = tmp_path / "surface.csv"
