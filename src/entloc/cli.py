@@ -170,8 +170,8 @@ def emit_distribution(dist: Distribution2D, path: str | None, fmt: str,
     }, path, metadata or {})
 
 
-# Rows split at a time when a surface is read: the split fields of a block,
-# not of the whole file, are alive at once.
+# Rows that parse_distribution splits at a time, so that the split fields of
+# one block, not of the whole file, are alive at once.
 PARSE_BLOCK = 256
 
 
