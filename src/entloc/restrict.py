@@ -132,6 +132,12 @@ _ERFC_STEPS = np.array(ERFC_COEFFS).reshape(4, 6).T[::-1, :, None].copy()
 _ERFC_HEAD_BITS = np.int64(-1 << 27)  # clears the 27 low mantissa bits
 # Values per erfc block: the block's temporaries stay in the core's cache.
 ERFC_BLOCK = 8192
+# Past DEEP_TAIL an erfc nears the subnormal range (erfc(26.55) ~ 2.2e-308),
+# where each rounding costs an absolute 5e-324: intervals whose lower tail
+# edge lies past it take their tails as erfc 2^DEEP_SCALE, still a normal
+# float up to the clip at 30, and are scaled back by one rounding.
+DEEP_TAIL = 26.0
+DEEP_SCALE = 600
 # Bytes of one float64 chunk of cells: a (cells, nodes_a, nodes_b) amplitude
 # stack handed to LAPACK in one call with the temporary of its assembly, a
 # (cells, n, r) stack of a one-party map's weighted kernel factors, or a
@@ -252,23 +258,27 @@ def region_survival_probability(model: OscillatorModel, region: Region) -> float
                         region.lo, region.hi)
 
 
-def _erfc(x) -> np.ndarray:
-    """erfc of each element, in blocks of ERFC_BLOCK values (_erfc_block)."""
+def _erfc(x, exponent: int = 0) -> np.ndarray:
+    """erfc of each element times 2^exponent, in blocks of ERFC_BLOCK values
+    (_erfc_block)."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
     out = np.empty(flat.size)
     for start in range(0, flat.size, ERFC_BLOCK):
-        out[start:start + ERFC_BLOCK] = _erfc_block(flat[start:start + ERFC_BLOCK])
+        out[start:start + ERFC_BLOCK] = _erfc_block(flat[start:start + ERFC_BLOCK], exponent)
     return out.reshape(x.shape)
 
 
-def _erfc_block(x: np.ndarray) -> np.ndarray:
-    """erfc of each element of a 1-d array: exp(-x^2) P(t) / (1 + 2x) for
-    x >= 0 and 2 - erfc(-x) below, with P(t) = 1 + (1 + t) R(t) (see
-    ERFC_COEFFS). |x| is clipped at 30, where erfc underflows to 0, so
+def _erfc_block(x: np.ndarray, exponent: int = 0) -> np.ndarray:
+    """erfc of each element of a 1-d array times 2^exponent: exp(-x^2) P(t) /
+    (1 + 2x) for x >= 0 and 2 - erfc(-x) below, with P(t) = 1 + (1 + t) R(t)
+    (see ERFC_COEFFS). |x| is clipped at 30, where erfc underflows to 0, so
     infinities take the same path; x^2 is split as head^2 + (x + head)(x -
     head) with head the leading 26 bits of x, so head^2 is exact and the
-    rounding of x^2 does not show in exp(-x^2)."""
+    rounding of x^2 does not show in exp(-x^2). A nonzero exponent scales P
+    first and takes exp(-head^2) as the square of exp(-head^2 / 2), so a
+    tail whose exp(-head^2) is subnormal (head > 26.6) keeps its relative
+    accuracy; past the clip it is erfc(30) 2^exponent."""
     a = np.abs(x)
     np.minimum(a, 30.0, out=a)
     twice = a + a
@@ -299,19 +309,34 @@ def _erfc_block(x: np.ndarray) -> np.ndarray:
     a -= head
     squares[1] *= a
     np.negative(squares, out=squares)
-    np.exp(squares, out=squares)
+    if exponent:
+        squares[0] *= 0.5
+        np.exp(squares, out=squares)
+        np.ldexp(p, exponent, out=p)
+        p *= squares[0]
+    else:
+        np.exp(squares, out=squares)
     p *= squares[0]
     p *= squares[1]
-    return np.where(x < 0.0, 2.0 - p, p)
+    return np.where(x < 0.0, math.ldexp(2.0, exponent) - p, p)
 
 
 def _normal_interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(erf(hi) - erf(lo)) / 2 for lo <= hi, as a difference of erfc values on
     the non-negative side, so a distant interval keeps its relative accuracy.
-    Both edges go to one _erfc call."""
+    Both edges go to one _erfc call; the intervals past DEEP_TAIL take a
+    second, scaled call, so a subnormal mass is rounded once."""
     edges = np.stack((lo, hi))
-    tails = _erfc(np.where(hi < 0.0, -edges[::-1], edges))
-    return 0.5 * (tails[0] - tails[1])
+    shape = edges.shape[1:]
+    edges = edges.reshape(2, -1)
+    edges = np.where(edges[1] < 0.0, -edges[::-1], edges)
+    tails = _erfc(edges)
+    out = 0.5 * (tails[0] - tails[1])
+    deep = edges[0] > DEEP_TAIL
+    if deep.any():
+        scaled = _erfc(edges[:, deep], DEEP_SCALE)
+        out[deep] = np.ldexp(0.5 * (scaled[0] - scaled[1]), -DEEP_SCALE)
+    return out.reshape(shape)
 
 
 def marginal_masses(model: OscillatorModel, lo, hi) -> np.ndarray:

@@ -124,6 +124,8 @@ class TestErfcKernel:
     @example(lo=-5.0, width=2.0)    # flipped: both edges below 0
     @example(lo=-26.0, width=6.0)   # far out below 0
     @example(lo=20.0, width=6.0)    # far out above 0
+    @example(lo=27.0, width=0.25)   # subnormal masses
+    @example(lo=26.75, width=0.0078125)
     @example(lo=-0.0, width=0.0)
     def test_normal_interval_against_mpmath(self, lo, width):
         hi = lo + width
