@@ -55,7 +55,6 @@ from .correlate import (
     sigma_vs_alpha_scan,
 )
 from .spin import (
-    MsProjector,
     build_mixed_state,
     build_pure_state,
     negativity_vanish_point,

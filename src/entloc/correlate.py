@@ -44,21 +44,23 @@ MIN_SAMPLES = 12
 
 def joint_probability(model: OscillatorModel, region_a: Region,
                       region_b: Region) -> float:
-    """P(q_a in A and q_b in B) from the normalized position density, taken
-    on the cell's symmetry representative as a map cell is."""
-    width, bounds, _ = _two_party_orbits([region_a.center], region_a.half_width,
-                                         [region_b.center], region_b.half_width)
-    return float(joint_masses(model, *bounds, mass_nodes(model, width))[0])
+    """P(q_a in A and q_b in B) from the normalized position density: the one
+    cell of probability_map."""
+    return float(probability_map(model, [region_a.center], [region_b.center],
+                                 region_a.half_width, region_b.half_width).values[0, 0])
 
 
 def conditional_probability(model: OscillatorModel, region_b: Region,
                             region_a: Region) -> float:
-    """P(q_b in B | q_a in A) = joint probability / Alice's marginal."""
-    marginal = float(marginal_masses(model, region_a.lo, region_a.hi))
-    if marginal < EMPTY_MASS:
+    """P(q_b in B | q_a in A) = joint probability / Alice's marginal: the one
+    cell of probability_map, refused with ConditioningOnNullEvent where the
+    map masks it."""
+    cell = probability_map(model, [region_a.center], [region_b.center], region_a.half_width,
+                           region_b.half_width, "conditional_probability")
+    if cell.mask[0, 0]:
         raise ConditioningOnNullEvent(
-            f"conditioning region carries mass {marginal:.3e}")
-    return joint_probability(model, region_a, region_b) / marginal
+            f"conditioning region [{region_a.lo:.3g}, {region_a.hi:.3g}] carries no mass")
+    return float(cell.values[0, 0])
 
 
 def _conditional_map(model: OscillatorModel, joint: Distribution2D,

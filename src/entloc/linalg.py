@@ -1,10 +1,14 @@
 """Dense linear algebra for small Hermitian matrices.
 
-Density matrices are the universal state carrier here: everything an
-entanglement measure needs (eigenvalues, partial transpose, partial trace,
-entropy, negativity) lives in this module. Matrices stay dense and small
-(dimension up to ~1000), so the LAPACK symmetric eigensolver is used
-throughout.
+DensityMatrix carries a checked state for the cells that assemble one: the
+spin model's 16 x 16 states (single cells and the purity sweeps), a grid or
+basis one-party cell and the precise readout. What an entanglement measure
+needs of it (eigenvalues, partial transpose, partial trace, entropy,
+negativity) lives in this module, on the LAPACK symmetric eigensolver.
+The maps and the non-discarding ensemble build no DensityMatrix: they take
+their spectra in batched LAPACK calls of their own (restrict's Schmidt SVDs
+and factored kernel solves) or in closed form (spin's Schmidt
+coefficients), and every entropy goes through spectral_entropy_bits.
 """
 
 from __future__ import annotations

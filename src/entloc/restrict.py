@@ -32,24 +32,26 @@ each cell once per orbit of these symmetries (_two_party_orbits) and copies
 the result to its images. Exchanged cells meet on any square map, mirrored
 ones only where an axis holds the exact negative of a center, as every
 distribution.scan_axis centred on 0 does (the CLI's axes and the sigma scan's).
-A one-party map takes the eigenvalues of Alice's reduced kernel in the same
-Nystrom form, sqrt(W) K(x_g, x_h) sqrt(W), on the Gauss rule of her grid's
-own unit-weight sum (quadrature.grid_gauss), which converges exponentially
-to the spectrum of the kernel on the grid and builds nothing on Bob's side;
-Alice's mass is in closed form. Its cells of one width share one reference
-rule, so the matrix factors as diag(d) E diag(d) with E shared by the width.
-E is numerically low-rank: one eigendecomposition per width gives the factor
-G (n x r) of its eigenpairs above machine epsilon times the largest, and a
-cell's spectrum is that of the r x r matrix X^T X, X = diag(d) G.
-K(x, x') = K(-x, -x') makes the cells at c and -c one cell, solved once on
--|c|. The non-discarding ensemble takes the same Nystrom kernel on
-Gauss-Legendre nodes of Alice's region and of the pieces of its complement,
-with a closed-form mass. Maps stack their cells and make one LAPACK call per
-chunk. A single one-party cell samples the one-particle kernel on a grid
-(one_restricted_entropy), or projects it onto an orthonormal sine/cosine
-family supported on the region (basis_expansion_entropy, which takes
-n_basis); grid matrices are renormalized by their trace and its survival
-probability comes from adaptive quadrature of the analytic density.
+Alice's reduced kernel K has one engine (_kernel_entropies). On a rule
+x = c + h u with weights w, its Nystrom matrix sqrt(w_g) K(x_g, x_h)
+sqrt(w_h) is diag(d) E diag(d) up to a constant, with E_gh = exp(-c2 h^2
+(u_g - u_h)^2) shared by every center c. E is numerically low-rank: one
+eigendecomposition gives the factor G (n x r) of its eigenpairs above
+machine epsilon times the largest, and each center's spectrum is that of
+the r x r matrix X^T X, X = diag(d) G. A one-party map runs the engine once
+per width, on the Gauss rule of Alice's grid's own unit-weight sum
+(quadrature.grid_gauss), which converges exponentially to the spectrum of
+the kernel on the grid and builds nothing on Bob's side; K(x, x') =
+K(-x, -x') makes the cells at c and -c one cell, solved once on -|c|. The
+non-discarding ensemble runs it once per outcome, on Gauss-Legendre nodes
+of Alice's region or of the pieces of its complement, joined, as u (c = 0,
+h = 1). Alice's masses are in closed form. Maps stack their cells and make
+one LAPACK call per chunk. A single one-party cell samples the one-particle
+kernel on a grid (one_restricted_entropy), or projects it onto an
+orthonormal sine/cosine family supported on the region
+(basis_expansion_entropy, which takes n_basis); grid matrices are
+renormalized by their trace and its survival probability comes from
+adaptive quadrature of the analytic density.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point but the non-discarding ensemble takes one
@@ -524,24 +526,6 @@ def _schmidt_weights(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def _kernel_weights(model: OscillatorModel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Normalized eigenvalues of sqrt(W) K sqrt(W), one row per cell.
-
-    Row i of x (and of its weights w) holds the nodes of cell i on Alice's
-    side, and K(x_g, x_h) is the closed-form reduced kernel; this is the
-    Nystrom discretization of the kernel on the rule (x, w). One batched
-    LAPACK call serves all cells.
-    """
-    d = np.sqrt(w)
-    matrix = d[:, :, None] * reduced_density_value(model, x[:, :, None], x[:, None, :])
-    matrix *= d[:, None, :]
-    try:
-        lam = np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return lam / lam.sum(axis=1, keepdims=True)
-
-
 def _low_rank_factor(kernel: np.ndarray) -> np.ndarray:
     """G = Q_r sqrt(L_r), (n, r), with kernel ~ G G^T: the r eigenpairs of the
     symmetric positive semidefinite kernel whose eigenvalues exceed machine
@@ -576,6 +560,31 @@ def _chunked_entropies(spectra, cell_bytes: int, *sides: np.ndarray) -> np.ndarr
     for cells in _cell_slices(out.size, cell_bytes):
         out[cells] = spectral_entropy_bits(spectra(*(side[cells] for side in sides)))
     return out
+
+
+def _kernel_entropies(model: OscillatorModel, centers: np.ndarray, half: float,
+                      u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Entropy of Alice's reduced kernel on the rule (x, w), x = c + half u,
+    for each c of centers: the normalized eigenvalues of sqrt(w_g) K(x_g,
+    x_h) sqrt(w_h), the Nystrom discretization of K on the rule.
+
+    Up to a constant that matrix is diag(d) E diag(d), with E_gh =
+    exp(-c2 half^2 (u_g - u_h)^2) shared by the centers and d = sqrt(w)
+    exp(-x^2 / (4 sigma^2)) one row per center. One eigendecomposition
+    factors E ~ G G^T on its numerical rank r (_low_rank_factor), and each
+    center's nonzero eigenvalues are those of the r x r matrix X^T X, X =
+    diag(d) G (_factored_weights), with one batched call per chunk of
+    CHUNK_BYTES. d is at most 1 and each row of G has norm about 1, the
+    diagonal of E, so nothing overflows.
+    """
+    gs = ground_state_constants(model)
+    x = centers[:, None] + half * u
+    d = np.sqrt(w) * np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (x * x))
+    shared = _low_rank_factor(
+        np.exp(-np.square((math.sqrt(gs.c2) * half) * (u[:, None] - u[None, :]))))
+    # 8 bytes an entry of the (cells, n, r) stack, the largest array of a chunk
+    return _chunked_entropies(lambda rows: _factored_weights(shared, rows),
+                              8 * shared.size, d)
 
 
 def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
@@ -764,13 +773,15 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region) -> NonDi
     Both conditional states are pure, so the ensemble entanglement is the
     probability-weighted average of the in-region and out-of-region
     discarding entanglements. Each is the entropy of Alice's reduced kernel
-    in Nystrom form (_kernel_weights) on Gauss-Legendre nodes, the spectral
-    node rule (two_party_nodes) of its length on the region and on each
-    piece of the region's complement in the truncated domain. A piece that
-    needs more than MAX_NODES nodes is refused with QuadratureNotConverged.
+    in Nystrom form on Gauss-Legendre nodes, the spectral node rule
+    (two_party_nodes) of its length on the region and on each piece of the
+    region's complement in the truncated domain, solved on the numerical rank
+    of its kernel as a one-party map cell is (_kernel_entropies, the joined
+    nodes as u with center 0 and half width 1). A piece that needs more than
+    MAX_NODES nodes is refused with QuadratureNotConverged.
     """
     return _ensemble(model, region,
-                     lambda x, w: spectral_entropy_bits(_kernel_weights(model, x, w)))
+                     lambda x, w: _kernel_entropies(model, np.zeros(1), 1.0, x[0], w[0]))
 
 
 def non_discarding_two_path(model: OscillatorModel, region: Region):
@@ -958,19 +969,13 @@ def one_party_map(model: OscillatorModel, centers, widths,
     grid itself.
 
     Every cell of a width maps one reference rule (u, w) = grid_gauss(-1, 1,
-    n_bins + 1, n) onto its region, x = c + h u, so the Nystrom matrix is
-    diag(d) E diag(d) up to a constant: E_gh = exp(-c2 h^2 (u_g - u_h)^2) is
-    built once per width and d = sqrt(w) exp(-x^2 / (4 sigma^2)) once per
-    cell. One eigendecomposition per width factors E ~ G G^T, G = Q_r
-    sqrt(L_r) with the r eigenvalues above machine epsilon times the largest
-    (_low_rank_factor); each cell's nonzero eigenvalues are then those of the
-    r x r matrix X^T X, X = diag(d) G (_factored_weights), which agree with
-    the full n x n eigensolve's to about 2e-15 of their sum. d is at most 1
-    and each row of G has norm about 1, the diagonal of E, so nothing
-    overflows. K(x, x') = K(-x, -x') and Alice's marginal is even, so the
-    cells at c and -c are one cell: each is solved on its representative
-    -|c|, and every center reads its representative's row, which makes the
-    map its own mirror bit for bit.
+    n_bins + 1, n) onto its region, x = c + h u, and the width's cells are
+    solved together on the numerical rank of their shared kernel
+    (_kernel_entropies), whose nonzero eigenvalues agree with the full n x n
+    eigensolve's to about 2e-15 of their sum. K(x, x') = K(-x, -x') and
+    Alice's marginal is even, so the cells at c and -c are one cell: each is
+    solved on its representative -|c|, and every center reads its
+    representative's row, which makes the map its own mirror bit for bit.
 
     A width whose rule needs more than MAX_NODES nodes (_schmidt_nodes) is
     refused with QuadratureNotConverged before any array is built, as a
@@ -986,20 +991,13 @@ def one_party_map(model: OscillatorModel, centers, widths,
     reps, inverse = np.unique(-np.abs(centers), return_inverse=True)
     rep_centers, rep_halves = _cell_arrays(reps[:, None], halves[None, :])
     counts = [min(n_bins + 1, _schmidt_nodes(model, width)) for width in widths]
-    gs = ground_state_constants(model)
     prob = np.clip(marginal_masses(model, rep_centers - rep_halves, rep_centers + rep_halves),
                    0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.shape)
     for j, (half, n) in enumerate(zip(halves, counts)):
-        u, w = grid_gauss(-1.0, 1.0, n_bins + 1, n)
-        x = reps[live[:, j], None] + half * u
-        d = np.sqrt(w) * np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (x * x))
-        shared = _low_rank_factor(
-            np.exp(-np.square((math.sqrt(gs.c2) * half) * (u[:, None] - u[None, :]))))
-        # 8 bytes an entry of the (cells, n, r) stack, the largest array of a chunk
-        values[live[:, j], j] = _chunked_entropies(
-            lambda rows: _factored_weights(shared, rows), 8 * shared.size, d)
+        values[live[:, j], j] = _kernel_entropies(
+            model, reps[live[:, j]], half, *grid_gauss(-1.0, 1.0, n_bins + 1, n))
     values, prob, live = values[inverse], prob[inverse], live[inverse]
     peaks = values.max(axis=0, initial=0.0)
     rescaled = np.divide(values, peaks[None, :], out=np.zeros_like(values),

@@ -18,8 +18,6 @@ four Schmidt coefficients of the pure state, which the tests hold to them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distribution import Distribution2D
@@ -44,20 +42,6 @@ _MS0_BOTH = _MS0["A"] * _MS0["B"]
 _MS0_BOTH_OUTER = np.outer(_MS0_BOTH, _MS0_BOTH)
 # index pairs k < l of the four Schmidt coefficients
 _PAIR_K, _PAIR_L = np.triu_indices(4, 1)
-
-
-@dataclass(frozen=True)
-class MsProjector:
-    """Projector restricting one party's two spins to total z-component zero."""
-
-    party: str
-    matrix: np.ndarray
-
-    @staticmethod
-    def build(party: str) -> "MsProjector":
-        if party not in _MS0:
-            raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-        return MsProjector(party, np.diag(_MS0[party]))
 
 
 def build_pure_state(theta1: float, theta2: float) -> np.ndarray:

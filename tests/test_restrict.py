@@ -405,6 +405,53 @@ class TestNonDiscarding:
         assert abs(result.entanglement_outside
                    - self.reference(model, ((-half, region.lo), (region.hi, half)))) < 1e-10
 
+    @staticmethod
+    def mp_entropy(alpha, x, w):
+        """Entropy of the Nystrom matrix d_g d_h exp(-c2 (x_g - x_h)^2), d =
+        sqrt(w) exp(-x^2 / (4 sigma^2)), on the rule (x, w) at 34 digits:
+        mpmath.eigsy of L^T L, L the matrix's pivoted Cholesky factor stopped
+        once the trace left is below 1e-20 of the whole, which by Weyl's
+        inequality moves no weight by more. eigsy of the whole 150-node outside
+        matrix at alpha 100 takes 68 QL iterations without converging."""
+        with mp.workdps(34):
+            a = mp.mpf(alpha)
+            s = mp.sqrt(1 + 4 * a)
+            c2 = a * (s - 1) / (8 * (1 + 2 * a + s))
+            inv_4sigma2 = s / (2 * (1 + s))
+            xs = [mp.mpf(float(xg)) for xg in x]
+            d = [mp.sqrt(mp.mpf(float(wg))) * mp.exp(-inv_4sigma2 * xg * xg)
+                 for wg, xg in zip(w, xs)]
+            left = [dg * dg for dg in d]
+            total = sum(left)
+            columns = []
+            while sum(left) > mp.mpf(10) ** -20 * total:
+                p = max(range(len(xs)), key=left.__getitem__)
+                root = mp.sqrt(left[p])
+                column = [(d[g] * d[p] * mp.exp(-c2 * (xs[g] - xs[p]) ** 2)
+                           - mp.fdot((c[g], c[p]) for c in columns)) / root
+                          for g in range(len(xs))]
+                columns.append(column)
+                left = [max(rest - v * v, mp.mpf(0)) for rest, v in zip(left, column)]
+            gram = mp.matrix(len(columns), len(columns))
+            for i, j in np.ndindex(len(columns), len(columns)):
+                gram[i, j] = mp.fdot(columns[i], columns[j])
+            lam = mp.eigsy(gram, eigvals_only=True)
+            weights = [value / sum(lam) for value in lam]
+            return float(-sum(p * mp.log(p, 2) for p in weights if p > EIGENVALUE_CLAMP))
+
+    @pytest.mark.parametrize("alpha", [0.06, 6.0, 100.0])
+    def test_both_sides_against_a_34_digit_eigensolve(self, alpha):
+        # worst of the six 2.4e-15 (alpha 0.06, inside), as tight as a map cell
+        import entloc.restrict as restrict
+        model, region = OscillatorModel(alpha=alpha), Region(0.5, 1.0)
+        half = DOMAIN_HALF_LENGTH
+        result = non_discarding_entanglement(model, region)
+        for value, pieces in ((result.entanglement_inside, [(region.lo, region.hi)]),
+                              (result.entanglement_outside,
+                               [(-half, region.lo), (region.hi, half)])):
+            x, w = restrict._nodes_on(model, pieces)
+            assert abs(value - self.mp_entropy(alpha, x[0], w[0])) <= 5e-14
+
     @given(st.floats(0.05, 1000.0), st.floats(-3.0, 3.0), st.floats(0.05, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_identity_bounds_and_convergence(self, alpha, center, half_width):
@@ -520,6 +567,17 @@ class TestPartitionInequality:
     def test_tail_handling_validation(self):
         with pytest.raises(DomainError):
             Partition.uniform(-1, 1, 2, tail_handling="wrap")
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(0.0, 1e3), extent_a=st.floats(0.25, 12.0),
+           extent_b=st.floats(0.25, 12.0), n_a=st.integers(1, 8), n_b=st.integers(1, 8),
+           tails=st.sampled_from(["truncate", "merge-into-end-segments"]))
+    def test_weighted_sum_never_exceeds_the_full_entanglement(self, alpha, extent_a, extent_b,
+                                                              n_a, n_b, tails):
+        report = partition_inequality_check(
+            OscillatorModel(alpha=alpha), Partition.uniform(-extent_a, extent_a, n_a, tails),
+            Partition.uniform(-extent_b, extent_b, n_b, tails))
+        assert report.slack >= -1e-9
 
     def test_refinement_decreases_recovered_entanglement(self):
         # finer joint partitions erase more coherence; measured to hold on
@@ -875,8 +933,7 @@ class TestOnePartyMap:
     def test_node_cap_refuses_before_any_array(self, monkeypatch):
         import entloc.restrict as restrict
         built = []
-        for name in ("gauss_legendre", "grid_gauss", "marginal_masses", "_schmidt_weights",
-                     "_kernel_weights"):
+        for name in ("gauss_legendre", "grid_gauss", "marginal_masses", "_schmidt_weights"):
             monkeypatch.setattr(restrict, name, lambda *a, _name=name: built.append(_name))
         with pytest.raises(QuadratureNotConverged, match=f"cap of {MAX_NODES}"):
             one_party_map(OscillatorModel(alpha=1e12), [0.0, 1.0], widths=[0.5, 1.0])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from entloc.errors import DomainError, ZeroNormSubspace
 from entloc.linalg import DensityMatrix, eigen_symmetric, von_neumann_entropy
 from entloc.spin import (
-    MsProjector,
     build_mixed_state,
     build_pure_state,
     ms0_outcome_branches,
@@ -80,23 +79,47 @@ class TestPureState:
 
 
 class TestProjectors:
-    def test_idempotent(self):
-        for party in ("A", "B"):
-            p = MsProjector.build(party).matrix
-            assert np.array_equal(p @ p, p)
+    """The moment filter of restrict_ms0 on basis states and mixtures."""
+
+    @staticmethod
+    def keeps(i):
+        a1, a2, b1, b2 = (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
+        return a1 != a2 and b1 != b2
 
     def test_masks_follow_the_bits(self):
         for i in range(16):
-            a1, a2, b1, b2 = (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
-            assert MsProjector.build("A").matrix[i, i] == float(a1 != a2)
-            assert MsProjector.build("B").matrix[i, i] == float(b1 != b2)
+            basis = np.eye(16)[i]
+            if self.keeps(i):
+                survivor, p = restrict_ms0(basis)
+                assert np.array_equal(survivor, basis) and p == 1.0
+            else:
+                with pytest.raises(ZeroNormSubspace):
+                    restrict_ms0(basis)
+
+    def test_idempotent(self):
+        # filtering twice equals filtering once
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=16)
+        once, _ = restrict_ms0(psi / np.linalg.norm(psi))
+        twice, p_again = restrict_ms0(once)
+        assert np.array_equal(twice != 0.0, once != 0.0)
+        assert np.allclose(twice, once, rtol=0.0, atol=1e-15)
+        assert p_again == pytest.approx(1.0, abs=1e-15)
+        rho = build_mixed_state(0.3, 1.1, 0.6)
+        once_rho, _ = restrict_ms0(rho)
+        twice_rho, p_rho = restrict_ms0(once_rho)
+        assert np.allclose(twice_rho.elements, once_rho.elements, rtol=0.0, atol=1e-15)
+        assert p_rho == pytest.approx(1.0, abs=1e-15)
 
     def test_ranks(self):
-        p_a = MsProjector.build("A").matrix
-        p_b = MsProjector.build("B").matrix
-        assert np.linalg.matrix_rank(p_a) == 8
-        assert np.linalg.matrix_rank(p_b) == 8
-        assert np.linalg.matrix_rank(p_a @ p_b) == 4
+        # 4 of the 16 components survive
+        survivor, p = restrict_ms0(np.full(16, 0.25))
+        assert list(np.nonzero(survivor)[0]) == [i for i in range(16) if self.keeps(i)]
+        assert len(np.nonzero(survivor)[0]) == 4
+        assert p == pytest.approx(0.25, abs=1e-15)
+        mixed, p_mixed = restrict_ms0(DensityMatrix(np.eye(16) / 16.0))
+        assert np.linalg.matrix_rank(mixed.elements) == 4
+        assert p_mixed == pytest.approx(0.25, abs=1e-15)
 
 
 class TestMixedState:
