@@ -46,12 +46,15 @@ K(-x, -x') makes the cells at c and -c one cell, solved once on -|c|. The
 non-discarding ensemble runs it once per outcome, on Gauss-Legendre nodes
 of Alice's region or of the pieces of its complement, joined, as u (c = 0,
 h = 1). Alice's masses are in closed form. Maps stack their cells and make
-one LAPACK call per chunk. A single one-party cell samples the one-particle
-kernel on a grid (one_restricted_entropy), or projects it onto an
-orthonormal sine/cosine family supported on the region
-(basis_expansion_entropy, which takes n_basis); grid matrices are
-renormalized by their trace and its survival probability comes from
-adaptive quadrature of the analytic density.
+one LAPACK call per chunk. The grid/basis convergence study
+(method_equivalence) takes its grid values from the region's cell of
+one_party_map and its basis values from basis_expansion_entropy, which
+projects the kernel onto an orthonormal sine/cosine family supported on the
+region (n_basis functions) and takes the closed-form mass. Only the single
+one-party grid cell (one_restricted_entropy) still samples the kernel on its
+grid points, renormalizes the matrix by its trace and takes its dense
+eigensolve, with a survival probability from adaptive quadrature of the
+analytic density.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point but the non-discarding ensemble takes one
@@ -455,6 +458,12 @@ def _region_mass(region: Region, p: float) -> float:
     return p
 
 
+def _closed_form_mass(model: OscillatorModel, region: Region) -> float:
+    """Alice's mass in the region from marginal_masses, as a map cell takes
+    it; EmptyRegionMass below EMPTY_MASS."""
+    return _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
+
+
 def _n_bins(n_bins: int | None, default: int | None = None) -> int | None:
     """The grid resolution n_bins, or the caller's default when it is None;
     below 2 bins is refused."""
@@ -653,8 +662,9 @@ def region_basis(region: Region, n_basis: int, points: np.ndarray) -> np.ndarray
     """
     ns = np.arange(1, n_basis + 1)
     arg = (points[None, :] - region.center) * ns[:, None] * math.pi / region.width
-    values = np.where(ns[:, None] % 2 == 1, np.cos(arg), np.sin(arg))
-    return values / math.sqrt(region.half_width)
+    np.cos(arg[0::2], out=arg[0::2])
+    np.sin(arg[1::2], out=arg[1::2])
+    return arg / math.sqrt(region.half_width)
 
 
 def _basis_projected_matrix(model: OscillatorModel, region: Region,
@@ -677,7 +687,7 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
-    p = _region_mass(region, region_survival_probability(model, region))
+    p = _closed_form_mass(model, region)
     n_panels = max(2, -(-n_basis // 4))
     projected = _basis_projected_matrix(model, region, n_basis, n_panels)
     for _ in range(8):
@@ -753,7 +763,7 @@ def _ensemble(model: OscillatorModel, region: Region, entropy) -> NonDiscardingR
     and of the pieces of its complement in the truncated domain. The mass is
     in closed form; a region that leaves no outside outcome (no piece, or an
     outside mass below EMPTY_MASS) has mass 1 and outside entropy 0."""
-    p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
+    p = _closed_form_mass(model, region)
     e_in = float(entropy(*_nodes_on(model, [(region.lo, region.hi)]))[0])
     half = DOMAIN_HALF_LENGTH
     pieces = [(lo, hi) for lo, hi in ((-half, region.lo), (region.hi, half)) if hi > lo]
@@ -872,9 +882,26 @@ class MethodEquivalence:
 def method_equivalence(model: OscillatorModel, region: Region,
                        n_bins: int = DEFAULT_BINS_ONE,
                        n_basis: int = DEFAULT_BASIS_SIZE) -> MethodEquivalence:
-    """Extrapolated grid-vs-basis comparison at a region."""
-    g_coarse = one_restricted_entropy(model, region, n_bins // 2).entanglement
-    g_fine = one_restricted_entropy(model, region, n_bins).entanglement
+    """Extrapolated grid-vs-basis comparison at a region.
+
+    The grid values at n_bins // 2 and n_bins intervals are the region's cell
+    of one_party_map at each resolution: the spectrum of the reduced kernel
+    on the grid, taken on the grid's own Gauss rule and factored to its
+    numerical rank, which one_restricted_entropy's dense eigensolve of the
+    same grid kernel matches to within 5e-14 ebit. The basis values are
+    basis_expansion_entropy's at n_basis // 2 and n_basis functions.
+
+    Fewer than 2 coarse bins is refused with DomainError before any mass is
+    computed, and a width whose rule needs more than MAX_NODES nodes with
+    QuadratureNotConverged, as a map refuses them; a region whose closed-form
+    mass is below EMPTY_MASS is refused with EmptyRegionMass before any
+    spectrum or basis projection.
+    """
+    n_coarse = _n_bins(n_bins // 2)
+    _closed_form_mass(model, region)
+    g_coarse, g_fine = (
+        float(one_party_map(model, [region.center], [region.width], n).values[0, 0])
+        for n in (n_coarse, n_bins))
     b_coarse = basis_expansion_entropy(model, region, n_basis // 2).entanglement
     b_fine = basis_expansion_entropy(model, region, n_basis).entanglement
     grid_limit = 2.0 * g_fine - g_coarse

@@ -113,6 +113,20 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
 
+    @pytest.mark.parametrize("argv,error", [
+        # the 1990 nodes of width 1 at alpha 1e12 are past the cap of 512
+        (["--alpha", "1e12", "--widths", "1"], "QuadratureNotConverged"),
+        (["--alpha", "6", "--qbar", "50", "--widths", "0.4"], "EmptyRegionMass"),
+        # the coarse grid of 3 bins has 1 bin
+        (["--alpha", "6", "--n-bins", "3"], "DomainError"),
+    ])
+    def test_converge_refusals(self, capsys, argv, error):
+        code, out, err = run_capture(capsys, ["gauss-converge"] + argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
     def test_numerical_failure(self, capsys):
         code, _, err = run_capture(capsys, [
             "gauss-one-restricted", "--alpha", "6",

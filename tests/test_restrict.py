@@ -241,13 +241,15 @@ class TestOneRestricted:
     def test_basis_method_dispatch(self, monkeypatch):
         import entloc.restrict as restrict
         masses = []
-        integrate = restrict.integrate_1d
-        monkeypatch.setattr(restrict, "integrate_1d",
-                            lambda *a, **k: masses.append(1) or integrate(*a, **k))
+        closed_form = restrict.marginal_masses
+        monkeypatch.setattr(restrict, "marginal_masses",
+                            lambda *a, **k: masses.append(1) or closed_form(*a, **k))
+        monkeypatch.setattr(restrict, "integrate_1d", None)  # no adaptive quadrature
         result = basis_expansion_entropy(MODEL, Region(0.0, 1.0), 24)
         assert result.resolution == 24
         assert result.entanglement > 0.0
-        assert len(masses) == 1  # the region mass is computed once
+        assert len(masses) == 1  # the region mass is computed once, in closed form
+        assert result.survival_probability == float(closed_form(MODEL, -1.0, 1.0))
         with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
             basis_expansion_entropy(MODEL, Region(50.0, 0.2), 24)
 
@@ -269,6 +271,30 @@ class TestBasisExpansion:
         # error ~ 1/resolution; their Richardson limits must coincide
         eq = method_equivalence(MODEL, Region(0.0, 1.0), n_bins=200, n_basis=40)
         assert eq.gap <= 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_alpha=st.floats(-2.0, 4.0), center=st.floats(-3.0, 3.0),
+           width=st.floats(0.1, 12.6), n_bins=st.integers(10, 400))
+    def test_grid_values_are_the_dense_grid_eigensolve(self, log_alpha, center, width,
+                                                        n_bins):
+        # the grid values come from the one-party map engine; the dense
+        # eigensolve of the same grid kernel is the single cell's
+        model, region = OscillatorModel(alpha=10.0 ** log_alpha), Region(center, width / 2.0)
+        eq = method_equivalence(model, region, n_bins=n_bins, n_basis=2)
+        for value, n in ((eq.grid_coarse, n_bins // 2), (eq.grid_fine, n_bins)):
+            assert value == pytest.approx(
+                one_restricted_entropy(model, region, n).entanglement, abs=5e-14)
+
+    def test_method_equivalence_refusals(self, monkeypatch):
+        import entloc.restrict as restrict
+        with pytest.raises(QuadratureNotConverged, match="cap of 512"):
+            method_equivalence(OscillatorModel(alpha=1e12), Region(0.0, 0.5))
+        projections = []
+        monkeypatch.setattr(restrict, "_basis_projected_matrix",
+                            lambda *a: projections.append(1))
+        with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
+            method_equivalence(MODEL, Region(50.0, 0.2))
+        assert projections == []
 
     def test_raw_values_converge_to_common_limit(self):
         region = Region(0.0, 1.0)
@@ -1054,6 +1080,7 @@ class TestOnePartyMap:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        one_party_map(MODEL, [0.0, 1.0], widths=[1.0])  # caches the width's grid rule
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NoConvergence, match="did not converge"):
             one_party_map(MODEL, [0.0, 1.0], widths=[1.0])
