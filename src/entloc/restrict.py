@@ -458,12 +458,6 @@ def _region_mass(region: Region, p: float) -> float:
     return p
 
 
-def _closed_form_mass(model: OscillatorModel, region: Region) -> float:
-    """Alice's mass in the region from marginal_masses, as a map cell takes
-    it; EmptyRegionMass below EMPTY_MASS."""
-    return _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
-
-
 def _n_bins(n_bins: int | None, default: int | None = None) -> int | None:
     """The grid resolution n_bins, or the caller's default when it is None;
     below 2 bins is refused."""
@@ -687,7 +681,7 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
-    p = _closed_form_mass(model, region)
+    p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
     n_panels = max(2, -(-n_basis // 4))
     projected = _basis_projected_matrix(model, region, n_basis, n_panels)
     for _ in range(8):
@@ -763,7 +757,7 @@ def _ensemble(model: OscillatorModel, region: Region, entropy) -> NonDiscardingR
     and of the pieces of its complement in the truncated domain. The mass is
     in closed form; a region that leaves no outside outcome (no piece, or an
     outside mass below EMPTY_MASS) has mass 1 and outside entropy 0."""
-    p = _closed_form_mass(model, region)
+    p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
     e_in = float(entropy(*_nodes_on(model, [(region.lo, region.hi)]))[0])
     half = DOMAIN_HALF_LENGTH
     pieces = [(lo, hi) for lo, hi in ((-half, region.lo), (region.hi, half)) if hi > lo]
@@ -885,20 +879,15 @@ def method_equivalence(model: OscillatorModel, region: Region,
     """Extrapolated grid-vs-basis comparison at a region.
 
     The grid values at n_bins // 2 and n_bins intervals are the region's cell
-    of one_party_map at each resolution: the spectrum of the reduced kernel
-    on the grid, taken on the grid's own Gauss rule and factored to its
-    numerical rank, which one_restricted_entropy's dense eigensolve of the
-    same grid kernel matches to within 5e-14 ebit. The basis values are
-    basis_expansion_entropy's at n_basis // 2 and n_basis functions.
-
-    Fewer than 2 coarse bins is refused with DomainError before any mass is
-    computed, and a width whose rule needs more than MAX_NODES nodes with
-    QuadratureNotConverged, as a map refuses them; a region whose closed-form
-    mass is below EMPTY_MASS is refused with EmptyRegionMass before any
-    spectrum or basis projection.
+    of one_party_map at each resolution, within 5e-14 ebit of the dense grid
+    eigensolve (one_restricted_entropy); the basis values are
+    basis_expansion_entropy's at n_basis // 2 and n_basis functions. Fewer
+    than 2 coarse bins is refused with DomainError before any mass, a region
+    below EMPTY_MASS with EmptyRegionMass before any spectrum, and a width
+    past MAX_NODES with QuadratureNotConverged, as one_party_map refuses it.
     """
     n_coarse = _n_bins(n_bins // 2)
-    _closed_form_mass(model, region)
+    _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
     g_coarse, g_fine = (
         float(one_party_map(model, [region.center], [region.width], n).values[0, 0])
         for n in (n_coarse, n_bins))
