@@ -733,8 +733,7 @@ def run(argv: list[str]) -> int:
         return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (UsageError, EntlocError, np.linalg.LinAlgError, FloatingPointError,
-            OverflowError) as exc:
+    except (UsageError, EntlocError, FloatingPointError, OverflowError) as exc:
         known = isinstance(exc, (UsageError, EntlocError))
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__ if known else "NumericalFailure",

@@ -23,6 +23,7 @@ from .errors import (
     InsufficientSupport,
     NonPositiveCurvature,
 )
+from .linalg import lapack
 from .oscillator import (
     ClassicalWidths,
     OscillatorModel,
@@ -180,8 +181,8 @@ def fit_surface(dist: Distribution2D, form: str = "symmetric_pm", *,
     design = _design_matrix(form, x, y)
     target = np.log(v)
     sqrt_w = np.sqrt(v)
-    coef, *_ = np.linalg.lstsq(design * sqrt_w[:, None], target * sqrt_w,
-                               rcond=None)
+    coef, *_ = lapack(np.linalg.lstsq, design * sqrt_w[:, None], target * sqrt_w,
+                      rcond=None)
     curvatures = coef[1:]
     if np.any(curvatures <= 0.0):
         raise NonPositiveCurvature(f"fitted curvatures {curvatures}")

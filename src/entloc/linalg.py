@@ -1,14 +1,13 @@
 """Dense linear algebra for small Hermitian matrices.
 
-DensityMatrix carries a checked state for the cells that assemble one: the
-spin model's 16 x 16 states (single cells and the purity sweeps), a grid or
-basis one-party cell and the precise readout. What an entanglement measure
-needs of it (eigenvalues, partial transpose, partial trace, entropy,
-negativity) lives in this module, on the LAPACK symmetric eigensolver.
-The maps and the non-discarding ensemble build no DensityMatrix: they take
-their spectra in batched LAPACK calls of their own (restrict's Schmidt SVDs
-and factored kernel solves) or in closed form (spin's Schmidt
-coefficients), and every entropy goes through spectral_entropy_bits.
+DensityMatrix carries a checked state for the cells that assemble one (the
+spin model's 16 x 16 states, a grid or basis one-party cell, the precise
+readout); what an entanglement measure needs of it (eigenvalues, partial
+transpose and trace, entropy, negativity) lives here. The maps and the
+non-discarding ensemble take their spectra in batched LAPACK calls of their
+own (restrict) or in closed form (spin); every entropy goes through
+spectral_entropy_bits. Every LAPACK call of the package goes through lapack,
+the one place where numpy's LinAlgError becomes NoConvergence.
 """
 
 from __future__ import annotations
@@ -100,6 +99,15 @@ class Spectrum:
         return self.eigenvalues.size
 
 
+def lapack(solver, *args, **kwargs):
+    """solver(*args, **kwargs), a LAPACK-backed numpy routine; a failure to
+    converge raises NoConvergence."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def spectral_entropy_bits(weights: np.ndarray) -> np.ndarray:
     """Shannon entropy (base 2) of each row of a stack of normalized spectra.
 
@@ -118,14 +126,10 @@ def eigen_symmetric(m: DensityMatrix, vectors: bool = False):
     eigenvector columns matching the eigenvalue order when vectors=True.
     Hermiticity was checked when the DensityMatrix was built.
     """
-    a = m.elements
-    try:
-        if vectors:
-            lam, q = np.linalg.eigh(a)
-        else:
-            lam = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    if vectors:
+        lam, q = lapack(np.linalg.eigh, m.elements)
+    else:
+        lam = lapack(np.linalg.eigvalsh, m.elements)
     order = np.argsort(-lam, kind="stable")
     spectrum = Spectrum(lam[order])
     if vectors:

@@ -1,9 +1,9 @@
 """Composite Gauss-Legendre rules, and Gauss rules for a uniform grid's sum.
 
-Integrands here are smooth Gaussians, so fixed-order panels with panel
-doubling converge extremely fast; adaptivity is just a safety net. Batches
-of intervals get one fixed-order rule each, with the nodes of every
-interval along a trailing axis.
+Integrands here are smooth Gaussians, so fixed-order panels converge
+extremely fast. One panel-doubling loop (refine_panels) serves every
+adaptive estimate, a scalar integral or a projected matrix. Batches of
+intervals get one fixed-order rule each, nodes along a trailing axis.
 """
 
 from __future__ import annotations
@@ -13,16 +13,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureNotConverged
+from .linalg import lapack
 
 DEFAULT_PANEL_POINTS = 16
 REL_TOL = 1e-10
 ABS_TOL = 1e-15
-MAX_REFINEMENTS_1D = 14
+MAX_PANELS_1D = 1 << 14
 
 
 @lru_cache(maxsize=8)
 def _gauss_rule(n_points: int):
-    return np.polynomial.legendre.leggauss(n_points)
+    return lapack(np.polynomial.legendre.leggauss, n_points)
 
 
 def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):
@@ -52,7 +53,7 @@ def _grid_rule(points: int, m: int):
     k = np.arange(1.0, m)
     scale = 2.0 / (points - 1)
     off = scale * np.sqrt(k * k * (points * points - k * k) / (4.0 * (4.0 * k * k - 1.0)))
-    u, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    u, v = lapack(np.linalg.eigh, np.diag(off, 1) + np.diag(off, -1))
     return u, points * v[0] ** 2
 
 
@@ -72,12 +73,25 @@ def grid_gauss(lo, hi, points: int, m: int):
     return 0.5 * (hi - lo) * u + 0.5 * (hi + lo), np.broadcast_to(w, lo.shape[:-1] + (m,))
 
 
-def integrate_1d(f, a: float, b: float) -> float:
-    """Integrate a vectorized scalar function over [a, b].
+def refine_panels(estimate, n_panels: int, max_panels: int, abs_tol: float, what: str):
+    """estimate(n) for n = n_panels, 2 n_panels, ... until two successive
+    estimates agree entrywise within REL_TOL of the newer one's largest
+    entry, or within abs_tol; returns the newer. A count past max_panels,
+    the first included, is refused with QuadratureNotConverged before
+    estimate sees it."""
+    previous = None
+    while n_panels <= max_panels:
+        current = estimate(n_panels)
+        if previous is not None and np.max(np.abs(current - previous)) <= max(
+                REL_TOL * np.max(np.abs(current)), abs_tol):
+            return current
+        previous, n_panels = current, 2 * n_panels
+    raise QuadratureNotConverged(f"{what} not converged within {max_panels} panels")
 
-    The panel count doubles until two successive estimates agree to REL_TOL
-    (with an ABS_TOL floor for near-zero integrals).
-    """
+
+def integrate_1d(f, a: float, b: float) -> float:
+    """Integrate a vectorized scalar function over [a, b] on refine_panels,
+    from 1 to MAX_PANELS_1D panels, with an ABS_TOL floor."""
     if b <= a:
         raise ValueError("integration bounds must satisfy a < b")
 
@@ -85,13 +99,4 @@ def integrate_1d(f, a: float, b: float) -> float:
         nodes, weights = gauss_legendre(a, b, DEFAULT_PANEL_POINTS, n_panels)
         return float(np.dot(weights, f(nodes)))
 
-    n_panels = 1
-    previous = estimate(n_panels)
-    for _ in range(MAX_REFINEMENTS_1D):
-        n_panels *= 2
-        current = estimate(n_panels)
-        if abs(current - previous) <= max(REL_TOL * abs(current), ABS_TOL):
-            return current
-        previous = current
-    raise QuadratureNotConverged(
-        f"1-d integral on [{a}, {b}] not converged after {MAX_REFINEMENTS_1D} refinements")
+    return refine_panels(estimate, 1, MAX_PANELS_1D, ABS_TOL, f"1-d integral on [{a}, {b}]")

@@ -77,13 +77,13 @@ from .errors import (
     DomainError,
     EmptyRegionMass,
     NegativeEigenvalue,
-    NoConvergence,
     QuadratureNotConverged,
 )
 from .linalg import (
     DensityMatrix,
     Spectrum,
     eigen_symmetric,
+    lapack,
     negativity,
     spectral_entropy_bits,
 )
@@ -95,11 +95,19 @@ from .oscillator import (
     reduced_density_value,
     two_particle_wavefunction,
 )
-from .quadrature import DEFAULT_PANEL_POINTS, gauss_legendre, grid_gauss, integrate_1d
+from .quadrature import (
+    DEFAULT_PANEL_POINTS,
+    gauss_legendre,
+    grid_gauss,
+    integrate_1d,
+    refine_panels,
+)
 
 DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
+# bytes of the basis projection's N x N kernel: N <= 8192, 512 panels at most
+BASIS_KERNEL_BYTES = 1 << 29
 EMPTY_MASS = 1e-14
 # Gauss-Legendre nodes per region, by the narrow length of the widest interval.
 # A spectrum (the Schmidt weights of a two-party cell, the Nystrom kernel of
@@ -521,10 +529,7 @@ def _schmidt_weights(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
     np.exp(matrix, out=matrix)
     matrix *= np.sqrt(wa)[:, :, None] / matrix.max(axis=(1, 2), keepdims=True)
     matrix *= np.sqrt(wb)[:, None, :]
-    try:
-        sigma = np.linalg.svd(matrix, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    sigma = lapack(np.linalg.svd, matrix, compute_uv=False)
     weights = sigma * sigma
     return weights / weights.sum(axis=1, keepdims=True)
 
@@ -534,10 +539,7 @@ def _low_rank_factor(kernel: np.ndarray) -> np.ndarray:
     symmetric positive semidefinite kernel whose eigenvalues exceed machine
     epsilon times the largest, from one LAPACK call. What is left out is
     below the round-off of the kernel's own eigensolve."""
-    try:
-        lam, q = np.linalg.eigh(kernel)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    lam, q = lapack(np.linalg.eigh, kernel)
     keep = lam > np.finfo(np.float64).eps * lam[-1]
     return q[:, keep] * np.sqrt(lam[keep])
 
@@ -548,10 +550,7 @@ def _factored_weights(factor: np.ndarray, d: np.ndarray) -> np.ndarray:
     X = diag(d_i) G. One batched product and one batched LAPACK call on
     r x r matrices serve all cells."""
     x = d[:, :, None] * factor
-    try:
-        lam = np.linalg.eigvalsh(np.matmul(x.transpose(0, 2, 1), x))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    lam = lapack(np.linalg.eigvalsh, np.matmul(x.transpose(0, 2, 1), x))
     return lam / lam.sum(axis=1, keepdims=True)
 
 
@@ -673,28 +672,19 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
                             n_basis: int = DEFAULT_BASIS_SIZE) -> EnsembleResult:
     """One-restricted entanglement from the basis-projected kernel.
 
-    The projected matrix is integrated on composite Gauss-Legendre panels of
-    DEFAULT_PANEL_POINTS points, doubling the panel count until the matrix
-    stabilizes; entropy comes from the trace-normalized result. The basis
-    functions oscillate n_basis/2 times across the region, so panel counts
-    start proportional to n_basis.
+    The projected matrix is integrated by refine_panels (1e-10 floor) from
+    n_basis / 4 panels, as the functions oscillate n_basis / 2 times across
+    the region, to the most whose kernel fits BASIS_KERNEL_BYTES; entropy
+    comes from the trace-normalized result.
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
     p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
-    n_panels = max(2, -(-n_basis // 4))
-    projected = _basis_projected_matrix(model, region, n_basis, n_panels)
-    for _ in range(8):
-        n_panels *= 2
-        refined = _basis_projected_matrix(model, region, n_basis, n_panels)
-        change = float(np.abs(refined - projected).max())
-        projected = refined
-        if change <= 1e-10 * max(1.0, float(np.abs(projected).max())):
-            break
-    else:
-        if change > 1e-8:
-            raise QuadratureNotConverged(
-                f"basis projection still changing by {change:.3e}")
+    projected = refine_panels(
+        lambda n_panels: _basis_projected_matrix(model, region, n_basis, n_panels),
+        max(2, -(-n_basis // 4)), math.isqrt(BASIS_KERNEL_BYTES // 8) // DEFAULT_PANEL_POINTS,
+        1e-10, f"{n_basis}-function basis projection on [{region.lo}, {region.hi}]"
+        f" ({BASIS_KERNEL_BYTES >> 20} MiB kernel budget)")
     entropy, spectrum = _entropy_and_spectrum(projected)
     return EnsembleResult(entropy, p, spectrum, n_basis)
 

@@ -303,6 +303,26 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "QuadratureNotConverged"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("argv,bound", [
+        # projected on 160 to 5120 nodes (a 200 MiB kernel, 402 MiB at peak)
+        # without agreeing; the next, 10240-node kernel would take 800 MiB
+        (["--alpha", "1e12", "--width", "10"], 8 * 10240 ** 2),
+        # the first projection would need 4e6 nodes, a 128 TB kernel
+        (["--alpha", "6", "--width", "1", "--n-basis", "1000000"], 1 << 20),
+    ])
+    def test_basis_kernel_budget_refused_before_its_kernel(self, capsys, argv, bound):
+        tracemalloc.start()
+        try:
+            code, out, err = run_capture(capsys, [
+                "gauss-one-restricted", "--qbar", "0", "--method", "basis", *argv])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "QuadratureNotConverged"
+        assert peak < bound
+
     def test_one_party_map_width_refused_by_its_own_rule(self, capsys, tmp_path):
         # the map builds nothing on Bob's side, so a width his conditional
         # support could not take is accepted when Alice's rule (386 nodes) is

@@ -1,12 +1,21 @@
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entloc
+from entloc import quadrature
+from entloc.cli import run
+from entloc.correlate import fit_surface, probability_map
 from entloc.errors import (
     DimensionMismatch,
     DomainError,
     NegativeEigenvalue,
+    NoConvergence,
     NonHermitianInput,
     NotNormalized,
 )
@@ -18,6 +27,14 @@ from entloc.linalg import (
     partial_transpose,
     reduce_to_party,
     von_neumann_entropy,
+)
+from entloc.oscillator import OscillatorModel
+from entloc.quadrature import integrate_1d
+from entloc.restrict import (
+    Region,
+    both_restricted_entropy,
+    non_discarding_entanglement,
+    one_party_map,
 )
 
 
@@ -311,3 +328,96 @@ def test_partial_trace_commutes_with_mixing(seed, p):
     parts = p * reduce_to_party(DensityMatrix(rho_1), (2, 4), "A").elements \
         + (1.0 - p) * reduce_to_party(DensityMatrix(rho_2), (2, 4), "A").elements
     assert np.abs(direct - parts).max() <= 1e-12
+
+
+# -- one path from a LAPACK failure to NoConvergence ---------------------------
+
+MODEL = OscillatorModel(alpha=6)
+MIXED = DensityMatrix(np.eye(2) / 2)
+ONE_MAP = ["gauss-one-restricted", "--alpha", "6", "--centers", "-1", "1", "3",
+           "--widths", "1"]
+BOTH_CELL = ["gauss-both-restricted", "--alpha", "6", "--width", "1",
+             "--qbar-a", "0", "--qbar-b", "0"]
+
+
+def _fit_argv(tmp_path):
+    surface = tmp_path / "map.csv"
+    assert run(["gauss-classical-map", "--alpha", "6", "--width", "0.5",
+                "--centers", "-2", "2", "9", "--output", str(surface)]) == 0
+    return ["gauss-fit", "--input", str(surface)]
+
+
+# (owner, solver, cached rule to clear, library call, frame of the call site,
+#  CLI argv that reaches the site or None): every LAPACK call of the package
+LAPACK_SITES = {
+    "eigen_symmetric-eigh": (
+        np.linalg, "eigh", None, lambda: eigen_symmetric(MIXED, vectors=True),
+        "eigen_symmetric", None),
+    "eigen_symmetric-eigvalsh": (
+        np.linalg, "eigvalsh", None, lambda: von_neumann_entropy(MIXED),
+        "eigen_symmetric",
+        lambda tmp: ["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "1"]),
+    "schmidt-svd": (
+        np.linalg, "svd", None,
+        lambda: both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.5, 1.0)),
+        "_schmidt_weights", lambda tmp: BOTH_CELL),
+    "low_rank_factor-eigh": (
+        np.linalg, "eigh", None, lambda: non_discarding_entanglement(MODEL, Region(0.5, 1.0)),
+        "_low_rank_factor",
+        lambda tmp: ["gauss-inequality", "--alpha", "6", "--grid-a", "2", "--grid-b", "2",
+                     "--nd-center", "0", "--nd-half-width", "1"]),
+    "factored_weights-eigvalsh": (
+        np.linalg, "eigvalsh", None, lambda: one_party_map(MODEL, [0.0, 1.0], [1.0]),
+        "_factored_weights", lambda tmp: ONE_MAP),
+    "grid_rule-eigh": (
+        np.linalg, "eigh", quadrature._grid_rule,
+        lambda: one_party_map(MODEL, [0.0, 1.0], [1.0]), "_grid_rule", lambda tmp: ONE_MAP),
+    "gauss_rule-leggauss": (
+        np.polynomial.legendre, "leggauss", quadrature._gauss_rule,
+        lambda: integrate_1d(np.exp, 0.0, 1.0), "_gauss_rule", lambda tmp: BOTH_CELL),
+    "fit_surface-lstsq": (
+        np.linalg, "lstsq", None,
+        lambda: fit_surface(probability_map(MODEL, np.linspace(-2.0, 2.0, 9),
+                                            np.linspace(-2.0, 2.0, 9), 0.25)),
+        "fit_surface", _fit_argv),
+}
+
+
+@pytest.mark.parametrize("site", LAPACK_SITES)
+def test_lapack_failure_is_no_convergence(site, monkeypatch, capsys, tmp_path):
+    owner, solver, rule, call, frame, cli_argv = LAPACK_SITES[site]
+    argv = cli_argv(tmp_path) if cli_argv else None
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    monkeypatch.setattr(owner, solver, fail)
+    if rule is not None:
+        rule.cache_clear()  # a failed solve caches nothing
+    with pytest.raises(NoConvergence, match="injected failure") as info:
+        call()
+    assert frame in [entry.name for entry in info.traceback]
+    if argv is None:  # no subcommand asks eigen_symmetric for eigenvectors
+        return
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "NoConvergence", "message": "injected failure"}
+
+
+def test_only_linalg_names_linalg_error():
+    # lapack is the one place where numpy's LinAlgError becomes NoConvergence;
+    # a solver call elsewhere must go through it, and the CLI catches no numpy error
+    package = Path(entloc.__file__).parent
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        if path.name == "linalg.py":
+            assert text.count("except np.linalg.LinAlgError") == 1
+        else:
+            assert "LinAlgError" not in text, path.name
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = ast.unparse(node.type)
+            assert "np." not in caught and "numpy" not in caught, caught

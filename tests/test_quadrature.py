@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entloc.errors import QuadratureNotConverged
-from entloc.quadrature import DEFAULT_PANEL_POINTS, gauss_legendre, grid_gauss, integrate_1d
+from entloc.quadrature import (
+    ABS_TOL,
+    DEFAULT_PANEL_POINTS,
+    REL_TOL,
+    gauss_legendre,
+    grid_gauss,
+    integrate_1d,
+    refine_panels,
+)
 
 
 def test_polynomial_exact():
@@ -93,3 +101,66 @@ def test_grid_rule_sums_polynomials_as_the_grid(points, data):
     rule = (weights * nodes ** degrees).sum(axis=-1)
     grid = (np.linspace(0.0, 1.0, points) ** degrees).sum(axis=-1)
     assert np.all(np.abs(rule - grid) <= 1e-12 * grid)
+
+
+class TestRefinePanels:
+    @staticmethod
+    def recorded(values):
+        """An estimate that reads values[n] and records each count it is asked for."""
+        calls = []
+
+        def estimate(n):
+            calls.append(n)
+            return values(n)
+        return estimate, calls
+
+    def test_stops_at_the_first_agreeing_doubling(self):
+        table = {3: 1.0, 6: 0.5, 12: 0.5 + 1e-12, 24: 0.5}
+        estimate, calls = self.recorded(table.__getitem__)
+        assert refine_panels(estimate, 3, 1 << 20, ABS_TOL, "test") == table[12]
+        assert calls == [3, 6, 12]
+
+    def test_never_evaluates_past_the_cap(self):
+        estimate, calls = self.recorded(float)  # never agrees
+        with pytest.raises(QuadratureNotConverged, match="test not converged within 40 panels"):
+            refine_panels(estimate, 5, 40, ABS_TOL, "test")
+        assert calls == [5, 10, 20, 40]
+
+    def test_first_count_past_the_cap_refused_without_a_call(self):
+        estimate, calls = self.recorded(float)
+        with pytest.raises(QuadratureNotConverged):
+            refine_panels(estimate, 64, 63, ABS_TOL, "test")
+        assert calls == []
+
+    def test_scalar_and_matrix_follow_one_rule(self):
+        # entrywise within REL_TOL of the largest entry: the small entry may move
+        # by far more than REL_TOL of itself once the large one has settled
+        def large(n):
+            return 1.0 + 4.0 ** -n
+
+        def matrix(n):
+            return np.array([[large(n), 1e-6 * (1.0 + 0.5 ** n)], [0.0, -large(n)]])
+
+        scalar, scalar_calls = self.recorded(large)
+        stacked, matrix_calls = self.recorded(matrix)
+        assert refine_panels(scalar, 1, 1 << 10, ABS_TOL, "test") == large(scalar_calls[-1])
+        assert np.array_equal(refine_panels(stacked, 1, 1 << 10, ABS_TOL, "test"),
+                              matrix(matrix_calls[-1]))
+        assert matrix_calls == scalar_calls
+        last, before = matrix_calls[-1], matrix_calls[-2]
+        assert abs(large(last) - large(before)) <= REL_TOL * large(last)
+        assert 1e-6 * (0.5 ** before - 0.5 ** last) > REL_TOL * 1e-6
+
+    def test_absolute_floor(self):
+        estimate, calls = self.recorded(lambda n: 1e-20 * n)
+        assert refine_panels(estimate, 1, 8, ABS_TOL, "test") == 2e-20
+        estimate, calls = self.recorded(lambda n: 1e-9 * n)
+        with pytest.raises(QuadratureNotConverged):
+            refine_panels(estimate, 1, 8, ABS_TOL, "test")
+        assert refine_panels(estimate, 1, 8, 1e-8, "test") == 2e-9
+
+    def test_nan_never_agrees(self):
+        estimate, calls = self.recorded(lambda n: np.full(2, np.nan))
+        with pytest.raises(QuadratureNotConverged):
+            refine_panels(estimate, 1, 4, ABS_TOL, "test")
+        assert calls == [1, 2, 4]

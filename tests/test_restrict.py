@@ -1080,7 +1080,6 @@ class TestOnePartyMap:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        one_party_map(MODEL, [0.0, 1.0], widths=[1.0])  # caches the width's grid rule
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NoConvergence, match="did not converge"):
             one_party_map(MODEL, [0.0, 1.0], widths=[1.0])
