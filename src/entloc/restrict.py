@@ -14,18 +14,21 @@ evaluates the entanglement left in each ensemble:
   entanglement at all.
 
 When both parties restrict, entropies come from the singular values of an
-amplitude matrix sqrt(Wa) psi(x_i, y_k) sqrt(Wb), by default on
-Gauss-Legendre nodes of the two regions (a Nystrom discretization,
-exponentially convergent for these analytic amplitudes; Bornemann, Math.
-Comp. 79 (2010) 871-915), and a cell's joint mass is a Gauss-Legendre
-integral over Alice's region of Bob's conditional mass in closed form; an
-explicit n_bins puts a uniform grid with unit weights on both sides instead.
-Every spectrum taken on Gauss-Legendre nodes has the count it needs,
-two_party_nodes: 10 plus 1.4 per narrow length of the amplitude, measured
-within 1e-12 ebit on map cells; a joint mass takes the same count, or 2 per
-narrow length where that is more (mass_nodes). Every closed-form mass is a
-difference of erfc values from one numpy kernel (_erfc), both edges of all
-cells in one call.
+amplitude matrix sqrt(Wa) psi(x_i, y_k) sqrt(Wb) on the nodes and weights
+of a Gauss rule on each region (a Nystrom discretization, exponentially
+convergent for these analytic amplitudes; Bornemann, Math. Comp. 79 (2010)
+871-915): Gauss-Legendre by default, and with an explicit n_bins the Gauss
+rule of the unit-weight sum over the region's n_bins + 1 uniform points
+(quadrature.grid_gauss), whose spectrum is within 1e-13 ebit of the uniform
+grid's. A cell's joint mass is a Gauss-Legendre integral over Alice's
+region of Bob's conditional mass in closed form. Every spectrum has the
+count it needs, two_party_nodes: 10 plus 1.4 per narrow length of the
+amplitude, measured within 1e-12 ebit on map cells, and on a grid at most
+its n_bins + 1 points; one helper (_schmidt_nodes) sets that count and one
+(_rule) the rule for one-party maps and two-party cells alike. A joint mass
+takes the same count, or 2 per narrow length where that is more
+(mass_nodes). Every closed-form mass is a difference of erfc values from
+one numpy kernel (_erfc), both edges of all cells in one call.
 psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
 -A x -B and -B x -A share their mass and entropy: every two-party path solves
 each cell once per orbit of these symmetries (_two_party_orbits) and copies
@@ -53,16 +56,16 @@ projects the kernel onto an orthonormal sine/cosine family supported on the
 region (n_basis functions) and takes the closed-form mass. Only the single
 one-party grid cell (one_restricted_entropy) still samples the kernel on its
 grid points, renormalizes the matrix by its trace and takes its dense
-eigensolve, with a survival probability from adaptive quadrature of the
-analytic density.
+eigensolve, within a budget of KERNEL_BYTES for the kernel, with a survival
+probability from adaptive quadrature of the analytic density.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point but the non-discarding ensemble takes one
-resolution, n_bins: the number of grid intervals per region. Where Alice's
-region is sampled on a grid (one-party cells and maps, the precise readout),
-None means DEFAULT_BINS_ONE or DEFAULT_BINS_PRECISE; two-party cells and maps
-run on Gauss-Legendre nodes without it. An n_bins below 2 is refused with
-DomainError before any mass is computed.
+resolution, n_bins: the number of grid intervals per region. For one-party
+cells and maps and the precise readout None means DEFAULT_BINS_ONE or
+DEFAULT_BINS_PRECISE; two-party cells and maps run on Gauss-Legendre nodes
+without it. An n_bins below 2 is refused with DomainError before any mass
+is computed.
 """
 
 from __future__ import annotations
@@ -106,8 +109,9 @@ from .quadrature import (
 DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
-# bytes of the basis projection's N x N kernel: N <= 8192, 512 panels at most
-BASIS_KERNEL_BYTES = 1 << 29
+# bytes of a dense N x N kernel, N <= 8192: the basis projection's on its
+# nodes (512 panels at most) and the single grid cell's on its points
+KERNEL_BYTES = 1 << 29
 EMPTY_MASS = 1e-14
 # Gauss-Legendre nodes per region, by the narrow length of the widest interval.
 # A spectrum (the Schmidt weights of a two-party cell, the Nystrom kernel of
@@ -447,15 +451,25 @@ def mass_nodes(model: OscillatorModel, width: float) -> int:
                _nodes_per_length(model, width, MASS_NODES_PER_LENGTH))
 
 
-def _schmidt_nodes(model: OscillatorModel, width: float) -> int:
-    """two_party_nodes for every spectrum that is taken; a count past
-    MAX_NODES is refused with QuadratureNotConverged before any array is built."""
+def _schmidt_nodes(model: OscillatorModel, width: float, n_bins: int | None = None) -> int:
+    """Nodes per region of every spectrum taken on regions up to `width` wide:
+    two_party_nodes, and on a grid of n_bins intervals at most its n_bins + 1
+    points, where the grid's Gauss rule (_rule) is the grid itself. A
+    two_party_nodes past MAX_NODES is refused with QuadratureNotConverged
+    before any array is built, with a grid or without."""
     n = two_party_nodes(model, width)
     if n > MAX_NODES:
         raise QuadratureNotConverged(
             f"intervals {width:.3g} wide at alpha {model.alpha:.3g} need {n:.4g} "
             f"Gauss-Legendre nodes, more than the cap of {MAX_NODES}")
-    return n
+    return n if n_bins is None else min(n_bins + 1, n)
+
+
+def _rule(lo, hi, n: int, n_bins: int | None):
+    """Nodes and weights of n nodes on each [lo, hi] (_schmidt_nodes): the
+    Gauss-Legendre rule, or with n_bins the Gauss rule of the unit-weight sum
+    over the interval's n_bins + 1 uniform points (grid_gauss)."""
+    return gauss_legendre(lo, hi, n) if n_bins is None else grid_gauss(lo, hi, n_bins + 1, n)
 
 
 def _region_mass(region: Region, p: float) -> float:
@@ -500,9 +514,14 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
 
     The one-particle reduced kernel is sampled on n_bins + 1 points of the
     region (DEFAULT_BINS_ONE intervals by default) and trace-normalized; the
-    survival probability is the quadrature mass of the region.
+    survival probability is the quadrature mass of the region. A grid whose
+    (n_bins + 1)^2 kernel would not fit KERNEL_BYTES (past 8191 bins) is
+    refused with QuadratureNotConverged before any array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
+    if n_bins >= math.isqrt(KERNEL_BYTES // 8):
+        raise QuadratureNotConverged(f"a {n_bins + 1}-point grid kernel exceeds the "
+                                     f"{KERNEL_BYTES >> 20} MiB kernel budget")
     p = _region_mass(region, region_survival_probability(model, region))
     points = _grid_points(region, n_bins)
     entropy, spectrum = _entropy_and_spectrum(
@@ -599,14 +618,9 @@ def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
 
 
 def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
-    """Nodes and weights of both sides of two-party cells: n Gauss-Legendre
-    nodes per region, or n_bins + 1 uniform points with unit weights when
-    n_bins is given."""
-    if n_bins is None:
-        return (*gauss_legendre(a_lo, a_hi, n), *gauss_legendre(b_lo, b_hi, n))
-    xa = np.linspace(a_lo, a_hi, n_bins + 1, axis=-1)
-    xb = np.linspace(b_lo, b_hi, n_bins + 1, axis=-1)
-    return xa, np.ones_like(xa), xb, np.ones_like(xb)
+    """Nodes and weights of both sides of two-party cells, n per region on
+    the rule that n_bins selects (_rule)."""
+    return (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins))
 
 
 def _two_party_setup(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
@@ -614,11 +628,12 @@ def _two_party_setup(model: OscillatorModel, centers_a, half_a, centers_b, half_
     """(n, (a_lo, a_hi, b_lo, b_hi), joint masses clipped to [0, 1], inverse)
     of the distinct cells of _two_party_orbits: the cell centers_a[i] +-
     half_a[i] for Alice, centers_b[i] +- half_b[i] for Bob (a half width may
-    be one number) is row inverse[i]. n is the points per region: on
-    Gauss-Legendre nodes the spectral rule of the widest region, refused past
-    MAX_NODES before any mass, else n_bins + 1. Masses take mass_nodes."""
+    be one number) is row inverse[i]. n is the nodes per region of the
+    widest region (_schmidt_nodes), refused past MAX_NODES before any mass,
+    as n_bins below 2 is. Masses take mass_nodes."""
+    _n_bins(n_bins)
     width, bounds, inverse = _two_party_orbits(centers_a, half_a, centers_b, half_b)
-    n = _schmidt_nodes(model, width) if n_bins is None else n_bins + 1
+    n = _schmidt_nodes(model, width, n_bins)
     masses = joint_masses(model, *bounds, mass_nodes(model, width))
     return n, bounds, np.clip(masses, 0.0, 1.0), inverse
 
@@ -629,11 +644,13 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
     """Discarding-ensemble entanglement when both parties restrict.
 
     The entropy comes from the Schmidt weights of the cell, as one cell of a
-    map does: by default on Gauss-Legendre nodes of both regions, and the
-    result's resolution is the node count per region; a given n_bins
-    samples the amplitudes on n_bins + 1 uniform points per region instead.
+    map does, on n nodes per region (_schmidt_nodes): by default
+    Gauss-Legendre nodes, and the result's resolution is n; a given n_bins
+    takes the Gauss rule of the unit-weight sum over each region's n_bins +
+    1 uniform points (grid_gauss) instead, at most n_bins + 1 nodes, within
+    1e-13 ebit of the singular values of the amplitude on those points, and
+    the resolution is n_bins. The spectrum has n weights either way.
     """
-    n_bins = _n_bins(n_bins)
     n, bounds, prob, _ = _two_party_setup(model, [region_a.center], region_a.half_width,
                                           [region_b.center], region_b.half_width, n_bins)
     p = float(prob[0])
@@ -674,7 +691,7 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
 
     The projected matrix is integrated by refine_panels (1e-10 floor) from
     n_basis / 4 panels, as the functions oscillate n_basis / 2 times across
-    the region, to the most whose kernel fits BASIS_KERNEL_BYTES; entropy
+    the region, to the most whose kernel fits KERNEL_BYTES; entropy
     comes from the trace-normalized result.
     """
     if n_basis < 1:
@@ -682,9 +699,9 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
     p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
     projected = refine_panels(
         lambda n_panels: _basis_projected_matrix(model, region, n_basis, n_panels),
-        max(2, -(-n_basis // 4)), math.isqrt(BASIS_KERNEL_BYTES // 8) // DEFAULT_PANEL_POINTS,
+        max(2, -(-n_basis // 4)), math.isqrt(KERNEL_BYTES // 8) // DEFAULT_PANEL_POINTS,
         1e-10, f"{n_basis}-function basis projection on [{region.lo}, {region.hi}]"
-        f" ({BASIS_KERNEL_BYTES >> 20} MiB kernel budget)")
+        f" ({KERNEL_BYTES >> 20} MiB kernel budget)")
     entropy, spectrum = _entropy_and_spectrum(projected)
     return EnsembleResult(entropy, p, spectrum, n_basis)
 
@@ -825,7 +842,8 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     Shared entanglement cannot increase under the local region-resolving
     measurement, so the probability-weighted cell sum never exceeds the
     unrestricted entanglement of formation. Cells run on Gauss-Legendre
-    nodes, or on the grid of n_bins as in both_restricted_entropy.
+    nodes, or with n_bins on the Gauss rule of each segment's grid sum, as
+    in both_restricted_entropy.
     """
     pairs = [(seg_a, seg_b) for seg_a in partition_a.effective_segments(DOMAIN_HALF_LENGTH)
              for seg_b in partition_b.effective_segments(DOMAIN_HALF_LENGTH)]
@@ -950,7 +968,6 @@ def _two_party_cells(model: OscillatorModel, centers_a, half_a, centers_b, half_
     chunk of CHUNK_BYTES. A cell whose mass is below EMPTY_MASS is empty:
     value 0, probability 0, flag 1.
     """
-    n_bins = _n_bins(n_bins)
     n, bounds, prob, inverse = _two_party_setup(model, centers_a, half_a, centers_b, half_b,
                                                 n_bins)
     live = prob >= EMPTY_MASS
@@ -996,14 +1013,14 @@ def one_party_map(model: OscillatorModel, centers, widths,
     halves = widths / 2.0
     reps, inverse = np.unique(-np.abs(centers), return_inverse=True)
     rep_centers, rep_halves = _cell_arrays(reps[:, None], halves[None, :])
-    counts = [min(n_bins + 1, _schmidt_nodes(model, width)) for width in widths]
+    counts = [_schmidt_nodes(model, width, n_bins) for width in widths]
     prob = np.clip(marginal_masses(model, rep_centers - rep_halves, rep_centers + rep_halves),
                    0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.shape)
     for j, (half, n) in enumerate(zip(halves, counts)):
         values[live[:, j], j] = _kernel_entropies(
-            model, reps[live[:, j]], half, *grid_gauss(-1.0, 1.0, n_bins + 1, n))
+            model, reps[live[:, j]], half, *_rule(-1.0, 1.0, n, n_bins))
     values, prob, live = values[inverse], prob[inverse], live[inverse]
     peaks = values.max(axis=0, initial=0.0)
     rescaled = np.divide(values, peaks[None, :], out=np.zeros_like(values),
@@ -1021,9 +1038,10 @@ def two_party_map(model: OscillatorModel, centers_a, centers_b, half_width: floa
     to centers_b[j] +- half_width_b (Alice's half width by default).
 
     n_bins is the number of grid intervals per region, as in
-    both_restricted_entropy; without it the cells run on Gauss-Legendre
-    nodes. Extra layers: "prob" and "flag" (1 for a cell below EMPTY_MASS:
-    value 0, probability 0).
+    both_restricted_entropy: with it the cells run on the Gauss rule of each
+    region's grid sum, without it on Gauss-Legendre nodes. Extra layers:
+    "prob" and "flag" (1 for a cell below EMPTY_MASS: value 0, probability
+    0).
     """
     centers_a = np.asarray(centers_a, dtype=np.float64)
     centers_b = np.asarray(centers_b, dtype=np.float64)

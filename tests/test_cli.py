@@ -323,6 +323,46 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "QuadratureNotConverged"
         assert peak < bound
 
+    @pytest.mark.parametrize("argv", [
+        # the uniform grid's amplitude would be 100001^2 doubles, 74.5 GiB
+        BOTH + ["--qbar-a", "0", "--qbar-b", "0", "--n-bins", "100000"],
+        ["gauss-inequality", "--alpha", "6", "--n-bins", "100000"],
+    ])
+    def test_large_two_party_grid_on_its_gauss_rule(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_capture(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+        assert peak < 4 << 20
+
+    def test_two_party_grid_cell_past_the_node_cap_refused(self, capsys):
+        # 201 grid points at alpha 1e12 would give log2(201) = 7.65 ebit; the
+        # width's rule needs 1990 nodes
+        code, out, err = run_capture(capsys, [
+            "gauss-both-restricted", "--alpha", "1e12", "--width", "1", "--qbar-a", "0",
+            "--qbar-b", "0", "--n-bins", "200"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "QuadratureNotConverged"
+
+    def test_single_cell_kernel_budget_refused_before_its_kernel(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_capture(capsys, [
+                "gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "1",
+                "--n-bins", "100000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "QuadratureNotConverged"
+        assert peak < 1 << 20
+
     def test_one_party_map_width_refused_by_its_own_rule(self, capsys, tmp_path):
         # the map builds nothing on Bob's side, so a width his conditional
         # support could not take is accepted when Alice's rule (386 nodes) is

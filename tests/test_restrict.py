@@ -208,6 +208,22 @@ class TestOneRestricted:
         with pytest.raises(EmptyRegionMass):
             one_restricted_entropy(MODEL, Region(40.0, 0.5))
 
+    def test_kernel_budget_refuses_before_any_array(self, monkeypatch):
+        import entloc.restrict as restrict
+
+        def refuse(*args):
+            raise AssertionError("a mass or kernel was computed")
+        with monkeypatch.context() as patch:
+            for name in ("region_survival_probability", "reduced_density_value"):
+                patch.setattr(restrict, name, refuse)
+            with pytest.raises(QuadratureNotConverged, match="8193-point grid kernel"):
+                one_restricted_entropy(MODEL, Region(0.0, 1.0), n_bins=8192)
+        # the budget's edge: a 41 x 41 kernel fits 8 * 41^2 bytes, 42 x 42 does not
+        monkeypatch.setattr(restrict, "KERNEL_BYTES", 8 * 41 ** 2)
+        assert one_restricted_entropy(MODEL, Region(0.0, 1.0), n_bins=40).resolution == 40
+        with pytest.raises(QuadratureNotConverged, match="42-point grid kernel"):
+            one_restricted_entropy(MODEL, Region(0.0, 1.0), n_bins=41)
+
     def test_grid_refinement_convergence(self):
         for width in (0.5, 2.0, 4.0):
             coarse = one_restricted_entropy(
@@ -492,7 +508,8 @@ class TestNonDiscarding:
         assert gap <= 1e-10
         nodes = restrict._schmidt_nodes
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(restrict, "_schmidt_nodes", lambda m, width: 2 * nodes(m, width))
+            patch.setattr(restrict, "_schmidt_nodes",
+                          lambda m, width, n_bins=None: 2 * nodes(m, width, n_bins))
             doubled = non_discarding_entanglement(model, region)
         assert abs(doubled.entanglement_inside - identity.entanglement_inside) <= 1e-10
         assert abs(doubled.entanglement_outside - identity.entanglement_outside) <= 1e-10
@@ -754,7 +771,8 @@ class TestGaussLegendreEngine:
         base = two_party_map(model, centers_a, centers_b=centers_b, half_width=width / 2)
         nodes = restrict._schmidt_nodes
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(restrict, "_schmidt_nodes", lambda m, w: 2 * nodes(m, w))
+            patch.setattr(restrict, "_schmidt_nodes",
+                          lambda m, w, n_bins=None: 2 * nodes(m, w, n_bins))
             fine = two_party_map(model, centers_a, centers_b=centers_b, half_width=width / 2)
         # the masses do not read the spectral rule
         for layer in ("prob", "flag"):
@@ -1098,7 +1116,57 @@ class TestTwoPartyGrid:
             lam = lam[lam > 1e-12]
             expected = float(-(lam * np.log2(lam)).sum())
             assert cell.entanglement == pytest.approx(expected, abs=1e-12)
-            assert cell.spectrum.size == rho.shape[0] == 61
+            # the cell's spectrum has one weight per node of the grid's Gauss rule
+            width = 2.0 * max(region_a.half_width, region_b.half_width)
+            assert cell.spectrum.size == min(61, two_party_nodes(MODEL, width))
+
+    @staticmethod
+    def uniform_grid_entropy(model, a_lo, a_hi, b_lo, b_hi, n_bins):
+        """(entropy, slack): the entropy of the normalized squared singular
+        values of the amplitude on both regions' n_bins + 1 uniform points with
+        unit weights, and what its weights within 1 % of EIGENVALUE_CLAMP add to
+        it, which round-off can put on either side of the clamp."""
+        qa = np.linspace(a_lo, a_hi, n_bins + 1)
+        qb = np.linspace(b_lo, b_hi, n_bins + 1)
+        psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])
+        sigma = np.linalg.svd(psi / psi.max(), compute_uv=False)
+        weights = sigma * sigma / np.sum(sigma * sigma)
+        near = weights[np.abs(weights / EIGENVALUE_CLAMP - 1.0) < 0.01]
+        return float(spectral_entropy_bits(weights)), float(-(near * np.log2(near)).sum())
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.floats(0.0, 1e4), qa=st.floats(-4.0, 4.0), qb=st.floats(-4.0, 4.0),
+           ha=st.floats(0.025, 4.0), hb=st.floats(0.025, 4.0), n_bins=st.integers(2, 400))
+    def test_cells_equal_the_uniform_grid(self, alpha, qa, qb, ha, hb, n_bins):
+        # map, profile, partition and point cells on the grid's Gauss rule
+        # against the singular values on the grid itself
+        model = OscillatorModel(alpha=alpha)
+        cells = []  # (value, live, a_lo, a_hi, b_lo, b_hi)
+        dist = two_party_map(model, [qa, -qa], centers_b=[qb, qa], half_width=ha,
+                             half_width_b=hb, n_bins=n_bins)
+        for i, ca in enumerate([qa, -qa]):
+            for j, cb in enumerate([qb, qa]):
+                cells.append((dist.values[i, j], dist.extra["flag"][i, j] == 0.0,
+                              ca - ha, ca + ha, cb - hb, cb + hb))
+        centers, values, _, flags = both_restricted_profile(model, [qa, qb], ha, n_bins=n_bins)
+        cells += [(value, flag == 0.0, c - ha, c + ha, c - ha, c + ha)
+                  for c, value, flag in zip(centers, values, flags)]
+        report = partition_inequality_check(model, Partition.uniform(qa - ha, qa + ha, 2),
+                                            Partition.uniform(qb - hb, qb + hb, 1), n_bins)
+        cells += [(cell.entanglement, cell.probability > 0.0, cell.region_a.lo,
+                   cell.region_a.hi, cell.region_b.lo, cell.region_b.hi)
+                  for cell in report.cells]
+        if dist.extra["flag"][0, 0] == 0.0:
+            point = both_restricted_entropy(model, Region(qa, ha), Region(qb, hb), n_bins)
+            assert point.resolution == n_bins
+            assert point.spectrum.size == min(n_bins + 1, two_party_nodes(model, 2 * max(ha, hb)))
+            cells.append((point.entanglement, True, qa - ha, qa + ha, qb - hb, qb + hb))
+        for value, live, *bounds in cells:
+            if live:
+                expected, slack = self.uniform_grid_entropy(model, *bounds, n_bins)
+                assert abs(value - expected) <= 1e-13 + slack
+            else:
+                assert value == 0.0
 
     def test_grid_map_equals_single_cells(self):
         centers = np.array([-1.0, 0.0, 0.75, 45.0])
@@ -1163,6 +1231,8 @@ class TestSymmetryOrbits:
                              half_width_b=hb, n_bins=n_bins)
         ca, cb = np.repeat(centers_a, centers_b.size), np.tile(centers_b, len(centers_a))
         n = two_party_nodes(model, 2.0 * max(ha, hb))
+        if n_bins is not None:
+            n = min(n, n_bins + 1)  # the grid's Gauss rule has at most its points
         bounds = (ca - ha, ca + ha, cb - hb, cb + hb)
         mass = np.clip(joint_masses(model, *bounds, mass_nodes(model, 2.0 * max(ha, hb))),
                        0.0, 1.0)
