@@ -53,19 +53,24 @@ one LAPACK call per chunk. The grid/basis convergence study
 (method_equivalence) takes its grid values from the region's cell of
 one_party_map and its basis values from basis_expansion_entropy, which
 projects the kernel onto an orthonormal sine/cosine family supported on the
-region (n_basis functions) and takes the closed-form mass. Only the single
-one-party grid cell (one_restricted_entropy) still samples the kernel on its
-grid points, renormalizes the matrix by its trace and takes its dense
-eigensolve, within a budget of KERNEL_BYTES for the kernel, with a survival
-probability from adaptive quadrature of the analytic density.
+region (n_basis functions) once, on one Gauss-Legendre rule of the region
+(_basis_nodes: the spectral rule plus pi/2 nodes per function), and takes
+the closed-form mass. Only the single one-party grid cell
+(one_restricted_entropy) still samples the kernel on its grid points,
+renormalizes the matrix by its trace and takes its dense eigensolve, with a
+survival probability from adaptive quadrature of the analytic density.
+Every dense matrix whose side grows with a resolution (that cell's kernel,
+the basis projection's kernel, the precise readout's matrix) has a budget
+of KERNEL_BYTES, checked before any array is built.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point but the non-discarding ensemble takes one
 resolution, n_bins: the number of grid intervals per region. For one-party
 cells and maps and the precise readout None means DEFAULT_BINS_ONE or
 DEFAULT_BINS_PRECISE; two-party cells and maps run on Gauss-Legendre nodes
-without it. An n_bins below 2 is refused with DomainError before any mass
-is computed.
+without it. An n_bins below 2, or past MAX_BINS, whose n_bins + 1 points
+numpy could not index, is refused with DomainError before any mass is
+computed.
 """
 
 from __future__ import annotations
@@ -98,20 +103,20 @@ from .oscillator import (
     reduced_density_value,
     two_particle_wavefunction,
 )
-from .quadrature import (
-    DEFAULT_PANEL_POINTS,
-    gauss_legendre,
-    grid_gauss,
-    integrate_1d,
-    refine_panels,
-)
+from .quadrature import gauss_legendre, grid_gauss, integrate_1d
 
 DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
-# bytes of a dense N x N kernel, N <= 8192: the basis projection's on its
-# nodes (512 panels at most) and the single grid cell's on its points
+# bytes of a dense N x N float matrix, N <= 8192: the basis projection's kernel
+# on its nodes, the single grid cell's on its points and the precise readout's
+# matrix on its (n_bins + 1)^2 grid pairs
 KERNEL_BYTES = 1 << 29
+# Gauss-Legendre nodes per basis function that a projection adds to the spectral
+# rule (_basis_nodes): function n oscillates n / 2 times across the region
+BASIS_NODES_PER_FUNCTION = math.pi / 2
+# the most grid intervals: n_bins + 1 points must be a count numpy can index
+MAX_BINS = (1 << 63) - 2
 EMPTY_MASS = 1e-14
 # Gauss-Legendre nodes per region, by the narrow length of the widest interval.
 # A spectrum (the Schmidt weights of a two-party cell, the Nystrom kernel of
@@ -482,12 +487,22 @@ def _region_mass(region: Region, p: float) -> float:
 
 def _n_bins(n_bins: int | None, default: int | None = None) -> int | None:
     """The grid resolution n_bins, or the caller's default when it is None;
-    below 2 bins is refused."""
+    below 2 bins or past MAX_BINS is refused."""
     if n_bins is None:
         return default
     if n_bins < 2:
         raise DomainError("n_bins must be >= 2")
+    if n_bins > MAX_BINS:
+        raise DomainError("n_bins must be <= 2**63 - 2")
     return n_bins
+
+
+def _kernel_budget(side: int, what: str) -> None:
+    """Refuse with QuadratureNotConverged a dense side x side float matrix
+    that would pass KERNEL_BYTES (side past 8192)."""
+    if side > math.isqrt(KERNEL_BYTES // 8):
+        raise QuadratureNotConverged(
+            f"a {side}-{what} exceeds the {KERNEL_BYTES >> 20} MiB kernel budget")
 
 
 def _entropy_and_spectrum(matrix: np.ndarray) -> tuple[float, Spectrum]:
@@ -519,9 +534,7 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     refused with QuadratureNotConverged before any array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
-    if n_bins >= math.isqrt(KERNEL_BYTES // 8):
-        raise QuadratureNotConverged(f"a {n_bins + 1}-point grid kernel exceeds the "
-                                     f"{KERNEL_BYTES >> 20} MiB kernel budget")
+    _kernel_budget(n_bins + 1, "point grid kernel")
     p = _region_mass(region, region_survival_probability(model, region))
     points = _grid_points(region, n_bins)
     entropy, spectrum = _entropy_and_spectrum(
@@ -677,9 +690,27 @@ def region_basis(region: Region, n_basis: int, points: np.ndarray) -> np.ndarray
     return arg / math.sqrt(region.half_width)
 
 
+def _basis_nodes(model: OscillatorModel, width: float, n_basis: int) -> int:
+    """Gauss-Legendre nodes of an n_basis-function projection on a region
+    `width` wide: the spectral rule of the kernel (two_party_nodes) plus
+    BASIS_NODES_PER_FUNCTION per function. On 378 cells (alpha 0 to 1e6,
+    widths 0.1 to 10, n_basis 1 to 160, centers within 3) the count and
+    twice it agree to 1.6e-14 ebit; at pi/4 per function, to 1.6e-7. A count
+    whose kernel would pass KERNEL_BYTES (past 8192 nodes) is refused with
+    QuadratureNotConverged."""
+    # the rule has more nodes than functions, so a count of functions past the
+    # budget is refused first, before pi/2 n_basis, which may not fit a float
+    _kernel_budget(n_basis, "function basis projection")
+    n = two_party_nodes(model, width) + math.ceil(BASIS_NODES_PER_FUNCTION * n_basis)
+    _kernel_budget(n, "node basis projection kernel")
+    return n
+
+
 def _basis_projected_matrix(model: OscillatorModel, region: Region,
-                            n_basis: int, n_panels: int) -> np.ndarray:
-    nodes, weights = gauss_legendre(region.lo, region.hi, DEFAULT_PANEL_POINTS, n_panels)
+                            n_basis: int, n: int) -> np.ndarray:
+    """phi_w K phi_w^T on the n-node Gauss-Legendre rule of the region, with
+    phi_w the first n_basis region_basis functions times the weights."""
+    nodes, weights = gauss_legendre(region.lo, region.hi, n)
     phi_w = region_basis(region, n_basis, nodes) * weights[None, :]
     kernel = reduced_density_value(model, nodes[:, None], nodes[None, :])
     return phi_w @ kernel @ phi_w.T
@@ -689,19 +720,17 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
                             n_basis: int = DEFAULT_BASIS_SIZE) -> EnsembleResult:
     """One-restricted entanglement from the basis-projected kernel.
 
-    The projected matrix is integrated by refine_panels (1e-10 floor) from
-    n_basis / 4 panels, as the functions oscillate n_basis / 2 times across
-    the region, to the most whose kernel fits KERNEL_BYTES; entropy
-    comes from the trace-normalized result.
+    The kernel is projected once, on the Gauss-Legendre rule of the region
+    with _basis_nodes nodes; a rule whose kernel would not fit KERNEL_BYTES
+    is refused with QuadratureNotConverged before any array is built. The
+    entropy comes from the trace-normalized projection, the survival
+    probability from the region's closed-form mass.
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
     p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
-    projected = refine_panels(
-        lambda n_panels: _basis_projected_matrix(model, region, n_basis, n_panels),
-        max(2, -(-n_basis // 4)), math.isqrt(KERNEL_BYTES // 8) // DEFAULT_PANEL_POINTS,
-        1e-10, f"{n_basis}-function basis projection on [{region.lo}, {region.hi}]"
-        f" ({KERNEL_BYTES >> 20} MiB kernel budget)")
+    projected = _basis_projected_matrix(
+        model, region, n_basis, _basis_nodes(model, region.width, n_basis))
     entropy, spectrum = _entropy_and_spectrum(projected)
     return EnsembleResult(entropy, p, spectrum, n_basis)
 
@@ -715,9 +744,12 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
     The post-measurement ensemble is diagonal in Alice's coordinate (an
     incoherent sum of product states), so the negativity across the A|B
     grid cut vanishes up to round-off. The assembled matrix has dimension
-    (n_bins + 1)^2, so keep n_bins modest (DEFAULT_BINS_PRECISE by default).
+    (n_bins + 1)^2 (DEFAULT_BINS_PRECISE bins by default); one that would not
+    fit KERNEL_BYTES (from 90 bins) is refused with QuadratureNotConverged
+    before any array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_PRECISE)
+    _kernel_budget((n_bins + 1) ** 2, "row precise-readout matrix")
     qa = _grid_points(region, n_bins)
     qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n_bins + 1)
     psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])

@@ -304,10 +304,9 @@ class TestExitCodes:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv,bound", [
-        # projected on 160 to 5120 nodes (a 200 MiB kernel, 402 MiB at peak)
-        # without agreeing; the next, 10240-node kernel would take 800 MiB
-        (["--alpha", "1e12", "--width", "10"], 8 * 10240 ** 2),
-        # the first projection would need 4e6 nodes, a 128 TB kernel
+        # its rule has 19872 nodes, a 2.9 GiB kernel
+        (["--alpha", "1e12", "--width", "10"], 1 << 20),
+        # a million functions would need 1.6e6 nodes, an 18 TiB kernel
         (["--alpha", "6", "--width", "1", "--n-basis", "1000000"], 1 << 20),
     ])
     def test_basis_kernel_budget_refused_before_its_kernel(self, capsys, argv, bound):
@@ -338,6 +337,25 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("n_bins", [10 ** 200, 10 ** 400, 2 ** 63 - 1])
+    @pytest.mark.parametrize("argv", [
+        BOTH + ["--mode", "point", "--qbar-a", "0", "--qbar-b", "0"],
+        ONE_MAP + ["--widths", "1"],
+        ["gauss-converge", "--alpha", "6"],
+        ["gauss-inequality", "--alpha", "6"],
+    ])
+    def test_bin_count_past_an_index_refused(self, capsys, argv, n_bins):
+        code, out, err = run_capture(capsys, argv + ["--n-bins", str(n_bins)])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "DomainError"
+        assert "n_bins" in error["message"]
+        # up to the largest count whose n_bins + 1 points numpy can index, it runs
+        for fine in (2 ** 62, 2 ** 63 - 2):
+            code, out, err = run_capture(capsys, argv + ["--n-bins", str(fine)])
+            assert (code, err) == (0, "")
 
     def test_two_party_grid_cell_past_the_node_cap_refused(self, capsys):
         # 201 grid points at alpha 1e12 would give log2(201) = 7.65 ebit; the

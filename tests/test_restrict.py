@@ -282,6 +282,60 @@ class TestBasisExpansion:
         result = basis_expansion_entropy(MODEL, Region(0.0, 1.0), 1)
         assert result.entanglement == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.one_of(st.just(0.0), st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)),
+           center=st.floats(-3.0, 3.0), width=st.floats(0.1, 10.0),
+           n_basis=st.integers(1, 120))
+    @example(alpha=1e4, center=0.0, width=10.0, n_basis=120)
+    def test_rule_and_twice_the_rule_agree(self, alpha, center, width, n_basis):
+        import entloc.restrict as restrict
+        model, region = OscillatorModel(alpha=alpha), Region(center, width / 2.0)
+        base = basis_expansion_entropy(model, region, n_basis)
+        nodes = restrict._basis_nodes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(restrict, "_basis_nodes", lambda m, w, n: 2 * nodes(m, w, n))
+            fine = basis_expansion_entropy(model, region, n_basis)
+        assert base.survival_probability == fine.survival_probability
+        assert base.spectrum.size == fine.spectrum.size == n_basis
+        assert abs(base.entanglement - fine.entanglement) <= 1e-13
+
+    def test_one_kernel_on_one_rule(self, monkeypatch):
+        import entloc.restrict as restrict
+        shapes = []
+        kernel = restrict.reduced_density_value
+        monkeypatch.setattr(restrict, "reduced_density_value",
+                            lambda m, x, y: shapes.append(np.broadcast(x, y).shape)
+                            or kernel(m, x, y))
+        region = Region(0.3, 1.0)
+        result = basis_expansion_entropy(MODEL, region, 40)
+        n = restrict._basis_nodes(MODEL, region.width, 40)
+        # 10 + ceil(1.4 * 2 * sqrt(5)) spectral nodes and ceil(40 pi / 2) for the functions
+        assert n == 17 + 63
+        assert shapes == [(n, n)]
+        assert result.resolution == result.spectrum.size == 40
+
+    def test_kernel_budget_refuses_before_any_array(self, monkeypatch):
+        import entloc.restrict as restrict
+
+        def refuse(*args):
+            raise AssertionError("a kernel or rule was built")
+        strong, region = OscillatorModel(alpha=1e12), Region(0.0, 5.0)
+        with monkeypatch.context() as patch:
+            for name in ("gauss_legendre", "reduced_density_value"):
+                patch.setattr(restrict, name, refuse)
+            # 10 + ceil(1.4 * 10 * sqrt(2e6)) + 63 nodes
+            with pytest.raises(QuadratureNotConverged, match="19872-node basis"):
+                basis_expansion_entropy(strong, region)
+            # pi/2 n_basis would not fit a float
+            with pytest.raises(QuadratureNotConverged, match="kernel budget"):
+                basis_expansion_entropy(MODEL, region, 10 ** 400)
+        # the budget's edge: 40 functions take 80 nodes, 41 take 17 + 65
+        region = Region(0.3, 1.0)
+        monkeypatch.setattr(restrict, "KERNEL_BYTES", 8 * 80 ** 2)
+        assert basis_expansion_entropy(MODEL, region, 40).resolution == 40
+        with pytest.raises(QuadratureNotConverged, match="82-node basis"):
+            basis_expansion_entropy(MODEL, region, 41)
+
     def test_extrapolated_methods_agree(self):
         # both discretizations approach the continuum entropy with leading
         # error ~ 1/resolution; their Richardson limits must coincide
@@ -372,6 +426,22 @@ class TestPreciseMeasurement:
 
     def test_uncoupled(self):
         assert precise_measurement_entanglement(UNCOUPLED, Region(0.0, 1.0)) <= 1e-8
+
+    def test_matrix_budget_refuses_before_any_array(self, monkeypatch):
+        import entloc.restrict as restrict
+
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+        monkeypatch.setattr(restrict, "two_particle_wavefunction", built)
+        # a 90^2 = 8100-row matrix fits 512 MiB; 91^2 = 8281 rows do not
+        with pytest.raises(Built):
+            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=89)
+        for n_bins in (90, 100, 10 ** 6):
+            with pytest.raises(QuadratureNotConverged, match=f"{(n_bins + 1) ** 2}-row"):
+                precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=n_bins)
 
     def test_off_diagonal_blocks_vanish(self):
         # assemble the ensemble the same way and verify exact block structure
