@@ -20,40 +20,11 @@ DEFAULT_PANEL_POINTS = 16
 REL_TOL = 1e-10
 ABS_TOL = 1e-15
 MAX_PANELS_1D = 1 << 14
-# leggauss solves the dense n x n companion matrix: 8 n^2 bytes and O(n^3)
-# time (1.1 s at 2048 points). Every spectrum and mass asks for at most 512
-# points (restrict.MAX_NODES) and keeps its rule; past it, as a basis
-# projection may need, the rule comes from Newton's method in O(n) memory
-# and O(n^2) time (0.5 s at 8192 points)
-LEGGAUSS_POINTS = 512
 
 
 @lru_cache(maxsize=8)
 def _gauss_rule(n_points: int):
-    if n_points <= LEGGAUSS_POINTS:
-        return lapack(np.polynomial.legendre.leggauss, n_points)
-    return _newton_gauss_rule(n_points)
-
-
-def _newton_gauss_rule(n: int):
-    """The n-point Gauss-Legendre rule by Newton's method on the three-term
-    recurrence of the Legendre polynomial P_n, from the estimates
-    cos(pi (k - 1/4) / (n + 1/2)) of its roots (Numerical Recipes, gauleg);
-    four steps reach round-off from 513 to 8192 points. The nonnegative half
-    is solved and mirrored, so nodes are antisymmetric and weights
-    symmetric, as leggauss makes them."""
-    x = np.cos(np.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))
-    step = np.inf
-    while np.max(np.abs(step)) > 4.0 * np.finfo(float).eps:
-        p_prev, p = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        slope = n * (p_prev - x * p) / (1.0 - x * x)
-        step = p / slope
-        x = x - step
-    x[n // 2:] = 0.0  # an odd rule's middle node is 0 exactly
-    w = 2.0 / ((1.0 - x * x) * slope * slope)
-    return np.concatenate([-x, x[n // 2 - 1::-1]]), np.concatenate([w, w[n // 2 - 1::-1]])
+    return lapack(np.polynomial.legendre.leggauss, n_points)
 
 
 def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):

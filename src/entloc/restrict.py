@@ -380,6 +380,14 @@ def _cell_slices(k: int, cell_bytes: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, k, step)]
 
 
+def _panel_rule(lo, hi, n: int):
+    """The n-node Gauss-Legendre rule of each [lo, hi] (gauss_legendre); past
+    MAX_NODES nodes, equal panels of at most MAX_NODES nodes each, at least n
+    in all, as leggauss solves a dense companion matrix, O(n^3) in time."""
+    panels = -(-n // MAX_NODES)
+    return gauss_legendre(lo, hi, -(-n // panels), panels)
+
+
 def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.ndarray:
     """P(q_a in [a_lo, a_hi] and q_b in [b_lo, b_hi]) for each cell.
 
@@ -388,16 +396,14 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
     n-node Gauss-Legendre integral over Alice's interval of her marginal
     density times Bob's conditional mass in closed form. Past MAX_NODES
     nodes the interval is split into equal panels of at most MAX_NODES
-    nodes each. The bounds are arrays of one shape; cells are evaluated in
-    chunks of CHUNK_BYTES per array, and n nodes that do not fit one chunk
-    are refused with QuadratureNotConverged before any array is built.
+    nodes each (_panel_rule). The bounds are arrays of one shape; cells are
+    evaluated in chunks of CHUNK_BYTES per array, and n nodes that do not
+    fit one chunk are refused with QuadratureNotConverged before any array is built.
     """
     if 8 * n > CHUNK_BYTES:
         raise QuadratureNotConverged(
             f"a joint mass on {n:.4g} Gauss-Legendre nodes exceeds the chunk of "
             f"{CHUNK_BYTES} bytes")
-    panels = -(-n // MAX_NODES)
-    points = -(-n // panels)
     s = model.stiffness_root
     slope = (s - 1.0) / (s + 1.0)
     scale = math.sqrt((1.0 + s) / 4.0)  # 1 / (sqrt(2) sd)
@@ -405,7 +411,7 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
     out = np.empty(bounds[0].size)
     for cells in _cell_slices(out.size, 8 * n):
         a_lo_c, a_hi_c, b_lo_c, b_hi_c = (edge[cells] for edge in bounds)
-        x, w = gauss_legendre(a_lo_c, a_hi_c, points, panels)
+        x, w = _panel_rule(a_lo_c, a_hi_c, n)
         mean = slope * x
         inner = _normal_interval((b_lo_c[:, None] - mean) * scale,
                                  (b_hi_c[:, None] - mean) * scale)
@@ -695,7 +701,7 @@ def _basis_nodes(model: OscillatorModel, width: float, n_basis: int) -> int:
     `width` wide: the spectral rule of the kernel (two_party_nodes) plus
     BASIS_NODES_PER_FUNCTION per function. On 378 cells (alpha 0 to 1e6,
     widths 0.1 to 10, n_basis 1 to 160, centers within 3) the count and
-    twice it agree to 1.6e-14 ebit; at pi/4 per function, to 1.6e-7. A count
+    twice it agree to 6.9e-14 ebit; at pi/4 per function, to 1.6e-7. A count
     whose kernel would pass KERNEL_BYTES (past 8192 nodes) is refused with
     QuadratureNotConverged."""
     # the rule has more nodes than functions, so a count of functions past the
@@ -708,9 +714,10 @@ def _basis_nodes(model: OscillatorModel, width: float, n_basis: int) -> int:
 
 def _basis_projected_matrix(model: OscillatorModel, region: Region,
                             n_basis: int, n: int) -> np.ndarray:
-    """phi_w K phi_w^T on the n-node Gauss-Legendre rule of the region, with
-    phi_w the first n_basis region_basis functions times the weights."""
-    nodes, weights = gauss_legendre(region.lo, region.hi, n)
+    """phi_w K phi_w^T on the n-node Gauss-Legendre rule of the region
+    (_panel_rule), with phi_w the first n_basis region_basis functions times
+    the weights."""
+    nodes, weights = _panel_rule(region.lo, region.hi, n)
     phi_w = region_basis(region, n_basis, nodes) * weights[None, :]
     kernel = reduced_density_value(model, nodes[:, None], nodes[None, :])
     return phi_w @ kernel @ phi_w.T

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +10,10 @@ from entloc.quadrature import (
     ABS_TOL,
     DEFAULT_PANEL_POINTS,
     REL_TOL,
-    LEGGAUSS_POINTS,
     gauss_legendre,
     grid_gauss,
     integrate_1d,
     refine_panels,
-    _newton_gauss_rule,
 )
 
 
@@ -40,32 +37,6 @@ def test_panel_nodes_partition_weights():
     assert nodes.shape == weights.shape == (4 * DEFAULT_PANEL_POINTS,)
     assert weights.sum() == pytest.approx(4.0, abs=1e-13)
     assert nodes.min() > -1.0 and nodes.max() < 3.0
-
-
-@pytest.mark.parametrize("n", [LEGGAUSS_POINTS + 1, 1000])
-def test_newton_rule_is_gauss(n):
-    # discrete orthonormality of P_0 ... P_{n-1}, products of degree up to
-    # 2n - 2, to n round-off units; leggauss's own rule misses it by 6e-12 at
-    # 513 points and 3e-11 at 1000
-    x, w = _newton_gauss_rule(n)
-    leg_x, _ = np.polynomial.legendre.leggauss(n)
-    assert np.all(np.diff(x) > 0.0)
-    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-    assert np.abs(x - leg_x).max() <= 1e-15
-    vander = np.polynomial.legendre.legvander(x, n - 1) * np.sqrt(np.arange(n) + 0.5)
-    assert np.abs((vander.T * w) @ vander - np.eye(n)).max() <= n * 1e-15
-
-
-def test_newton_rule_in_linear_memory():
-    # leggauss would hold the dense 4096 x 4096 companion matrix, 128 MiB
-    tracemalloc.start()
-    try:
-        x, w = _newton_gauss_rule(4096)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert np.dot(w, np.cos(100.0 * x)) == pytest.approx(math.sin(100.0) / 50.0, abs=1e-15)
 
 
 def test_not_converged_raises():

@@ -314,6 +314,24 @@ class TestBasisExpansion:
         assert shapes == [(n, n)]
         assert result.resolution == result.spectrum.size == 40
 
+    def test_rule_past_the_cap_uses_panels(self, monkeypatch):
+        # alpha 1e6, width 10, 40 functions take 637 + 63 nodes: two panels
+        # of 350, never one leggauss solve past MAX_NODES points
+        import entloc.restrict as restrict
+        rules = []
+        rule = restrict.gauss_legendre
+        monkeypatch.setattr(restrict, "gauss_legendre",
+                            lambda lo, hi, n, panels=1: rules.append((n, panels))
+                            or rule(lo, hi, n, panels))
+        model, region = OscillatorModel(alpha=1e6), Region(0.2, 5.0)
+        base = basis_expansion_entropy(model, region, 40)
+        assert rules == [(350, 2)]
+        nodes = restrict._basis_nodes
+        monkeypatch.setattr(restrict, "_basis_nodes", lambda m, w, n: 2 * nodes(m, w, n))
+        fine = basis_expansion_entropy(model, region, 40)
+        assert rules[1] == (467, 3)
+        assert abs(base.entanglement - fine.entanglement) <= 1e-13
+
     def test_kernel_budget_refuses_before_any_array(self, monkeypatch):
         import entloc.restrict as restrict
 
