@@ -84,15 +84,28 @@ def _flags(masked, empty) -> np.ndarray:
 _JSON_SCALARS = {float, int, str, bool, type(None)}
 
 
+def _float_words(values: np.ndarray) -> list[str]:
+    """The JSON text of each float of a 1-d array, each distinct bit pattern
+    encoded once, so -0.0 and the infinities keep their own text and NaN is
+    null."""
+    bits, index = np.unique(values.astype(np.float64).view(np.uint64), return_inverse=True)
+    distinct = [None if value != value else value for value in bits.view(np.float64).tolist()]
+    words = json.dumps(distinct, separators=("\n", ": "))[1:-1].split("\n")
+    return np.array(words, dtype=object)[index].tolist()
+
+
 def _json_text(obj, pad: str = "") -> str:
     """obj as json.dumps(obj, indent=2) writes it at indent pad, with NaN as
     null and numpy numbers as floats. A flat list of scalars is encoded by
-    one call of the C encoder, which json.dumps skips whenever it indents."""
+    one call of the C encoder, which json.dumps skips whenever it indents,
+    and a 1-d float array by one call on its distinct values (_float_words)."""
+    inner = pad + "  "
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.size and obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
+            return "[\n" + inner + (",\n" + inner).join(_float_words(obj)) + "\n" + pad + "]"
         obj = obj.tolist()
     elif isinstance(obj, (np.floating, np.integer)):
         obj = float(obj)
-    inner = pad + "  "
     if isinstance(obj, dict):
         items = [f"{json.dumps(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if items else "{}"

@@ -22,13 +22,15 @@ rule of the unit-weight sum over the region's n_bins + 1 uniform points
 (quadrature.grid_gauss), whose spectrum is within 1e-13 ebit of the uniform
 grid's. A cell's joint mass is a Gauss-Legendre integral over Alice's
 region of Bob's conditional mass in closed form. Every spectrum has the
-count it needs, two_party_nodes: 10 plus 1.4 per narrow length of the
-amplitude, measured within 1e-12 ebit on map cells, and on a grid at most
-its n_bins + 1 points; one helper (_schmidt_nodes) sets that count and one
-(_rule) the rule for one-party maps and two-party cells alike. A joint mass
-takes the same count, or 2 per narrow length where that is more
-(mass_nodes). Every closed-form mass is a difference of erfc values from
-one numpy kernel (_erfc), both edges of all cells in one call.
+count it needs, two_party_nodes: 8 plus 1.4 per narrow length 1/sqrt(s) of
+the amplitude or 1.9 per length sigma of its envelope, whichever is more,
+measured within 1e-12 ebit of twice the count on map cells and on the whole
+truncated domain, and on a grid at most its n_bins + 1 points; one helper
+(_schmidt_nodes) sets that count and one (_rule) the rule for one-party maps
+and two-party cells alike. A joint mass takes the same count, or 2 per
+narrow length where that is more (mass_nodes). Every closed-form mass is a
+difference of erfc values from one numpy kernel (_erfc), both edges of all
+cells in one call.
 psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
 -A x -B and -B x -A share their mass and entropy: every two-party path solves
 each cell once per orbit of these symmetries (_two_party_orbits) and copies
@@ -118,14 +120,17 @@ BASIS_NODES_PER_FUNCTION = math.pi / 2
 # the most grid intervals: n_bins + 1 points must be a count numpy can index
 MAX_BINS = (1 << 63) - 2
 EMPTY_MASS = 1e-14
-# Gauss-Legendre nodes per region, by the narrow length of the widest interval.
-# A spectrum (the Schmidt weights of a two-party cell, the Nystrom kernel of
-# the non-discarding ensemble, the most Gauss nodes of a one-party map's grid
-# rule) takes SPECTRAL_NODES plus SPECTRAL_NODES_PER_LENGTH per narrow length;
+# Gauss-Legendre nodes per region, by the widest interval in each length the
+# amplitude varies on: the narrow length 1/sqrt(s), s = sqrt(1 + 4 alpha), and
+# the envelope's sigma. A spectrum (the Schmidt weights of a two-party cell,
+# the Nystrom kernel of the non-discarding ensemble, the most Gauss nodes of a
+# one-party map's grid rule) takes SPECTRAL_NODES plus SPECTRAL_NODES_PER_LENGTH
+# per narrow length or ENVELOPE_NODES_PER_LENGTH per sigma, whichever is more;
 # a joint mass the same, or MASS_NODES_PER_LENGTH per narrow length where that
 # is more. No spectrum has more than MAX_NODES nodes; masses use panels past it.
-SPECTRAL_NODES = 10
+SPECTRAL_NODES = 8
 SPECTRAL_NODES_PER_LENGTH = 1.4
+ENVELOPE_NODES_PER_LENGTH = 1.9
 MASS_NODES_PER_LENGTH = 2.0
 MAX_NODES = 512
 # Truncation half-length standing in for the unrestricted line: eight times the
@@ -419,13 +424,12 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
     return out.reshape(np.shape(a_lo))
 
 
-def _nodes_per_length(model: OscillatorModel, width: float, per_length: float) -> int:
-    """ceil(per_length * width * sqrt(s)): per_length nodes per narrow length
-    1/sqrt(s), s = sqrt(1 + 4 alpha), the length on which the amplitude
-    varies. A count past the largest float is refused with
-    QuadratureNotConverged."""
-    narrow = float(width) * math.sqrt(model.stiffness_root)
-    count = per_length * narrow
+def _nodes_per_length(model: OscillatorModel, width: float, per_length: float,
+                      inverse_length: float) -> int:
+    """ceil(per_length * width * inverse_length): per_length nodes per length
+    1 / inverse_length over `width`. A count past the largest float is
+    refused with QuadratureNotConverged."""
+    count = per_length * (float(width) * inverse_length)
     if math.isinf(count):
         raise QuadratureNotConverged(
             f"intervals {width:.3g} wide at alpha {model.alpha:.3g} need more "
@@ -436,30 +440,42 @@ def _nodes_per_length(model: OscillatorModel, width: float, per_length: float) -
 def two_party_nodes(model: OscillatorModel, width: float) -> int:
     """Gauss-Legendre nodes per region for the spectrum of cells up to `width` wide.
 
-    SPECTRAL_NODES plus SPECTRAL_NODES_PER_LENGTH per narrow length. The
+    SPECTRAL_NODES plus SPECTRAL_NODES_PER_LENGTH per narrow length 1/sqrt(s)
+    or ENVELOPE_NODES_PER_LENGTH per sigma (ground_state_constants), whichever
+    is more: the amplitude varies on both lengths, and Gauss-Legendre needs
+    nodes in proportion to the width in each (Trefethen, SIAM Rev. 50 (2008)
+    67-87, Thm 4.5). The narrow term decides from alpha about 1.5 on. The
     Nystrom spectra of these analytic kernels converge exponentially: over
-    the live cells of 17 x 17 maps on [-4, 4], the fewest even counts within
-    1e-12 ebit of a reference of at least 64 nodes are 8, 12, 14, 18, 30, 80
-    and 352 at narrow lengths 1.1, 2.2, 4.5, 8.9, 17.9, 56.6 and 268, where
-    the rule gives 12, 14, 17, 23, 36, 90 and 386. The rule's count and twice
-    it agree to 1e-12 ebit for alpha from 0.06 to 1e6 and widths up to 8. A
-    count past the largest float is refused with QuadratureNotConverged.
+    960 maps of 60 random live cells (alpha 0.05 to 1e4, widths 0.1 to 8,
+    centers within 6) the rule's count and twice it agree to 5.8e-13 ebit;
+    with an offset of 7 a cell is 1.1e-11 off (alpha 2.4, width 1.5). Those
+    maps never need the envelope term. Cells on the whole truncated domain
+    set its constant: at alpha 0.01 to 3 the square cell takes 52 to 69
+    nodes, within 2.4e-14 ebit of 300, and the two-path check, whose Bob
+    side is that domain, closes to 9.3e-14 over alpha 0.05 to 1.5e4, where
+    1.8 per sigma left its gap past 1e-12 at alpha 0.9 to 1.3. A count past
+    the largest float is refused with QuadratureNotConverged.
     """
-    return SPECTRAL_NODES + _nodes_per_length(model, width, SPECTRAL_NODES_PER_LENGTH)
+    narrow = math.sqrt(model.stiffness_root)
+    envelope = 1.0 / ground_state_constants(model).sigma
+    return SPECTRAL_NODES + max(
+        _nodes_per_length(model, width, SPECTRAL_NODES_PER_LENGTH, narrow),
+        _nodes_per_length(model, width, ENVELOPE_NODES_PER_LENGTH, envelope))
 
 
 def mass_nodes(model: OscillatorModel, width: float) -> int:
     """Gauss-Legendre nodes of the joint masses of cells up to `width` wide:
     the spectral rule (two_party_nodes), or MASS_NODES_PER_LENGTH per narrow
-    length where that is more (from a narrow length of about 17). On the live
-    cells of 25 x 25 maps on [-6, 6], alpha from 0.05 to 1e4 and widths from
-    0.1 to 8, the count and twice it agree to 1e-13 relative wherever the
-    spectral rule sets the count, and to 1e-12 but at alpha >= 1e3 with
-    widths >= 6, where a mass of about 1e-13 sits on a round-off floor of a
-    few 1e-12. A count past the largest float is refused with
-    QuadratureNotConverged."""
+    length where that is more (from a narrow length of about 14). On the
+    live cells of 25 x 25 maps on [-6, 6], 25 couplings from 0.05 to 1e4 and
+    17 widths from 0.1 to 8, the count and twice it agree to 2.6e-13
+    relative wherever the spectral rule sets the count, and to 5.2e-12 where
+    the mass rule does, on masses of about 1e-13 that sit on a round-off
+    floor of a few 1e-12 (alpha 1e4, width 7). A count past the largest
+    float is refused with QuadratureNotConverged."""
     return max(two_party_nodes(model, width),
-               _nodes_per_length(model, width, MASS_NODES_PER_LENGTH))
+               _nodes_per_length(model, width, MASS_NODES_PER_LENGTH,
+                                 math.sqrt(model.stiffness_root)))
 
 
 def _schmidt_nodes(model: OscillatorModel, width: float, n_bins: int | None = None) -> int:
@@ -699,10 +715,15 @@ def region_basis(region: Region, n_basis: int, points: np.ndarray) -> np.ndarray
 def _basis_nodes(model: OscillatorModel, width: float, n_basis: int) -> int:
     """Gauss-Legendre nodes of an n_basis-function projection on a region
     `width` wide: the spectral rule of the kernel (two_party_nodes) plus
-    BASIS_NODES_PER_FUNCTION per function. On 378 cells (alpha 0 to 1e6,
+    BASIS_NODES_PER_FUNCTION per function. On 380 cells (alpha 0 to 1e6,
     widths 0.1 to 10, n_basis 1 to 160, centers within 3) the count and
-    twice it agree to 6.9e-14 ebit; at pi/4 per function, to 1.6e-7. A count
-    whose kernel would pass KERNEL_BYTES (past 8192 nodes) is refused with
+    twice it agree to 9.1e-14 ebit, a round-off floor: at the worst cell
+    (alpha 1.3e3, width 9.7, 126 functions) counts from 6 below the rule to
+    10 above it are all 8.5e-14 to 9.1e-14 from 1000 nodes. The floor
+    reaches 1.1e-13 on 1 of 300 cells at alpha 1e2 to 1e4, widths 7 to 10
+    and 80 to 160 functions, where twice and three times the rule are that
+    far apart. At pi/4 per function they part by 3.1e-7. A count whose
+    kernel would pass KERNEL_BYTES (past 8192 nodes) is refused with
     QuadratureNotConverged."""
     # the rule has more nodes than functions, so a count of functions past the
     # budget is refused first, before pi/2 n_basis, which may not fit a float
@@ -1028,7 +1049,10 @@ def one_party_map(model: OscillatorModel, centers, widths,
     of sqrt(w_g) K(x_g, x_h) sqrt(w_h), which converge exponentially in n to
     the nonzero spectrum of the grid kernel. n is the spectral node rule of
     the width (two_party_nodes), at most n_bins + 1, where the rule is the
-    grid itself.
+    grid itself. Its envelope term sets n for wide regions at weak coupling:
+    at alpha 0.05 to 0.25, widths 10 to 16 and 20 to 200 bins, map cells
+    match the dense grid eigensolve to 1.1e-14 ebit, where the narrow term
+    alone left them up to 2.3e-12 off.
 
     Every cell of a width maps one reference rule (u, w) = grid_gauss(-1, 1,
     n_bins + 1, n) onto its region, x = c + h u, and the width's cells are

@@ -114,7 +114,7 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "UsageError"
 
     @pytest.mark.parametrize("argv,error", [
-        # the 1990 nodes of width 1 at alpha 1e12 are past the cap of 512
+        # the 1988 nodes of width 1 at alpha 1e12 are past the cap of 512
         (["--alpha", "1e12", "--widths", "1"], "QuadratureNotConverged"),
         (["--alpha", "6", "--qbar", "50", "--widths", "0.4"], "EmptyRegionMass"),
         # the coarse grid of 3 bins has 1 bin
@@ -304,7 +304,7 @@ class TestExitCodes:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv,bound", [
-        # its rule has 19872 nodes, a 2.9 GiB kernel
+        # its rule has 19870 nodes, a 2.9 GiB kernel
         (["--alpha", "1e12", "--width", "10"], 1 << 20),
         # a million functions would need 1.6e6 nodes, an 18 TiB kernel
         (["--alpha", "6", "--width", "1", "--n-basis", "1000000"], 1 << 20),
@@ -359,7 +359,7 @@ class TestExitCodes:
 
     def test_two_party_grid_cell_past_the_node_cap_refused(self, capsys):
         # 201 grid points at alpha 1e12 would give log2(201) = 7.65 ebit; the
-        # width's rule needs 1990 nodes
+        # width's rule needs 1988 nodes
         code, out, err = run_capture(capsys, [
             "gauss-both-restricted", "--alpha", "1e12", "--width", "1", "--qbar-a", "0",
             "--qbar-b", "0", "--n-bins", "200"])
@@ -383,7 +383,7 @@ class TestExitCodes:
 
     def test_one_party_map_width_refused_by_its_own_rule(self, capsys, tmp_path):
         # the map builds nothing on Bob's side, so a width his conditional
-        # support could not take is accepted when Alice's rule (386 nodes) is
+        # support could not take is accepted when Alice's rule (384 nodes) is
         out = tmp_path / "one.csv"
         code, _, err = run_capture(capsys, [
             "gauss-one-restricted", "--alpha", "1e6", "--centers", "-1", "1", "3",
@@ -1078,6 +1078,8 @@ _TABLES = st.integers(0, 12).flatmap(lambda rows: st.lists(_column(rows), min_si
 _LEAVES = (st.floats() | st.integers(-2**70, 2**70) | st.text(max_size=6) | st.none()
            | st.booleans()
            | st.lists(st.floats(), max_size=6).map(lambda v: np.array(v, dtype=float))
+           | st.lists(st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                       1.0 / 3.0]), max_size=12).map(np.array)
            | st.lists(st.integers(-9, 9), max_size=6).map(np.array)
            | st.lists(st.floats(), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
            | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
@@ -1157,6 +1159,30 @@ GOLDEN_JSON = """{
   }
 }
 """
+GOLDEN_FLOATS = """{
+  "values": [
+    -0.0,
+    0.0,
+    null,
+    Infinity,
+    0.3333333333333333,
+    -Infinity,
+    0.3333333333333333,
+    -0.0,
+    null,
+    0.0,
+    Infinity
+  ],
+  "single": [
+    0.25
+  ],
+  "flag": [
+    "ok",
+    "empty",
+    "ok",
+    "masked"
+  ]
+}"""
 
 
 class TestByteContract:
@@ -1176,6 +1202,15 @@ class TestByteContract:
     @given(_DOCUMENTS)
     def test_json_matches_the_indenting_encoder(self, document):
         assert cli._json_text(document) == json.dumps(reference_safe(document), indent=2)
+
+    def test_golden_float_arrays(self):
+        # each distinct float is encoded once: repeats, -0.0 beside 0.0, NaN of
+        # either sign and the infinities each keep json.dumps's text
+        document = {"values": np.array([-0.0, 0.0, math.nan, math.inf, 1.0 / 3.0, -math.inf,
+                                        1.0 / 3.0, -0.0, -math.nan, 0.0, math.inf]),
+                    "single": np.array([0.25], dtype=np.float32),
+                    "flag": np.array(["ok", "empty", "ok", "masked"])}
+        assert cli._json_text(document) == GOLDEN_FLOATS
 
     @pytest.mark.parametrize("fmt,expected", [("csv", GOLDEN_CSV), ("json", GOLDEN_JSON)])
     def test_golden_surface(self, fmt, expected):

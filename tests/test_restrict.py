@@ -309,14 +309,14 @@ class TestBasisExpansion:
         region = Region(0.3, 1.0)
         result = basis_expansion_entropy(MODEL, region, 40)
         n = restrict._basis_nodes(MODEL, region.width, 40)
-        # 10 + ceil(1.4 * 2 * sqrt(5)) spectral nodes and ceil(40 pi / 2) for the functions
-        assert n == 17 + 63
+        # 8 + ceil(1.4 * 2 * sqrt(5)) spectral nodes and ceil(40 pi / 2) for the functions
+        assert n == 15 + 63
         assert shapes == [(n, n)]
         assert result.resolution == result.spectrum.size == 40
 
     def test_rule_past_the_cap_uses_panels(self, monkeypatch):
-        # alpha 1e6, width 10, 40 functions take 637 + 63 nodes: two panels
-        # of 350, never one leggauss solve past MAX_NODES points
+        # alpha 1e6, width 10, 40 functions take 635 + 63 nodes: two panels
+        # of 349, never one leggauss solve past MAX_NODES points
         import entloc.restrict as restrict
         rules = []
         rule = restrict.gauss_legendre
@@ -325,11 +325,11 @@ class TestBasisExpansion:
                             or rule(lo, hi, n, panels))
         model, region = OscillatorModel(alpha=1e6), Region(0.2, 5.0)
         base = basis_expansion_entropy(model, region, 40)
-        assert rules == [(350, 2)]
+        assert rules == [(349, 2)]
         nodes = restrict._basis_nodes
         monkeypatch.setattr(restrict, "_basis_nodes", lambda m, w, n: 2 * nodes(m, w, n))
         fine = basis_expansion_entropy(model, region, 40)
-        assert rules[1] == (467, 3)
+        assert rules[1] == (466, 3)
         assert abs(base.entanglement - fine.entanglement) <= 1e-13
 
     def test_kernel_budget_refuses_before_any_array(self, monkeypatch):
@@ -341,17 +341,17 @@ class TestBasisExpansion:
         with monkeypatch.context() as patch:
             for name in ("gauss_legendre", "reduced_density_value"):
                 patch.setattr(restrict, name, refuse)
-            # 10 + ceil(1.4 * 10 * sqrt(2e6)) + 63 nodes
-            with pytest.raises(QuadratureNotConverged, match="19872-node basis"):
+            # 8 + ceil(1.4 * 10 * sqrt(2e6)) + 63 nodes
+            with pytest.raises(QuadratureNotConverged, match="19870-node basis"):
                 basis_expansion_entropy(strong, region)
             # pi/2 n_basis would not fit a float
             with pytest.raises(QuadratureNotConverged, match="kernel budget"):
                 basis_expansion_entropy(MODEL, region, 10 ** 400)
-        # the budget's edge: 40 functions take 80 nodes, 41 take 17 + 65
+        # the budget's edge: 40 functions take 78 nodes, 41 take 15 + 65
         region = Region(0.3, 1.0)
-        monkeypatch.setattr(restrict, "KERNEL_BYTES", 8 * 80 ** 2)
+        monkeypatch.setattr(restrict, "KERNEL_BYTES", 8 * 78 ** 2)
         assert basis_expansion_entropy(MODEL, region, 40).resolution == 40
-        with pytest.raises(QuadratureNotConverged, match="82-node basis"):
+        with pytest.raises(QuadratureNotConverged, match="80-node basis"):
             basis_expansion_entropy(MODEL, region, 41)
 
     def test_extrapolated_methods_agree(self):
@@ -626,9 +626,19 @@ class TestNonDiscarding:
         non_discarding_entanglement(OscillatorModel(alpha=2e4), Region(0.0, 1.0))
 
     def test_two_paths_agree_below_the_cap(self):
-        # Bob's 10 + 1.4 nodes per narrow length of the whole domain: 459 at 1e4
+        # Bob's 8 + 1.4 nodes per narrow length of the whole domain: 457 at 1e4
         _, _, gap = non_discarding_two_path(OscillatorModel(alpha=1e4), Region(0.0, 1.0))
         assert gap <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 1.0])
+    def test_two_paths_agree_at_weak_coupling(self, alpha):
+        # Bob's side spans the whole truncated domain, where the envelope
+        # length sets his count; at alpha 1 both lengths are near their limit
+        model = OscillatorModel(alpha=alpha)
+        for region in (Region(0.0, 1.0), Region(0.5, 1.0), Region(-2.0, 0.3),
+                       Region(1.5, 3.0)):
+            _, _, gap = non_discarding_two_path(model, region)
+            assert gap <= 1e-12
 
     def test_empty_region_refused(self):
         with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
@@ -847,9 +857,11 @@ class TestGaussLegendreEngine:
                 assert cell.entanglement == pytest.approx(value, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
-    @given(log_alpha=st.floats(-1.3, 4.0), width=st.floats(0.1, 4.0),
+    @given(log_alpha=st.floats(-1.3, 4.0), width=st.floats(0.1, 8.0),
            start_a=st.floats(-5.0, 1.0), start_b=st.floats(-5.0, 1.0),
            step=st.floats(0.2, 1.5))
+    @example(log_alpha=math.log10(5.0), width=1.0, start_a=-1.0, start_b=-1.0, step=1.0)
+    @example(log_alpha=-1.3, width=8.0, start_a=-5.0, start_b=-4.0, step=1.0)
     def test_rule_and_twice_the_rule_agree_on_whole_maps(self, log_alpha, width, start_a,
                                                          start_b, step):
         import entloc.restrict as restrict
@@ -868,20 +880,33 @@ class TestGaussLegendreEngine:
         live = base.extra["flag"] == 0.0
         assert np.all(np.abs(base.values - fine.values)[live] <= 1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25])
+    def test_whole_domain_cell_at_weak_coupling(self, alpha, monkeypatch):
+        # the envelope length sigma, not the narrow one, sets the count here
+        import entloc.restrict as restrict
+        model, whole = OscillatorModel(alpha=alpha), Region(0.0, DOMAIN_HALF_LENGTH)
+        base = both_restricted_entropy(model, whole, whole)
+        nodes = restrict._schmidt_nodes
+        monkeypatch.setattr(restrict, "_schmidt_nodes",
+                            lambda m, w, n_bins=None: 3 * nodes(m, w, n_bins))
+        fine = both_restricted_entropy(model, whole, whole)
+        assert fine.resolution == 3 * base.resolution
+        assert abs(base.entanglement - fine.entanglement) <= 1e-12
+
     def test_node_rule(self):
-        assert mass_nodes(MODEL, 4.0) == 23  # the spectral rule's count
+        assert mass_nodes(MODEL, 4.0) == 21  # the spectral rule's count
         strong = OscillatorModel(alpha=1e4)
         assert mass_nodes(strong, 2.0) == 57
         assert mass_nodes(strong, 4.0) == 114
 
     def test_spectral_node_rule(self):
-        # 10 + ceil(1.4 width sqrt(s)), no floor
-        assert two_party_nodes(MODEL, 0.5) == 12
-        assert two_party_nodes(MODEL, 4.0) == 23
+        # 8 + ceil(1.4 width sqrt(s)) where the narrow length decides, no floor
+        assert two_party_nodes(MODEL, 0.5) == 10
+        assert two_party_nodes(MODEL, 4.0) == 21
         strong = OscillatorModel(alpha=1e4)
-        assert two_party_nodes(strong, 2.0) == 50
-        assert two_party_nodes(strong, 4.0) == 90
-        assert two_party_nodes(OscillatorModel(alpha=1e6), 8.0) == 511
+        assert two_party_nodes(strong, 2.0) == 48
+        assert two_party_nodes(strong, 4.0) == 88
+        assert two_party_nodes(OscillatorModel(alpha=1e6), 8.0) == 509
 
     def test_node_cap_refuses_before_any_array(self, monkeypatch):
         import entloc.restrict as restrict
@@ -1020,6 +1045,17 @@ class TestOnePartyMap:
         expected = self.grid_entropy(MODEL, 30.0, 60.0, 120)
         assert np.all(dist.extra["flag"] == 0.0)
         assert np.all(np.abs(dist.values - expected) <= 1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25])
+    def test_wide_cells_at_weak_coupling_match_the_dense_grid_eigensolve(self, alpha):
+        # widths of 10 to 16, where the envelope length sets the count
+        model, centers = OscillatorModel(alpha=alpha), np.array([-2.0, 0.0, 0.7])
+        for n_bins in (41, 200):
+            dist = one_party_map(model, centers, widths=[10.0, 12.25, 16.0], n_bins=n_bins)
+            for (i, j), value in np.ndenumerate(dist.values):
+                region = Region(centers[i], dist.axis_b[j] / 2.0)
+                expected = one_restricted_entropy(model, region, n_bins).entanglement
+                assert abs(value - expected) <= 5e-14
 
     @pytest.mark.parametrize("alpha", [0.06, 6.0, 1e2, 1e4])
     def test_doubling_bob_nodes_moves_no_entropy(self, alpha, monkeypatch):
