@@ -32,10 +32,8 @@ from .oscillator import (
 from .restrict import (
     EMPTY_MASS,
     Region,
-    _two_party_orbits,
-    joint_masses,
+    joint_cell_masses,
     marginal_masses,
-    mass_nodes,
     two_party_map,
 )
 
@@ -84,7 +82,7 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
 
     The joint table is computed once, in one batched call of the closed-form
     joint masses, one per symmetry orbit of its cells: A x B, B x A,
-    -A x -B and -B x -A share one mass (restrict._two_party_orbits). Exchanged
+    -A x -B and -B x -A share one mass (restrict.joint_cell_masses). Exchanged
     cells pair up on any axes; mirrored ones only where an axis holds the
     exact negative of a center, as linspace(-4, 4, 33) and every CLI axis
     centred on 0 do bit for bit. A conditional surface divides each row by
@@ -96,10 +94,8 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
     centers_a = np.asarray(centers_a, dtype=np.float64)
     centers_b = np.asarray(centers_b, dtype=np.float64)
     b = half_width_b if half_width_b is not None else half_width_a
-    width, bounds, inverse = _two_party_orbits(np.repeat(centers_a, centers_b.size),
-                                               half_width_a,
-                                               np.tile(centers_b, centers_a.size), b)
-    values = joint_masses(model, *bounds, mass_nodes(model, width))[inverse]
+    values = joint_cell_masses(model, np.repeat(centers_a, centers_b.size), half_width_a,
+                               np.tile(centers_b, centers_a.size), b)
     joint = Distribution2D(axis_a=centers_a, axis_b=centers_b, kind="joint_probability",
                            values=values.reshape(centers_a.size, centers_b.size))
     return joint if kind == "joint_probability" else _conditional_map(

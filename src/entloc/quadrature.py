@@ -1,10 +1,12 @@
-"""Composite Gauss-Legendre rules, and Gauss rules for a uniform grid's sum.
+"""Gauss rules, each from one eigensolve of its Jacobi matrix (Golub &
+Welsch, Math. Comp. 23 (1969) 221-230): composite Gauss-Legendre, and the
+Gauss rule of a uniform grid's sum.
 
 Integrands here are smooth Gaussians, so fixed-order panels converge
 extremely fast. The one adaptive estimate left, the scalar integral
-(integrate_1d), doubles its panels in refine_panels; every spectrum and
-projection takes one rule of a count set in advance. Batches of intervals
-get one fixed-order rule each, nodes along a trailing axis.
+(integrate_1d), doubles its panels; every spectrum and projection takes one
+rule of a count set in advance. Batches of intervals get one fixed-order
+rule each, nodes along a trailing axis.
 """
 
 from __future__ import annotations
@@ -22,9 +24,20 @@ ABS_TOL = 1e-15
 MAX_PANELS_1D = 1 << 14
 
 
+def _golub_welsch(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and squared first eigenvector components of the
+    Jacobi matrix with zero diagonal and off-diagonal `off`."""
+    u, v = lapack(np.linalg.eigh, np.diag(off, 1) + np.diag(off, -1))
+    return u, v[0] ** 2
+
+
 @lru_cache(maxsize=8)
 def _gauss_rule(n_points: int):
-    return lapack(np.polynomial.legendre.leggauss, n_points)
+    # Legendre's Jacobi matrix, off-diagonal k / sqrt(4k^2 - 1), weights 2 v_0^2;
+    # symmetrised about 0, so the rule is its own mirror image bit for bit
+    k = np.arange(1.0, n_points)
+    x, v0sq = _golub_welsch(k / np.sqrt(4.0 * k * k - 1.0))
+    return 0.5 * (x - x[::-1]), v0sq + v0sq[::-1]
 
 
 def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):
@@ -53,15 +66,14 @@ def _grid_rule(points: int, m: int):
     # centred on (N - 1)/2 and scaled to [-1, 1]; weights are N v_0^2
     k = np.arange(1.0, m)
     scale = 2.0 / (points - 1)
-    off = scale * np.sqrt(k * k * (points * points - k * k) / (4.0 * (4.0 * k * k - 1.0)))
-    u, v = lapack(np.linalg.eigh, np.diag(off, 1) + np.diag(off, -1))
-    return u, points * v[0] ** 2
+    u, v0sq = _golub_welsch(
+        scale * np.sqrt(k * k * (points * points - k * k) / (4.0 * (4.0 * k * k - 1.0))))
+    return u, points * v0sq
 
 
 def grid_gauss(lo, hi, points: int, m: int):
     """Nodes and weights of the m-node Gauss rule for the unit-weight sum over
-    the `points` uniform grid points of each [lo, hi] (Golub & Welsch, Math.
-    Comp. 23 (1969) 221-230).
+    the `points` uniform grid points of each [lo, hi] (_golub_welsch).
 
     The rule sums every polynomial of degree up to 2m - 1 exactly as the grid
     does; its weights add up to `points`, and at m = points it is the grid
@@ -74,30 +86,20 @@ def grid_gauss(lo, hi, points: int, m: int):
     return 0.5 * (hi - lo) * u + 0.5 * (hi + lo), np.broadcast_to(w, lo.shape[:-1] + (m,))
 
 
-def refine_panels(estimate, n_panels: int, max_panels: int, abs_tol: float, what: str):
-    """estimate(n) for n = n_panels, 2 n_panels, ... until two successive
-    estimates agree entrywise within REL_TOL of the newer one's largest
-    entry, or within abs_tol; returns the newer. A count past max_panels,
-    the first included, is refused with QuadratureNotConverged before
-    estimate sees it."""
-    previous = None
-    while n_panels <= max_panels:
-        current = estimate(n_panels)
-        if previous is not None and np.max(np.abs(current - previous)) <= max(
-                REL_TOL * np.max(np.abs(current)), abs_tol):
-            return current
-        previous, n_panels = current, 2 * n_panels
-    raise QuadratureNotConverged(f"{what} not converged within {max_panels} panels")
-
-
 def integrate_1d(f, a: float, b: float) -> float:
-    """Integrate a vectorized scalar function over [a, b] on refine_panels,
-    from 1 to MAX_PANELS_1D panels, with an ABS_TOL floor."""
+    """Integrate a vectorized scalar function over [a, b] on DEFAULT_PANEL_POINTS-
+    point Gauss-Legendre panels, doubled from 1 panel until two successive
+    estimates agree within REL_TOL of the newer one, or within ABS_TOL;
+    returns the newer. A count past MAX_PANELS_1D is never evaluated: the
+    integral is refused with QuadratureNotConverged instead."""
     if b <= a:
         raise ValueError("integration bounds must satisfy a < b")
-
-    def estimate(n_panels: int) -> float:
+    previous, n_panels = np.nan, 1  # NaN agrees with no estimate
+    while n_panels <= MAX_PANELS_1D:
         nodes, weights = gauss_legendre(a, b, DEFAULT_PANEL_POINTS, n_panels)
-        return float(np.dot(weights, f(nodes)))
-
-    return refine_panels(estimate, 1, MAX_PANELS_1D, ABS_TOL, f"1-d integral on [{a}, {b}]")
+        current = float(np.dot(weights, f(nodes)))
+        if abs(current - previous) <= max(REL_TOL * abs(current), ABS_TOL):
+            return current
+        previous, n_panels = current, 2 * n_panels
+    raise QuadratureNotConverged(
+        f"1-d integral on [{a}, {b}] not converged within {MAX_PANELS_1D} panels")

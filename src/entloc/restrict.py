@@ -27,10 +27,9 @@ the amplitude or 1.9 per length sigma of its envelope, whichever is more,
 measured within 1e-12 ebit of twice the count on map cells and on the whole
 truncated domain, and on a grid at most its n_bins + 1 points; one helper
 (_schmidt_nodes) sets that count and one (_rule) the rule for one-party maps
-and two-party cells alike. A joint mass takes the same count, or 2 per
-narrow length where that is more (mass_nodes). Every closed-form mass is a
-difference of erfc values from one numpy kernel (_erfc), both edges of all
-cells in one call.
+and two-party cells alike. A joint mass takes the same count, without the
+cap (_orbit_masses). Every closed-form mass is a difference of erfc values
+from one numpy kernel (_erfc), both edges of all cells in one call.
 psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
 -A x -B and -B x -A share their mass and entropy: every two-party path solves
 each cell once per orbit of these symmetries (_two_party_orbits) and copies
@@ -56,11 +55,12 @@ one LAPACK call per chunk. The grid/basis convergence study
 one_party_map and its basis values from basis_expansion_entropy, which
 projects the kernel onto an orthonormal sine/cosine family supported on the
 region (n_basis functions) once, on one Gauss-Legendre rule of the region
-(_basis_nodes: the spectral rule plus pi/2 nodes per function), and takes
-the closed-form mass. Only the single one-party grid cell
-(one_restricted_entropy) still samples the kernel on its grid points,
-renormalizes the matrix by its trace and takes its dense eigensolve, with a
-survival probability from adaptive quadrature of the analytic density.
+(_basis_nodes: the spectral rule, refused past MAX_NODES, plus pi/2 nodes
+per function), and takes the closed-form mass. Only the single one-party
+grid cell (one_restricted_entropy) still samples the kernel on its grid
+points, renormalizes the matrix by its trace and takes its dense
+eigensolve, with a survival probability from adaptive quadrature of the
+analytic density.
 Every dense matrix whose side grows with a resolution (that cell's kernel,
 the basis projection's kernel, the precise readout's matrix) has a budget
 of KERNEL_BYTES, checked before any array is built.
@@ -124,14 +124,13 @@ EMPTY_MASS = 1e-14
 # amplitude varies on: the narrow length 1/sqrt(s), s = sqrt(1 + 4 alpha), and
 # the envelope's sigma. A spectrum (the Schmidt weights of a two-party cell,
 # the Nystrom kernel of the non-discarding ensemble, the most Gauss nodes of a
-# one-party map's grid rule) takes SPECTRAL_NODES plus SPECTRAL_NODES_PER_LENGTH
-# per narrow length or ENVELOPE_NODES_PER_LENGTH per sigma, whichever is more;
-# a joint mass the same, or MASS_NODES_PER_LENGTH per narrow length where that
-# is more. No spectrum has more than MAX_NODES nodes; masses use panels past it.
+# one-party map's grid rule) and a joint mass take SPECTRAL_NODES plus
+# SPECTRAL_NODES_PER_LENGTH per narrow length or ENVELOPE_NODES_PER_LENGTH per
+# sigma, whichever is more. No spectrum has more than MAX_NODES nodes; masses
+# use panels past it.
 SPECTRAL_NODES = 8
 SPECTRAL_NODES_PER_LENGTH = 1.4
 ENVELOPE_NODES_PER_LENGTH = 1.9
-MASS_NODES_PER_LENGTH = 2.0
 MAX_NODES = 512
 # Truncation half-length standing in for the unrestricted line: eight times the
 # widest normal-mode width, sqrt(2); the neglected tail mass is below 1e-14.
@@ -388,7 +387,7 @@ def _cell_slices(k: int, cell_bytes: int) -> list[slice]:
 def _panel_rule(lo, hi, n: int):
     """The n-node Gauss-Legendre rule of each [lo, hi] (gauss_legendre); past
     MAX_NODES nodes, equal panels of at most MAX_NODES nodes each, at least n
-    in all, as leggauss solves a dense companion matrix, O(n^3) in time."""
+    in all, as a rule is one dense O(n^3) eigensolve (quadrature._golub_welsch)."""
     panels = -(-n // MAX_NODES)
     return gauss_legendre(lo, hi, -(-n // panels), panels)
 
@@ -461,21 +460,6 @@ def two_party_nodes(model: OscillatorModel, width: float) -> int:
     return SPECTRAL_NODES + max(
         _nodes_per_length(model, width, SPECTRAL_NODES_PER_LENGTH, narrow),
         _nodes_per_length(model, width, ENVELOPE_NODES_PER_LENGTH, envelope))
-
-
-def mass_nodes(model: OscillatorModel, width: float) -> int:
-    """Gauss-Legendre nodes of the joint masses of cells up to `width` wide:
-    the spectral rule (two_party_nodes), or MASS_NODES_PER_LENGTH per narrow
-    length where that is more (from a narrow length of about 14). On the
-    live cells of 25 x 25 maps on [-6, 6], 25 couplings from 0.05 to 1e4 and
-    17 widths from 0.1 to 8, the count and twice it agree to 2.6e-13
-    relative wherever the spectral rule sets the count, and to 5.2e-12 where
-    the mass rule does, on masses of about 1e-13 that sit on a round-off
-    floor of a few 1e-12 (alpha 1e4, width 7). A count past the largest
-    float is refused with QuadratureNotConverged."""
-    return max(two_party_nodes(model, width),
-               _nodes_per_length(model, width, MASS_NODES_PER_LENGTH,
-                                 math.sqrt(model.stiffness_root)))
 
 
 def _schmidt_nodes(model: OscillatorModel, width: float, n_bins: int | None = None) -> int:
@@ -658,19 +642,35 @@ def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
     return (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins))
 
 
+def _orbit_masses(model: OscillatorModel, width: float, bounds) -> np.ndarray:
+    """Joint masses of the distinct cells that _two_party_orbits gives as width
+    and bounds, on the spectral rule of the width (two_party_nodes), in panels
+    past MAX_NODES. On 25 x 25 maps on [-6, 6] at alpha 0.05 to 1e4 and widths
+    0.1 to 8, live masses agree with three times the count to 2.6e-13 relative."""
+    return joint_masses(model, *bounds, two_party_nodes(model, width))
+
+
+def joint_cell_masses(model: OscillatorModel, centers_a, half_a, centers_b, half_b) -> np.ndarray:
+    """P(q_a in centers_a[i] +- half_a[i] and q_b in centers_b[i] +- half_b[i])
+    for each cell i (a half width may be one number), one mass per symmetry
+    orbit (_two_party_orbits, _orbit_masses); no cell is refused for the
+    spectral cap."""
+    width, bounds, inverse = _two_party_orbits(centers_a, half_a, centers_b, half_b)
+    return _orbit_masses(model, width, bounds)[inverse]
+
+
 def _two_party_setup(model: OscillatorModel, centers_a, half_a, centers_b, half_b,
                      n_bins: int | None):
     """(n, (a_lo, a_hi, b_lo, b_hi), joint masses clipped to [0, 1], inverse)
     of the distinct cells of _two_party_orbits: the cell centers_a[i] +-
     half_a[i] for Alice, centers_b[i] +- half_b[i] for Bob (a half width may
     be one number) is row inverse[i]. n is the nodes per region of the
-    widest region (_schmidt_nodes), refused past MAX_NODES before any mass,
-    as n_bins below 2 is. Masses take mass_nodes."""
+    widest region (_schmidt_nodes), refused past MAX_NODES before any mass
+    (_orbit_masses), as n_bins below 2 is."""
     _n_bins(n_bins)
     width, bounds, inverse = _two_party_orbits(centers_a, half_a, centers_b, half_b)
     n = _schmidt_nodes(model, width, n_bins)
-    masses = joint_masses(model, *bounds, mass_nodes(model, width))
-    return n, bounds, np.clip(masses, 0.0, 1.0), inverse
+    return n, bounds, np.clip(_orbit_masses(model, width, bounds), 0.0, 1.0), inverse
 
 
 def both_restricted_entropy(model: OscillatorModel, region_a: Region,
@@ -714,21 +714,19 @@ def region_basis(region: Region, n_basis: int, points: np.ndarray) -> np.ndarray
 
 def _basis_nodes(model: OscillatorModel, width: float, n_basis: int) -> int:
     """Gauss-Legendre nodes of an n_basis-function projection on a region
-    `width` wide: the spectral rule of the kernel (two_party_nodes) plus
-    BASIS_NODES_PER_FUNCTION per function. On 380 cells (alpha 0 to 1e6,
-    widths 0.1 to 10, n_basis 1 to 160, centers within 3) the count and
-    twice it agree to 9.1e-14 ebit, a round-off floor: at the worst cell
-    (alpha 1.3e3, width 9.7, 126 functions) counts from 6 below the rule to
-    10 above it are all 8.5e-14 to 9.1e-14 from 1000 nodes. The floor
-    reaches 1.1e-13 on 1 of 300 cells at alpha 1e2 to 1e4, widths 7 to 10
-    and 80 to 160 functions, where twice and three times the rule are that
-    far apart. At pi/4 per function they part by 3.1e-7. A count whose
+    `width` wide: the spectral rule of the kernel (_schmidt_nodes, so a
+    width past MAX_NODES is refused with QuadratureNotConverged before any
+    array) plus BASIS_NODES_PER_FUNCTION per function. On 380 random cells
+    (alpha 0 to 1e6, widths 0.1 to 10, n_basis 1 to 160, centers within 3,
+    one refused) the count and twice it agree to 1.7e-14 ebit, and to
+    1.0e-14 on 300 cells at alpha 1e2 to 1e4, widths 7 to 10 and 80 to 160
+    functions. At pi/4 per function they part by 3.1e-7. A count whose
     kernel would pass KERNEL_BYTES (past 8192 nodes) is refused with
     QuadratureNotConverged."""
     # the rule has more nodes than functions, so a count of functions past the
     # budget is refused first, before pi/2 n_basis, which may not fit a float
     _kernel_budget(n_basis, "function basis projection")
-    n = two_party_nodes(model, width) + math.ceil(BASIS_NODES_PER_FUNCTION * n_basis)
+    n = _schmidt_nodes(model, width) + math.ceil(BASIS_NODES_PER_FUNCTION * n_basis)
     _kernel_budget(n, "node basis projection kernel")
     return n
 

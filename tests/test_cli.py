@@ -304,8 +304,10 @@ class TestExitCodes:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv,bound", [
-        # its rule has 19870 nodes, a 2.9 GiB kernel
+        # its kernel's spectral rule has 19807 nodes, past the 512-node cap
         (["--alpha", "1e12", "--width", "10"], 1 << 20),
+        # 1988 spectral nodes: it returned 5.32 ebit, close to log2 40 functions
+        (["--alpha", "1e12", "--width", "1"], 1 << 20),
         # a million functions would need 1.6e6 nodes, an 18 TiB kernel
         (["--alpha", "6", "--width", "1", "--n-basis", "1000000"], 1 << 20),
     ])
@@ -397,7 +399,7 @@ class TestExitCodes:
         assert float(row[2]) == pytest.approx(json.loads(single)["entanglement"], abs=1e-10)
 
     def test_masses_past_the_node_cap_still_computed(self, capsys, tmp_path):
-        # 2829 nodes per region: too many for Schmidt weights, not for masses;
+        # 1988 nodes per region: too many for Schmidt weights, not for masses;
         # the expected values are the former 2-d adaptive quadrature's output
         out = tmp_path / "joint.csv"
         code, _, _ = run_capture(capsys, [

@@ -120,15 +120,13 @@ class TestProbabilityMap:
         assert np.all(dist.values[~dist.mask] <= 1.0 + 1e-12)
 
     def test_conditional_map_equals_cellwise_conditional(self, monkeypatch):
-        import entloc.correlate as correlate
         import entloc.restrict as restrict
         calls = {"1d": 0, "joint": 0}
-        for module, name, key in ((restrict, "integrate_1d", "1d"),
-                                  (correlate, "joint_masses", "joint")):
-            def counted(*args, _f=getattr(module, name), _key=key, **kwargs):
+        for name, key in (("integrate_1d", "1d"), ("joint_masses", "joint")):
+            def counted(*args, _f=getattr(restrict, name), _key=key, **kwargs):
                 calls[_key] += 1
                 return _f(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(restrict, name, counted)
         centers_a = np.array([-1.0, 0.0, 0.5, 50.0])  # Alice's last row has no mass
         centers_b = np.array([-1.0, 0.25, 1.0])
         dist = probability_map(MODEL, centers_a, centers_b, 0.25, 0.4,

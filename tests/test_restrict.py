@@ -33,7 +33,6 @@ from entloc.restrict import (
     both_restricted_entropy,
     both_restricted_profile,
     joint_masses,
-    mass_nodes,
     method_equivalence,
     non_discarding_entanglement,
     non_discarding_two_path,
@@ -287,6 +286,7 @@ class TestBasisExpansion:
            center=st.floats(-3.0, 3.0), width=st.floats(0.1, 10.0),
            n_basis=st.integers(1, 120))
     @example(alpha=1e4, center=0.0, width=10.0, n_basis=120)
+    @example(alpha=359.5, center=0.09, width=9.74, n_basis=137)
     def test_rule_and_twice_the_rule_agree(self, alpha, center, width, n_basis):
         import entloc.restrict as restrict
         model, region = OscillatorModel(alpha=alpha), Region(center, width / 2.0)
@@ -315,21 +315,21 @@ class TestBasisExpansion:
         assert result.resolution == result.spectrum.size == 40
 
     def test_rule_past_the_cap_uses_panels(self, monkeypatch):
-        # alpha 1e6, width 10, 40 functions take 635 + 63 nodes: two panels
-        # of 349, never one leggauss solve past MAX_NODES points
+        # alpha 6, width 4, 400 functions take 21 + 629 nodes: two panels of
+        # 325, never one Gauss rule past MAX_NODES points
         import entloc.restrict as restrict
         rules = []
         rule = restrict.gauss_legendre
         monkeypatch.setattr(restrict, "gauss_legendre",
                             lambda lo, hi, n, panels=1: rules.append((n, panels))
                             or rule(lo, hi, n, panels))
-        model, region = OscillatorModel(alpha=1e6), Region(0.2, 5.0)
-        base = basis_expansion_entropy(model, region, 40)
-        assert rules == [(349, 2)]
+        region = Region(0.2, 2.0)
+        base = basis_expansion_entropy(MODEL, region, 400)
+        assert rules == [(325, 2)]
         nodes = restrict._basis_nodes
         monkeypatch.setattr(restrict, "_basis_nodes", lambda m, w, n: 2 * nodes(m, w, n))
-        fine = basis_expansion_entropy(model, region, 40)
-        assert rules[1] == (466, 3)
+        fine = basis_expansion_entropy(MODEL, region, 400)
+        assert rules[1] == (434, 3)
         assert abs(base.entanglement - fine.entanglement) <= 1e-13
 
     def test_kernel_budget_refuses_before_any_array(self, monkeypatch):
@@ -341,8 +341,10 @@ class TestBasisExpansion:
         with monkeypatch.context() as patch:
             for name in ("gauss_legendre", "reduced_density_value"):
                 patch.setattr(restrict, name, refuse)
-            # 8 + ceil(1.4 * 10 * sqrt(2e6)) + 63 nodes
-            with pytest.raises(QuadratureNotConverged, match="19870-node basis"):
+            # the kernel's spectral rule, 8 + ceil(1.4 * 10 * sqrt(2e6)) nodes,
+            # passes the cap before the functions' 63 nodes are added
+            with pytest.raises(QuadratureNotConverged,
+                               match=rf"need 1\.981e\+04 Gauss-Legendre nodes, .* cap of {MAX_NODES}"):
                 basis_expansion_entropy(strong, region)
             # pi/2 n_basis would not fit a float
             with pytest.raises(QuadratureNotConverged, match="kernel budget"):
@@ -810,10 +812,10 @@ class TestGaussLegendreEngine:
     def test_masses_match_twice_the_nodes(self):
         centers = np.linspace(-6.0, 6.0, 25)
         ca, cb = (grid.ravel() for grid in np.meshgrid(centers, centers, indexing="ij"))
-        for alpha in (0.05, 0.25, 1.0, 6.0, 30.0, 1e2, 1e4):
+        for alpha in (0.05, 0.25, 1.0, 6.0, 30.0, 1e2, 1e4, 1e6):
             model = OscillatorModel(alpha=alpha)
-            for width in (0.1, 0.5, 1.0, 2.0, 4.0):
-                n = mass_nodes(model, width)
+            for width in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+                n = two_party_nodes(model, width)
                 edges = (ca - width / 2, ca + width / 2, cb - width / 2, cb + width / 2)
                 mass, fine = joint_masses(model, *edges, n), joint_masses(model, *edges, 2 * n)
                 live = fine >= EMPTY_MASS
@@ -821,11 +823,11 @@ class TestGaussLegendreEngine:
                 assert np.all(np.abs(mass - fine)[live] <= 1e-12 * fine[live])
 
     def test_masses_past_the_cap_use_panels(self):
-        # alpha 1e8, width 10 asks for 2829 nodes: six panels of 472 nodes;
+        # alpha 1e8, width 10 asks for 1988 nodes: four panels of 497 nodes;
         # the expected masses are the former 2-d adaptive quadrature's
         strong = OscillatorModel(alpha=1e8)
-        n = mass_nodes(strong, 10.0)
-        assert n == 2829
+        n = two_party_nodes(strong, 10.0)
+        assert n == 1988
         lo = np.array([-9.0, -9.0, -13.0, -13.0])
         lo_b = np.array([-9.0, -1.0, -9.0, 3.0])
         edges = (lo, lo + 10.0, lo_b, lo_b + 10.0)
@@ -893,11 +895,20 @@ class TestGaussLegendreEngine:
         assert fine.resolution == 3 * base.resolution
         assert abs(base.entanglement - fine.entanglement) <= 1e-12
 
-    def test_node_rule(self):
-        assert mass_nodes(MODEL, 4.0) == 21  # the spectral rule's count
+    def test_node_rule(self, monkeypatch):
+        # joint masses take the spectral rule's count, on two-party and
+        # classical maps alike, and past MAX_NODES on classical maps
+        import entloc.restrict as restrict
+        counts = []
+        masses = restrict.joint_masses
+        monkeypatch.setattr(restrict, "joint_masses",
+                            lambda model, *a: counts.append(a[-1]) or masses(model, *a))
         strong = OscillatorModel(alpha=1e4)
-        assert mass_nodes(strong, 2.0) == 57
-        assert mass_nodes(strong, 4.0) == 114
+        for model, half in ((MODEL, 2.0), (strong, 1.0), (strong, 2.0)):
+            two_party_map(model, [0.0], centers_b=[0.5], half_width=half)
+            probability_map(model, [0.0], [0.5], half)
+        probability_map(OscillatorModel(alpha=1e8), [0.0], [0.5], 5.0)
+        assert counts == [21, 21, 48, 48, 88, 88, 1988]
 
     def test_spectral_node_rule(self):
         # 8 + ceil(1.4 width sqrt(s)) where the narrow length decides, no floor
@@ -944,7 +955,7 @@ class TestGaussLegendreEngine:
         calls.clear()
         mass_calls.clear()
         # one cell per chunk, for the (cells, n, n) stacks and the (cells, n) masses
-        monkeypatch.setattr(restrict, "CHUNK_BYTES", 8 * mass_nodes(MODEL, 0.5))
+        monkeypatch.setattr(restrict, "CHUNK_BYTES", 8 * two_party_nodes(MODEL, 0.5))
         single = two_party_map(MODEL, centers, centers_b=centers, half_width=0.25)
         assert calls == [1] * live and mass_calls == [1] * distinct
         for layer in ("prob", "flag"):
@@ -1358,7 +1369,7 @@ class TestSymmetryOrbits:
         if n_bins is not None:
             n = min(n, n_bins + 1)  # the grid's Gauss rule has at most its points
         bounds = (ca - ha, ca + ha, cb - hb, cb + hb)
-        mass = np.clip(joint_masses(model, *bounds, mass_nodes(model, 2.0 * max(ha, hb))),
+        mass = np.clip(joint_masses(model, *bounds, two_party_nodes(model, 2.0 * max(ha, hb))),
                        0.0, 1.0)
         assume(np.all(np.abs(mass - EMPTY_MASS) > 1e-9 * EMPTY_MASS))
         live = mass >= EMPTY_MASS
@@ -1375,13 +1386,11 @@ class TestSymmetryOrbits:
         assert np.all(np.abs(prob - mass[live]) <= np.minimum(1e-14, 1e-12 * mass[live]))
 
     def test_square_map_solves_one_cell_per_orbit(self, monkeypatch):
-        import entloc.correlate as correlate
         import entloc.restrict as restrict
         calls = []
-        for module in (restrict, correlate):
-            monkeypatch.setattr(module, "joint_masses",
-                                lambda *a, _f=module.joint_masses: calls.append(np.size(a[1]))
-                                or _f(*a))
+        monkeypatch.setattr(restrict, "joint_masses",
+                            lambda *a, _f=restrict.joint_masses: calls.append(np.size(a[1]))
+                            or _f(*a))
         model = OscillatorModel(alpha=1)
         # 33 centers that are their own mirror bit for bit: (33^2 + 33 + 1 + 33) / 4 orbits
         centers = np.linspace(-4.0, 4.0, 33)
