@@ -189,8 +189,8 @@ def small_a_epsilon_one(model: OscillatorModel, a: float) -> float:
     Valid in the small-region limit; the surviving entanglement is
     binary_entropy(eps), independent of where the region sits.
     """
-    if a <= 0.0:
-        raise DomainError(f"half width must be positive, got {a}")
+    if not 0.0 < a < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"half width must be finite and positive, got {a}")
     s = model.stiffness_root
     return a * a * model.alpha * (s - 1.0) / (
         12.0 * (1.0 + 2.0 * model.alpha + s))
@@ -198,8 +198,8 @@ def small_a_epsilon_one(model: OscillatorModel, a: float) -> float:
 
 def small_a_epsilon_both(model: OscillatorModel, a: float, b: float) -> float:
     """Schmidt weight eps when both parties restrict (widths 2a and 2b)."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("half widths must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError("half widths must be finite and positive")
     s = model.stiffness_root
     return a * a * b * b / 72.0 * (1.0 + 2.0 * model.alpha - s)
 

@@ -11,8 +11,10 @@ i.e. Alice's index is the most significant pair, so the A|B cut is the
 (4, 4) split used by the partial transpose and partial trace.
 
 spin_entropy and spin_negativity evaluate one cell from the 16x16
-matrices; spin_scan and negativity_vanish_point use closed forms in the
-four Schmidt coefficients of the pure state, which the tests hold to them.
+matrices; spin_scan, negativity_vanish_point and the restricted sweep of
+negativity_vs_purity use closed forms in the four Schmidt coefficients of
+the pure state, which the tests hold to them. The unrestricted sweep still
+builds and eigensolves the 16x16 mixed state at every F.
 """
 
 from __future__ import annotations
@@ -137,17 +139,32 @@ def _negativity(rho: DensityMatrix) -> float:
     return negativity(rho, (4, 4))
 
 
-def _filtered(state, value) -> tuple[float, float]:
-    """value of the moment-filtered state and its survival probability.
+def _check_purity(F) -> None:
+    """Refuse the first F outside [1/16, 1] (NaN included); F scalar or array."""
+    f = np.asarray(F, dtype=np.float64).ravel()
+    bad = ~((f >= 1.0 / 16.0) & (f <= 1.0))
+    if bad.any():
+        raise DomainError(f"F must lie in [1/16, 1], got {f[bad][0]}")
 
-    A surviving state has probability at least SINGULAR_TRACE, so the
-    (nan, 0.0) returned when nothing survives marks a singular cell.
+
+def _filtered_negativity(a, b, F):
+    """Negativity of the moment-filtered mixed state, with prob and mask.
+
+    a and b are the two amplitudes the filter keeps; F is a scalar or an
+    array that broadcasts against them. The negativity is
+    max(0, p_F |ab| - (1 - F)/15) over the survivor's trace, with
+    p_F = (16F - 1)/15. Where the trace is below SINGULAR_TRACE nothing
+    survives: the value is NaN, prob 0 and the mask set.
     """
-    try:
-        survivor, p = restrict_ms0(state)
-    except ZeroNormSubspace:
-        return math.nan, 0.0
-    return value(survivor), p
+    pf, floor = (16.0 * F - 1.0) / 15.0, (1.0 - F) / 15.0
+    # the filtered matrix's diagonal pf a^2 + floor, floor, floor,
+    # pf b^2 + floor, summed in the order np.trace sums it in
+    # restrict_ms0, so that prob and the mask equal its trace bit for bit
+    trace = (floor + (pf * (b * b) + floor)) + ((pf * (a * a) + floor) + floor)
+    mask = trace < SINGULAR_TRACE
+    values = np.maximum(0.0, pf * np.abs(a * b) - floor) / np.where(mask, 1.0, trace)
+    values[mask] = np.nan
+    return values, np.where(mask, 0.0, trace), mask
 
 
 def spin_entropy(theta1: float, theta2: float, restricted: bool = False) -> float:
@@ -202,20 +219,23 @@ def negativity_vs_purity(theta1: float, theta2: float, f_values, *,
     """Negativity swept over the purity parameter at fixed angles.
 
     Returns a single-column surface whose first axis is F; singular
-    restricted points are masked.
+    restricted points are masked. Every F and both angles are checked first.
+    The restricted sweep is spin_scan's closed form along F, bit for bit; the
+    unrestricted one builds and eigensolves the 16x16 mixed state at each F.
     """
     f_values = np.asarray(f_values, dtype=np.float64)
-    values = np.empty((f_values.size, 1))
-    prob = np.ones((f_values.size, 1))
-    for i, f in enumerate(f_values):
-        rho = build_mixed_state(theta1, theta2, f)
-        if restricted:
-            values[i, 0], prob[i, 0] = _filtered(rho, _negativity)
-        else:
-            values[i, 0] = _negativity(rho)
+    _check_purity(f_values)
+    s = _schmidt_coefficients(np.array([theta1]), np.array([theta2]))[0, 0]
+    if restricted:
+        values, prob, mask = _filtered_negativity(s[1], s[2], f_values)
+    else:
+        values = np.array([_negativity(build_mixed_state(theta1, theta2, f))
+                           for f in f_values])
+        prob, mask = np.ones(f_values.size), np.zeros(f_values.size, dtype=bool)
     return Distribution2D(axis_a=f_values, axis_b=np.array([theta1]),
-                          values=values, kind="entanglement", mask=prob == 0.0,
-                          axis_names=("F", "theta1"), extra={"prob": prob})
+                          values=values[:, None], kind="entanglement",
+                          mask=mask[:, None], axis_names=("F", "theta1"),
+                          extra={"prob": prob[:, None]})
 
 
 def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
@@ -243,34 +263,29 @@ def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
         raise DomainError("scan grid needs at least 2 steps per axis")
     if measure not in ("entropy", "negativity"):
         raise DomainError(f"unknown measure {measure!r}")
-    if not 1.0 / 16.0 <= F <= 1.0:
-        raise DomainError(f"F must lie in [1/16, 1], got {F}")
+    _check_purity(F)
     s = _schmidt_coefficients(t1, t2)
     a, b = s[..., 1], s[..., 2]
     if measure == "entropy":
         base = spectral_entropy_bits(s * s)
-        trace = a * a + b * b  # the survivor's squared norm
     else:
         pf, floor = (16.0 * F - 1.0) / 15.0, (1.0 - F) / 15.0
         base = np.maximum(0.0, pf * np.abs(s[..., _PAIR_K] * s[..., _PAIR_L])
                           - floor).sum(axis=-1)
-        # the filtered matrix's diagonal pf a^2 + floor, floor, floor,
-        # pf b^2 + floor, summed in the order np.trace sums it in
-        # restrict_ms0, so that prob and the mask equal its trace bit for bit
-        trace = (floor + (pf * (b * b) + floor)) + ((pf * (a * a) + floor) + floor)
 
     values, mask = base, np.zeros(base.shape, dtype=bool)
     extra = {"prob": np.ones(base.shape)}
     if restricted:
-        mask = trace < SINGULAR_TRACE
-        safe = np.where(mask, 1.0, trace)
         if measure == "entropy":
+            trace = a * a + b * b  # the survivor's squared norm
+            mask = trace < SINGULAR_TRACE
             values = spectral_entropy_bits(np.stack([a * a, b * b], axis=-1)
-                                           / safe[..., None])
+                                           / np.where(mask, 1.0, trace)[..., None])
+            values[mask] = np.nan
+            prob = np.where(mask, 0.0, trace)
         else:
-            values = np.maximum(0.0, pf * np.abs(a * b) - floor) / safe
-        values[mask] = np.nan
-        extra = {"prob": np.where(mask, 0.0, trace), "delta": values - base}
+            values, prob, mask = _filtered_negativity(a, b, F)
+        extra = {"prob": prob, "delta": values - base}
     return Distribution2D(axis_a=t1, axis_b=t2, values=values,
                           kind="entanglement", mask=mask,
                           axis_names=("theta1", "theta2"), extra=extra)

@@ -435,6 +435,29 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("restricted", [[], ["--restricted"]])
+    @pytest.mark.parametrize("angle", [["--theta1", "nan"], ["--theta1", "inf"],
+                                       ["--theta2=-inf"]])
+    def test_non_finite_sweep_angle_refused(self, capsys, angle, restricted):
+        code, out, err = run_capture(capsys, F_SWEEP + angle + restricted)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "pair angles must be finite"}
+
+    @pytest.mark.parametrize("widths", [["--a", "inf"], ["--a", "nan"],
+                                        ["--a", "1", "--b", "nan"],
+                                        ["--a", "1", "--b", "inf"]])
+    def test_non_finite_limit_half_width_refused(self, capsys, widths):
+        code, out, err = run_capture(capsys, ["gauss-limits", "--alpha", "6"] + widths)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert payload["message"].startswith("half width")
+
     @pytest.mark.parametrize("text", [
         "q_bar_A,q_bar_B,value,prob,flag\n0,0,abc,0.1,ok\n",  # non-numeric value
         "q_bar_A,q_bar_B,value,prob,flag\n0,0\n",             # short row

@@ -230,6 +230,15 @@ class TestWavefunction:
 
 
 class TestSmallRegionLimits:
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_half_widths_must_be_finite_and_positive(self, bad):
+        model = OscillatorModel(alpha=6)
+        with pytest.raises(DomainError, match="half width"):
+            small_a_epsilon_one(model, bad)
+        for a, b in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(DomainError, match="half widths"):
+                small_a_epsilon_both(model, a, b)
+
     def test_epsilon_one_value(self):
         eps = small_a_epsilon_one(OscillatorModel(alpha=6), 0.1)
         assert eps == pytest.approx(1.0 / 900.0, abs=1e-15)

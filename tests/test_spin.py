@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+
+import entloc.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entloc.errors import DomainError, ZeroNormSubspace
@@ -12,6 +14,7 @@ from entloc.spin import (
     build_pure_state,
     ms0_outcome_branches,
     negativity_vanish_point,
+    negativity_vs_purity,
     restrict_ms0,
     spin_entropy,
     spin_negativity,
@@ -426,7 +429,10 @@ class TestScan:
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_negativity_vs_purity_equals_cellwise(self, restricted):
-        from entloc.spin import negativity_vs_purity
+        # the restricted sweep is the closed form, held to the matrices at the
+        # bound test_scan_equals_cellwise_values gives it (below F* the
+        # matrices leave round-off of about 1e-17 where it gives exact 0);
+        # prob and the mask equal the matrices' trace exactly
         f_values = np.linspace(1.0 / 16.0, 1.0, 5)
         for theta1, theta2 in ((0.0, 0.0), (QUARTER, 0.3)):  # (0, 0) at F = 1 is singular
             dist = negativity_vs_purity(theta1, theta2, f_values, restricted=restricted)
@@ -443,11 +449,10 @@ class TestScan:
                     assert dist.mask[i, 0] and prob == 0.0 and np.isnan(dist.values[i, 0])
                     continue
                 assert not dist.mask[i, 0] and prob == p
-                assert dist.values[i, 0] == spin_negativity(theta1, theta2, f,
-                                                            restricted=True)
+                assert dist.values[i, 0] == pytest.approx(
+                    spin_negativity(theta1, theta2, f, restricted=True), abs=1e-12)
 
     def test_negativity_vs_purity_sweep(self):
-        from entloc.spin import negativity_vs_purity
         f_values = np.linspace(1.0 / 16.0, 1.0, 16)
         for restricted in (False, True):
             dist = negativity_vs_purity(QUARTER, QUARTER, f_values,
@@ -458,3 +463,72 @@ class TestScan:
             assert np.all(np.diff(values) >= -1e-12)
             below = f_values <= 0.25
             assert np.all(values[below] <= 1e-9)
+
+
+class TestPuritySweep:
+    """negativity_vs_purity: the restricted sweep on the closed form, the
+    unrestricted one on the 16x16 matrices."""
+
+    @given(ANGLES, ANGLES, st.lists(PURITIES, min_size=1, max_size=8))
+    @example(QUARTER, QUARTER, np.linspace(1.0 / 16.0, 1.0, 128).tolist())  # the CLI's sweep
+    @example(0.0, 0.0, [1.0, 0.5])  # singular at F = 1
+    @settings(max_examples=200, deadline=None)
+    def test_restricted_sweep_is_the_scan_cell_bit_for_bit(self, theta1, theta2, f_values):
+        dist = negativity_vs_purity(theta1, theta2, f_values, restricted=True)
+        for i, f in enumerate(f_values):
+            cell = spin_scan([theta1, 0.5], [theta2, 0.5], measure="negativity",
+                             restricted=True, F=f)
+            for got, want in ((dist.values, cell.values), (dist.mask, cell.mask),
+                              (dist.extra["prob"], cell.extra["prob"])):
+                assert got[i, 0].tobytes() == want[0, 0].tobytes()
+
+    @pytest.mark.parametrize("theta1,theta2", [(QUARTER, QUARTER), (QUARTER, 0.3),
+                                               (0.3, 1.1), (1e-7, 0.5)])
+    def test_restricted_sweep_is_exactly_zero_below_the_vanish_point(self, theta1, theta2):
+        f_star = negativity_vanish_point(theta1, theta2, restricted=True)
+        f_values = np.linspace(1.0 / 16.0, 1.0, 128)
+        values = negativity_vs_purity(theta1, theta2, f_values, restricted=True).values[:, 0]
+        below = f_values < f_star
+        assert below.any() and not below.all()
+        assert np.all(values[below] == 0.0)
+        assert np.all(values[~below] >= 0.0)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("f_values,named", [([0.5, 0.05, 1.5], "0.05"),
+                                                ([0.0625, 1.01], "1.01"),
+                                                ([0.5, math.nan], "nan")])
+    def test_out_of_range_purity_refused_naming_the_first(self, restricted, f_values, named):
+        with pytest.raises(DomainError, match=rf"^F must lie in \[1/16, 1\], got {named}$"):
+            negativity_vs_purity(QUARTER, QUARTER, f_values, restricted=restricted)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_refused(self, restricted, bad):
+        for theta1, theta2 in ((bad, 0.3), (0.3, bad)):
+            with pytest.raises(DomainError, match="pair angles must be finite"):
+                negativity_vs_purity(theta1, theta2, [0.5], restricted=restricted)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_matrix_calls_per_sweep(self, monkeypatch, restricted):
+        calls = {"DensityMatrix": 0, "eigen_symmetric": 0}
+        post_init, eigen = DensityMatrix.__post_init__, entloc.linalg.eigen_symmetric
+
+        def counting_post_init(self):
+            calls["DensityMatrix"] += 1
+            post_init(self)
+
+        def counting_eigen(*args, **kwargs):
+            calls["eigen_symmetric"] += 1
+            return eigen(*args, **kwargs)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+        monkeypatch.setattr(entloc.linalg, "eigen_symmetric", counting_eigen)
+        n = 16
+        negativity_vs_purity(QUARTER, QUARTER, np.linspace(1.0 / 16.0, 1.0, n),
+                             restricted=restricted)
+        expected = {"DensityMatrix": 0, "eigen_symmetric": 0} if restricted else \
+            {"DensityMatrix": 2 * n, "eigen_symmetric": n}
+        assert calls == expected, (
+            "bench/tests/test_check.py::test_tracer_counts_exactly_and_restores pins the "
+            "unrestricted sweep at one eigensolve and two validated matrices per F; a "
+            "change to these counts moves that pin with ROADMAP item 1")
