@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, astuple, fields
 from typing import Callable, NamedTuple
@@ -72,6 +73,15 @@ class ConfigParse(UsageError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float, -1e-1 and -inf
+    included, as a value; argparse itself reads only -N and -N.N as values
+    and takes the others for flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):  # argparse would sys.exit(2); we map to 1
         raise UsageError(message)
 

@@ -32,9 +32,11 @@ from .oscillator import (
 from .restrict import (
     EMPTY_MASS,
     Region,
-    joint_cell_masses,
+    _entanglement_surface,
+    _map_orbits,
+    _orbit_masses,
+    _two_party_cells,
     marginal_masses,
-    two_party_map,
 )
 
 DEFAULT_THRESHOLD = 1e-3
@@ -81,25 +83,35 @@ def probability_map(model: OscillatorModel, centers_a, centers_b,
     """Joint or conditional probability surface over region centers.
 
     The joint table is computed once, in one batched call of the closed-form
-    joint masses, one per symmetry orbit of its cells: A x B, B x A,
-    -A x -B and -B x -A share one mass (restrict.joint_cell_masses). Exchanged
-    cells pair up on any axes; mirrored ones only where an axis holds the
-    exact negative of a center, as linspace(-4, 4, 33) and every CLI axis
-    centred on 0 do bit for bit. A conditional surface divides each row by
-    Alice's marginal (all in one closed-form call) and masks rows whose
-    marginal has no mass.
+    joint masses, one per symmetry orbit of its cells (_joint_map). A
+    conditional surface divides each row by Alice's marginal (all in one
+    closed-form call) and masks rows whose marginal has no mass.
     """
     if kind not in ("joint_probability", "conditional_probability"):
         raise DomainError(f"unknown probability kind {kind!r}")
     centers_a = np.asarray(centers_a, dtype=np.float64)
     centers_b = np.asarray(centers_b, dtype=np.float64)
     b = half_width_b if half_width_b is not None else half_width_a
-    values = joint_cell_masses(model, np.repeat(centers_a, centers_b.size), half_width_a,
-                               np.tile(centers_b, centers_a.size), b)
-    joint = Distribution2D(axis_a=centers_a, axis_b=centers_b, kind="joint_probability",
-                           values=values.reshape(centers_a.size, centers_b.size))
+    joint = _joint_map(model, centers_a, centers_b,
+                       _map_orbits(centers_a, centers_b, half_width_a, b))
     return joint if kind == "joint_probability" else _conditional_map(
         model, joint, half_width_a)
+
+
+def _joint_map(model: OscillatorModel, centers_a: np.ndarray, centers_b: np.ndarray,
+               orbits) -> Distribution2D:
+    """The joint probability surface of the centers_a x centers_b cells whose
+    symmetry orbits (width, bounds, inverse) restrict._map_orbits gave: A x
+    B, B x A, -A x -B and -B x -A share one closed-form mass
+    (restrict._orbit_masses), on the spectral rule of the width and without
+    its node cap. Exchanged cells pair up on any axes; mirrored ones only
+    where an axis holds the exact negative of a center, as linspace(-4, 4,
+    33) and every CLI axis centred on 0 do bit for bit.
+    """
+    width, bounds, inverse = orbits
+    values = _orbit_masses(model, width, bounds)[inverse]
+    return Distribution2D(axis_a=centers_a, axis_b=centers_b, kind="joint_probability",
+                          values=values.reshape(centers_a.size, centers_b.size))
 
 
 # -- Gaussian-surface fitting -------------------------------------------------
@@ -216,8 +228,16 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
     classical widths; "classical" fits the numeric joint and conditional
     probability maps at the given region half width; "quantum" fits the
     numeric entanglement map. Both maps run on scan_axis(-extent, extent,
-    steps), which is its own mirror image. Fit failures propagate.
+    steps), which is its own mirror image; its cells are reduced to their
+    symmetry orbits once per scan (restrict._map_orbits), and each coupling
+    solves only the orbits (_joint_map, restrict._two_party_cells). Fit
+    failures propagate.
     """
+    if which not in ("small_a_analytic", "classical", "quantum"):
+        raise DomainError(f"unknown scan branch {which!r}")
+    if which != "small_a_analytic":
+        centers = scan_axis(-extent, extent, steps)
+        orbits = _map_orbits(centers, centers, half_width, half_width)
     rows = []
     for alpha in alphas:
         model = OscillatorModel(alpha=alpha)
@@ -228,10 +248,8 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                                  sigma_1=analytic.sigma_1,
                                  sigma_2=analytic.sigma_2,
                                  sigma_12=analytic.sigma_12))
-            continue
-        centers = scan_axis(-extent, extent, steps)
-        if which == "classical":
-            joint = probability_map(model, centers, centers, half_width)
+        elif which == "classical":
+            joint = _joint_map(model, centers, centers, orbits)
             pm_fit = fit_surface(joint, "symmetric_pm")
             cond_fit = fit_surface(_conditional_map(model, joint, half_width),
                                    "conditional")
@@ -240,12 +258,10 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
                                  sigma_1=cond_fit.sigma_1,
                                  sigma_2=cond_fit.sigma_2,
                                  sigma_12=cond_fit.sigma_12))
-        elif which == "quantum":
-            surface = two_party_map(model, centers, centers_b=centers,
-                                    half_width=half_width)
+        else:
+            surface = _entanglement_surface(centers, centers,
+                                            _two_party_cells(model, orbits, None))
             pm_fit = fit_surface(surface, "symmetric_pm")
             rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
                                  sigma_minus=pm_fit.sigma_minus))
-        else:
-            raise DomainError(f"unknown scan branch {which!r}")
     return rows

@@ -187,21 +187,34 @@ def small_a_epsilon_one(model: OscillatorModel, a: float) -> float:
     """Schmidt weight eps when only Alice restricts to a width-2a region.
 
     Valid in the small-region limit; the surviving entanglement is
-    binary_entropy(eps), independent of where the region sits.
+    binary_entropy(eps), independent of where the region sits. A weight past
+    1/2 is no smaller Schmidt weight: the region is outside the limit, and
+    the half width is refused with DomainError.
     """
     if not 0.0 < a < math.inf:  # NaN fails both comparisons
         raise DomainError(f"half width must be finite and positive, got {a}")
     s = model.stiffness_root
-    return a * a * model.alpha * (s - 1.0) / (
-        12.0 * (1.0 + 2.0 * model.alpha + s))
+    return _small_weight(a * a * model.alpha * (s - 1.0) / (
+        12.0 * (1.0 + 2.0 * model.alpha + s)), f"half width {a:.6g}")
 
 
 def small_a_epsilon_both(model: OscillatorModel, a: float, b: float) -> float:
-    """Schmidt weight eps when both parties restrict (widths 2a and 2b)."""
+    """Schmidt weight eps when both parties restrict (widths 2a and 2b); a
+    weight past 1/2 is refused as in small_a_epsilon_one."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError("half widths must be finite and positive")
     s = model.stiffness_root
-    return a * a * b * b / 72.0 * (1.0 + 2.0 * model.alpha - s)
+    return _small_weight(a * a * b * b / 72.0 * (1.0 + 2.0 * model.alpha - s),
+                         f"half widths {a:.6g} and {b:.6g}")
+
+
+def _small_weight(eps: float, regions: str) -> float:
+    """eps, a small-region Schmidt weight of the regions described; past 1/2
+    (NaN included) it is refused with DomainError."""
+    if not eps <= 0.5:
+        raise DomainError(f"the small-region limit fails at {regions}: "
+                          f"Schmidt weight {eps:.3g} is past 1/2")
+    return eps
 
 
 def concurrence_density(model: OscillatorModel) -> float:

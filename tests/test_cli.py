@@ -437,7 +437,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("restricted", [[], ["--restricted"]])
     @pytest.mark.parametrize("angle", [["--theta1", "nan"], ["--theta1", "inf"],
-                                       ["--theta2=-inf"]])
+                                       ["--theta2=-inf"], ["--theta2", "-inf"],
+                                       ["--theta1", "-nan"]])
     def test_non_finite_sweep_angle_refused(self, capsys, angle, restricted):
         code, out, err = run_capture(capsys, F_SWEEP + angle + restricted)
         assert code == 2
@@ -457,6 +458,30 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "DomainError"
         assert payload["message"].startswith("half width")
+
+    @pytest.mark.parametrize("widths,named", [(["--a", "2.5", "--b", "0.1"], "half width 2.5"),
+                                              (["--a", "10"], "half width 10"),
+                                              (["--a", "0.1", "--b", "30"],
+                                               "half widths 0.1 and 30")])
+    def test_limit_weight_past_one_half_refused(self, capsys, widths, named):
+        # a small-region weight past 1/2 is outside the limit, not a smaller weight
+        code, out, err = run_capture(capsys, ["gauss-limits", "--alpha", "6"] + widths)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert named in payload["message"] and "past 1/2" in payload["message"]
+
+    @pytest.mark.parametrize("spelt", ["-1e-1", "-1E-1", "-.1", "-0.1e0", "-10e-2"])
+    def test_negative_numbers_in_any_form_are_values(self, capsys, spelt):
+        argv = ["gauss-one-restricted", "--alpha", "6", "--centers", "{}", "1", "3",
+                "--widths", "1"]
+        code, plain, _ = run_capture(capsys, [w.format("-0.1") for w in argv])
+        assert code == 0
+        code, out, err = run_capture(capsys, [w.format(spelt) for w in argv])
+        assert (code, err) == (0, "")
+        assert out == plain
 
     @pytest.mark.parametrize("text", [
         "q_bar_A,q_bar_B,value,prob,flag\n0,0,abc,0.1,ok\n",  # non-numeric value
@@ -508,6 +533,11 @@ class TestScalarCommands:
         assert payload["epsilon_both"] == pytest.approx(1.1111e-5, rel=1e-4)
         assert payload["concurrence_density"] == pytest.approx(0.66667,
                                                                abs=1e-5)
+        # the README's command, to the last digit
+        assert (payload["epsilon_one"], payload["entanglement_one"]) == \
+            (0.0011111111111111113, 0.01250630493093905)
+        assert (payload["epsilon_both"], payload["entanglement_both"]) == \
+            (1.1111111111111115e-05, 0.00019889249340970705)
 
     def test_point_evaluations(self, capsys):
         code, out, _ = run_capture(capsys, [
@@ -1286,25 +1316,29 @@ class TestAxes:
         # two reflections, the centre cell fixed by the mirror when n is odd
         assert square[0].size == (steps * steps + 2 * steps + steps % 2) // 4
 
-    def test_sigma_scan_solves_each_orbit_once(self, monkeypatch):
-        cells, maps = [], []
-        orbits, surface = entloc.restrict._two_party_orbits, entloc.correlate.two_party_map
+    @pytest.mark.parametrize("which", ["quantum", "classical"])
+    def test_sigma_scan_solves_each_orbit_once(self, which, monkeypatch):
+        # the axis is reduced to its orbits once per scan, not once per coupling
+        cells, surfaces = [], []
+        orbits, fit = entloc.restrict._two_party_orbits, entloc.correlate.fit_surface
 
         def counted(*args):
             result = orbits(*args)
             cells.append(result[1][0].size)
             return result
 
-        def kept(*args, **kwargs):
-            maps.append(surface(*args, **kwargs))
-            return maps[-1]
+        def kept(dist, form, **kwargs):
+            surfaces.append((dist, form))
+            return fit(dist, form, **kwargs)
 
         monkeypatch.setattr(entloc.restrict, "_two_party_orbits", counted)
-        monkeypatch.setattr(entloc.correlate, "two_party_map", kept)
-        sigma_vs_alpha_scan([6.0], which="quantum", half_width=0.25, steps=41)
+        monkeypatch.setattr(entloc.correlate, "fit_surface", kept)
+        sigma_vs_alpha_scan([2.0, 6.0], which=which, half_width=0.25, steps=41)
         assert cells == [441]
-        values = maps[0].values
-        assert values.tobytes() == values[::-1, ::-1].tobytes() == values.T.tobytes()
+        symmetric = [dist.values for dist, form in surfaces if form == "symmetric_pm"]
+        assert len(symmetric) == 2
+        for values in symmetric:
+            assert values.tobytes() == values[::-1, ::-1].tobytes() == values.T.tobytes()
 
 
 class TestReadmeCommands:

@@ -357,8 +357,8 @@ LAPACK_SITES = {
         np.linalg, "eigvalsh", None, lambda: von_neumann_entropy(MIXED),
         "eigen_symmetric",
         lambda tmp: ["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "1"]),
-    "schmidt-svd": (
-        np.linalg, "svd", None,
+    "schmidt_weights-eigvalsh": (
+        np.linalg, "eigvalsh", None,
         lambda: both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.5, 1.0)),
         "_schmidt_weights", lambda tmp: BOTH_CELL),
     "low_rank_factor-eigh": (

@@ -19,6 +19,8 @@ from entloc.oscillator import (
     joint_position_density,
     marginal_position_density,
     reduced_density_value,
+    small_a_entanglement_both,
+    small_a_entanglement_one,
     small_a_epsilon_both,
     small_a_epsilon_one,
     spectral_weight,
@@ -238,6 +240,23 @@ class TestSmallRegionLimits:
         for a, b in ((bad, 0.1), (0.1, bad)):
             with pytest.raises(DomainError, match="half widths"):
                 small_a_epsilon_both(model, a, b)
+
+    def test_weight_past_one_half_refused(self):
+        model = OscillatorModel(alpha=6)
+        # eps_one = a^2 / 9 at alpha 6: 1/2 at a = sqrt(4.5)
+        assert small_a_epsilon_one(model, 2.0) == pytest.approx(4.0 / 9.0, rel=1e-14)
+        for a in (2.5, 10.0, 1e200):
+            with pytest.raises(DomainError, match="half width .* past 1/2"):
+                small_a_epsilon_one(model, a)
+            with pytest.raises(DomainError, match="past 1/2"):
+                small_a_entanglement_one(model, a)
+        # eps_both = a^2 b^2 / 9 at alpha 6
+        assert small_a_epsilon_both(model, 1.0, 2.0) == pytest.approx(4.0 / 9.0, rel=1e-14)
+        for a, b in ((1.0, 3.0), (3.0, 1.0), (10.0, 10.0)):
+            with pytest.raises(DomainError, match="half widths .* past 1/2"):
+                small_a_epsilon_both(model, a, b)
+            with pytest.raises(DomainError, match="past 1/2"):
+                small_a_entanglement_both(model, a, b)
 
     def test_epsilon_one_value(self):
         eps = small_a_epsilon_one(OscillatorModel(alpha=6), 0.1)

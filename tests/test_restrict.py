@@ -41,8 +41,10 @@ from entloc.restrict import (
     partition_inequality_check,
     precise_measurement_entanglement,
     region_basis,
+    _amplitudes,
     _erfc,
     _normal_interval,
+    _orbit_setup,
     _schmidt_weights,
     _two_party_orbits,
     _two_party_sides,
@@ -857,6 +859,29 @@ class TestGaussLegendreEngine:
                                                Region(qb, width / 2))
                 assert cell.resolution == n
                 assert cell.entanglement == pytest.approx(value, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_alpha=st.floats(math.log(0.05), math.log(1e4)),
+           halves=st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 4.0)),
+           centers=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                            min_size=1, max_size=8),
+           n_bins=st.one_of(st.none(), st.integers(10, 400)))
+    def test_gram_entropy_matches_the_svd(self, log_alpha, halves, centers, n_bins):
+        # Schmidt weights from the Gram eigensolve against the squared singular
+        # values of the same assembled amplitude stack, on live cells
+        model = OscillatorModel(alpha=math.exp(log_alpha))
+        ca, cb = np.array(centers).T
+        width, bounds, _ = _two_party_orbits(ca, halves[0], cb, halves[1])
+        n, prob = _orbit_setup(model, width, bounds, n_bins)
+        live = prob >= EMPTY_MASS
+        assume(live.any())
+        sides = _two_party_sides(*(edge[live] for edge in bounds), n, n_bins)
+        gram = spectral_entropy_bits(_schmidt_weights(model, *sides))
+        sigma = np.linalg.svd(_amplitudes(model, *sides), compute_uv=False)
+        weights = sigma * sigma
+        svd = spectral_entropy_bits(weights / weights.sum(axis=1, keepdims=True))
+        assert np.all(np.isfinite(gram)) and np.all(gram >= 0.0)
+        assert np.all(np.abs(gram - svd) <= 1e-13)
 
     @settings(max_examples=20, deadline=None)
     @given(log_alpha=st.floats(-1.3, 4.0), width=st.floats(0.1, 8.0),
