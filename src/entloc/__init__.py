@@ -16,8 +16,6 @@ from .linalg import (
     eigen_symmetric,
     negativity,
     partial_transpose,
-    reduce_to_party,
-    von_neumann_entropy,
 )
 from .oscillator import (
     ClassicalWidths,
@@ -58,7 +56,6 @@ from .spin import (
     build_mixed_state,
     build_pure_state,
     negativity_vanish_point,
-    restrict_ms0,
     spin_entropy,
     spin_negativity,
     spin_scan,

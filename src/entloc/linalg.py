@@ -1,13 +1,13 @@
 """Dense linear algebra for small Hermitian matrices.
 
 DensityMatrix carries a checked state for the cells that assemble one (the
-spin model's 16 x 16 states, a grid or basis one-party cell, the precise
-readout); what an entanglement measure needs of it (eigenvalues, partial
-transpose and trace, entropy, negativity) lives here. The maps and the
-non-discarding ensemble take their spectra in batched LAPACK calls of their
-own (restrict) or in closed form (spin); every entropy goes through
-spectral_entropy_bits. Every LAPACK call of the package goes through lapack,
-the one place where numpy's LinAlgError becomes NoConvergence.
+spin model's unrestricted F sweep, a grid or basis one-party cell, the
+precise readout); what an entanglement measure needs of it (eigenvalues,
+partial transpose, negativity) lives here. The maps and the non-discarding
+ensemble take their spectra in batched LAPACK calls of their own (restrict)
+or in closed form (spin); every entropy goes through spectral_entropy_bits.
+Every LAPACK call of the package goes through lapack, the one place where
+numpy's LinAlgError becomes NoConvergence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainError,
-    NegativeEigenvalue,
     NoConvergence,
     NonHermitianInput,
     NotNormalized,
@@ -73,15 +72,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.elements).real)
-
-    @staticmethod
-    def from_state(state) -> "DensityMatrix":
-        """Projector |psi><psi| of a unit-norm state vector."""
-        psi = np.asarray(state)
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-10:
-            raise NotNormalized(f"state norm {norm} differs from 1")
-        return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 @dataclass(frozen=True)
@@ -137,21 +127,6 @@ def eigen_symmetric(m: DensityMatrix, vectors: bool = False):
     return spectrum
 
 
-def von_neumann_entropy(m: DensityMatrix) -> float:
-    """Von Neumann entropy -sum(lam log2 lam) in bits.
-
-    The input must be trace-normalized and positive semidefinite up to
-    numerical tolerance; eigenvalues below the clamp are dropped.
-    """
-    if abs(m.trace - 1.0) > 1e-8:
-        raise NotNormalized(f"trace {m.trace} differs from 1")
-    spectrum = eigen_symmetric(m)
-    lam_min = float(spectrum.eigenvalues[-1])
-    if lam_min < -1e-8:
-        raise NegativeEigenvalue(f"eigenvalue {lam_min:.3e} below tolerance")
-    return float(spectral_entropy_bits(spectrum.eigenvalues))
-
-
 def binary_entropy(eps: float) -> float:
     """h(eps) = -[eps log2 eps + (1-eps) log2(1-eps)], in bits."""
     if not 0.0 <= eps <= 1.0:
@@ -161,21 +136,16 @@ def binary_entropy(eps: float) -> float:
     return float(-(eps * np.log2(eps) + (1.0 - eps) * np.log2(1.0 - eps)))
 
 
-def _check_dims(m: DensityMatrix, dims: tuple[int, int]) -> tuple[int, int]:
-    d_a, d_b = dims
-    if d_a < 1 or d_b < 1 or d_a * d_b != m.dim:
-        raise DimensionMismatch(
-            f"dimensions {dims} do not factor matrix dimension {m.dim}")
-    return d_a, d_b
-
-
 def partial_transpose(m: DensityMatrix, dims: tuple[int, int]) -> DensityMatrix:
     """Transpose the second party's indices only.
 
     Index convention: row = i_a * d_b + i_b. The operation is involutive
     and preserves trace and Hermiticity.
     """
-    d_a, d_b = _check_dims(m, dims)
+    d_a, d_b = dims
+    if d_a < 1 or d_b < 1 or d_a * d_b != m.dim:
+        raise DimensionMismatch(
+            f"dimensions {dims} do not factor matrix dimension {m.dim}")
     r = m.elements.reshape(d_a, d_b, d_a, d_b)
     out = r.transpose(0, 3, 2, 1).reshape(m.dim, m.dim)
     return DensityMatrix(out, trace_normalized=m.trace_normalized)
@@ -188,17 +158,3 @@ def negativity(m: DensityMatrix, dims: tuple[int, int]) -> float:
     spectrum = eigen_symmetric(partial_transpose(m, dims))
     lam = spectrum.eigenvalues
     return float(-lam[lam < 0.0].sum())
-
-
-def reduce_to_party(m: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
-    """Partial trace onto one party; keep is "A" or "B"."""
-    d_a, d_b = _check_dims(m, dims)
-    r = m.elements.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        out = np.trace(r, axis1=1, axis2=3)
-    elif keep == "B":
-        out = np.trace(r, axis1=0, axis2=2)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, trace_normalized=m.trace_normalized)

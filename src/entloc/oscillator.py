@@ -169,20 +169,6 @@ def marginal_position_density(model: OscillatorModel, q):
     return reduced_density_value(model, q, q)
 
 
-def joint_position_density(model: OscillatorModel, qa, qb):
-    """Normalized two-particle position density |psi(q_a, q_b)|^2; vectorized."""
-    qa = np.asarray(qa, dtype=np.float64)
-    qb = np.asarray(qb, dtype=np.float64)
-    s = model.stiffness_root
-    # |psi|^2 factorizes over the normal modes (q_a + q_b) and (q_a - q_b).
-    c_plus = 0.25
-    c_minus = s / 4.0
-    norm = 2.0 * math.sqrt(c_plus * c_minus) / math.pi
-    u = qa + qb
-    v = qa - qb
-    return norm * np.exp(-c_plus * u * u - c_minus * v * v)
-
-
 def small_a_epsilon_one(model: OscillatorModel, a: float) -> float:
     """Schmidt weight eps when only Alice restricts to a width-2a region.
 
@@ -194,6 +180,10 @@ def small_a_epsilon_one(model: OscillatorModel, a: float) -> float:
     if not 0.0 < a < math.inf:  # NaN fails both comparisons
         raise DomainError(f"half width must be finite and positive, got {a}")
     s = model.stiffness_root
+    # uncoupled, or too weakly to resolve: the weight is 0 at every width, and
+    # a * a, which may overflow, must not meet the zero
+    if model.alpha * (s - 1.0) == 0.0:
+        return 0.0
     return _small_weight(a * a * model.alpha * (s - 1.0) / (
         12.0 * (1.0 + 2.0 * model.alpha + s)), f"half width {a:.6g}")
 
@@ -203,8 +193,10 @@ def small_a_epsilon_both(model: OscillatorModel, a: float, b: float) -> float:
     weight past 1/2 is refused as in small_a_epsilon_one."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError("half widths must be finite and positive")
-    s = model.stiffness_root
-    return _small_weight(a * a * b * b / 72.0 * (1.0 + 2.0 * model.alpha - s),
+    coupling = 1.0 + 2.0 * model.alpha - model.stiffness_root
+    if coupling == 0.0:  # 0 at every width, as in small_a_epsilon_one
+        return 0.0
+    return _small_weight(a * a * b * b / 72.0 * coupling,
                          f"half widths {a:.6g} and {b:.6g}")
 
 

@@ -541,11 +541,14 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     The one-particle reduced kernel is sampled on n_bins + 1 points of the
     region (DEFAULT_BINS_ONE intervals by default) and trace-normalized; the
     survival probability is the quadrature mass of the region. A grid whose
-    (n_bins + 1)^2 kernel would not fit KERNEL_BYTES (past 8191 bins) is
-    refused with QuadratureNotConverged before any array is built.
+    (n_bins + 1)^2 kernel would not fit KERNEL_BYTES (past 8191 bins), or a
+    region whose spectrum needs more than MAX_NODES nodes (_schmidt_nodes),
+    as the map of its width does, is refused with QuadratureNotConverged
+    before any array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     _kernel_budget(n_bins + 1, "point grid kernel")
+    _schmidt_nodes(model, region.width, n_bins)
     p = _region_mass(region, region_survival_probability(model, region))
     points = _grid_points(region, n_bins)
     entropy, spectrum = _entropy_and_spectrum(

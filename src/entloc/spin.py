@@ -10,10 +10,11 @@ Basis convention: |up> = 0, |down> = 1, row index = 8 a1 + 4 a2 + 2 b1 + b2,
 i.e. Alice's index is the most significant pair, so the A|B cut is the
 (4, 4) split used by the partial transpose and partial trace.
 
-spin_entropy and spin_negativity evaluate one cell from the 16x16
-matrices; spin_scan, negativity_vanish_point and the restricted sweep of
-negativity_vs_purity use closed forms in the four Schmidt coefficients of
-the pure state, which the tests hold to them. The unrestricted sweep still
+Every value is a closed form in the four Schmidt coefficients of the pure
+state: spin_scan's surface, whose (0, 0) cell on one-element axes is
+spin_entropy and spin_negativity, negativity_vanish_point and the
+restricted sweep of negativity_vs_purity. The tests hold them to the 16x16
+matrices, which they build themselves. The unrestricted sweep alone still
 builds and eigensolves the 16x16 mixed state at every F.
 """
 
@@ -24,24 +25,11 @@ import numpy as np
 
 from .distribution import Distribution2D
 from .errors import DomainError, ZeroNormSubspace
-from .linalg import (
-    DensityMatrix,
-    negativity,
-    reduce_to_party,
-    spectral_entropy_bits,
-    von_neumann_entropy,
-)
+from .linalg import DensityMatrix, negativity, spectral_entropy_bits
 
 DIM = 16
 SINGULAR_TRACE = 1e-12
 
-
-_INDEX = np.arange(DIM)
-# Zero-moment masks: Alice's two spins differ (a1 != a2), Bob's differ (b1 != b2).
-_MS0 = {"A": (((_INDEX >> 3) ^ (_INDEX >> 2)) & 1).astype(np.float64),
-        "B": (((_INDEX >> 1) ^ _INDEX) & 1).astype(np.float64)}
-_MS0_BOTH = _MS0["A"] * _MS0["B"]
-_MS0_BOTH_OUTER = np.outer(_MS0_BOTH, _MS0_BOTH)
 # index pairs k < l of the four Schmidt coefficients
 _PAIR_K, _PAIR_L = np.triu_indices(4, 1)
 
@@ -69,51 +57,6 @@ def build_mixed_state(theta1: float, theta2: float, F: float) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def restrict_ms0(state):
-    """Project both parties onto their zero-moment subspaces and renormalize.
-
-    Accepts a pure state vector or a DensityMatrix. Returns the renormalized
-    survivor together with the survival probability (squared norm or trace
-    before renormalization). Raises ZeroNormSubspace when nothing survives,
-    which for the pure state happens exactly at cos(2 theta1) cos(2 theta2) = 1.
-    """
-    if isinstance(state, DensityMatrix):
-        projected = state.elements * _MS0_BOTH_OUTER
-        p = float(np.trace(projected).real)
-        if p < SINGULAR_TRACE:
-            raise ZeroNormSubspace(f"restricted trace {p:.3e} is numerically zero")
-        return DensityMatrix(projected / p), p
-    psi = np.asarray(state, dtype=np.float64)
-    survivor = psi * _MS0_BOTH
-    p = float(survivor @ survivor)
-    if p < SINGULAR_TRACE:
-        raise ZeroNormSubspace(f"surviving norm^2 {p:.3e} is numerically zero")
-    return survivor / math.sqrt(p), p
-
-
-def ms0_outcome_branches(state: np.ndarray):
-    """All four joint measurement branches of a pure state.
-
-    Each party's measurement distinguishes zero total moment from the rest;
-    the branches are labelled ((A in M_s=0?), (B in M_s=0?)). Returns a list
-    of (label, probability, normalized branch state or None when the branch
-    carries no weight).
-    """
-    psi = np.asarray(state, dtype=np.float64)
-    branches = []
-    for in_a in (True, False):
-        sel_a = _MS0["A"] if in_a else 1.0 - _MS0["A"]
-        for in_b in (True, False):
-            sel_b = _MS0["B"] if in_b else 1.0 - _MS0["B"]
-            branch = psi * sel_a * sel_b
-            p = float(branch @ branch)
-            if p < SINGULAR_TRACE:
-                branches.append(((in_a, in_b), p, None))
-            else:
-                branches.append(((in_a, in_b), p, branch / math.sqrt(p)))
-    return branches
-
-
 def _schmidt_coefficients(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (c1c2, c1s2, s1c2, s1s2) at every (theta1[i], theta2[j]).
 
@@ -128,11 +71,6 @@ def _schmidt_coefficients(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     c2, s2 = (np.array([f(t) for t in theta2]) for f in (math.cos, math.sin))
     return np.stack([np.multiply.outer(x, y) for x in (c1, s1) for y in (c2, s2)],
                     axis=-1)
-
-
-def _pure_entropy(psi: np.ndarray) -> float:
-    rho_a = reduce_to_party(DensityMatrix.from_state(psi), (4, 4), "A")
-    return von_neumann_entropy(rho_a)
 
 
 def _negativity(rho: DensityMatrix) -> float:
@@ -157,9 +95,9 @@ def _filtered_negativity(a, b, F):
     survives: the value is NaN, prob 0 and the mask set.
     """
     pf, floor = (16.0 * F - 1.0) / 15.0, (1.0 - F) / 15.0
-    # the filtered matrix's diagonal pf a^2 + floor, floor, floor,
-    # pf b^2 + floor, summed in the order np.trace sums it in
-    # restrict_ms0, so that prob and the mask equal its trace bit for bit
+    # the filtered 16x16 matrix's diagonal pf a^2 + floor, floor, floor,
+    # pf b^2 + floor, summed in the order np.trace sums it, so that prob and
+    # the mask equal that matrix's trace bit for bit
     trace = (floor + (pf * (b * b) + floor)) + ((pf * (a * a) + floor) + floor)
     mask = trace < SINGULAR_TRACE
     values = np.maximum(0.0, pf * np.abs(a * b) - floor) / np.where(mask, 1.0, trace)
@@ -167,29 +105,30 @@ def _filtered_negativity(a, b, F):
     return values, np.where(mask, 0.0, trace), mask
 
 
+def _cell(theta1: float, theta2: float, measure: str, restricted: bool,
+          F: float = 1.0) -> float:
+    """The (0, 0) cell of _surface on one-element axes, the cell spin_scan
+    gives at (theta1, theta2) bit for bit; a restricted cell that does not
+    survive the moment filter raises ZeroNormSubspace."""
+    dist = _surface(np.array([theta1], dtype=np.float64),
+                    np.array([theta2], dtype=np.float64), measure, restricted, F)
+    if dist.mask[0, 0]:
+        raise ZeroNormSubspace(f"nothing survives the moment filter at theta1 = "
+                               f"{theta1:.6g}, theta2 = {theta2:.6g}")
+    return float(dist.values[0, 0])
+
+
 def spin_entropy(theta1: float, theta2: float, restricted: bool = False) -> float:
-    """Entanglement entropy of Alice's pair, optionally after the moment filter."""
-    psi = build_pure_state(theta1, theta2)
-    if restricted:
-        psi, _ = restrict_ms0(psi)
-    return _pure_entropy(psi)
+    """Entanglement entropy of Alice's pair, optionally after the moment filter:
+    one cell of spin_scan's entropy surface."""
+    return _cell(theta1, theta2, "entropy", restricted)
 
 
 def spin_negativity(theta1: float, theta2: float, F: float,
                     restricted: bool = False) -> float:
-    """Negativity of the (optionally filtered) mixed state across the A|B cut."""
-    rho = build_mixed_state(theta1, theta2, F)
-    if restricted:
-        rho, _ = restrict_ms0(rho)
-    return _negativity(rho)
-
-
-def survival_probability(theta1: float, theta2: float) -> float:
-    """Probability that the pure state survives both moment filters.
-
-    Equals (1 - cos 2 theta1 cos 2 theta2)/2.
-    """
-    return 0.5 * (1.0 - math.cos(2.0 * theta1) * math.cos(2.0 * theta2))
+    """Negativity of the (optionally filtered) mixed state across the A|B cut:
+    one cell of spin_scan's negativity surface at F."""
+    return _cell(theta1, theta2, "negativity", restricted, F)
 
 
 def negativity_vanish_point(theta1: float, theta2: float,
@@ -261,6 +200,12 @@ def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
     t2 = np.asarray(theta2_values, dtype=np.float64)
     if t1.size < 2 or t2.size < 2:
         raise DomainError("scan grid needs at least 2 steps per axis")
+    return _surface(t1, t2, measure, restricted, F)
+
+
+def _surface(t1: np.ndarray, t2: np.ndarray, measure: str, restricted: bool,
+             F: float) -> Distribution2D:
+    """spin_scan's surface on the axes t1 and t2, of any size."""
     if measure not in ("entropy", "negativity"):
         raise DomainError(f"unknown measure {measure!r}")
     _check_purity(F)

