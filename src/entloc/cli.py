@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, astuple, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -467,14 +466,19 @@ def _cmd_gauss_fit(ns, metadata):
 
     def fit(surface):
         params = fit_surface(surface, form, threshold=ns.threshold, window=ns.window)
-        return {key: value for key, value in asdict(params).items() if value is not None}
+        return {key: value for key, value in params._asdict().items() if value is not None}
 
     payload = {"fit": fit(dist)}
     if ns.jitter:
+        if not math.isfinite(ns.jitter):
+            raise DomainError(f"jitter must be finite, got {ns.jitter}")
+        if ns.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {ns.seed}")
         rng = np.random.default_rng(ns.seed)
+        with np.errstate(over="raise", invalid="raise"):  # NumericalFailure, not a warning
+            values = dist.values * (1.0 + ns.jitter * rng.standard_normal(dist.shape))
         noisy = Distribution2D(
-            axis_a=dist.axis_a, axis_b=dist.axis_b,
-            values=dist.values * (1.0 + ns.jitter * rng.standard_normal(dist.shape)),
+            axis_a=dist.axis_a, axis_b=dist.axis_b, values=values,
             kind=dist.kind, mask=dist.mask, axis_names=dist.axis_names)
         payload["jitter_fit"] = fit(noisy)
         payload["jitter"] = ns.jitter
@@ -487,8 +491,7 @@ def _cmd_gauss_sigma_scan(ns, metadata):
     _require(ns, "alphas")
     rows = sigma_vs_alpha_scan(_float_list(ns.alphas), which=ns.which.replace("-", "_"),
                                half_width=ns.width / 2.0, extent=ns.extent, steps=ns.steps)
-    _emit_table(ns, metadata, [f.name for f in fields(SigmaRow)],
-                [astuple(row) for row in rows], [asdict(row) for row in rows])
+    _emit_table(ns, metadata, SigmaRow._fields, rows, [row._asdict() for row in rows])
 
 
 def _cmd_gauss_inequality(ns, metadata):
@@ -525,12 +528,12 @@ def _cmd_gauss_inequality(ns, metadata):
 
 def _cmd_gauss_converge(ns, metadata):
     model = _model(ns)
-    header = ["width"] + [f.name for f in fields(MethodEquivalence)]
+    header = ("width", *MethodEquivalence._fields)
     rows = []
     for width in _float_list(ns.widths):
         eq = method_equivalence(model, Region(ns.qbar, width / 2.0),
                                 n_bins=ns.n_bins, n_basis=ns.n_basis)
-        rows.append((width, *astuple(eq)))
+        rows.append((width, *eq))
     _emit_table(ns, metadata, header, rows, [dict(zip(header, row)) for row in rows])
 
 

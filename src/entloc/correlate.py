@@ -12,7 +12,7 @@ space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +24,7 @@ from .errors import (
     NonPositiveCurvature,
 )
 from .linalg import lapack
-from .oscillator import (
-    ClassicalWidths,
-    OscillatorModel,
-    classical_widths,
-)
+from .oscillator import OscillatorModel, classical_widths
 from .restrict import (
     EMPTY_MASS,
     Region,
@@ -116,8 +112,7 @@ def _joint_map(model: OscillatorModel, centers_a: np.ndarray, centers_b: np.ndar
 
 # -- Gaussian-surface fitting -------------------------------------------------
 
-@dataclass(frozen=True)
-class FitParams:
+class FitParams(NamedTuple):
     """Widths of a log-quadratic surface fit.
 
     form "symmetric_pm" fits amplitude * exp(-(x+y)^2 / 2 sigma_plus^2
@@ -207,8 +202,7 @@ def fit_surface(dist: Distribution2D, form: str = "symmetric_pm", *,
 
 # -- widths versus coupling -----------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaRow:
+class SigmaRow(NamedTuple):
     """Fitted or analytic widths at one coupling strength."""
 
     alpha: float
@@ -242,26 +236,17 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
     for alpha in alphas:
         model = OscillatorModel(alpha=alpha)
         if which == "small_a_analytic":
-            analytic: ClassicalWidths = classical_widths(model)
-            rows.append(SigmaRow(alpha=alpha, sigma_plus=analytic.sigma_plus,
-                                 sigma_minus=analytic.sigma_minus,
-                                 sigma_1=analytic.sigma_1,
-                                 sigma_2=analytic.sigma_2,
-                                 sigma_12=analytic.sigma_12))
+            rows.append(SigmaRow(alpha, *classical_widths(model)))
         elif which == "classical":
             joint = _joint_map(model, centers, centers, orbits)
             pm_fit = fit_surface(joint, "symmetric_pm")
             cond_fit = fit_surface(_conditional_map(model, joint, half_width),
                                    "conditional")
-            rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
-                                 sigma_minus=pm_fit.sigma_minus,
-                                 sigma_1=cond_fit.sigma_1,
-                                 sigma_2=cond_fit.sigma_2,
-                                 sigma_12=cond_fit.sigma_12))
+            rows.append(SigmaRow(alpha, pm_fit.sigma_plus, pm_fit.sigma_minus,
+                                 cond_fit.sigma_1, cond_fit.sigma_2, cond_fit.sigma_12))
         else:
             surface = _entanglement_surface(centers, centers,
                                             _two_party_cells(model, orbits, None))
             pm_fit = fit_surface(surface, "symmetric_pm")
-            rows.append(SigmaRow(alpha=alpha, sigma_plus=pm_fit.sigma_plus,
-                                 sigma_minus=pm_fit.sigma_minus))
+            rows.append(SigmaRow(alpha, pm_fit.sigma_plus, pm_fit.sigma_minus))
     return rows

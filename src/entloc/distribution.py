@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,12 +10,21 @@ import numpy as np
 from .errors import DomainError
 
 
+def check_span(lo: float, hi: float, what: str) -> None:
+    """Refuse with DomainError, naming them, the bounds lo and hi of what
+    when either is not finite or their span hi - lo overflows."""
+    if not math.isfinite(float(hi) - float(lo)):  # inf or nan for any such bounds
+        raise DomainError(f"{what} bounds {float(lo)!r} and {float(hi)!r} must be finite "
+                          "and have a finite span")
+
+
 def scan_axis(lo: float, hi: float, steps: int) -> np.ndarray:
     """np.linspace(lo, hi, steps), made its own mirror image bit for bit when
     lo == -hi, so that mirrored cells of a map meet exactly. Fewer than 2
-    steps are refused with DomainError."""
+    steps, and bounds that check_span refuses, are refused with DomainError."""
     if steps < 2:
         raise DomainError(f"a scan axis needs at least 2 steps, got {steps}")
+    check_span(lo, hi, "scan axis")
     x = np.linspace(lo, hi, steps)
     return (x - x[::-1]) / 2.0 if lo == -hi else x
 

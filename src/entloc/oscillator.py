@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,7 @@ class OscillatorModel:
         return math.sqrt(1.0 + 4.0 * self.alpha)
 
 
-@dataclass(frozen=True)
-class GroundStateConstants:
+class GroundStateConstants(NamedTuple):
     """Derived ground-state constants.
 
     l_matrix is the 2x2 quadratic form of the wavefunction exponent;
@@ -75,8 +75,7 @@ class GroundStateConstants:
     eof: float
 
 
-@dataclass(frozen=True)
-class ClassicalWidths:
+class ClassicalWidths(NamedTuple):
     """Widths of the classical probability surfaces.
 
     sigma_plus/sigma_minus: standard deviations of the joint position
@@ -92,8 +91,7 @@ class ClassicalWidths:
     sigma_12: float
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.sigma_plus, self.sigma_minus,
-                self.sigma_1, self.sigma_2, self.sigma_12)
+        return tuple(self)
 
 
 def spectral_weight(model: OscillatorModel) -> float:

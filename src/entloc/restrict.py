@@ -84,10 +84,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import Distribution2D
+from .distribution import Distribution2D, check_span
 from .errors import (
     DomainError,
     EmptyRegionMass,
@@ -227,6 +228,7 @@ class Partition:
     @staticmethod
     def uniform(lo: float, hi: float, n_segments: int,
                 tail_handling: str = "truncate") -> "Partition":
+        check_span(lo, hi, "partition")
         if hi <= lo or n_segments < 1:
             raise DomainError("uniform partition needs lo < hi and >= 1 segment")
         edges = np.linspace(lo, hi, n_segments + 1)
@@ -809,8 +811,7 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
 
 # -- non-discarding ensemble --------------------------------------------------
 
-@dataclass(frozen=True)
-class NonDiscardingResult:
+class NonDiscardingResult(NamedTuple):
     """Entanglement of the keep-both-outcomes ensemble.
 
     entanglement combines the conditional entanglements through the
@@ -891,16 +892,14 @@ def non_discarding_two_path(model: OscillatorModel, region: Region):
 
 # -- multi-partition inequality -----------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionCell:
+class PartitionCell(NamedTuple):
     region_a: Region
     region_b: Region
     probability: float
     entanglement: float
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Weighted discarding entanglement summed over a joint partition."""
 
     weighted_sum: float
@@ -938,8 +937,7 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
 
 # -- grid/basis method equivalence ---------------------------------------------
 
-@dataclass(frozen=True)
-class MethodEquivalence:
+class MethodEquivalence(NamedTuple):
     """Convergence study comparing the two discretizations.
 
     Both methods approach the continuum entropy with leading error

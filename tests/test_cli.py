@@ -98,6 +98,18 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def in_map_dir(tmp_path, monkeypatch):
+    """Run in a directory that holds a surface map.csv and a config seed.json
+    with a negative seed."""
+    monkeypatch.chdir(tmp_path)
+    x = np.linspace(-2.0, 2.0, 9)
+    emit_distribution(Distribution2D(axis_a=x, axis_b=x,
+                                     values=np.exp(-np.add.outer(x * x, x * x))),
+                      "map.csv", "csv")
+    Path("seed.json").write_text('{"seed": -1}')
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_capture(capsys, ["frobnicate"])
@@ -185,16 +197,37 @@ class TestExitCodes:
         (["gauss-one-restricted", "--alpha", "1e12", "--qbar", "0", "--width", "1"],
          2, "QuadratureNotConverged"),
     ])
-    def test_rule_cli_rejects_1_library_rejects_2(self, capsys, tmp_path, monkeypatch,
-                                                  argv, code, error):
-        monkeypatch.chdir(tmp_path)
-        x = np.linspace(-2.0, 2.0, 9)
-        emit_distribution(Distribution2D(axis_a=x, axis_b=x,
-                                         values=np.exp(-np.add.outer(x * x, x * x))),
-                          "map.csv", "csv")
+    def test_rule_cli_rejects_1_library_rejects_2(self, capsys, in_map_dir, argv, code, error):
         got, _, err = run_capture(capsys, argv)
         assert got == code
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("argv,error", [
+        # ranges whose bounds or span are not finite, refused before numpy
+        # computes an axis of nan
+        (["gauss-inequality", "--alpha", "6", "--extent", "inf"], "DomainError"),
+        (["gauss-inequality", "--alpha", "6", "--extent", "1e308", "--grid-a", "2"],
+         "DomainError"),
+        (["gauss-sigma-scan", "--alphas", "1", "--extent", "inf"], "DomainError"),
+        (["gauss-one-restricted", "--alpha", "6", "--centers", "-1e308", "1e308", "3",
+          "--widths", "1"], "DomainError"),
+        (["spin-scan", "--steps", "3", "--theta-max", "inf"], "DomainError"),
+        (["spin-negativity-scan", "--f-range", "0.0625", "inf", "3"], "DomainError"),
+        # the noise of a gauss-fit jitter: a seed numpy refuses, a noise amplitude
+        # that is not finite, and noisy values that overflow
+        (["gauss-fit", "--input", "map.csv", "--jitter", "0.1", "--seed", "-1"],
+         "DomainError"),
+        (["gauss-fit", "--input", "map.csv", "--jitter", "0.1", "--config", "seed.json"],
+         "DomainError"),
+        (["gauss-fit", "--input", "map.csv", "--jitter", "inf"], "DomainError"),
+        (["gauss-fit", "--input", "map.csv", "--jitter", "1e308"], "NumericalFailure"),
+    ])
+    def test_non_finite_input_ends_in_one_json_line(self, capsys, in_map_dir, argv, error):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
 
     @pytest.mark.parametrize("argv,flag", REFUSED + [
         (ONE_CELL + ["--method", "basis", "--n-bins", "40"], "--n-bins"),
@@ -918,6 +951,40 @@ class TestScanCommands:
         code, out, _ = run_capture(capsys, ["gauss-converge", "--alpha", "6", "--widths", ","])
         assert (code, out) == (0, "width,grid_coarse,grid_fine,basis_coarse,"
                                   "basis_fine,grid_limit,basis_limit,gap\n")
+
+    def test_json_key_order(self, capsys, tmp_path):
+        """The keys of record-backed JSON objects come in field order."""
+        sigmas = ["sigma_plus", "sigma_minus", "sigma_1", "sigma_2", "sigma_12"]
+        _, out, _ = run_capture(capsys, ANALYTIC + ["--format", "json"])
+        assert [list(row) for row in json.loads(out)["rows"]] == [["alpha", *sigmas]]
+        _, out, _ = run_capture(capsys, [
+            "gauss-converge", "--alpha", "6", "--widths", "2,3",
+            "--n-bins", "40", "--n-basis", "10", "--format", "json"])
+        assert [list(row) for row in json.loads(out)["rows"]] == [[
+            "width", "grid_coarse", "grid_fine", "basis_coarse", "basis_fine",
+            "grid_limit", "basis_limit", "gap"]] * 2
+        path = tmp_path / "cond.csv"
+        run_capture(capsys, ["gauss-classical-map", "--alpha", "6", "--kind", "conditional",
+                             "--centers", "-1.5", "1.5", "15", "--width", "0.5",
+                             "-o", str(path)])
+        fit = ["gauss-fit", "--input", str(path), "--jitter", "1e-4"]
+        _, out, _ = run_capture(capsys, fit)
+        payload = json.loads(out)
+        assert list(payload) == ["fit", "jitter_fit", "jitter", "metadata"]
+        assert list(payload["fit"]) == list(payload["jitter_fit"]) == [
+            "form", "amplitude", "residual", *sigmas[:2]]
+        _, out, _ = run_capture(capsys, fit + ["--form", "conditional"])
+        assert list(json.loads(out)["fit"]) == ["form", "amplitude", "residual", *sigmas[2:]]
+        _, out, _ = run_capture(capsys, INEQUALITY + [
+            "--n-bins", "40", "--nd-center", "0", "--nd-half-width", "1"])
+        payload = json.loads(out)
+        assert list(payload) == ["weighted_sum", "full_entanglement", "slack", "cells",
+                                 "non_discarding", "metadata"]
+        assert [list(cell) for cell in payload["cells"]] == [[
+            "a_lo", "a_hi", "b_lo", "b_hi", "probability", "entanglement"]] * 4
+        assert list(payload["non_discarding"]) == [
+            "entanglement", "prob", "inside", "outside", "locally_accessible",
+            "mixture_value", "two_path_gap"]
 
     def test_converge_table(self, capsys):
         code, out, _ = run_capture(capsys, [

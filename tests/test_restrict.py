@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entloc.correlate import joint_probability, probability_map
+from entloc.distribution import scan_axis
 from entloc.errors import DomainError, EmptyRegionMass, NoConvergence, QuadratureNotConverged
 from entloc.linalg import EIGENVALUE_CLAMP, binary_entropy, spectral_entropy_bits
 from entloc.oscillator import (
@@ -712,6 +714,13 @@ class TestPartitionInequality:
     def test_tail_handling_validation(self):
         with pytest.raises(DomainError):
             Partition.uniform(-1, 1, 2, tail_handling="wrap")
+
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, math.inf), (0.0, math.nan),
+                                       (-1e308, 1e308)])  # the last span overflows
+    def test_bounds_without_a_finite_span_refused(self, lo, hi):
+        for build in (lambda: Partition.uniform(lo, hi, 2), lambda: scan_axis(lo, hi, 3)):
+            with pytest.raises(DomainError, match=re.escape(f"bounds {lo!r} and {hi!r} ")):
+                build()
 
     @settings(max_examples=30, deadline=None)
     @given(alpha=st.floats(0.0, 1e3), extent_a=st.floats(0.25, 12.0),
