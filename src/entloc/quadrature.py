@@ -63,12 +63,13 @@ def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):
 @lru_cache(maxsize=64)
 def _grid_rule(points: int, m: int):
     # Jacobi matrix of the discrete Chebyshev polynomials on t = 0 ... N - 1,
-    # centred on (N - 1)/2 and scaled to [-1, 1]; weights are N v_0^2
+    # centred on (N - 1)/2 and scaled to [-1, 1]; weights are N v_0^2,
+    # symmetrised about 0 as _gauss_rule is, so the rule is its own mirror image
     k = np.arange(1.0, m)
     scale = 2.0 / (points - 1)
     u, v0sq = _golub_welsch(
         scale * np.sqrt(k * k * (points * points - k * k) / (4.0 * (4.0 * k * k - 1.0))))
-    return u, points * v0sq
+    return 0.5 * (u - u[::-1]), (0.5 * points) * (v0sq + v0sq[::-1])
 
 
 def grid_gauss(lo, hi, points: int, m: int):

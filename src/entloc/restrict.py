@@ -665,10 +665,37 @@ def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
                               8 * na * (nb + max(na, nb)), xa, wa, xb, wb)
 
 
+def _mirror_key(lo, hi):
+    """Each interval [lo, hi] as the lexicographically smaller of (lo, hi)
+    and its mirror (-hi, -lo): one key for an interval and its mirror."""
+    flip = (-hi < lo) | ((-hi == lo) & (-lo < hi))
+    return np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+
+
 def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
     """Nodes and weights of both sides of two-party cells, n per region on
-    the rule that n_bins selects (_rule)."""
-    return (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins))
+    the rule that n_bins selects (_rule), laid out so that the four images
+    of a cell (_two_party_orbits) give one amplitude matrix bit for bit.
+
+    A cell's first side is the region with the smaller _mirror_key, so a
+    cell and its exchange build the same matrix. Both rules are their own
+    mirror images bit for bit, so a mirrored region's nodes are the exact
+    negatives of the region's, in reverse order; a cell whose first side's
+    midpoint is negative (or zero, with the second side's negative) takes
+    both sides' nodes in descending order, so a cell and its mirror meet
+    the same nodes, negated, in one order, and psi(-q_a, -q_b) = psi(q_a,
+    q_b) gives the same matrix.
+    """
+    a_lo, a_hi, b_lo, b_hi = np.broadcast_arrays(
+        *(np.asarray(edge, dtype=np.float64) for edge in (a_lo, a_hi, b_lo, b_hi)))
+    (ka_lo, ka_hi), (kb_lo, kb_hi) = _mirror_key(a_lo, a_hi), _mirror_key(b_lo, b_hi)
+    swap = (kb_lo < ka_lo) | ((kb_lo == ka_lo) & (kb_hi < ka_hi))
+    a_lo, a_hi, b_lo, b_hi = (np.where(swap, b_lo, a_lo), np.where(swap, b_hi, a_hi),
+                              np.where(swap, a_lo, b_lo), np.where(swap, a_hi, b_hi))
+    mid_a, mid_b = a_lo + a_hi, b_lo + b_hi
+    descending = ((mid_a < 0.0) | ((mid_a == 0.0) & (mid_b < 0.0)))[..., None]
+    return tuple(np.where(descending, side[..., ::-1], side)
+                 for side in (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins)))
 
 
 def _orbit_masses(model: OscillatorModel, width: float, bounds) -> np.ndarray:
@@ -1011,7 +1038,9 @@ def _two_party_orbits(centers_a, half_a, centers_b, half_b):
     exact in floating point, so every image of a cell gets the same
     representative, bit for bit. A cell none of whose images is among the
     cells is its own representative, so a result never depends on finding
-    one, only on each image being an exact symmetry of psi.
+    one, only on each image being an exact symmetry of psi. _two_party_sides
+    gives the four images one amplitude matrix, so the representative's
+    entropy is each image's own, bit for bit.
     """
     cells = np.stack(_cell_arrays(centers_a, half_a, centers_b, half_b), axis=-1).reshape(-1, 4)
     width = 2.0 * max(np.max(half_a, initial=0.0), np.max(half_b, initial=0.0))
