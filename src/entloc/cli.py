@@ -6,6 +6,7 @@ maps, surface fits, the partition inequality and the grid/basis
 convergence study. Scans are emitted as plot-ready CSV
 (axis_a,axis_b,value,prob,flag at 12 significant digits) or as JSON with a
 metadata block echoing the run configuration; scalar results are JSON.
+In one process, run builds each subcommand's parser once and reuses it.
 
 Exit codes, with a JSON error description on stderr for 1 and 2:
 
@@ -20,6 +21,7 @@ Exit codes, with a JSON error description on stderr for 1 and 2:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -85,9 +87,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _flags(masked, empty) -> np.ndarray:
-    """Flag tokens of cells from their mask and empty-region flags (arrays)."""
-    return np.where(masked, "masked", np.where(empty, "empty", "ok"))
+# The word of each cell flag code empty + 2 * masked: a masked cell is
+# "masked" whether or not its region is empty.
+_FLAG_WORDS = np.array(["ok", "empty", "masked", "masked"], dtype=object)
+
+
+def _flag_words(masked, empty) -> list[str]:
+    """The flag word of each cell from its mask and empty-region flags, in
+    row-major order."""
+    return _FLAG_WORDS[(np.asarray(empty) + 2 * np.asarray(masked)).ravel()].tolist()
 
 
 _JSON_SCALARS = {float, int, str, bool, type(None)}
@@ -141,18 +149,24 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _column_text(column) -> list[str]:
-    """The CSV words of one column: flag tokens as they are, numbers at 12
-    significant digits with -0 written as 0 and a missing value as nan."""
+    """The CSV words of one column: a list is its words already, and flag
+    tokens are kept as they are; numbers are written at 12 significant
+    digits, each distinct value once, with -0 as 0 and a missing value as nan."""
+    if isinstance(column, list):
+        return column
     column = np.asarray(column).ravel()
     if column.dtype.kind == "U":
         return column.tolist()
-    distinct, index = np.unique(column.astype(np.float64) + 0.0, return_inverse=True)
-    words = ("%.12g\n" * distinct.size % tuple(distinct.tolist())).split("\n")
+    # distinct bit patterns: np.unique is about 3x slower on floats that hold NaN
+    bits, index = np.unique((column.astype(np.float64) + 0.0).view(np.uint64),
+                            return_inverse=True)
+    words = ("%.12g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
     return np.array(words[:-1], dtype=object)[index].tolist()
 
 
 def _write_csv(path: str | None, header, columns) -> None:
-    """Header line plus one line per row of the columns (one array each)."""
+    """Header line plus one line per row of the columns (an array, a tuple
+    or a list of words each)."""
     lines = map(",".join, zip(*map(_column_text, columns)))
     _write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
@@ -177,18 +191,22 @@ def emit_distribution(dist: Distribution2D, path: str | None, fmt: str,
     cells in row-major order; a masked value and a missing prob are nan."""
     values = np.where(dist.mask, np.nan, dist.extra[layer] if layer else dist.values)
     prob = dist.extra.get("prob", np.full(dist.shape, np.nan))
-    flag = _flags(dist.mask, dist.extra.get("flag", 0.0) > 0.5)
+    flag = _flag_words(dist.mask, dist.extra.get("flag", 0.0) > 0.5)
     name_a, name_b = dist.axis_names
     if fmt == "csv":
+        # each axis value is written once: axis_a's words repeat along a row
+        # of the surface and axis_b's run again in every row
+        words_a, words_b = _column_text(dist.axis_a), _column_text(dist.axis_b)
         _write_csv(path, (name_a, name_b, "value", "prob", "flag"),
-                   (*dist.meshgrid(), values, prob, flag))
+                   (np.repeat(np.array(words_a, dtype=object), len(words_b)).tolist(),
+                    words_b * len(words_a), values, prob, flag))
         return
     _emit_json({
         "axes": {name_a: dist.axis_a, name_b: dist.axis_b},
         "kind": dist.kind,
         "values": values.ravel(),
         "prob": prob.ravel(),
-        "flag": flag.ravel(),
+        "flag": flag,
     }, path, metadata or {})
 
 
@@ -446,7 +464,7 @@ def _cmd_gauss_both_restricted(ns, metadata):
         model, centers, half, bob_center=bob_center, n_bins=ns.n_bins)
     cs = cs.tolist()
     rows = list(zip(cs, cs if bob_center is None else [bob_center] * len(cs),
-                    values.tolist(), probs.tolist(), _flags(False, flags > 0.5).tolist()))
+                    values.tolist(), probs.tolist(), _flag_words(False, flags > 0.5)))
     _emit_table(ns, metadata, ("q_bar_A", "q_bar_B", "value", "prob", "flag"), rows, rows)
 
 
@@ -656,7 +674,11 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser(subcommand: str) -> _Parser:
+    """The subcommand's parser, built once per process: argparse spends a
+    terminal-size query on every flag it adds, and parsing changes neither
+    the parser nor its defaults, which are all immutable."""
     # allow_abbrev=False: a prefix of a flag is an unknown flag, not that flag
     parser = _Parser(prog=f"entloc {subcommand}", add_help=True, allow_abbrev=False)
     command = _SUBCOMMANDS[subcommand]

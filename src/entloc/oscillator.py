@@ -153,11 +153,14 @@ def reduced_density_value(model: OscillatorModel, qa, qa_prime):
     exp(-(q^2 + q'^2)/(4 sigma^2) - c2 (q - q')^2) / (sqrt(2 pi) sigma):
     c1 - c2 = 1/(4 sigma^2), and the difference c1 - c2 itself would cancel
     at strong coupling. The diagonal is the normal density of standard
-    deviation sigma.
+    deviation sigma. Positions past 60 sigma are clipped to it: the exponent
+    there is below -(60/2)^2 = -900, whose exp is already 0, so every value
+    stays as it was and no finite position overflows its square.
     """
-    qa = np.asarray(qa, dtype=np.float64)
-    qa_prime = np.asarray(qa_prime, dtype=np.float64)
     gs = ground_state_constants(model)
+    bound = 60.0 * gs.sigma
+    qa = np.clip(np.asarray(qa, dtype=np.float64), -bound, bound)
+    qa_prime = np.clip(np.asarray(qa_prime, dtype=np.float64), -bound, bound)
     return np.exp(-(0.25 / (gs.sigma * gs.sigma)) * (qa * qa + qa_prime * qa_prime)
                   - gs.c2 * (qa - qa_prime) ** 2) / (math.sqrt(2.0 * math.pi) * gs.sigma)
 

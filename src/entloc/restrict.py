@@ -220,8 +220,11 @@ class Partition:
         if not self.segments:
             raise DomainError("partition needs at least one segment")
         for left, right in zip(self.segments, self.segments[1:]):
-            if abs(left.hi - right.lo) > 1e-9:
-                raise DomainError("partition segments must be contiguous")
+            # relative to the size of the ends, whose rounding grows with it
+            scale = max(abs(left.center), abs(right.center), left.half_width, right.half_width)
+            if abs(left.hi - right.lo) > 1e-9 * scale:
+                raise DomainError(f"partition segments must be contiguous: {left.hi!r} "
+                                  f"and {right.lo!r} are apart")
         if self.tail_handling not in ("truncate", "merge-into-end-segments"):
             raise DomainError(f"unknown tail handling {self.tail_handling!r}")
 

@@ -316,6 +316,41 @@ class TestExitCodes:
         assert error["error"] == "DomainError"
         assert f"alpha {float(argv[2])!r} " in error["message"]
 
+    @pytest.mark.parametrize("argv,rows", [
+        (["gauss-classical-map", "--alpha", "6", "--centers", "-1e200", "1e200", "3",
+          "--width", "1"],
+         ["0,0,0.283764950371,nan,ok", "0,1e+200,0,nan,ok", "1e+200,1e+200,0,nan,ok"]),
+        (["gauss-both-restricted", "--alpha", "6", "--mode", "grid", "--centers", "-1e200",
+          "1e200", "3", "--width", "1"],
+         ["0,0,0.0504139497748,0.283764950371,ok", "0,1e+200,0,0,empty",
+          "1e+200,1e+200,0,0,empty"]),
+    ])
+    def test_far_centres_write_zero_mass_without_overflow(self, capsys, argv, rows):
+        # a centre's square would overflow past about 1.3e154; filterwarnings
+        # = error turns the overflow warning into a failure here
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 10
+        assert [lines[5], lines[6], lines[9]] == rows
+
+    def test_far_sigma_scan_extent_refused_without_overflow(self, capsys):
+        code, out, err = run_capture(capsys, ["gauss-sigma-scan", "--alphas", "1",
+                                              "--extent", "1e300"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InsufficientSupport"
+
+    @pytest.mark.parametrize("extent", ["1e6", "1e8", "1e9"])
+    def test_wide_uniform_partition_reaches_the_node_cap(self, capsys, extent):
+        # the partition's own segment ends round apart by more than 1e-9 from
+        # 1e8 on; its cells need more nodes than the cap
+        code, out, err = run_capture(capsys, ["gauss-inequality", "--alpha", "6", "--extent",
+                                              extent, "--grid-a", "3", "--grid-b", "3"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "QuadratureNotConverged"
+
     def test_largest_coupling_gives_finite_constants(self, capsys):
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -1335,6 +1370,39 @@ class TestByteContract:
         assert _stdout_of(lambda: cli._write_csv(None, header, columns)) == expected
 
     @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_surface_csv_writes_each_cell_by_the_per_value_rule(self, data):
+        n_a, n_b = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        axes = [data.draw(st.lists(_FLOATS, min_size=n, max_size=n))
+                for n in (n_a, n_b)]
+
+        def layer(elements):
+            return np.array(data.draw(st.lists(elements, min_size=n_a * n_b,
+                                               max_size=n_a * n_b)), dtype=float
+                            ).reshape(n_a, n_b)
+
+        mask = layer(st.booleans()).astype(bool)
+        extra = {}
+        for name, elements in (("prob", _FLOATS), ("flag", st.sampled_from([0.0, 1.0]) | _FLOATS),
+                               ("delta", _FLOATS)):
+            if data.draw(st.booleans()):
+                extra[name] = layer(elements)
+        named = data.draw(st.sampled_from([None, "delta"] if "delta" in extra else [None]))
+        dist = Distribution2D(axis_a=axes[0], axis_b=axes[1], values=layer(_FLOATS), mask=mask,
+                              axis_names=("u", "v"), extra=extra)
+        shown = dist.extra[named] if named else dist.values
+        lines = ["u,v,value,prob,flag"]
+        for i, a in enumerate(axes[0]):          # row-major cells
+            for j, b in enumerate(axes[1]):
+                flag = "masked" if mask[i, j] else \
+                    "empty" if "flag" in extra and extra["flag"][i, j] > 0.5 else "ok"
+                lines.append(",".join(map(reference_word, (
+                    a, b, math.nan if mask[i, j] else float(shown[i, j]),
+                    float(extra["prob"][i, j]) if "prob" in extra else math.nan, flag))))
+        assert _stdout_of(lambda: emit_distribution(dist, None, "csv", layer=named)) \
+            == "\n".join(lines) + "\n"
+
+    @settings(max_examples=300, deadline=None)
     @given(_DOCUMENTS)
     def test_json_matches_the_indenting_encoder(self, document):
         assert cli._json_text(document) == json.dumps(reference_safe(document), indent=2)
@@ -1420,6 +1488,42 @@ class TestAxes:
         assert len(symmetric) == 2
         for values in symmetric:
             assert values.tobytes() == values[::-1, ::-1].tobytes() == values.T.tobytes()
+
+
+class TestParserReuse:
+    """One parser per subcommand serves every run of a process."""
+
+    @pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+    def test_each_parser_is_built_once(self, subcommand):
+        assert cli._build_parser(subcommand) is cli._build_parser(subcommand)
+
+    @pytest.mark.parametrize("first,first_code,second", [
+        (["spin-scan", "--steps", "3", "--restricted"], 0,
+         ["spin-scan", "--steps", "3", "--format", "json"]),
+        (["spin-scan", "--config", "CONFIG"], 0,
+         ["spin-scan", "--steps", "3", "--format", "json"]),
+        (["spin-negativity-scan", "--config", "CONFIG", "--f-range", "0.5", "1", "2"], 0,
+         ["spin-negativity-scan", "--steps", "2", "--format", "json"]),
+        (["spin-scan", "--steps", "3", "--theta-max", "1", "--surface", "nope"], 1,
+         ["spin-scan", "--steps", "3", "--format", "json"]),
+        (["gauss-both-restricted", "--alpha", "6", "--width", "1", "--mode", "grid",
+          "--qbar-a", "0", "--centers", "-1", "1", "3"], 1,
+         ["gauss-both-restricted", "--alpha", "6", "--width", "1", "--qbar-a", "0",
+          "--qbar-b", "0", "--format", "json"]),
+    ])
+    def test_a_run_leaves_nothing_to_the_next(self, capsys, tmp_path, first, first_code,
+                                              second):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 2, "theta-max": 1.0, "restricted": True,
+                                      "surface": "delta", "f-value": 0.5}))
+        first = [str(config) if word == "CONFIG" else word for word in first]
+        assert run_capture(capsys, first)[0] == first_code
+        code, reused, err = run_capture(capsys, second)
+        assert (code, err) == (0, "")
+        cli._build_parser.cache_clear()
+        code, fresh, err = run_capture(capsys, second)
+        assert (code, fresh, err) == (0, reused, "")
+        assert json.loads(reused)["metadata"]["config"] == json.loads(fresh)["metadata"]["config"]
 
 
 class TestReadmeCommands:

@@ -165,6 +165,20 @@ class TestRegionTypes:
         with pytest.raises(DomainError):
             Partition((Region(0.0, 1.0), Region(3.0, 1.0)))
 
+    @pytest.mark.parametrize("segments", [
+        (Region(1e8, 1.0), Region(1e8 + 2.5, 1.0)),      # a gap of 0.5 far out
+        (Region(0.0, 1e-12), Region(3e-12, 1e-12)),      # a gap of 1e-12 between tiny cells
+    ])
+    def test_gap_refused_at_any_scale(self, segments):
+        with pytest.raises(DomainError, match="contiguous"):
+            Partition(segments)
+
+    @pytest.mark.parametrize("extent", [1e-12, 1.0, 1e8, 1e9, 1e300])
+    @pytest.mark.parametrize("n_segments", [3, 7])
+    def test_uniform_partition_is_contiguous_at_any_scale(self, extent, n_segments):
+        partition = Partition.uniform(-extent, extent, n_segments)
+        assert partition.lo == pytest.approx(-extent) and partition.hi == pytest.approx(extent)
+
     @pytest.mark.parametrize("call", [
         lambda: one_restricted_entropy(MODEL, Region(0.0, 1.0), n_bins=1),
         lambda: both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.0, 1.0), n_bins=1),
