@@ -45,6 +45,7 @@ from .oscillator import (
 )
 from .restrict import (
     DEFAULT_BASIS_SIZE,
+    DEFAULT_BINS_ONE,
     MethodEquivalence,
     Partition,
     Region,
@@ -415,7 +416,7 @@ def _cmd_gauss_one_restricted(ns, metadata):
         _emit_json({
             "entanglement": result.entanglement,
             "prob": result.survival_probability,
-            "spectrum_size": result.spectrum.size,
+            "spectrum_size": result.spectrum_size,
             "method": ns.method,
             "n_bins": None if basis else result.resolution,
             "n_basis": result.resolution if basis else None,
@@ -447,7 +448,7 @@ def _cmd_gauss_both_restricted(ns, metadata):
         _emit_json({
             "entanglement": result.entanglement,
             "prob": result.survival_probability,
-            "spectrum_size": result.spectrum.size,
+            "spectrum_size": result.spectrum_size,
             "n_bins": result.resolution,
         }, ns.output, metadata)
         return
@@ -522,12 +523,7 @@ def _cmd_gauss_inequality(ns, metadata):
         "weighted_sum": report.weighted_sum,
         "full_entanglement": report.full_entanglement,
         "slack": report.slack,
-        "cells": [{
-            "a_lo": cell.region_a.lo, "a_hi": cell.region_a.hi,
-            "b_lo": cell.region_b.lo, "b_hi": cell.region_b.hi,
-            "probability": cell.probability,
-            "entanglement": cell.entanglement,
-        } for cell in report.cells],
+        "cells": [cell._asdict() for cell in report.cells],
     }
     if ns.nd_center is not None and ns.nd_half_width is not None:
         identity, mixture, gap = non_discarding_two_path(
@@ -668,8 +664,8 @@ _SUBCOMMANDS = {
     "gauss-converge": _Subcommand(_cmd_gauss_converge, _MODEL + (
         _arg("--qbar", type=float, default=0.0),
         _arg("--widths", default="1,2,4"),
-        _arg("--n-bins", type=int, default=200),
-        _arg("--n-basis", type=int, default=40),
+        _arg("--n-bins", type=int, default=DEFAULT_BINS_ONE),
+        _arg("--n-basis", type=int, default=DEFAULT_BASIS_SIZE),
     )),
 }
 

@@ -52,7 +52,8 @@ def gauss_legendre(lo, hi, n_points: int, n_panels: int = 1):
     hi = np.asarray(hi, dtype=np.float64)[..., None]
     edges = np.concatenate([lo + (hi - lo) * (np.arange(n_panels) / n_panels), hi], axis=-1)
     half = (0.5 * (edges[..., 1:] - edges[..., :-1]))[..., None]
-    mid = (0.5 * (edges[..., 1:] + edges[..., :-1]))[..., None]
+    # a sum of halves: the midpoint of ends near the largest float does not overflow
+    mid = (0.5 * edges[..., 1:] + 0.5 * edges[..., :-1])[..., None]
     shape = lo.shape[:-1] + (n_panels * n_points,)
     return (half * x + mid).reshape(shape), (half * w).reshape(shape)
 
@@ -84,7 +85,7 @@ def grid_gauss(lo, hi, points: int, m: int):
     u, w = _grid_rule(points, m)
     lo = np.asarray(lo, dtype=np.float64)[..., None]
     hi = np.asarray(hi, dtype=np.float64)[..., None]
-    return 0.5 * (hi - lo) * u + 0.5 * (hi + lo), np.broadcast_to(w, lo.shape[:-1] + (m,))
+    return 0.5 * (hi - lo) * u + (0.5 * hi + 0.5 * lo), np.broadcast_to(w, lo.shape[:-1] + (m,))
 
 
 def integrate_1d(f, a: float, b: float) -> float:

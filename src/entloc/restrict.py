@@ -37,9 +37,11 @@ each cell once per orbit of these symmetries and copies the result to its
 images, in two steps: the orbits, which do not depend on the coupling
 (_two_party_orbits), then per model the nodes, masses, live cells and
 entropies (_two_party_cells), so a scan over couplings finds its orbits
-once. Exchanged cells meet on any square map, mirrored ones only where an
-axis holds the exact negative of a center, as every distribution.scan_axis
-centred on 0 does (the CLI's axes and the sigma scan's).
+once; a single cell (both_restricted_entropy) is its row 0, and a
+partition's cells are its rows too. Exchanged cells meet on any square map,
+mirrored ones only where an axis holds the exact negative of a center, as
+every distribution.scan_axis centred on 0 does (the CLI's axes and the sigma
+scan's).
 Alice's reduced kernel K has one engine (_kernel_entropies). On a rule x =
 c + h u with weights w, its Nystrom matrix sqrt(w_g) K(x_g, x_h) sqrt(w_h)
 is diag(d) E diag(d) up to a constant, with E_gh = exp(-c2 h^2 (u_g -
@@ -78,6 +80,9 @@ DEFAULT_BINS_PRECISE; two-party cells and maps run on Gauss-Legendre nodes
 without it. An n_bins below 2, or past MAX_BINS, whose n_bins + 1 points
 numpy could not index, is refused with DomainError before any mass is
 computed.
+
+A Region checks its interval; a Partition is the record of its edges and
+tail handling, checked where _segments reads them; results are NamedTuples.
 """
 
 from __future__ import annotations
@@ -204,29 +209,21 @@ class Region:
         return 2.0 * self.half_width
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered disjoint contiguous regions covering one party's domain.
+# what a partition does with the mass outside its edges (Partition)
+TAIL_HANDLINGS = ("truncate", "merge-into-end-segments")
+
+
+class Partition(NamedTuple):
+    """Contiguous regions of one party's axis: segment k is [edges[k],
+    edges[k + 1]] (_segments).
 
     tail_handling decides what happens to the probability mass outside the
-    covered interval: "truncate" ignores it, "merge-into-end-segments"
-    stretches the outermost segments to the truncated domain boundary.
+    edges: "truncate" ignores it, "merge-into-end-segments" stretches the
+    outermost segments to the truncated domain boundary.
     """
 
-    segments: tuple[Region, ...]
+    edges: tuple[float, ...]
     tail_handling: str = "truncate"
-
-    def __post_init__(self):
-        if not self.segments:
-            raise DomainError("partition needs at least one segment")
-        for left, right in zip(self.segments, self.segments[1:]):
-            # relative to the size of the ends, whose rounding grows with it
-            scale = max(abs(left.center), abs(right.center), left.half_width, right.half_width)
-            if abs(left.hi - right.lo) > 1e-9 * scale:
-                raise DomainError(f"partition segments must be contiguous: {left.hi!r} "
-                                  f"and {right.lo!r} are apart")
-        if self.tail_handling not in ("truncate", "merge-into-end-segments"):
-            raise DomainError(f"unknown tail handling {self.tail_handling!r}")
 
     @staticmethod
     def uniform(lo: float, hi: float, n_segments: int,
@@ -234,62 +231,54 @@ class Partition:
         check_span(lo, hi, "partition")
         if hi <= lo or n_segments < 1:
             raise DomainError("uniform partition needs lo < hi and >= 1 segment")
-        edges = np.linspace(lo, hi, n_segments + 1)
-        segments = tuple(
-            Region(center=0.5 * (a + b), half_width=0.5 * (b - a))
-            for a, b in zip(edges[:-1], edges[1:]))
-        return Partition(segments, tail_handling)
-
-    @property
-    def lo(self) -> float:
-        return self.segments[0].lo
-
-    @property
-    def hi(self) -> float:
-        return self.segments[-1].hi
-
-    def effective_segments(self, domain_half: float) -> tuple[Region, ...]:
-        """Segments with tails resolved against the truncated domain."""
-        segments = list(self.segments)
-        if self.tail_handling == "merge-into-end-segments":
-            if segments[0].lo > -domain_half:
-                first = segments[0]
-                segments[0] = Region(center=0.5 * (first.hi - domain_half),
-                                     half_width=0.5 * (first.hi + domain_half))
-            if segments[-1].hi < domain_half:
-                last = segments[-1]
-                segments[-1] = Region(center=0.5 * (last.lo + domain_half),
-                                      half_width=0.5 * (domain_half - last.lo))
-        return tuple(segments)
+        if tail_handling not in TAIL_HANDLINGS:
+            raise DomainError(f"unknown tail handling {tail_handling!r}")
+        return Partition(tuple(np.linspace(lo, hi, n_segments + 1).tolist()), tail_handling)
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Entanglement surviving a restriction, with its discretized spectrum.
+def _segments(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, half widths) of the partition's segments, 0.5 (e[k] + e[k+1])
+    and 0.5 (e[k+1] - e[k]) of its edges e. A merged tail stretches an end
+    segment from its center -+ half width to the truncated domain boundary.
+    Fewer than 2 edges, edges that are not finite or not strictly increasing,
+    and an unknown tail handling are refused with DomainError."""
+    edges = np.asarray(partition.edges, dtype=np.float64)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.isfinite(edges).all()
+            and (edges[1:] > edges[:-1]).all()):
+        raise DomainError("partition edges must be at least 2 finite values in "
+                          "strictly increasing order")
+    if partition.tail_handling not in TAIL_HANDLINGS:
+        raise DomainError(f"unknown tail handling {partition.tail_handling!r}")
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    if partition.tail_handling == "merge-into-end-segments":
+        domain = DOMAIN_HALF_LENGTH
+        if centers[0] - halves[0] > -domain:
+            hi = centers[0] + halves[0]
+            centers[0], halves[0] = 0.5 * (hi - domain), 0.5 * (hi + domain)
+        if centers[-1] + halves[-1] < domain:
+            lo = centers[-1] - halves[-1]
+            centers[-1], halves[-1] = 0.5 * (lo + domain), 0.5 * (domain - lo)
+    return centers, halves
 
-    resolution is the one the entropy used: the grid's n_bins, the
-    Gauss-Legendre node count per region of a two-party cell, or the basis
-    size n_basis.
-    """
+
+class EnsembleResult(NamedTuple):
+    """Entanglement surviving a restriction: its entropy, the survival
+    probability, the number of weights of its discretized spectrum and the
+    resolution the entropy used: the grid's n_bins, the Gauss-Legendre node
+    count per region of a two-party cell, or the basis size n_basis."""
 
     entanglement: float
     survival_probability: float
-    spectrum: Spectrum
+    spectrum_size: int
     resolution: int
-
-    def __post_init__(self):
-        if not -1e-9 <= self.survival_probability <= 1.0 + 1e-9:
-            raise DomainError(
-                f"survival probability {self.survival_probability} outside [0, 1]")
-        if self.entanglement < 0.0:
-            raise DomainError(f"negative entanglement {self.entanglement}")
-        # quadrature round-off can land marginally outside [0, 1]
-        object.__setattr__(self, "survival_probability",
-                           min(1.0, max(0.0, self.survival_probability)))
 
 
 def region_survival_probability(model: OscillatorModel, region: Region) -> float:
-    """Probability of finding Alice's particle inside the region."""
+    """Probability of finding Alice's particle inside the region, by adaptive
+    quadrature; 0 for a region whose ends round to one value."""
+    if region.lo == region.hi:
+        return 0.0
     return integrate_1d(lambda q: marginal_position_density(model, q),
                         region.lo, region.hi)
 
@@ -427,8 +416,11 @@ def joint_masses(model: OscillatorModel, a_lo, a_hi, b_lo, b_hi, n: int) -> np.n
         a_lo_c, a_hi_c, b_lo_c, b_hi_c = (edge[cells] for edge in bounds)
         x, w = _panel_rule(a_lo_c, a_hi_c, n)
         mean = slope * x
-        inner = _normal_interval((b_lo_c[:, None] - mean) * scale,
-                                 (b_hi_c[:, None] - mean) * scale)
+        # an offset past the largest float (cells near it) is +-inf, whose
+        # erfc is its limit
+        with np.errstate(over="ignore"):
+            lo, hi = ((edge[:, None] - mean) * scale for edge in (b_lo_c, b_hi_c))
+        inner = _normal_interval(lo, hi)
         out[cells] = (w * marginal_position_density(model, x) * inner).sum(axis=-1)
     return out.reshape(np.shape(a_lo))
 
@@ -545,7 +537,9 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
 
     The one-particle reduced kernel is sampled on n_bins + 1 points of the
     region (DEFAULT_BINS_ONE intervals by default) and trace-normalized; the
-    survival probability is the quadrature mass of the region. A grid whose
+    survival probability is the quadrature mass of the region, clamped to 1
+    (refused with DomainError past 1 + 1e-9); a region below EMPTY_MASS, or
+    whose ends round to one value, is refused with EmptyRegionMass. A grid whose
     (n_bins + 1)^2 kernel would not fit KERNEL_BYTES (past 8191 bins), or a
     region whose spectrum needs more than MAX_NODES nodes (_schmidt_nodes),
     as the map of its width does, is refused with QuadratureNotConverged
@@ -555,10 +549,12 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     _kernel_budget(n_bins + 1, "point grid kernel")
     _schmidt_nodes(model, region.width, n_bins)
     p = _region_mass(region, region_survival_probability(model, region))
+    if p > 1.0 + 1e-9:
+        raise DomainError(f"survival probability {p} outside [0, 1]")
     points = _grid_points(region, n_bins)
     entropy, spectrum = _entropy_and_spectrum(
         reduced_density_value(model, points[:, None], points[None, :]))
-    return EnsembleResult(entropy, p, spectrum, n_bins)
+    return EnsembleResult(entropy, min(1.0, p), spectrum.size, n_bins)
 
 
 def _gram_weights(x: np.ndarray) -> np.ndarray:
@@ -695,8 +691,9 @@ def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
     swap = (kb_lo < ka_lo) | ((kb_lo == ka_lo) & (kb_hi < ka_hi))
     a_lo, a_hi, b_lo, b_hi = (np.where(swap, b_lo, a_lo), np.where(swap, b_hi, a_hi),
                               np.where(swap, a_lo, b_lo), np.where(swap, a_hi, b_hi))
-    mid_a, mid_b = a_lo + a_hi, b_lo + b_hi
-    descending = ((mid_a < 0.0) | ((mid_a == 0.0) & (mid_b < 0.0)))[..., None]
+    # the midpoint's sign without the sum lo + hi, which can overflow: the sum
+    # is < 0 exactly where hi < -lo, and 0 where hi == -lo
+    descending = ((a_hi < -a_lo) | ((a_hi == -a_lo) & (b_hi < -b_lo)))[..., None]
     return tuple(np.where(descending, side[..., ::-1], side)
                  for side in (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins)))
 
@@ -709,20 +706,11 @@ def _orbit_masses(model: OscillatorModel, width: float, bounds) -> np.ndarray:
     return joint_masses(model, *bounds, two_party_nodes(model, width))
 
 
-def _orbit_setup(model: OscillatorModel, width: float, bounds, n_bins: int | None):
-    """(n, joint masses clipped to [0, 1]) of the distinct cells that
-    _two_party_orbits gives as width and bounds: n is the nodes per region
-    of the widest region (_schmidt_nodes), refused past MAX_NODES before any
-    mass (_orbit_masses), as n_bins below 2 is."""
-    _n_bins(n_bins)
-    n = _schmidt_nodes(model, width, n_bins)
-    return n, np.clip(_orbit_masses(model, width, bounds), 0.0, 1.0)
-
-
 def both_restricted_entropy(model: OscillatorModel, region_a: Region,
                             region_b: Region,
                             n_bins: int | None = None) -> EnsembleResult:
-    """Discarding-ensemble entanglement when both parties restrict.
+    """Discarding-ensemble entanglement when both parties restrict: row 0 of
+    _two_party_cells, on the cell's own symmetry orbit.
 
     The entropy comes from the Schmidt weights of the cell, as one cell of a
     map does, on n nodes per region (_schmidt_nodes): by default
@@ -730,19 +718,18 @@ def both_restricted_entropy(model: OscillatorModel, region_a: Region,
     takes the Gauss rule of the unit-weight sum over each region's n_bins +
     1 uniform points (grid_gauss) instead, at most n_bins + 1 nodes, within
     1e-13 ebit of the Schmidt weights of the amplitude on those points, and
-    the resolution is n_bins. The weights are the eigenvalues of the
-    amplitude's Gram matrix (_schmidt_weights); the spectrum has n of them
-    either way.
+    the resolution is n_bins. The spectrum has n weights either way. A cell
+    below EMPTY_MASS is refused with EmptyRegionMass.
     """
-    width, bounds, _ = _two_party_orbits([region_a.center], region_a.half_width,
-                                         [region_b.center], region_b.half_width)
-    n, prob = _orbit_setup(model, width, bounds, n_bins)
-    p = float(prob[0])
-    if p < EMPTY_MASS:
-        raise EmptyRegionMass(f"joint region mass {p:.3e} is numerically zero")
-    weights = _schmidt_weights(model, *_two_party_sides(*bounds, n, n_bins))
-    return EnsembleResult(float(spectral_entropy_bits(weights)[0]), p, Spectrum(weights[0]),
-                          n if n_bins is None else n_bins)
+    orbits = _two_party_orbits([region_a.center], region_a.half_width,
+                               [region_b.center], region_b.half_width)
+    entanglement, p, empty = _two_party_cells(model, orbits, n_bins)[0].tolist()
+    if empty:
+        raise EmptyRegionMass(
+            f"regions [{region_a.lo:.3g}, {region_a.hi:.3g}] x [{region_b.lo:.3g}, "
+            f"{region_b.hi:.3g}] carry a joint mass below {EMPTY_MASS:.0e}")
+    n = _schmidt_nodes(model, orbits[0], n_bins)
+    return EnsembleResult(entanglement, p, n, n if n_bins is None else n_bins)
 
 
 # -- expansion in an orthonormal set ----------------------------------------
@@ -807,7 +794,7 @@ def basis_expansion_entropy(model: OscillatorModel, region: Region,
     projected = _basis_projected_matrix(
         model, region, n_basis, _basis_nodes(model, region.width, n_basis))
     entropy, spectrum = _entropy_and_spectrum(projected)
-    return EnsembleResult(entropy, p, spectrum, n_basis)
+    return EnsembleResult(entropy, p, spectrum.size, n_basis)
 
 
 # -- precise position measurement --------------------------------------------
@@ -923,8 +910,12 @@ def non_discarding_two_path(model: OscillatorModel, region: Region):
 # -- multi-partition inequality -----------------------------------------------
 
 class PartitionCell(NamedTuple):
-    region_a: Region
-    region_b: Region
+    """Alice's and Bob's segment bounds, joint mass and entanglement of a cell."""
+
+    a_lo: float
+    a_hi: float
+    b_lo: float
+    b_hi: float
     probability: float
     entanglement: float
 
@@ -947,18 +938,17 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     measurement, so the probability-weighted cell sum never exceeds the
     unrestricted entanglement of formation. Cells run on Gauss-Legendre
     nodes, or with n_bins on the Gauss rule of each segment's grid sum, as
-    in both_restricted_entropy.
+    in both_restricted_entropy. The cells are Alice's segments by Bob's
+    (_segments), in row-major order.
     """
-    pairs = [(seg_a, seg_b) for seg_a in partition_a.effective_segments(DOMAIN_HALF_LENGTH)
-             for seg_b in partition_b.effective_segments(DOMAIN_HALF_LENGTH)]
-    segs_a, segs_b = zip(*pairs)
-    orbits = _two_party_orbits([seg.center for seg in segs_a],
-                               [seg.half_width for seg in segs_a],
-                               [seg.center for seg in segs_b],
-                               [seg.half_width for seg in segs_b])
-    rows = _two_party_cells(model, orbits, n_bins)
-    cells = tuple(PartitionCell(seg_a, seg_b, p, e)
-                  for (seg_a, seg_b), (e, p, _) in zip(pairs, rows.tolist()))
+    (centers_a, halves_a), (centers_b, halves_b) = _segments(partition_a), _segments(partition_b)
+    ca, ha = (np.repeat(part, centers_b.size) for part in (centers_a, halves_a))
+    cb, hb = (np.tile(part, centers_a.size) for part in (centers_b, halves_b))
+    rows = _two_party_cells(model, _two_party_orbits(ca, ha, cb, hb), n_bins)
+    bounds = (ca - ha, ca + ha, cb - hb, cb + hb)
+    cells = tuple(PartitionCell(*edges, p, e)
+                  for *edges, (e, p, _) in zip(*(edge.tolist() for edge in bounds),
+                                               rows.tolist()))
     total = sum(cell.probability * cell.entanglement for cell in cells)
     e_full = gaussian_eof(model)
     return PartitionReport(weighted_sum=total, full_entanglement=e_full,
@@ -1077,13 +1067,18 @@ def _map_orbits(centers_a: np.ndarray, centers_b: np.ndarray, half_a, half_b):
 def _two_party_cells(model: OscillatorModel, orbits, n_bins: int | None) -> np.ndarray:
     """(entanglement, survival probability, empty flag) rows of the cells
     whose symmetry orbits (width, bounds, inverse) _two_party_orbits gave,
-    solved once per distinct cell (_orbit_setup, _entropies) with one Gram
-    eigensolve per chunk of CHUNK_BYTES. A cell whose mass is below
-    EMPTY_MASS is empty: value 0, probability 0, flag 1. The orbits do not
-    depend on the coupling, so a scan over models reduces its cells once.
+    solved once per distinct cell (_entropies) with one Gram eigensolve per
+    chunk of CHUNK_BYTES, on n nodes per region of the widest region
+    (_schmidt_nodes, refused past MAX_NODES before any mass, as n_bins below
+    2 is). Joint masses are clipped to [0, 1] (_orbit_masses); a cell whose
+    mass is below EMPTY_MASS is empty: value 0, probability 0, flag 1. The
+    orbits do not depend on the coupling, so a scan over models reduces its
+    cells once.
     """
     width, bounds, inverse = orbits
-    n, prob = _orbit_setup(model, width, bounds, n_bins)
+    _n_bins(n_bins)
+    n = _schmidt_nodes(model, width, n_bins)
+    prob = np.clip(_orbit_masses(model, width, bounds), 0.0, 1.0)
     live = prob >= EMPTY_MASS
     values = np.zeros(prob.size)
     values[live] = _entropies(model, *_two_party_sides(*(edge[live] for edge in bounds),

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entloc.correlate
+import entloc.errors
 import entloc.restrict
 from entloc import cli
 from entloc.cli import (
@@ -71,6 +72,14 @@ REFUSED = [
     (ONE_CELL + ["--method", "basis", "--quadrature-order", "8"], "--quadrature-order"),
 ]
 
+
+# centres and widths far out, at the float range's ends and below any
+# resolvable width
+FAR = [0.0, 0.5, -0.5, 1e16, -1e16, 1e200, -1e200, 1e308, -1e308, 5e-324, 1e-300]
+# the error names that exit code 2 documents: the library's and NumericalFailure
+LIBRARY_ERRORS = {name for name, value in vars(entloc.errors).items()
+                  if isinstance(value, type) and issubclass(value, entloc.errors.EntlocError)
+                  } | {"NumericalFailure"}
 
 
 def _surface_text(cells) -> str:
@@ -138,6 +147,82 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["grid", "basis", "both", "inequality"]),
+           center=st.sampled_from(FAR), other=st.sampled_from(FAR),
+           width=st.sampled_from(FAR), n_bins=st.sampled_from([None, "20"]))
+    # a region whose ends round to one value
+    @example(command="grid", center=1e16, other=0.0, width=0.5, n_bins=None)
+    @example(command="grid", center=0.5, other=0.0, width=1e-300, n_bins=None)
+    # a cell whose Gauss-Legendre midpoint overflowed
+    @example(command="both", center=1e308, other=0.0, width=0.5, n_bins=None)
+    @example(command="both", center=1e308, other=0.0, width=0.5, n_bins="20")
+    # Bob's offsets from the conditional mean overflowed
+    @example(command="both", center=1e308, other=-1e308, width=0.5, n_bins=None)
+    def test_far_point_cells_end_in_json(self, command, center, other, width, n_bins):
+        # exit 0 with a JSON document, or exit 2 with one JSON line naming a
+        # library error; never a warning or a traceback
+        argv = {
+            "grid": ["gauss-one-restricted", "--qbar", repr(center), "--width", repr(width),
+                     "--n-bins", "20"],
+            "basis": ["gauss-one-restricted", "--qbar", repr(center), "--width", repr(width),
+                      "--method", "basis", "--n-basis", "4"],
+            "both": ["gauss-both-restricted", "--qbar-a", repr(center), "--qbar-b", repr(other),
+                     "--width", repr(width)] + (["--n-bins", n_bins] if n_bins else []),
+            "inequality": ["gauss-inequality", "--grid-a", "2", "--grid-b", "2",
+                           "--nd-center", repr(center), "--nd-half-width", repr(width)],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(argv + ["--alpha", "6"])
+        out, err = out.getvalue(), err.getvalue()
+        assert [str(warning.message) for warning in caught] == []
+        assert code in (0, 2)
+        if code == 0:
+            assert err == "" and isinstance(json.loads(out), dict)
+        else:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] in LIBRARY_ERRORS
+
+    @pytest.mark.parametrize("qbar,width", [
+        ("1e16", "1"), ("-1e16", "0.5"), ("1e200", "0.5"), ("-1e200", "0.5"),
+        ("1e308", "0.5"), ("-1e308", "0.5"), ("0.5", "1e-300")])
+    @pytest.mark.parametrize("method", [[], ["--method", "basis"]], ids=["grid", "basis"])
+    def test_region_whose_ends_round_to_one_value_is_empty(self, capsys, qbar, width, method):
+        # center -+ width / 2 round to one float: no mass, and no quadrature
+        code, out, err = run_capture(capsys, ["gauss-one-restricted", "--alpha", "6", "--qbar",
+                                              qbar, "--width", width] + method)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "EmptyRegionMass"
+        assert error["message"].endswith(" carries mass 0.000e+00")
+
+    def test_single_grid_cell_integrates_its_mass_once(self, capsys, monkeypatch):
+        calls = []
+        integrate = entloc.restrict.integrate_1d
+        monkeypatch.setattr(entloc.restrict, "integrate_1d",
+                            lambda *a: calls.append(a[1:]) or integrate(*a))
+        assert run_capture(capsys, ONE_CELL)[0] == 0
+        assert calls == [(-1.0, 1.0)]
+        assert run_capture(capsys, ONE_CELL[:4] + ["1e16"] + ONE_CELL[5:])[0] == 2
+        assert calls == [(-1.0, 1.0)]
+
+    @pytest.mark.parametrize("n_bins", [[], ["--n-bins", "20"]], ids=["legendre", "grid"])
+    def test_cell_at_the_largest_centre_is_empty_without_overflow(self, capsys, n_bins):
+        # filterwarnings = error turns an overflow warning of a midpoint into a failure
+        code, out, err = run_capture(capsys, ["gauss-both-restricted", "--alpha", "6",
+                                              "--qbar-a", "1e308", "--qbar-b", "0",
+                                              "--width", "0.5"] + n_bins)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "EmptyRegionMass",
+            "message": "regions [1e+308, 1e+308] x [-0.25, 0.25] carry a joint mass below 1e-14"}
 
     def test_numerical_failure(self, capsys):
         code, _, err = run_capture(capsys, [

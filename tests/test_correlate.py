@@ -22,7 +22,7 @@ from entloc.oscillator import (
     classical_widths,
     marginal_position_density,
 )
-from entloc.restrict import Partition, Region, two_party_map
+from entloc.restrict import Partition, Region, _segments, two_party_map
 from test_oscillator import joint_position_density
 
 MODEL = OscillatorModel(alpha=6)
@@ -57,10 +57,10 @@ class TestJointProbability:
                 assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_normalization_over_partition(self):
-        partition = Partition.uniform(-12.0, 12.0, 6)
+        segments = [Region(*segment) for segment in zip(*_segments(
+            Partition.uniform(-12.0, 12.0, 6)))]
         total = sum(joint_probability(MODEL, seg_a, seg_b)
-                    for seg_a in partition.segments
-                    for seg_b in partition.segments)
+                    for seg_a in segments for seg_b in segments)
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -87,10 +87,9 @@ class TestConditionalProbability:
             assert value / approx == pytest.approx(1.0, rel=1e-2)
 
     def test_sums_to_one_over_target_partition(self):
-        partition = Partition.uniform(-12.0, 12.0, 8)
         region_a = Region(0.3, 0.4)
-        total = sum(conditional_probability(MODEL, seg, region_a)
-                    for seg in partition.segments)
+        total = sum(conditional_probability(MODEL, Region(*segment), region_a)
+                    for segment in zip(*_segments(Partition.uniform(-12.0, 12.0, 8))))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_null_event(self):

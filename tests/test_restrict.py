@@ -46,8 +46,10 @@ from entloc.restrict import (
     _amplitudes,
     _erfc,
     _normal_interval,
-    _orbit_setup,
+    _orbit_masses,
+    _schmidt_nodes,
     _schmidt_weights,
+    _segments,
     _two_party_orbits,
     _two_party_sides,
     two_party_map,
@@ -158,26 +160,44 @@ class TestRegionTypes:
 
     def test_partition_uniform(self):
         partition = Partition.uniform(-4.0, 4.0, 4)
-        assert len(partition.segments) == 4
-        assert partition.lo == -4.0 and partition.hi == 4.0
+        assert partition == ((-4.0, -2.0, 0.0, 2.0, 4.0), "truncate")
+        centers, halves = _segments(partition)
+        assert centers.tolist() == [-3.0, -1.0, 1.0, 3.0]
+        assert halves.tolist() == [1.0] * 4
 
-    def test_partition_contiguity(self):
-        with pytest.raises(DomainError):
-            Partition((Region(0.0, 1.0), Region(3.0, 1.0)))
-
-    @pytest.mark.parametrize("segments", [
-        (Region(1e8, 1.0), Region(1e8 + 2.5, 1.0)),      # a gap of 0.5 far out
-        (Region(0.0, 1e-12), Region(3e-12, 1e-12)),      # a gap of 1e-12 between tiny cells
+    @pytest.mark.parametrize("edges", [
+        (), (0.0,),                                      # fewer than 2 edges
+        (0.0, 0.0), (1.0, 0.0), (0.0, 2.0, 1.0),         # not strictly increasing
+        (1e8, 1e8 + 2.0, 1e8 + 2.0),                     # a repeated edge far out
+        (0.0, math.nan), (-math.inf, 0.0), (0.0, 1.0, math.inf),
     ])
-    def test_gap_refused_at_any_scale(self, segments):
-        with pytest.raises(DomainError, match="contiguous"):
-            Partition(segments)
+    def test_edges_refused_before_any_mass(self, edges, monkeypatch):
+        import entloc.restrict as restrict
+        monkeypatch.setattr(restrict, "joint_masses", None)
+        for partitions in ((Partition(edges), Partition((0.0, 1.0))),
+                           (Partition((0.0, 1.0)), Partition(edges))):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                partition_inequality_check(MODEL, *partitions)
+
+    def test_unknown_tail_handling_refused(self, monkeypatch):
+        import entloc.restrict as restrict
+        monkeypatch.setattr(restrict, "joint_masses", None)
+        with pytest.raises(DomainError, match="unknown tail handling 'wrap'"):
+            partition_inequality_check(MODEL, Partition((0.0, 1.0), "wrap"),
+                                       Partition((0.0, 1.0)))
 
     @pytest.mark.parametrize("extent", [1e-12, 1.0, 1e8, 1e9, 1e300])
     @pytest.mark.parametrize("n_segments", [3, 7])
     def test_uniform_partition_is_contiguous_at_any_scale(self, extent, n_segments):
+        # segment k ends where segment k + 1 begins: both are edge k + 1
         partition = Partition.uniform(-extent, extent, n_segments)
-        assert partition.lo == pytest.approx(-extent) and partition.hi == pytest.approx(extent)
+        edges = np.array(partition.edges)
+        assert edges.size == n_segments + 1 and np.all(np.diff(edges) > 0.0)
+        assert edges[0] == -extent and edges[-1] == extent
+        centers, halves = _segments(partition)
+        assert np.all(halves > 0.0)
+        assert np.allclose(centers - halves, edges[:-1], rtol=1e-15, atol=0.0)
+        assert np.allclose(centers + halves, edges[1:], rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("call", [
         lambda: one_restricted_entropy(MODEL, Region(0.0, 1.0), n_bins=1),
@@ -256,20 +276,33 @@ class TestOneRestricted:
         assert np.all(np.diff(values) >= -1e-6)
 
     def test_assembled_matrix_positivity(self):
+        # each restricted matrix, trace-normalized, has a spectrum of
+        # non-negative weights summing to 1, and its entropy is the cell's
+        import entloc.restrict as restrict
         for region in (Region(0.0, 1.0), Region(2.0, 0.3), Region(-1.5, 2.0)):
-            result = one_restricted_entropy(MODEL, region,
-                                            n_bins=150)
-            assert result.spectrum.eigenvalues[-1] >= -1e-9
-            assert result.spectrum.eigenvalues.sum() == pytest.approx(1.0,
-                                                                      abs=1e-10)
-        # both-restricted and basis-projected matrices as well
-        both = both_restricted_entropy(MODEL, Region(0.5, 1.0),
-                                       Region(-0.5, 0.7))
-        assert both.spectrum.eigenvalues[-1] >= -1e-9
-        basis = basis_expansion_entropy(MODEL, Region(0.0, 1.0), 30)
-        assert basis.spectrum.eigenvalues[-1] >= -1e-9
-        assert basis.spectrum.eigenvalues.sum() == pytest.approx(1.0,
-                                                                 abs=1e-10)
+            result = one_restricted_entropy(MODEL, region, n_bins=150)
+            points = np.linspace(region.lo, region.hi, 151)
+            entropy, spectrum = restrict._entropy_and_spectrum(
+                reduced_density_value(MODEL, points[:, None], points[None, :]))
+            assert spectrum.eigenvalues[-1] >= -1e-9
+            assert spectrum.eigenvalues.sum() == pytest.approx(1.0, abs=1e-10)
+            assert (entropy, spectrum.size) == (result.entanglement, result.spectrum_size)
+        # the basis-projected matrix as well
+        region = Region(0.0, 1.0)
+        basis = basis_expansion_entropy(MODEL, region, 30)
+        entropy, spectrum = restrict._entropy_and_spectrum(restrict._basis_projected_matrix(
+            MODEL, region, 30, restrict._basis_nodes(MODEL, region.width, 30)))
+        assert spectrum.eigenvalues[-1] >= -1e-9
+        assert spectrum.eigenvalues.sum() == pytest.approx(1.0, abs=1e-10)
+        assert (entropy, spectrum.size) == (basis.entanglement, basis.spectrum_size)
+        # and the Schmidt weights of a two-party cell
+        both = both_restricted_entropy(MODEL, Region(0.5, 1.0), Region(-0.5, 0.7))
+        width, bounds, _ = _two_party_orbits([0.5], 1.0, [-0.5], 0.7)
+        weights = _schmidt_weights(MODEL, *_two_party_sides(*bounds, both.resolution, None))
+        assert weights.shape == (1, both.spectrum_size)
+        assert weights[0, -1] >= -1e-9
+        assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+        assert float(spectral_entropy_bits(weights)[0]) == both.entanglement
 
     def test_basis_method_dispatch(self, monkeypatch):
         import entloc.restrict as restrict
@@ -314,7 +347,7 @@ class TestBasisExpansion:
             patch.setattr(restrict, "_basis_nodes", lambda m, w, n: 2 * nodes(m, w, n))
             fine = basis_expansion_entropy(model, region, n_basis)
         assert base.survival_probability == fine.survival_probability
-        assert base.spectrum.size == fine.spectrum.size == n_basis
+        assert base.spectrum_size == fine.spectrum_size == n_basis
         assert abs(base.entanglement - fine.entanglement) <= 1e-13
 
     def test_one_kernel_on_one_rule(self, monkeypatch):
@@ -330,7 +363,7 @@ class TestBasisExpansion:
         # 8 + ceil(1.4 * 2 * sqrt(5)) spectral nodes and ceil(40 pi / 2) for the functions
         assert n == 15 + 63
         assert shapes == [(n, n)]
-        assert result.resolution == result.spectrum.size == 40
+        assert result.resolution == result.spectrum_size == 40
 
     def test_rule_past_the_cap_uses_panels(self, monkeypatch):
         # alpha 6, width 4, 400 functions take 21 + 629 nodes: two panels of
@@ -721,9 +754,42 @@ class TestPartitionInequality:
         far = Partition.uniform(-40.0, 40.0, 4)
         report = partition_inequality_check(MODEL, far, far)
         empty = [cell for cell in report.cells
-                 if abs(cell.region_a.center) > 20 or abs(cell.region_b.center) > 20]
+                 if abs(cell.a_lo + cell.a_hi) > 40 or abs(cell.b_lo + cell.b_hi) > 40]
         assert len(empty) == 12
         assert all(cell.probability == 0.0 and cell.entanglement == 0.0 for cell in empty)
+
+    @pytest.mark.parametrize("partition_a,partition_b", [
+        (Partition.uniform(-4.0, 4.0, 4), Partition.uniform(-3.0, 3.0, 3)),
+        (Partition.uniform(-2.9, 2.9, 7), Partition.uniform(-2.9, 2.9, 3)),
+        # merged tails: Alice's one segment, the whole truncated domain, is the
+        # widest region of every cell, as in the truncated cases above
+        (Partition.uniform(-2.0, 2.0, 1, "merge-into-end-segments"),
+         Partition.uniform(-2.5, 2.5, 4, "merge-into-end-segments")),
+        (Partition.uniform(-1.0, 3.0, 3, "merge-into-end-segments"),
+         Partition.uniform(-2.0, 2.0, 1, "merge-into-end-segments")),
+    ], ids=["truncate-4x3", "truncate-7x3", "merge-1x4", "merge-3x1"])
+    @pytest.mark.parametrize("n_bins", [None, 40])
+    def test_cells_are_the_point_cells_bit_for_bit(self, partition_a, partition_b, n_bins):
+        # each cell's bounds, mass and entropy are those of the point cell on
+        # its segments, and its mass that of joint_probability: every cell
+        # shares the node count of the partition's widest region
+        report = partition_inequality_check(MODEL, partition_a, partition_b, n_bins)
+        regions_a, regions_b = ([Region(*segment) for segment in zip(*_segments(partition))]
+                                for partition in (partition_a, partition_b))
+        pairs = [(a, b) for a in regions_a for b in regions_b]
+        assert len(report.cells) == len(pairs)
+        empty = 0
+        for cell, (region_a, region_b) in zip(report.cells, pairs):
+            assert cell[:4] == (region_a.lo, region_a.hi, region_b.lo, region_b.hi)
+            try:
+                point = both_restricted_entropy(MODEL, region_a, region_b, n_bins)
+            except EmptyRegionMass:
+                empty += 1
+                assert cell[4:] == (0.0, 0.0)
+                continue
+            assert cell[4:] == (point.survival_probability, point.entanglement)
+            assert cell.probability == min(1.0, joint_probability(MODEL, region_a, region_b))
+        assert empty < len(pairs)
 
     def test_tail_handling_validation(self):
         with pytest.raises(DomainError):
@@ -827,7 +893,7 @@ class TestGaussLegendreEngine:
                     assert dist.values[i, j] == dist.extra["prob"][i, j] == 0.0
                     continue
                 assert cell.resolution == n
-                assert cell.spectrum.size == n
+                assert cell.spectrum_size == n
                 assert dist.extra["flag"][i, j] == 0.0
                 assert dist.values[i, j] == pytest.approx(cell.entanglement, abs=1e-12)
                 assert dist.extra["prob"][i, j] == pytest.approx(cell.survival_probability,
@@ -895,7 +961,7 @@ class TestGaussLegendreEngine:
         model = OscillatorModel(alpha=math.exp(log_alpha))
         ca, cb = np.array(centers).T
         width, bounds, _ = _two_party_orbits(ca, halves[0], cb, halves[1])
-        n, prob = _orbit_setup(model, width, bounds, n_bins)
+        n, prob = _schmidt_nodes(model, width, n_bins), _orbit_masses(model, width, bounds)
         live = prob >= EMPTY_MASS
         assume(live.any())
         sides = _two_party_sides(*(edge[live] for edge in bounds), n, n_bins)
@@ -1301,7 +1367,7 @@ class TestTwoPartyGrid:
             assert cell.entanglement == pytest.approx(expected, abs=1e-12)
             # the cell's spectrum has one weight per node of the grid's Gauss rule
             width = 2.0 * max(region_a.half_width, region_b.half_width)
-            assert cell.spectrum.size == min(61, two_party_nodes(MODEL, width))
+            assert cell.spectrum_size == min(61, two_party_nodes(MODEL, width))
 
     @staticmethod
     def uniform_grid_entropy(model, a_lo, a_hi, b_lo, b_hi, n_bins):
@@ -1336,13 +1402,12 @@ class TestTwoPartyGrid:
                   for c, value, flag in zip(centers, values, flags)]
         report = partition_inequality_check(model, Partition.uniform(qa - ha, qa + ha, 2),
                                             Partition.uniform(qb - hb, qb + hb, 1), n_bins)
-        cells += [(cell.entanglement, cell.probability > 0.0, cell.region_a.lo,
-                   cell.region_a.hi, cell.region_b.lo, cell.region_b.hi)
-                  for cell in report.cells]
+        cells += [(cell.entanglement, cell.probability > 0.0, cell.a_lo, cell.a_hi,
+                   cell.b_lo, cell.b_hi) for cell in report.cells]
         if dist.extra["flag"][0, 0] == 0.0:
             point = both_restricted_entropy(model, Region(qa, ha), Region(qb, hb), n_bins)
             assert point.resolution == n_bins
-            assert point.spectrum.size == min(n_bins + 1, two_party_nodes(model, 2 * max(ha, hb)))
+            assert point.spectrum_size == min(n_bins + 1, two_party_nodes(model, 2 * max(ha, hb)))
             cells.append((point.entanglement, True, qa - ha, qa + ha, qb - hb, qb + hb))
         for value, live, *bounds in cells:
             if live:
@@ -1392,12 +1457,19 @@ class TestSymmetryOrbits:
                 assert surface.extra["prob"][k, m] == cell.survival_probability
                 assert masses.values[k, m] == mass
             assert cell.survival_probability == min(1.0, mass)
+            sides = _two_party_sides(centers[i] - 0.5, centers[i] + 0.5, centers[j] - 0.25,
+                                     centers[j] + 0.25, cell.resolution, None)
             for ca, ha, cb, hb in ((centers[last - i], 0.5, centers[last - j], 0.25),
                                    (centers[j], 0.25, centers[i], 0.5),
                                    (centers[last - j], 0.25, centers[last - i], 0.5)):
                 image = both_restricted_entropy(MODEL, Region(ca, ha), Region(cb, hb))
-                assert image.entanglement == cell.entanglement
-                assert image.spectrum.eigenvalues.tobytes() == cell.spectrum.eigenvalues.tobytes()
+                assert image == cell
+                # one layout of nodes, negated for a mirror image, and equal weights
+                xa, wa, xb, wb = _two_party_sides(ca - ha, ca + ha, cb - hb, cb + hb,
+                                                  cell.resolution, None)
+                assert np.array_equal(wa, sides[1]) and np.array_equal(wb, sides[3])
+                assert any(np.array_equal(xa, sign * sides[0])
+                           and np.array_equal(xb, sign * sides[2]) for sign in (1.0, -1.0))
                 assert joint_probability(MODEL, Region(ca, ha), Region(cb, hb)) == mass
 
     @settings(max_examples=25, deadline=None)
