@@ -122,9 +122,12 @@ DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 # bytes of a dense N x N float matrix, N <= 8192: the basis projection's kernel
-# on its nodes, the single grid cell's on its points and the precise readout's
-# matrix on its (n_bins + 1)^2 grid pairs
+# on its nodes and the single grid cell's on its points; the precise readout
+# holds PRECISE_PEAK_MATRICES matrices on its (n_bins + 1)^2 grid pairs at its
+# peak (the state, its partial transpose, that transpose's validated copy and
+# its Hermiticity defect), so they share the budget
 KERNEL_BYTES = 1 << 29
+PRECISE_PEAK_MATRICES = 4
 # Gauss-Legendre nodes per basis function that a projection adds to the spectral
 # rule (_basis_nodes): function n oscillates n / 2 times across the region
 BASIS_NODES_PER_FUNCTION = math.pi / 2
@@ -175,6 +178,20 @@ ERFC_BLOCK = 8192
 # float up to the clip at 30, and are scaled back by one rounding.
 DEEP_TAIL = 26.0
 DEEP_SCALE = 600
+# An interval [lo, hi] with lo <= 0 <= hi narrower than STRADDLE_WIDTH (in
+# units of sqrt(2) standard deviations) takes its mass as (erf(hi) + erf(-lo))
+# / 2, a sum of two positive values, with erf(x) = x Q(x^2) (_erf_near_zero):
+# the difference of two erfc values near 1 would leave it a relative error of
+# about 1e-16 / (hi - lo). ERF_COEFFS are Q's Maclaurin coefficients 2 (-1)^n /
+# (sqrt(pi) n! (2n + 1)), lowest first, to 40 digits (mpmath); below
+# STRADDLE_WIDTH the first term left out is below 3e-18 of erf. The narrowest
+# straddling interval of the README's commands is 0.36 wide.
+STRADDLE_WIDTH = 0.25
+ERF_COEFFS = (
+    1.1283791670955126, -0.37612638903183754, 0.11283791670955126,
+    -0.026866170645131252, 0.005223977625442188, -0.0008548327023450853,
+    0.00012055332981789664, -1.492565035840625e-05, 1.6462114365889248e-06,
+)
 # Bytes of one float64 chunk of cells: a (cells, nodes_a, nodes_b) amplitude
 # stack handed to LAPACK in one call with the temporary of its assembly, a
 # (cells, n, r) stack of a one-party map's weighted kernel factors, or a
@@ -346,11 +363,24 @@ def _erfc_block(x: np.ndarray, exponent: int = 0) -> np.ndarray:
     return np.where(x < 0.0, math.ldexp(2.0, exponent) - p, p)
 
 
+def _erf_near_zero(x: np.ndarray) -> np.ndarray:
+    """erf(x) = x Q(x^2) for |x| below STRADDLE_WIDTH (see ERF_COEFFS); odd
+    in x bit for bit."""
+    x2 = x * x
+    q = np.full_like(x2, ERF_COEFFS[-1])
+    for coeff in ERF_COEFFS[-2::-1]:
+        q *= x2
+        q += coeff
+    return x * q
+
+
 def _normal_interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(erf(hi) - erf(lo)) / 2 for lo <= hi, as a difference of erfc values on
     the non-negative side, so a distant interval keeps its relative accuracy.
     Both edges go to one _erfc call; the intervals past DEEP_TAIL take a
-    second, scaled call, so a subnormal mass is rounded once."""
+    second, scaled call, so a subnormal mass is rounded once, and those that
+    straddle 0 narrower than STRADDLE_WIDTH take the sum of two erf values.
+    An interval and its mirror image take one mass, bit for bit."""
     edges = np.stack((lo, hi))
     shape = edges.shape[1:]
     edges = edges.reshape(2, -1)
@@ -361,6 +391,12 @@ def _normal_interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     if deep.any():
         scaled = _erfc(edges[:, deep], DEEP_SCALE)
         out[deep] = np.ldexp(0.5 * (scaled[0] - scaled[1]), -DEEP_SCALE)
+    near = np.flatnonzero(edges[1] < STRADDLE_WIDTH)
+    near_lo, near_hi = edges[:, near]
+    narrow = near[(near_lo <= 0.0) & (near_hi - near_lo < STRADDLE_WIDTH)]
+    if narrow.size:
+        out[narrow] = 0.5 * (_erf_near_zero(edges[1, narrow])
+                             + _erf_near_zero(-edges[0, narrow]))
     return out.reshape(shape)
 
 
@@ -505,10 +541,10 @@ def _n_bins(n_bins: int | None, default: int | None = None) -> int | None:
     return n_bins
 
 
-def _kernel_budget(side: int, what: str) -> None:
-    """Refuse with QuadratureNotConverged a dense side x side float matrix
-    that would pass KERNEL_BYTES (side past 8192)."""
-    if side > math.isqrt(KERNEL_BYTES // 8):
+def _kernel_budget(side: int, what: str, matrices: int = 1) -> None:
+    """Refuse with QuadratureNotConverged `matrices` dense side x side float
+    matrices that would pass KERNEL_BYTES (one: side past 8192)."""
+    if side > math.isqrt(KERNEL_BYTES // (8 * matrices)):
         raise QuadratureNotConverged(
             f"a {side}-{what} exceeds the {KERNEL_BYTES >> 20} MiB kernel budget")
 
@@ -806,12 +842,12 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
     The post-measurement ensemble is diagonal in Alice's coordinate (an
     incoherent sum of product states), so the negativity across the A|B
     grid cut vanishes up to round-off. The assembled matrix has dimension
-    (n_bins + 1)^2 (DEFAULT_BINS_PRECISE bins by default); one that would not
-    fit KERNEL_BYTES (from 90 bins) is refused with QuadratureNotConverged
-    before any array is built.
+    (n_bins + 1)^2 (DEFAULT_BINS_PRECISE bins by default); one whose
+    PRECISE_PEAK_MATRICES copies would not fit KERNEL_BYTES (from 64 bins) is
+    refused with QuadratureNotConverged before any array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_PRECISE)
-    _kernel_budget((n_bins + 1) ** 2, "row precise-readout matrix")
+    _kernel_budget((n_bins + 1) ** 2, "row precise-readout matrix", PRECISE_PEAK_MATRICES)
     qa = _grid_points(region, n_bins)
     qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n_bins + 1)
     psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])
@@ -823,7 +859,10 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
     trace = float(np.trace(rho))
     if trace <= 0.0:
         raise EmptyRegionMass("precise-measurement ensemble has no mass")
-    return negativity(DensityMatrix(rho / trace), (n_a, n_b))
+    rho /= trace
+    state = DensityMatrix(rho)
+    del rho  # the state holds its own copy
+    return negativity(state, (n_a, n_b))
 
 
 # -- non-discarding ensemble --------------------------------------------------

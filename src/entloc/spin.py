@@ -52,8 +52,10 @@ def build_mixed_state(theta1: float, theta2: float, F: float) -> DensityMatrix:
     if not 1.0 / 16.0 <= F <= 1.0:
         raise DomainError(f"F must lie in [1/16, 1], got {F}")
     psi = build_pure_state(theta1, theta2)
-    rho = (16.0 * F - 1.0) / 15.0 * np.outer(psi, psi) \
-        + (1.0 - F) / 15.0 * np.eye(DIM)
+    rho = psi[:, None] * psi
+    rho *= (16.0 * F - 1.0) / 15.0
+    rho += 0.0  # a -0.0 (zero amplitude times a negative one) reads +0.0
+    rho.reshape(-1)[::DIM + 1] += (1.0 - F) / 15.0
     return DensityMatrix(rho)
 
 

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -567,6 +568,24 @@ class TestExitCodes:
             "-1,-1,0.999999992032,nan,ok",
             "-1,0,0.999999992284,nan,ok",
             "-1,1,0.99999998457,nan,ok"]
+
+    def test_narrow_cell_at_the_origin_keeps_its_relative_accuracy(self, capsys, tmp_path):
+        # Bob's conditional standard deviation is 1e-15 here, so each of his
+        # intervals straddles 0 and is about 1e-14 of it wide: its mass is a
+        # sum of two erf values, not a difference of two erfc values near 1
+        out = tmp_path / "joint.json"
+        code, _, _ = run_capture(capsys, [
+            "gauss-classical-map", "--alpha", "1e60", "--width", "1e-29",
+            "--centers", "-1", "1", "3", "--format", "json", "--output", str(out)])
+        assert code == 0
+        got = json.loads(out.read_text())["values"][4]
+        with mp.workdps(40):
+            # |psi|^2 = sqrt(s) / (2 pi) exp(-((1 + s)(x^2 + y^2) + 2 (1 - s) x y) / 4)
+            s = mp.sqrt(1 + 4 * mp.mpf(1e60))
+            h = mp.mpf(1e-29) / 2
+            expected = mp.quad(lambda x, y: mp.sqrt(s) / (2 * mp.pi) * mp.exp(
+                -((1 + s) * (x * x + y * y) + 2 * (1 - s) * x * y) / 4), [-h, h], [-h, h])
+        assert abs(got - float(expected)) <= 1e-12 * float(expected)
 
     def test_success(self, capsys):
         code, out, _ = run_capture(capsys, ["gauss-constants", "--alpha", "6"])

@@ -1,5 +1,7 @@
 import ast
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from entloc.errors import (
     NotNormalized,
 )
 from entloc.linalg import (
+    HERMITICITY_TOL,
+    TRACE_TOL,
     DensityMatrix,
     binary_entropy,
     eigen_symmetric,
@@ -155,6 +159,171 @@ class TestEigenSymmetric:
         m[0, 1] = 1e-6
         with pytest.raises(NonHermitianInput):
             DensityMatrix(m)
+
+
+def _hermitian_pair(defect, scale, complex_):
+    """A 2x2 Hermitian-but-for-one-entry matrix: largest magnitude `scale`,
+    Hermiticity defect exactly `defect` (imaginary when complex_), trace 1
+    when scale is 0.5."""
+    m = np.diag([scale, 1.0 - scale]).astype(complex if complex_ else float)
+    m[0, 1] = 1j * defect if complex_ else defect
+    return m
+
+
+def _largest_accepted_trace(direction):
+    """The float farthest from 1 on one side (direction +1 or -1) that the
+    trace check accepts: within TRACE_TOL of 1, the next float past it not."""
+    x = 1.0 + direction * TRACE_TOL
+    while abs(x - 1.0) > TRACE_TOL:
+        x = np.nextafter(x, 1.0)
+    while abs(np.nextafter(x, direction * math.inf) - 1.0) <= TRACE_TOL:
+        x = np.nextafter(x, direction * math.inf)
+    return float(x)
+
+
+class TestDensityMatrixValidation:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("scale", [0.5, 1e3])
+    def test_hermiticity_defect_at_and_past_the_tolerance(self, complex_, scale):
+        edge = HERMITICITY_TOL * max(1.0, scale)  # the bound as the check forms it
+        DensityMatrix(_hermitian_pair(edge, scale, complex_), trace_normalized=scale == 0.5)
+        past = float(np.nextafter(edge, math.inf))
+        with pytest.raises(NonHermitianInput, match="by 1.000e-(12|09)"):
+            DensityMatrix(_hermitian_pair(past, scale, complex_), trace_normalized=False)
+
+    def test_defect_is_measured_against_the_conjugate_transpose(self):
+        # a complex symmetric matrix is not Hermitian; a real one is
+        with pytest.raises(NonHermitianInput):
+            DensityMatrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+        DensityMatrix(np.array([[0.5, 0.1j], [-0.1j, 0.5]]))
+        DensityMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_trace_at_and_past_the_tolerance(self, complex_, direction):
+        edge = _largest_accepted_trace(direction)
+        off = 1e-3j if complex_ else 0.0  # keeps complex input complex
+        for trace in (edge, float(np.nextafter(edge, direction * math.inf))):
+            m = np.array([[trace, off], [np.conj(off), 0.0]])
+            assert m.trace().real == trace
+            if abs(trace - 1.0) <= TRACE_TOL:
+                assert DensityMatrix(m).trace == trace
+            else:
+                with pytest.raises(NotNormalized, match=repr(trace)):
+                    DensityMatrix(m)
+            assert DensityMatrix(m, trace_normalized=False).trace == trace
+
+    @pytest.mark.parametrize("trace", [0.0, -1.0, 2.0, 1e300])
+    def test_unnormalized_matrices_skip_the_trace_check(self, trace):
+        dm = DensityMatrix(np.diag([trace, 0.0]), trace_normalized=False)
+        assert dm.trace == trace and not dm.trace_normalized
+        with pytest.raises(NotNormalized):
+            DensityMatrix(np.diag([trace, 0.0]))
+
+    @pytest.mark.parametrize("imag", [0.0, -0.0])
+    def test_complex_input_without_imaginary_part_is_stored_real(self, imag):
+        source = np.array([[0.75, 0.25], [0.25, 0.25]]) + complex(0.0, imag)
+        dm = DensityMatrix(source)
+        assert dm.elements.dtype == np.float64
+        assert dm.elements.tolist() == source.real.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_input_is_stored_complex128(self, dtype):
+        source = np.array([[0.75, 0.25j], [-0.25j, 0.25]], dtype=dtype)
+        dm = DensityMatrix(source)
+        assert dm.elements.dtype == np.complex128
+        assert dm.elements.tolist() == source.astype(np.complex128).tolist()
+
+    @pytest.mark.parametrize("source", [
+        np.array([[1, 0], [0, 0]]), np.array([[1, 0], [0, 0]], dtype=np.int8),
+        np.eye(4, dtype=np.float32) / 4, [[0.5, 0.5], [0.5, 0.5]], [[1]]])
+    def test_integer_float32_and_list_input_is_stored_float64(self, source):
+        dm = DensityMatrix(source)
+        assert dm.elements.dtype == np.float64
+        assert dm.elements.tolist() == np.asarray(source, dtype=np.float64).tolist()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 1), (4,), (1,), (), (2, 2, 2),
+                                       (1, 1, 1)])
+    def test_non_square_input_is_refused(self, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
+            DensityMatrix(np.zeros(shape), trace_normalized=False)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.array([[0.75, 0.25], [0.25, 0.25]]),
+        lambda: np.asfortranarray(np.array([[0.75, 0.25], [0.25, 0.25]])),
+        lambda: np.array([[0.75, 0.25], [0.25, 0.25]]) + 0j,
+        lambda: np.array([[0.75, 0.25j], [-0.25j, 0.25]]),
+        lambda: np.array([[3, 1], [1, -2]])])
+    def test_elements_are_a_read_only_copy(self, make):
+        source = make()
+        dm = DensityMatrix(source, trace_normalized=False)
+        before = dm.elements.copy()
+        assert not dm.elements.flags.writeable and dm.elements.flags.c_contiguous
+        assert not np.shares_memory(dm.elements, source)
+        with pytest.raises(ValueError):
+            dm.elements[0, 0] = 0.0
+        source[0, 1] = source[1, 0] = 7
+        assert dm.elements.tolist() == before.tolist()
+        # a matrix built from another's elements takes a copy of its own
+        again = DensityMatrix(dm.elements, trace_normalized=False)
+        assert not np.shares_memory(again.elements, dm.elements)
+
+
+@st.composite
+def density_matrices(draw):
+    """(matrix, dims): a random density matrix on dims (2, 2), (2, 3) or (4, 4),
+    real or complex; one in three is diagonal, its weights in no order and
+    repeated, so its eigenvalues tie exactly."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (4, 4)]))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = dims[0] * dims[1]
+    if draw(st.integers(0, 2)) == 0:
+        weights = rng.choice([0.0, 1.0, 2.0, 3.0], size=n)
+        weights[0] = 1.0
+        rho = np.diag(weights / weights.sum()) + (0j if complex_ else 0.0)
+    else:
+        a = rng.standard_normal((n, n))
+        if complex_:
+            a = a + 1j * rng.standard_normal((n, n))
+        rho = a @ a.conj().T
+        rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    return rho, dims
+
+
+class TestDenseLayerProperties:
+    @given(density_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_eigenvalues_are_eigvalsh_sorted_descending(self, case):
+        rho, _ = case
+        dm = DensityMatrix(rho, trace_normalized=False)
+        expected = np.sort(np.linalg.eigvalsh(dm.elements))[::-1]
+        np.testing.assert_array_equal(eigen_symmetric(dm).eigenvalues, expected)
+
+    @given(density_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_vectors_reconstruct_the_matrix(self, case):
+        rho, _ = case
+        dm = DensityMatrix(rho, trace_normalized=False)
+        spectrum, q = eigen_symmetric(dm, vectors=True)
+        lam = spectrum.eigenvalues
+        assert np.all(np.diff(lam) <= 0.0)
+        np.testing.assert_array_equal(lam, np.sort(np.linalg.eigh(dm.elements)[0])[::-1])
+        rebuilt = (q * lam) @ q.conj().T
+        assert np.abs(rebuilt - dm.elements).max() <= 1e-14
+        assert np.abs(q.conj().T @ q - np.eye(lam.size)).max() <= 1e-14
+
+    @given(density_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_partial_transpose_and_negativity_by_index_loops(self, case):
+        rho, dims = case
+        dm = DensityMatrix(rho)
+        brute = brute_partial_transpose(dm.elements, *dims)
+        out = partial_transpose(dm, dims)
+        np.testing.assert_array_equal(out.elements, brute)
+        lam = np.linalg.eigvalsh(brute)
+        assert math.isclose(negativity(dm, dims), -lam[lam < 0.0].sum(),
+                            rel_tol=1e-13, abs_tol=1e-16)
 
 
 class TestVonNeumannEntropy:

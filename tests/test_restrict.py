@@ -26,9 +26,13 @@ from entloc.restrict import (
     DEFAULT_BINS_ONE,
     DOMAIN_HALF_LENGTH,
     EMPTY_MASS,
+    ERF_COEFFS,
     ERFC_COEFFS,
     ERFC_SHIFT,
+    KERNEL_BYTES,
     MAX_NODES,
+    PRECISE_PEAK_MATRICES,
+    STRADDLE_WIDTH,
     Partition,
     Region,
     basis_expansion_entropy,
@@ -44,6 +48,7 @@ from entloc.restrict import (
     precise_measurement_entanglement,
     region_basis,
     _amplitudes,
+    _erf_near_zero,
     _erfc,
     _normal_interval,
     _orbit_masses,
@@ -141,6 +146,63 @@ class TestErfcKernel:
             tails = mp.erfc(-hi) + mp.erfc(-lo) if hi < 0 else mp.erfc(lo) + mp.erfc(hi)
         # each erfc within 5e-16 relative: the difference within that of the tails
         assert abs(got - float(expected)) <= 1e-15 * float(tails)
+
+    def test_near_zero_erf_against_mpmath(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate([np.linspace(0.0, STRADDLE_WIDTH, 2001),
+                            STRADDLE_WIDTH * rng.random(2000),
+                            np.geomspace(1e-300, STRADDLE_WIDTH, 600), [5e-324]])
+        with mp.workdps(32):
+            expected = np.array([float(mp.erf(mp.mpf(float(v)))) for v in x])
+        got = _erf_near_zero(x)
+        assert np.all(np.abs(got - expected) <= 4e-16 * expected)
+        assert (_erf_near_zero(-x) == -got).all()  # odd bit for bit
+
+    def test_near_zero_coefficients_rebuilt_from_mpmath(self):
+        # 2 (-1)^n / (sqrt(pi) n! (2n + 1)); the first left out is below 3e-18
+        # of erf(x) ~ 2x / sqrt(pi) at the width
+        with mp.workdps(40):
+            terms = [2 * (-1) ** n / (mp.sqrt(mp.pi) * mp.factorial(n) * (2 * n + 1))
+                     for n in range(len(ERF_COEFFS) + 1)]
+            left_out = abs(terms[-1]) * mp.mpf(STRADDLE_WIDTH) ** (2 * len(ERF_COEFFS))
+            assert left_out / terms[0] < 3e-18
+            rebuilt = [float(t) for t in terms[:-1]]
+        assert list(ERF_COEFFS) == rebuilt
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo_share=st.floats(0.0, 1.0), log_width=st.floats(-300.0, math.log10(STRADDLE_WIDTH)))
+    @example(lo_share=0.5, log_width=-14.0)            # the alpha 1e60 cell's Bob intervals
+    @example(lo_share=0.0, log_width=-1.0)             # one edge at 0
+    @example(lo_share=1.0, log_width=-1.0)
+    @example(lo_share=0.3, log_width=math.log10(STRADDLE_WIDTH) - 1e-12)
+    def test_narrow_straddling_interval_against_mpmath(self, lo_share, log_width):
+        width = 10.0 ** log_width
+        lo = -lo_share * width
+        hi = lo + width
+        assume(lo <= 0.0 <= hi and hi - lo < STRADDLE_WIDTH)
+        got = _normal_interval(np.array([lo, -hi]), np.array([hi, -lo]))
+        with mp.workdps(40):
+            expected = float((mp.erf(hi) - mp.erf(lo)) / 2)
+        # relative, whatever the width: a difference of two erfc values near 1
+        # would be off by about 1e-16 / width
+        assert abs(got[0] - expected) <= 5e-16 * expected
+        assert got[0] == got[1]  # the mirror image takes the same bits
+
+    def test_wider_intervals_keep_the_erfc_difference(self):
+        # from STRADDLE_WIDTH on, a straddling interval's mass is the erfc
+        # difference, bit for bit (the README's commands meet none narrower
+        # than 0.36); below it, the sum of two erf values
+        rng = np.random.default_rng(29)
+        width = np.repeat([0.2, STRADDLE_WIDTH, 0.3, 0.36], 200)
+        lo = -rng.random(width.size) * width
+        hi = lo + width
+        tails = _erfc(np.stack((lo, hi)))
+        wide = hi - lo >= STRADDLE_WIDTH
+        assert wide.sum() > 500
+        got = _normal_interval(lo, hi)
+        assert got[wide].tobytes() == (0.5 * (tails[0] - tails[1]))[wide].tobytes()
+        sums = 0.5 * (_erf_near_zero(hi) + _erf_near_zero(-lo))
+        assert got[~wide].tobytes() == sums[~wide].tobytes()
 
 
 class TestRegionTypes:
@@ -507,12 +569,32 @@ class TestPreciseMeasurement:
         def built(*args):
             raise Built
         monkeypatch.setattr(restrict, "two_particle_wavefunction", built)
-        # a 90^2 = 8100-row matrix fits 512 MiB; 91^2 = 8281 rows do not
+        # four 64^2 = 4096-row matrices fit 512 MiB; four of 65^2 = 4225 rows do not
+        assert PRECISE_PEAK_MATRICES * 8 * 4096 ** 2 == KERNEL_BYTES
         with pytest.raises(Built):
-            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=89)
-        for n_bins in (90, 100, 10 ** 6):
+            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=63)
+        for n_bins in (64, 89, 100, 10 ** 6):
             with pytest.raises(QuadratureNotConverged, match=f"{(n_bins + 1) ** 2}-row"):
                 precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=n_bins)
+
+    @pytest.mark.parametrize("n_bins", [20, 30])
+    def test_peak_stays_within_the_budget(self, n_bins, monkeypatch):
+        import entloc.restrict as restrict
+        matrix = 8 * (n_bins + 1) ** 4
+        precise_measurement_entanglement(MODEL, Region(0.0, 1.0), 4)  # caches and imports
+        # the least budget that admits this call holds its whole traced peak,
+        # but for numpy's reduction buffers (8192 values each)
+        monkeypatch.setattr(restrict, "KERNEL_BYTES", PRECISE_PEAK_MATRICES * matrix)
+        tracemalloc.start()
+        try:
+            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert PRECISE_PEAK_MATRICES * matrix - matrix // 8 < peak \
+            <= restrict.KERNEL_BYTES + (128 << 10)
+        with pytest.raises(QuadratureNotConverged):
+            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins + 1)
 
     def test_off_diagonal_blocks_vanish(self):
         # assemble the ensemble the same way and verify exact block structure
