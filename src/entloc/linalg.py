@@ -1,22 +1,23 @@
-"""Dense linear algebra for small Hermitian matrices.
+"""Dense linear algebra for small real symmetric matrices.
 
-DensityMatrix carries a checked state for the cells that assemble one (the
-spin model's unrestricted F sweep, a grid or basis one-party cell, the
-precise readout); what an entanglement measure needs of it (eigenvalues,
-partial transpose, negativity) lives here. The maps and the non-discarding
-ensemble take their spectra in batched LAPACK calls of their own (restrict)
-or in closed form (spin); every entropy goes through spectral_entropy_bits.
-Every LAPACK call of the package goes through lapack, the one place where
-numpy's LinAlgError becomes NoConvergence.
+DensityMatrix carries a checked state, real, symmetric and of trace 1, for
+the cells that assemble one (the spin model's unrestricted F sweep, a grid
+or basis one-party cell); what an entanglement measure needs of it
+(eigenvalues, partial transpose, negativity) lives here. The maps, the
+non-discarding ensemble and the precise readout take their spectra in
+batched LAPACK calls of their own (restrict) or in closed form (spin);
+every entropy goes through spectral_entropy_bits. Every LAPACK call of the
+package goes through lapack, the one place where numpy's LinAlgError
+becomes NoConvergence.
 
-What a check costs: a DensityMatrix takes one read-only copy of its input
-and, stored real, one temporary, m - m^T, whose largest entry is the
-Hermiticity defect (complex storage also takes m^H and |m - m^H|); max|m|
-is read only when that defect passes HERMITICITY_TOL, and the trace is one
-sum of the diagonal. For the spin sweep's 16x16 states that is about 6 us
-a matrix, against about 10 us for its eigvalsh (2-vCPU Xeon VM, BLAS
-threads 1). So a real n x n check holds three n x n arrays at its peak:
-the caller's, the copy and the temporary.
+What a check costs: a DensityMatrix takes one read-only float64 copy of its
+input and one temporary, m - m^T, whose largest entry is the symmetry
+defect; max|m| and the finiteness of the entries are read only when that
+defect passes HERMITICITY_TOL (a NaN or inf entry makes it NaN or inf), and
+the trace is one sum of the diagonal. For the spin sweep's 16x16 states
+that is about 6 us a matrix, against about 10 us for its eigvalsh (2-vCPU
+Xeon VM, BLAS threads 1). So an n x n check holds three n x n arrays at its
+peak: the caller's, the copy and the temporary.
 """
 
 from __future__ import annotations
@@ -40,48 +41,44 @@ EIGENVALUE_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Square Hermitian matrix with trace metadata.
+    """Real symmetric matrix of trace 1.
 
-    trace_normalized marks matrices meant to represent physical states
-    (trace 1). Partial transposes keep the flag but are allowed to have
-    negative eigenvalues. elements is a read-only copy of the input, so the
-    Hermiticity checked here holds for the object's lifetime.
+    elements is a read-only float64 copy of the input, so the symmetry and
+    trace checked here hold for the object's lifetime. A complex input is
+    taken only when its imaginary part is all zero; a NaN or inf entry is
+    refused with DomainError.
     """
 
     elements: np.ndarray
-    trace_normalized: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.elements)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        real = not np.iscomplexobj(m)
-        if not (real or m.imag.any()):
-            m, real = m.real, True  # real storage fast path
-        m = m.astype(np.float64 if real else np.complex128, order="C")
+        if np.iscomplexobj(m):
+            if m.imag.any():
+                raise DomainError("a density matrix must be real")
+            m = m.real
+        m = m.astype(np.float64, order="C")
         m.flags.writeable = False
         object.__setattr__(self, "elements", m)
-        # m - m^H is anti-Hermitian, so a real one's largest entry is its
-        # largest magnitude; the scale max(1, max|m|) is read only past the
-        # tolerance it multiplies
-        defect = float((m - m.T).max(initial=0.0) if real
-                       else np.abs(m - m.conj().T).max(initial=0.0))
-        if defect > HERMITICITY_TOL and \
-                defect > HERMITICITY_TOL * max(1.0, float(np.abs(m).max())):
-            raise NonHermitianInput(
-                f"matrix deviates from Hermiticity by {defect:.3e}")
-        if self.trace_normalized:
-            trace = float(m.trace().real)
-            if abs(trace - 1.0) > TRACE_TOL:
-                raise NotNormalized(f"trace {trace!r} differs from 1")
+        # m - m^T is antisymmetric, so its largest entry is its largest
+        # magnitude, NaN or inf when an entry is; the scale max(1, max|m|) is
+        # read only past the tolerance it multiplies
+        defect = float((m - m.T).max(initial=0.0))
+        if not defect <= HERMITICITY_TOL:
+            if not np.isfinite(m).all():
+                raise DomainError("matrix has a NaN or infinite entry")
+            if defect > HERMITICITY_TOL * max(1.0, float(np.abs(m).max())):
+                raise NonHermitianInput(
+                    f"matrix deviates from Hermiticity by {defect:.3e}")
+        trace = float(m.trace())
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise NotNormalized(f"trace {trace!r} differs from 1")
 
     @property
     def dim(self) -> int:
         return self.elements.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(self.elements.trace().real)
 
 
 @dataclass(frozen=True)
@@ -120,11 +117,11 @@ def spectral_entropy_bits(weights: np.ndarray) -> np.ndarray:
 
 
 def eigen_symmetric(m: DensityMatrix, vectors: bool = False):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a real symmetric matrix.
 
     Returns a Spectrum (descending eigenvalues), or (Spectrum, Q) with
     eigenvector columns matching the eigenvalue order when vectors=True:
-    LAPACK's ascending eigenvalues and their columns, reversed. Hermiticity
+    LAPACK's ascending eigenvalues and their columns, reversed. Symmetry
     was checked when the DensityMatrix was built.
     """
     if vectors:
@@ -146,7 +143,7 @@ def partial_transpose(m: DensityMatrix, dims: tuple[int, int]) -> DensityMatrix:
     """Transpose the second party's indices only.
 
     Index convention: row = i_a * d_b + i_b. The operation is involutive
-    and preserves trace and Hermiticity.
+    and preserves the diagonal, so the trace, and symmetry.
     """
     d_a, d_b = dims
     if d_a < 1 or d_b < 1 or d_a * d_b != m.dim:
@@ -154,13 +151,10 @@ def partial_transpose(m: DensityMatrix, dims: tuple[int, int]) -> DensityMatrix:
             f"dimensions {dims} do not factor matrix dimension {m.dim}")
     r = m.elements.reshape(d_a, d_b, d_a, d_b)
     out = r.transpose(0, 3, 2, 1).reshape(m.dim, m.dim)
-    return DensityMatrix(out, trace_normalized=m.trace_normalized)
+    return DensityMatrix(out)
 
 
 def negativity(m: DensityMatrix, dims: tuple[int, int]) -> float:
     """Sum of magnitudes of negative eigenvalues of the partial transpose."""
-    trace = m.trace
-    if abs(trace - 1.0) > 1e-8:
-        raise NotNormalized(f"trace {trace} differs from 1")
     lam = eigen_symmetric(partial_transpose(m, dims)).eigenvalues
     return float(-lam[lam < 0.0].sum())

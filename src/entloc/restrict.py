@@ -10,8 +10,8 @@ evaluates the entanglement left in each ensemble:
   entanglement equals the probability-weighted average of the conditional
   (discarding) entanglements;
 * precise-measurement ensemble: an exact position readout inside the
-  region, which is diagonal in Alice's coordinate and therefore carries no
-  entanglement at all.
+  region, which is block-diagonal in Alice's coordinate, one block of Bob's
+  per Alice point, and therefore carries no entanglement at all.
 
 When both parties restrict, entropies come from the Schmidt weights of an
 amplitude matrix M = sqrt(Wa) psi(x_i, y_k) sqrt(Wb) on the nodes and
@@ -68,9 +68,9 @@ mass. Only the single one-party grid cell (one_restricted_entropy) still
 samples the kernel on its grid points, renormalizes the matrix by its trace
 and takes its dense eigensolve, with a survival probability from adaptive
 quadrature of the analytic density.
-Every dense matrix whose side grows with a resolution (that cell's kernel,
-the basis projection's kernel, the precise readout's matrix) has a budget
-of KERNEL_BYTES, checked before any array is built.
+Every dense array whose side grows with a resolution (that cell's kernel,
+the basis projection's kernel, the precise readout's stack of blocks) has a
+budget of KERNEL_BYTES, checked before any array is built.
 
 Maps: one_party_map (Alice's center by width) and two_party_map (both
 centers). Every other entry point but the non-discarding ensemble takes one
@@ -105,7 +105,6 @@ from .linalg import (
     Spectrum,
     eigen_symmetric,
     lapack,
-    negativity,
     spectral_entropy_bits,
 )
 from .oscillator import (
@@ -122,12 +121,10 @@ DEFAULT_BINS_ONE = 200
 DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 # bytes of a dense N x N float matrix, N <= 8192: the basis projection's kernel
-# on its nodes and the single grid cell's on its points; the precise readout
-# holds PRECISE_PEAK_MATRICES matrices on its (n_bins + 1)^2 grid pairs at its
-# peak (the state, its partial transpose, that transpose's validated copy and
-# its Hermiticity defect), so they share the budget
+# on its nodes and the single grid cell's on its points; the precise readout's
+# stack of n_bins + 1 blocks, each n_bins + 1 a side, shares the budget (up to
+# 405 bins)
 KERNEL_BYTES = 1 << 29
-PRECISE_PEAK_MATRICES = 4
 # Gauss-Legendre nodes per basis function that a projection adds to the spectral
 # rule (_basis_nodes): function n oscillates n / 2 times across the region
 BASIS_NODES_PER_FUNCTION = math.pi / 2
@@ -178,15 +175,17 @@ ERFC_BLOCK = 8192
 # float up to the clip at 30, and are scaled back by one rounding.
 DEEP_TAIL = 26.0
 DEEP_SCALE = 600
-# An interval [lo, hi] with lo <= 0 <= hi narrower than STRADDLE_WIDTH (in
-# units of sqrt(2) standard deviations) takes its mass as (erf(hi) + erf(-lo))
-# / 2, a sum of two positive values, with erf(x) = x Q(x^2) (_erf_near_zero):
-# the difference of two erfc values near 1 would leave it a relative error of
-# about 1e-16 / (hi - lo). ERF_COEFFS are Q's Maclaurin coefficients 2 (-1)^n /
-# (sqrt(pi) n! (2n + 1)), lowest first, to 40 digits (mpmath); below
-# STRADDLE_WIDTH the first term left out is below 3e-18 of erf. The narrowest
-# straddling interval of the README's commands is 0.36 wide.
-STRADDLE_WIDTH = 0.25
+# An interval [lo, hi] mirrored to hi >= 0 with hi and hi - lo below
+# NEAR_ZERO_WIDTH (in units of sqrt(2) standard deviations) takes its mass as
+# (erf(hi) + erf(-lo)) / 2, with erf(x) = x Q(x^2) (_erf_near_zero): the
+# difference of two erfc values near 1 would leave it a relative error of
+# about 1e-16 / (hi - lo), the erf values one of about 1e-16 hi / (hi - lo),
+# or 1e-16 when it straddles 0 and the two are positive. ERF_COEFFS are Q's
+# Maclaurin coefficients 2 (-1)^n / (sqrt(pi) n! (2n + 1)), lowest first, to
+# 40 digits (mpmath); below NEAR_ZERO_WIDTH the first term left out is below
+# 3e-18 of erf. The README's commands meet no such interval: the narrowest
+# that straddles 0 is 0.36 wide, and every one on one side reaches past 0.38.
+NEAR_ZERO_WIDTH = 0.25
 ERF_COEFFS = (
     1.1283791670955126, -0.37612638903183754, 0.11283791670955126,
     -0.026866170645131252, 0.005223977625442188, -0.0008548327023450853,
@@ -364,7 +363,7 @@ def _erfc_block(x: np.ndarray, exponent: int = 0) -> np.ndarray:
 
 
 def _erf_near_zero(x: np.ndarray) -> np.ndarray:
-    """erf(x) = x Q(x^2) for |x| below STRADDLE_WIDTH (see ERF_COEFFS); odd
+    """erf(x) = x Q(x^2) for |x| below NEAR_ZERO_WIDTH (see ERF_COEFFS); odd
     in x bit for bit."""
     x2 = x * x
     q = np.full_like(x2, ERF_COEFFS[-1])
@@ -378,9 +377,10 @@ def _normal_interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(erf(hi) - erf(lo)) / 2 for lo <= hi, as a difference of erfc values on
     the non-negative side, so a distant interval keeps its relative accuracy.
     Both edges go to one _erfc call; the intervals past DEEP_TAIL take a
-    second, scaled call, so a subnormal mass is rounded once, and those that
-    straddle 0 narrower than STRADDLE_WIDTH take the sum of two erf values.
-    An interval and its mirror image take one mass, bit for bit."""
+    second, scaled call, so a subnormal mass is rounded once, and those
+    within NEAR_ZERO_WIDTH of 0 and narrower than it take the difference of
+    two erf values. An interval and its mirror image take one mass, bit for
+    bit."""
     edges = np.stack((lo, hi))
     shape = edges.shape[1:]
     edges = edges.reshape(2, -1)
@@ -391,9 +391,8 @@ def _normal_interval(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     if deep.any():
         scaled = _erfc(edges[:, deep], DEEP_SCALE)
         out[deep] = np.ldexp(0.5 * (scaled[0] - scaled[1]), -DEEP_SCALE)
-    near = np.flatnonzero(edges[1] < STRADDLE_WIDTH)
-    near_lo, near_hi = edges[:, near]
-    narrow = near[(near_lo <= 0.0) & (near_hi - near_lo < STRADDLE_WIDTH)]
+    near = np.flatnonzero(edges[1] < NEAR_ZERO_WIDTH)
+    narrow = near[edges[1, near] - edges[0, near] < NEAR_ZERO_WIDTH]
     if narrow.size:
         out[narrow] = 0.5 * (_erf_near_zero(edges[1, narrow])
                              + _erf_near_zero(-edges[0, narrow]))
@@ -839,30 +838,28 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
                                      n_bins: int | None = None) -> float:
     """Negativity left after an exact position readout inside the region.
 
-    The post-measurement ensemble is diagonal in Alice's coordinate (an
-    incoherent sum of product states), so the negativity across the A|B
-    grid cut vanishes up to round-off. The assembled matrix has dimension
-    (n_bins + 1)^2 (DEFAULT_BINS_PRECISE bins by default); one whose
-    PRECISE_PEAK_MATRICES copies would not fit KERNEL_BYTES (from 64 bins) is
-    refused with QuadratureNotConverged before any array is built.
+    The post-measurement state, sum_i |i><i| (x) psi_i psi_i^T / trace over
+    Alice's n_bins + 1 grid points i (DEFAULT_BINS_PRECISE bins by default),
+    is block-diagonal in her index, and so is its partial transpose (Vidal &
+    Werner, Phys. Rev. A 65, 032314 (2002)), whose block i is the real
+    symmetric psi_i psi_i^T / trace itself. The negativity is minus the sum
+    of the negative eigenvalues of that stack of blocks, one batched LAPACK
+    call, and vanishes up to round-off. A stack that would not fit
+    KERNEL_BYTES (from 406 bins) is refused with QuadratureNotConverged
+    before any array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_PRECISE)
-    _kernel_budget((n_bins + 1) ** 2, "row precise-readout matrix", PRECISE_PEAK_MATRICES)
+    _kernel_budget(n_bins + 1, "point precise-readout stack", n_bins + 1)
     qa = _grid_points(region, n_bins)
     qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n_bins + 1)
     psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])
-    n_a, n_b = psi.shape
-    rho = np.zeros((n_a, n_b, n_a, n_b))
-    i = np.arange(n_a)
-    rho[i, :, i, :] = psi[:, :, None] * psi[:, None, :]
-    rho = rho.reshape(n_a * n_b, n_a * n_b)
-    trace = float(np.trace(rho))
+    trace = float(np.square(psi).sum())
     if trace <= 0.0:
         raise EmptyRegionMass("precise-measurement ensemble has no mass")
-    rho /= trace
-    state = DensityMatrix(rho)
-    del rho  # the state holds its own copy
-    return negativity(state, (n_a, n_b))
+    blocks = psi[:, :, None] * psi[:, None, :]
+    blocks /= trace
+    lam = lapack(np.linalg.eigvalsh, blocks)
+    return float(-lam[lam < 0.0].sum())
 
 
 # -- non-discarding ensemble --------------------------------------------------

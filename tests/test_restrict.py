@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from entloc.correlate import joint_probability, probability_map
 from entloc.distribution import scan_axis
 from entloc.errors import DomainError, EmptyRegionMass, NoConvergence, QuadratureNotConverged
-from entloc.linalg import EIGENVALUE_CLAMP, binary_entropy, spectral_entropy_bits
+from entloc.linalg import (
+    EIGENVALUE_CLAMP,
+    DensityMatrix,
+    binary_entropy,
+    negativity,
+    partial_transpose,
+    spectral_entropy_bits,
+)
 from entloc.oscillator import (
     OscillatorModel,
     gaussian_eof,
@@ -31,8 +39,7 @@ from entloc.restrict import (
     ERFC_SHIFT,
     KERNEL_BYTES,
     MAX_NODES,
-    PRECISE_PEAK_MATRICES,
-    STRADDLE_WIDTH,
+    NEAR_ZERO_WIDTH,
     Partition,
     Region,
     basis_expansion_entropy,
@@ -50,6 +57,7 @@ from entloc.restrict import (
     _amplitudes,
     _erf_near_zero,
     _erfc,
+    _grid_points,
     _normal_interval,
     _orbit_masses,
     _schmidt_nodes,
@@ -149,9 +157,9 @@ class TestErfcKernel:
 
     def test_near_zero_erf_against_mpmath(self):
         rng = np.random.default_rng(23)
-        x = np.concatenate([np.linspace(0.0, STRADDLE_WIDTH, 2001),
-                            STRADDLE_WIDTH * rng.random(2000),
-                            np.geomspace(1e-300, STRADDLE_WIDTH, 600), [5e-324]])
+        x = np.concatenate([np.linspace(0.0, NEAR_ZERO_WIDTH, 2001),
+                            NEAR_ZERO_WIDTH * rng.random(2000),
+                            np.geomspace(1e-300, NEAR_ZERO_WIDTH, 600), [5e-324]])
         with mp.workdps(32):
             expected = np.array([float(mp.erf(mp.mpf(float(v)))) for v in x])
         got = _erf_near_zero(x)
@@ -164,45 +172,56 @@ class TestErfcKernel:
         with mp.workdps(40):
             terms = [2 * (-1) ** n / (mp.sqrt(mp.pi) * mp.factorial(n) * (2 * n + 1))
                      for n in range(len(ERF_COEFFS) + 1)]
-            left_out = abs(terms[-1]) * mp.mpf(STRADDLE_WIDTH) ** (2 * len(ERF_COEFFS))
+            left_out = abs(terms[-1]) * mp.mpf(NEAR_ZERO_WIDTH) ** (2 * len(ERF_COEFFS))
             assert left_out / terms[0] < 3e-18
             rebuilt = [float(t) for t in terms[:-1]]
         assert list(ERF_COEFFS) == rebuilt
 
     @settings(max_examples=300, deadline=None)
-    @given(lo_share=st.floats(0.0, 1.0), log_width=st.floats(-300.0, math.log10(STRADDLE_WIDTH)))
-    @example(lo_share=0.5, log_width=-14.0)            # the alpha 1e60 cell's Bob intervals
-    @example(lo_share=0.0, log_width=-1.0)             # one edge at 0
-    @example(lo_share=1.0, log_width=-1.0)
-    @example(lo_share=0.3, log_width=math.log10(STRADDLE_WIDTH) - 1e-12)
-    def test_narrow_straddling_interval_against_mpmath(self, lo_share, log_width):
-        width = 10.0 ** log_width
-        lo = -lo_share * width
-        hi = lo + width
-        assume(lo <= 0.0 <= hi and hi - lo < STRADDLE_WIDTH)
+    @given(log_hi=st.floats(-300.0, math.log10(NEAR_ZERO_WIDTH)), lo_share=st.floats(-1.0, 1.0))
+    @example(log_hi=math.log10(5e-15), lo_share=-1.0)  # the alpha 1e60 cell's Bob intervals
+    @example(log_hi=-1.0, lo_share=0.0)                # one edge at 0
+    @example(log_hi=-1.0, lo_share=-1.0)
+    @example(log_hi=math.log10(NEAR_ZERO_WIDTH) - 1e-12, lo_share=-0.3)
+    @example(log_hi=math.log10(2e-12), lo_share=0.5)   # [1e-12, 2e-12], one side of 0
+    @example(log_hi=math.log10(1.0001e-4), lo_share=1.0 / 1.0001)
+    @example(log_hi=math.log10(0.1001), lo_share=0.1 / 0.1001)
+    def test_narrow_interval_near_zero_against_mpmath(self, log_hi, lo_share):
+        hi = 10.0 ** log_hi
+        lo = lo_share * hi  # straddles 0 for lo_share <= 0
+        assume(lo < hi < NEAR_ZERO_WIDTH and hi - lo < NEAR_ZERO_WIDTH)
         got = _normal_interval(np.array([lo, -hi]), np.array([hi, -lo]))
         with mp.workdps(40):
             expected = float((mp.erf(hi) - mp.erf(lo)) / 2)
-        # relative, whatever the width: a difference of two erfc values near 1
-        # would be off by about 1e-16 / width
-        assert abs(got[0] - expected) <= 5e-16 * expected
+        # relative: a difference of two erfc values near 1 would be off by
+        # about 1e-16 / (hi - lo). Two erf values were off by at most 1.7 eps
+        # when they straddle 0, and 1.8 eps max(|lo|, |hi|) / (hi - lo) on one
+        # side of it (about 150,000 random intervals, half one-sided); the
+        # bound is 2.25 eps in either unit
+        scale = max(1.0, max(abs(lo), abs(hi)) / (hi - lo))
+        assert abs(got[0] - expected) <= 5e-16 * scale * expected
         assert got[0] == got[1]  # the mirror image takes the same bits
 
     def test_wider_intervals_keep_the_erfc_difference(self):
-        # from STRADDLE_WIDTH on, a straddling interval's mass is the erfc
-        # difference, bit for bit (the README's commands meet none narrower
-        # than 0.36); below it, the sum of two erf values
+        # from NEAR_ZERO_WIDTH on, an interval near 0 (one that straddles it,
+        # or one side of it reaching NEAR_ZERO_WIDTH) takes the erfc
+        # difference, bit for bit (the README's commands meet no straddling
+        # interval narrower than 0.36); below it, the sum of two erf values
         rng = np.random.default_rng(29)
-        width = np.repeat([0.2, STRADDLE_WIDTH, 0.3, 0.36], 200)
-        lo = -rng.random(width.size) * width
-        hi = lo + width
+        width = np.repeat([0.2, NEAR_ZERO_WIDTH, 0.3, 0.36], 200)
+        straddling = -rng.random(width.size) * width
+        one_sided = rng.random(width.size) * 0.1
+        lo = np.concatenate([straddling, one_sided, -one_sided - width])
+        hi = lo + np.tile(width, 3)
         tails = _erfc(np.stack((lo, hi)))
-        wide = hi - lo >= STRADDLE_WIDTH
-        assert wide.sum() > 500
+        tails = np.where(hi < 0.0, _erfc(np.stack((-hi, -lo))), tails)
+        wide = (hi - lo >= NEAR_ZERO_WIDTH) | (np.maximum(hi, -lo) >= NEAR_ZERO_WIDTH)
+        assert wide.sum() > 1800 and (~wide[width.size:]).sum() > 150
         got = _normal_interval(lo, hi)
         assert got[wide].tobytes() == (0.5 * (tails[0] - tails[1]))[wide].tobytes()
-        sums = 0.5 * (_erf_near_zero(hi) + _erf_near_zero(-lo))
-        assert got[~wide].tobytes() == sums[~wide].tobytes()
+        sums = np.where(hi < 0.0, _erf_near_zero(-lo) + _erf_near_zero(hi),
+                        _erf_near_zero(hi) + _erf_near_zero(-lo))
+        assert got[~wide].tobytes() == (0.5 * sums)[~wide].tobytes()
 
 
 class TestRegionTypes:
@@ -552,6 +571,35 @@ class TestBothRestricted:
             assert one.entanglement <= full + 1e-6
 
 
+def dense_precise_state(model, region, n_bins):
+    """The precise readout's whole state on Alice's and Bob's n_bins + 1 grid
+    points each, a (n_bins + 1)^2-sided DensityMatrix assembled in one piece:
+    the reference for the readout's stack of Alice's blocks."""
+    qa = _grid_points(region, n_bins)
+    qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n_bins + 1)
+    psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])
+    n_a, n_b = psi.shape
+    rho = np.zeros((n_a, n_b, n_a, n_b))
+    i = np.arange(n_a)
+    rho[i, :, i, :] = psi[:, :, None] * psi[:, None, :]
+    rho = rho.reshape(n_a * n_b, n_a * n_b)
+    return DensityMatrix(rho / np.trace(rho))
+
+
+def precise_readout_with_eigenvalues(model, region, n_bins):
+    """The readout's value and the eigenvalues of its stack, sorted."""
+    import entloc.restrict as restrict
+    solved = []
+
+    def record(solver, stack):
+        solved.append(solver(stack))
+        return solved[-1]
+    with mock.patch.object(restrict, "lapack", record):
+        value = precise_measurement_entanglement(model, region, n_bins)
+    assert len(solved) == 1
+    return value, np.sort(solved[0], axis=None)
+
+
 class TestPreciseMeasurement:
     def test_no_entanglement_survives(self):
         for region in (Region(0.0, 1.0), Region(1.0, 0.25)):
@@ -559,6 +607,19 @@ class TestPreciseMeasurement:
 
     def test_uncoupled(self):
         assert precise_measurement_entanglement(UNCOUPLED, Region(0.0, 1.0)) <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(0.0, 100.0), center=st.floats(-3.0, 3.0),
+           half_width=st.floats(0.01, 3.0), n_bins=st.integers(2, 12))
+    def test_stack_matches_the_dense_partial_transpose(self, alpha, center, half_width, n_bins):
+        model, region = OscillatorModel(alpha=alpha), Region(center, half_width)
+        value, lam = precise_readout_with_eigenvalues(model, region, n_bins)
+        state = dense_precise_state(model, region, n_bins)
+        dims = (n_bins + 1, n_bins + 1)
+        dense = np.linalg.eigvalsh(partial_transpose(state, dims).elements)
+        # measured: within 1.5 eps over 3000 random draws
+        np.testing.assert_allclose(lam, dense, rtol=0.0, atol=4 * np.finfo(float).eps)
+        assert value <= 1e-12 and negativity(state, dims) <= 1e-12
 
     def test_matrix_budget_refuses_before_any_array(self, monkeypatch):
         import entloc.restrict as restrict
@@ -569,46 +630,36 @@ class TestPreciseMeasurement:
         def built(*args):
             raise Built
         monkeypatch.setattr(restrict, "two_particle_wavefunction", built)
-        # four 64^2 = 4096-row matrices fit 512 MiB; four of 65^2 = 4225 rows do not
-        assert PRECISE_PEAK_MATRICES * 8 * 4096 ** 2 == KERNEL_BYTES
+        # 406 blocks of 406^2 values fit 512 MiB; 407 of 407^2 do not
+        assert 8 * 406 ** 3 <= KERNEL_BYTES < 8 * 407 ** 3
         with pytest.raises(Built):
-            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=63)
-        for n_bins in (64, 89, 100, 10 ** 6):
-            with pytest.raises(QuadratureNotConverged, match=f"{(n_bins + 1) ** 2}-row"):
+            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=405)
+        for n_bins in (406, 500, 10 ** 6):
+            with pytest.raises(QuadratureNotConverged, match=f"{n_bins + 1}-point"):
                 precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=n_bins)
 
-    @pytest.mark.parametrize("n_bins", [20, 30])
+    @pytest.mark.parametrize("n_bins", [20, 60])
     def test_peak_stays_within_the_budget(self, n_bins, monkeypatch):
         import entloc.restrict as restrict
-        matrix = 8 * (n_bins + 1) ** 4
+        stack, block = 8 * (n_bins + 1) ** 3, 8 * (n_bins + 1) ** 2
         precise_measurement_entanglement(MODEL, Region(0.0, 1.0), 4)  # caches and imports
-        # the least budget that admits this call holds its whole traced peak,
-        # but for numpy's reduction buffers (8192 values each)
-        monkeypatch.setattr(restrict, "KERNEL_BYTES", PRECISE_PEAK_MATRICES * matrix)
+        # the least budget that admits this call holds its stack; besides it the
+        # traced peak holds three blocks' worth (the amplitudes, the eigenvalues
+        # and LAPACK's copy of one block) and numpy's buffers (8192 values each)
+        monkeypatch.setattr(restrict, "KERNEL_BYTES", stack)
         tracemalloc.start()
         try:
             precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert PRECISE_PEAK_MATRICES * matrix - matrix // 8 < peak \
-            <= restrict.KERNEL_BYTES + (128 << 10)
+        assert stack < peak <= restrict.KERNEL_BYTES + 3 * block + (128 << 10)
         with pytest.raises(QuadratureNotConverged):
             precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins + 1)
 
     def test_off_diagonal_blocks_vanish(self):
-        # assemble the ensemble the same way and verify exact block structure
-        from entloc.restrict import _grid_points
-        region = Region(0.0, 1.0)
         n = 8
-        qa = _grid_points(region, n)
-        qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n + 1)
-        psi = two_particle_wavefunction(MODEL, qa[:, None], qb[None, :])
-        dim = (n + 1) ** 2
-        rho = np.zeros((dim, dim))
-        for i in range(n + 1):
-            rho[i * (n + 1):(i + 1) * (n + 1),
-                i * (n + 1):(i + 1) * (n + 1)] = np.outer(psi[i], psi[i])
+        rho = dense_precise_state(MODEL, Region(0.0, 1.0), n).elements
         blocks = rho.reshape(n + 1, n + 1, n + 1, n + 1)
         for i in range(n + 1):
             for j in range(n + 1):

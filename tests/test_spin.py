@@ -222,7 +222,7 @@ class TestMixedState:
     def test_trace_and_positivity(self):
         for f in (1.0 / 16.0, 0.25, 0.6, 1.0):
             rho = build_mixed_state(QUARTER, 0.2, f)
-            assert rho.trace == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(rho.elements) == pytest.approx(1.0, abs=1e-12)
             lam = eigen_symmetric(rho).eigenvalues
             assert lam[-1] >= -1e-12
 
@@ -277,7 +277,7 @@ class TestRestriction:
 
     def test_mixed_state_restriction(self):
         rho, p = restrict_ms0(build_mixed_state(QUARTER, QUARTER, 0.5))
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho.elements) == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < p < 1.0
 
 
