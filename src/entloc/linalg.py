@@ -15,7 +15,7 @@ input and one temporary, m - m^T, whose largest entry is the symmetry
 defect; max|m| and the finiteness of the entries are read only when that
 defect passes HERMITICITY_TOL (a NaN or inf entry makes it NaN or inf), and
 the trace is one sum of the diagonal. For the spin sweep's 16x16 states
-that is about 6 us a matrix, against about 10 us for its eigvalsh (2-vCPU
+that is about 7 us a matrix, against about 10 us for its eigvalsh (2-vCPU
 Xeon VM, BLAS threads 1). So an n x n check holds three n x n arrays at its
 peak: the caller's, the copy and the temporary.
 """
@@ -63,9 +63,11 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "elements", m)
         # m - m^T is antisymmetric, so its largest entry is its largest
-        # magnitude, NaN or inf when an entry is; the scale max(1, max|m|) is
-        # read only past the tolerance it multiplies
-        defect = float((m - m.T).max(initial=0.0))
+        # magnitude, NaN or inf when an entry is (inf - inf, silenced here, is
+        # NaN); the scale max(1, max|m|) is read only past the tolerance it
+        # multiplies
+        with np.errstate(invalid="ignore"):
+            defect = float((m - m.T).max(initial=0.0))
         if not defect <= HERMITICITY_TOL:
             if not np.isfinite(m).all():
                 raise DomainError("matrix has a NaN or infinite entry")

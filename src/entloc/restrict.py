@@ -122,8 +122,8 @@ DEFAULT_BINS_PRECISE = 16
 DEFAULT_BASIS_SIZE = 40
 # bytes of a dense N x N float matrix, N <= 8192: the basis projection's kernel
 # on its nodes and the single grid cell's on its points; the precise readout's
-# stack of n_bins + 1 blocks, each n_bins + 1 a side, shares the budget (up to
-# 405 bins)
+# stack of n_bins + 1 blocks, each n_bins + 1 a side, and three blocks besides
+# share the budget (up to 404 bins)
 KERNEL_BYTES = 1 << 29
 # Gauss-Legendre nodes per basis function that a projection adds to the spectral
 # rule (_basis_nodes): function n oscillates n / 2 times across the region
@@ -845,11 +845,12 @@ def precise_measurement_entanglement(model: OscillatorModel, region: Region,
     symmetric psi_i psi_i^T / trace itself. The negativity is minus the sum
     of the negative eigenvalues of that stack of blocks, one batched LAPACK
     call, and vanishes up to round-off. A stack that would not fit
-    KERNEL_BYTES (from 406 bins) is refused with QuadratureNotConverged
-    before any array is built.
+    KERNEL_BYTES with three blocks besides it (the amplitudes, the
+    eigenvalues and LAPACK's copy of one block; from 405 bins) is refused
+    with QuadratureNotConverged before any array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_PRECISE)
-    _kernel_budget(n_bins + 1, "point precise-readout stack", n_bins + 1)
+    _kernel_budget(n_bins + 1, "point precise-readout stack", n_bins + 4)
     qa = _grid_points(region, n_bins)
     qb = np.linspace(-DOMAIN_HALF_LENGTH, DOMAIN_HALF_LENGTH, n_bins + 1)
     psi = two_particle_wavefunction(model, qa[:, None], qb[None, :])

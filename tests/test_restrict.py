@@ -630,11 +630,12 @@ class TestPreciseMeasurement:
         def built(*args):
             raise Built
         monkeypatch.setattr(restrict, "two_particle_wavefunction", built)
-        # 406 blocks of 406^2 values fit 512 MiB; 407 of 407^2 do not
-        assert 8 * 406 ** 3 <= KERNEL_BYTES < 8 * 407 ** 3
+        # the stack of 405 blocks of 405^2 values and three blocks besides fit
+        # 512 MiB; 406 + 3 of 406^2 do not
+        assert 8 * 405 ** 2 * 408 <= KERNEL_BYTES < 8 * 406 ** 2 * 409
         with pytest.raises(Built):
-            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=405)
-        for n_bins in (406, 500, 10 ** 6):
+            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=404)
+        for n_bins in (405, 500, 10 ** 6):
             with pytest.raises(QuadratureNotConverged, match=f"{n_bins + 1}-point"):
                 precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins=n_bins)
 
@@ -643,19 +644,22 @@ class TestPreciseMeasurement:
         import entloc.restrict as restrict
         stack, block = 8 * (n_bins + 1) ** 3, 8 * (n_bins + 1) ** 2
         precise_measurement_entanglement(MODEL, Region(0.0, 1.0), 4)  # caches and imports
-        # the least budget that admits this call holds its stack; besides it the
-        # traced peak holds three blocks' worth (the amplitudes, the eigenvalues
-        # and LAPACK's copy of one block) and numpy's buffers (8192 values each)
-        monkeypatch.setattr(restrict, "KERNEL_BYTES", stack)
+        # the least budget that admits this call holds its stack and three blocks
+        # besides (the amplitudes, the eigenvalues and LAPACK's copy of one
+        # block): its whole traced peak, but for numpy's buffers (8192 values each)
+        monkeypatch.setattr(restrict, "KERNEL_BYTES", stack + 3 * block)
         tracemalloc.start()
         try:
             precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert stack < peak <= restrict.KERNEL_BYTES + 3 * block + (128 << 10)
+        assert stack < peak <= restrict.KERNEL_BYTES + (128 << 10)
         with pytest.raises(QuadratureNotConverged):
             precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins + 1)
+        monkeypatch.setattr(restrict, "KERNEL_BYTES", stack + 3 * block - 1)
+        with pytest.raises(QuadratureNotConverged):
+            precise_measurement_entanglement(MODEL, Region(0.0, 1.0), n_bins)
 
     def test_off_diagonal_blocks_vanish(self):
         n = 8
