@@ -1,12 +1,12 @@
 """Dense linear algebra for small real symmetric matrices.
 
 DensityMatrix carries a checked state, real, symmetric and of trace 1, for
-the cells that assemble one (the spin model's unrestricted F sweep, a grid
-or basis one-party cell); what an entanglement measure needs of it
+the cells that assemble one (the spin model's unrestricted F sweep, the
+single grid one-party cell); what an entanglement measure needs of it
 (eigenvalues, partial transpose, negativity) lives here. The maps, the
-non-discarding ensemble and the precise readout take their spectra in
-batched LAPACK calls of their own (restrict) or in closed form (spin);
-every entropy goes through spectral_entropy_bits. Every LAPACK call of the
+basis and non-discarding cells and the precise readout take their spectra
+in LAPACK calls of their own (restrict) or in closed form (spin); every
+entropy goes through spectral_entropy_bits. Every LAPACK call of the
 package goes through lapack, the one place where numpy's LinAlgError
 becomes NoConvergence.
 

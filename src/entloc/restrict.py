@@ -42,32 +42,30 @@ partition's cells are its rows too. Exchanged cells meet on any square map,
 mirrored ones only where an axis holds the exact negative of a center, as
 every distribution.scan_axis centred on 0 does (the CLI's axes and the sigma
 scan's).
-Alice's reduced kernel K has one engine (_kernel_entropies). On a rule x =
-c + h u with weights w, its Nystrom matrix sqrt(w_g) K(x_g, x_h) sqrt(w_h)
-is diag(d) E diag(d) up to a constant, with E_gh = exp(-c2 h^2 (u_g -
-u_h)^2) shared by every center c. E is numerically low-rank: one
-eigendecomposition gives the factor G (n x r) of its eigenpairs above
-machine epsilon times the largest, and each center's spectrum is that of
-the r x r Gram matrix X^T X, X = diag(d) G. Every map spectrum, one-party
-and two-party, is the batched eigensolve of a Gram stack (_gram_weights). A
-one-party map runs the engine once per width, on the Gauss rule of Alice's
-grid's own unit-weight sum (quadrature.grid_gauss), which converges
-exponentially to the spectrum of the kernel on the grid and builds nothing
-on Bob's side; K(x, x') = K(-x, -x') makes the cells at c and -c one cell,
-solved once on -|c|. The non-discarding ensemble runs it once per outcome,
+Every spectrum of a cell is the normalized eigvalsh of a symmetric matrix
+(_normalized_eigvalsh): of a Gram stack for maps (_gram_weights), one
+LAPACK call per chunk, and of the one assembled matrix of a single-kernel
+cell. Alice's reduced kernel K is taken in Nystrom form, sqrt(w_g) K(x_g,
+x_h) sqrt(w_h) on a rule (x, w). A one-party map solves each width's cells
+on the numerical rank r of their shared kernel, as r x r Gram matrices
+(_kernel_entropies), on the Gauss rule of Alice's grid's own unit-weight
+sum (quadrature.grid_gauss), which converges exponentially to the spectrum
+of the kernel on the grid and builds nothing on Bob's side; K(x, x') =
+K(-x, -x') makes the cells at c and -c one cell, solved once on -|c|. The
+non-discarding ensemble takes the Nystrom matrix itself, once per outcome,
 on Gauss-Legendre nodes of Alice's region or of the pieces of its
-complement, joined, as u (c = 0, h = 1). Alice's masses are in closed form.
-Maps stack their cells and make one LAPACK call per chunk. The grid/basis
+complement, joined. Alice's masses are in closed form. The grid/basis
 convergence study (method_equivalence) takes its grid values from the
 region's cell of one_party_map and its basis values from
 basis_expansion_entropy, which projects the kernel onto an orthonormal
-sine/cosine family supported on the region (n_basis functions) once, on one
-Gauss-Legendre rule of the region (_basis_nodes: the spectral rule, refused
-past MAX_NODES, plus pi/2 nodes per function), and takes the closed-form
-mass. Only the single one-party grid cell (one_restricted_entropy) still
-samples the kernel on its grid points, renormalizes the matrix by its trace
-and takes its dense eigensolve, with a survival probability from adaptive
-quadrature of the analytic density.
+sine/cosine family supported on the region (n_basis functions) once,
+phi_w K phi_w^T on one Gauss-Legendre rule of the region (_basis_nodes: the
+spectral rule, refused past MAX_NODES, plus pi/2 nodes per function), and
+takes the closed-form mass. Only the single one-party grid cell
+(one_restricted_entropy) still samples the kernel on its grid points,
+renormalizes the matrix by its trace and takes the dense eigensolve of its
+DensityMatrix, with a survival probability from adaptive quadrature of the
+analytic density.
 Every dense array whose side grows with a resolution (that cell's kernel,
 the basis projection's kernel, the precise readout's stack of blocks) has a
 budget of KERNEL_BYTES, checked before any array is built.
@@ -592,14 +590,20 @@ def one_restricted_entropy(model: OscillatorModel, region: Region,
     return EnsembleResult(entropy, min(1.0, p), spectrum.size, n_bins)
 
 
+def _normalized_eigvalsh(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues over their sum of one symmetric positive
+    semidefinite matrix, or of each of a stack, from one LAPACK call that
+    reads the lower triangle; round-off leaves weights about 1e-16 of the
+    largest, some negative, which spectral_entropy_bits drops."""
+    lam = lapack(np.linalg.eigvalsh, matrices)
+    return lam / lam.sum(axis=-1, keepdims=True)
+
+
 def _gram_weights(x: np.ndarray) -> np.ndarray:
     """Normalized eigenvalues of the Gram matrix X^T X of each matrix X of
     the stack x, in ascending order: the squared singular values of X over
-    their sum. One batched product and one batched LAPACK call serve the
-    stack; round-off leaves weights about 1e-16 of the largest, some of
-    them negative, which spectral_entropy_bits drops."""
-    lam = lapack(np.linalg.eigvalsh, np.matmul(x.transpose(0, 2, 1), x))
-    return lam / lam.sum(axis=1, keepdims=True)
+    their sum, from one batched product and _normalized_eigvalsh."""
+    return _normalized_eigvalsh(np.matmul(x.transpose(0, 2, 1), x))
 
 
 def _amplitudes(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
@@ -802,34 +806,26 @@ def _basis_nodes(model: OscillatorModel, width: float, n_basis: int) -> int:
     return n
 
 
-def _basis_projected_matrix(model: OscillatorModel, region: Region,
-                            n_basis: int, n: int) -> np.ndarray:
-    """phi_w K phi_w^T on the n-node Gauss-Legendre rule of the region
-    (_panel_rule), with phi_w the first n_basis region_basis functions times
-    the weights."""
-    nodes, weights = _panel_rule(region.lo, region.hi, n)
-    phi_w = region_basis(region, n_basis, nodes) * weights[None, :]
-    kernel = reduced_density_value(model, nodes[:, None], nodes[None, :])
-    return phi_w @ kernel @ phi_w.T
-
-
 def basis_expansion_entropy(model: OscillatorModel, region: Region,
                             n_basis: int = DEFAULT_BASIS_SIZE) -> EnsembleResult:
     """One-restricted entanglement from the basis-projected kernel.
 
-    The kernel is projected once, on the Gauss-Legendre rule of the region
-    with _basis_nodes nodes; a rule whose kernel would not fit KERNEL_BYTES
-    is refused with QuadratureNotConverged before any array is built. The
-    entropy comes from the trace-normalized projection, the survival
-    probability from the region's closed-form mass.
+    The kernel K is projected once, phi_w K phi_w^T on the Gauss-Legendre
+    rule of the region with _basis_nodes nodes (_panel_rule), phi_w being
+    the first n_basis region_basis functions times the weights; a rule whose
+    kernel would not fit KERNEL_BYTES is refused with QuadratureNotConverged
+    before any array is built. The entropy is that of the projection's
+    normalized eigenvalues (_normalized_eigvalsh), the survival probability
+    the region's closed-form mass.
     """
     if n_basis < 1:
         raise DomainError("n_basis must be >= 1")
     p = _region_mass(region, float(marginal_masses(model, region.lo, region.hi)))
-    projected = _basis_projected_matrix(
-        model, region, n_basis, _basis_nodes(model, region.width, n_basis))
-    entropy, spectrum = _entropy_and_spectrum(projected)
-    return EnsembleResult(entropy, p, spectrum.size, n_basis)
+    nodes, weights = _panel_rule(region.lo, region.hi, _basis_nodes(model, region.width, n_basis))
+    phi_w = region_basis(region, n_basis, nodes) * weights[None, :]
+    kernel = reduced_density_value(model, nodes[:, None], nodes[None, :])
+    entropy = spectral_entropy_bits(_normalized_eigvalsh(phi_w @ kernel @ phi_w.T))
+    return EnsembleResult(float(entropy), p, n_basis, n_basis)
 
 
 # -- precise position measurement --------------------------------------------
@@ -914,15 +910,16 @@ def non_discarding_entanglement(model: OscillatorModel, region: Region) -> NonDi
     Both conditional states are pure, so the ensemble entanglement is the
     probability-weighted average of the in-region and out-of-region
     discarding entanglements. Each is the entropy of Alice's reduced kernel
-    in Nystrom form on Gauss-Legendre nodes, the spectral node rule
+    K in Nystrom form on Gauss-Legendre nodes, the spectral node rule
     (two_party_nodes) of its length on the region and on each piece of the
-    region's complement in the truncated domain, solved on the numerical rank
-    of its kernel as a one-party map cell is (_kernel_entropies, the joined
-    nodes as u with center 0 and half width 1). A piece that needs more than
-    MAX_NODES nodes is refused with QuadratureNotConverged.
+    region's complement in the truncated domain, joined (_nodes_on): the
+    normalized eigenvalues of the one matrix sqrt(w_g w_h) K(x_g, x_h)
+    (_normalized_eigvalsh). A piece that needs more than MAX_NODES nodes is
+    refused with QuadratureNotConverged.
     """
-    return _ensemble(model, region,
-                     lambda x, w: _kernel_entropies(model, np.zeros(1), 1.0, x[0], w[0]))
+    return _ensemble(model, region, lambda x, w: spectral_entropy_bits(_normalized_eigvalsh(
+        np.sqrt(w[..., None] * w[:, None])
+        * reduced_density_value(model, x[..., None], x[:, None]))))
 
 
 def non_discarding_two_path(model: OscillatorModel, region: Region):

@@ -581,10 +581,13 @@ LAPACK_SITES = {
         lambda: both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.5, 1.0)),
         "_schmidt_weights", lambda tmp: BOTH_CELL),
     "low_rank_factor-eigh": (
-        np.linalg, "eigh", None, lambda: non_discarding_entanglement(MODEL, Region(0.5, 1.0)),
-        "_low_rank_factor",
-        lambda tmp: ["gauss-inequality", "--alpha", "6", "--grid-a", "2", "--grid-b", "2",
-                     "--nd-center", "0", "--nd-half-width", "1"]),
+        np.linalg, "eigh", None, lambda: one_party_map(MODEL, [0.0, 1.0], [1.0]),
+        "_low_rank_factor", lambda tmp: ONE_MAP),
+    "single_kernel-eigvalsh": (
+        np.linalg, "eigvalsh", None, lambda: non_discarding_entanglement(MODEL, Region(0.5, 1.0)),
+        "_normalized_eigvalsh",
+        lambda tmp: ["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "1",
+                     "--method", "basis"]),
     "precise_readout-eigvalsh": (
         np.linalg, "eigvalsh", None,
         lambda: precise_measurement_entanglement(MODEL, Region(0.0, 1.0)),

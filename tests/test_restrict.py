@@ -16,6 +16,7 @@ from entloc.linalg import (
     EIGENVALUE_CLAMP,
     DensityMatrix,
     binary_entropy,
+    eigen_symmetric,
     negativity,
     partial_transpose,
     spectral_entropy_bits,
@@ -368,14 +369,18 @@ class TestOneRestricted:
             assert spectrum.eigenvalues[-1] >= -1e-9
             assert spectrum.eigenvalues.sum() == pytest.approx(1.0, abs=1e-10)
             assert (entropy, spectrum.size) == (result.entanglement, result.spectrum_size)
-        # the basis-projected matrix as well
-        region = Region(0.0, 1.0)
-        basis = basis_expansion_entropy(MODEL, region, 30)
-        entropy, spectrum = restrict._entropy_and_spectrum(restrict._basis_projected_matrix(
-            MODEL, region, 30, restrict._basis_nodes(MODEL, region.width, 30)))
-        assert spectrum.eigenvalues[-1] >= -1e-9
-        assert spectrum.eigenvalues.sum() == pytest.approx(1.0, abs=1e-10)
-        assert (entropy, spectrum.size) == (basis.entanglement, basis.spectrum_size)
+        # the basis projection's weights as well
+        spectra = []
+        solve = restrict._normalized_eigvalsh
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(restrict, "_normalized_eigvalsh",
+                          lambda m: spectra.append(solve(m)) or spectra[-1])
+            basis = basis_expansion_entropy(MODEL, Region(0.0, 1.0), 30)
+        (weights,) = spectra
+        assert weights.shape == (basis.spectrum_size,)
+        assert weights.min() >= -1e-9
+        assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+        assert float(spectral_entropy_bits(weights)) == basis.entanglement
         # and the Schmidt weights of a two-party cell
         both = both_restricted_entropy(MODEL, Region(0.5, 1.0), Region(-0.5, 0.7))
         width, bounds, _ = _two_party_orbits([0.5], 1.0, [-0.5], 0.7)
@@ -430,6 +435,40 @@ class TestBasisExpansion:
         assert base.survival_probability == fine.survival_probability
         assert base.spectrum_size == fine.spectrum_size == n_basis
         assert abs(base.entanglement - fine.entanglement) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_alpha=st.floats(-1.5, 4.0), center=st.floats(-2.0, 2.0),
+           half=st.floats(0.1, 5.0), n_basis=st.integers(1, 80))
+    def test_one_eigvalsh_is_the_dense_state_route(self, log_alpha, center, half, n_basis):
+        # the reference is the trace-normalized DensityMatrix of the same
+        # projection and its eigen_symmetric; 3000 random cells of this domain
+        # agreed to 1.5e-14 ebit
+        import entloc.restrict as restrict
+        model, region = OscillatorModel(alpha=10.0 ** log_alpha), Region(center, half)
+        result = basis_expansion_entropy(model, region, n_basis)
+        nodes, weights = restrict._panel_rule(
+            region.lo, region.hi, restrict._basis_nodes(model, region.width, n_basis))
+        phi_w = region_basis(region, n_basis, nodes) * weights[None, :]
+        projected = phi_w @ reduced_density_value(model, nodes[:, None], nodes[None, :]) @ phi_w.T
+        sym = 0.5 * (projected + projected.T)
+        spectrum = eigen_symmetric(DensityMatrix(sym / np.trace(sym)))
+        assert result.spectrum_size == spectrum.size == n_basis
+        assert abs(result.entanglement - float(spectral_entropy_bits(spectrum.eigenvalues))) <= 3e-14
+
+    def test_single_kernel_cells_skip_the_dense_state_layer(self, monkeypatch):
+        # the basis cell and the non-discarding ensemble are each one
+        # normalized eigvalsh of their assembled matrix
+        import entloc.restrict as restrict
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single-kernel cell reached the dense-state layer")
+        expected = (basis_expansion_entropy(MODEL, Region(0.3, 1.0), 40),
+                    non_discarding_entanglement(MODEL, Region(0.5, 1.0)))
+        for name in ("DensityMatrix", "eigen_symmetric", "_entropy_and_spectrum",
+                     "_low_rank_factor"):
+            monkeypatch.setattr(restrict, name, refuse)
+        assert (basis_expansion_entropy(MODEL, Region(0.3, 1.0), 40),
+                non_discarding_entanglement(MODEL, Region(0.5, 1.0))) == expected
 
     def test_one_kernel_on_one_rule(self, monkeypatch):
         import entloc.restrict as restrict
@@ -512,7 +551,7 @@ class TestBasisExpansion:
         with pytest.raises(QuadratureNotConverged, match="cap of 512"):
             method_equivalence(OscillatorModel(alpha=1e12), Region(0.0, 0.5))
         projections = []
-        monkeypatch.setattr(restrict, "_basis_projected_matrix",
+        monkeypatch.setattr(restrict, "reduced_density_value",
                             lambda *a: projections.append(1))
         with pytest.raises(EmptyRegionMass, match=r"region \[49.8, 50.2\] carries mass"):
             method_equivalence(MODEL, Region(50.0, 0.2))
@@ -1615,6 +1654,8 @@ class TestSymmetryOrbits:
            extra_b=st.lists(st.floats(-3.0, 3.0), max_size=3),
            ha=st.floats(0.05, 2.0), hb=st.floats(0.05, 2.0),
            n_bins=st.sampled_from([None, 20]))
+    @example(alpha=98.4057281354207, centers_a=[2.2533783767980395],
+             extra_b=[-0.1248718386613703], ha=0.62109375, hb=2.0, n_bins=20)
     def test_map_equals_the_unreduced_cells(self, alpha, centers_a, extra_b, ha, hb, n_bins):
         model = OscillatorModel(alpha=alpha)
         # Bob's axis holds Alice's centers and their negatives, so cells have images
