@@ -99,10 +99,11 @@ def _joint_map(model: OscillatorModel, centers_a: np.ndarray, centers_b: np.ndar
     """The joint probability surface of the centers_a x centers_b cells whose
     symmetry orbits (width, bounds, inverse) restrict._map_orbits gave: A x
     B, B x A, -A x -B and -B x -A share one closed-form mass
-    (restrict._orbit_masses), on the spectral rule of the width and without
-    its node cap. Exchanged cells pair up on any axes; mirrored ones only
-    where an axis holds the exact negative of a center, as linspace(-4, 4,
-    33) and every CLI axis centred on 0 do bit for bit.
+    (restrict._orbit_masses), taken on their canonical image on the spectral
+    rule of the width and without its node cap. Exchanged cells pair up on
+    any axes; mirrored ones only where an axis holds the exact negative of a
+    center, as linspace(-4, 4, 33) and every CLI axis centred on 0 do bit for
+    bit.
     """
     width, bounds, inverse = orbits
     values = _orbit_masses(model, width, bounds)[inverse]

@@ -35,13 +35,14 @@ psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B, B x A,
 -A x -B and -B x -A share their mass and entropy: every two-party path solves
 each cell once per orbit of these symmetries and copies the result to its
 images, in two steps: the orbits, which do not depend on the coupling
-(_two_party_orbits), then per model the nodes, masses, live cells and
-entropies (_two_party_cells), so a scan over couplings finds its orbits
-once; a single cell (both_restricted_entropy) is its row 0, and a
-partition's cells are its rows too. Exchanged cells meet on any square map,
-mirrored ones only where an axis holds the exact negative of a center, as
-every distribution.scan_axis centred on 0 does (the CLI's axes and the sigma
-scan's).
+(_two_party_orbits: the bounds of one canonical image per orbit, swapped
+and mirrored exactly), then per model the masses, live cells and entropies
+on ascending rules of those bounds (_two_party_cells), so a scan over
+couplings finds its orbits once; a single cell (both_restricted_entropy) is
+its row 0, and a partition's cells are its rows too. Exchanged cells meet on
+any square map, mirrored ones only where an axis holds the exact negative of
+a center, as every distribution.scan_axis centred on 0 does (the CLI's axes
+and the sigma scan's).
 Every spectrum of a cell is the normalized eigvalsh of a symmetric matrix
 (_normalized_eigvalsh): of a Gram stack for maps (_gram_weights), one
 LAPACK call per chunk, and of the one assembled matrix of a single-kernel
@@ -85,6 +86,7 @@ tail handling, checked where _segments reads them; results are NamedTuples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -547,13 +549,14 @@ def _kernel_budget(side: int, what: str, matrices: int = 1) -> None:
 
 
 def _entropy_and_spectrum(matrix: np.ndarray) -> tuple[float, Spectrum]:
-    """Trace-normalize an assembled restricted matrix and take its entropy."""
-    sym = 0.5 * (matrix + matrix.T)
-    trace = float(np.trace(sym))
+    """Trace-normalize an assembled restricted matrix in place and take its
+    entropy. The kernel (reduced_density_value) is symmetric bit for bit, so
+    nothing symmetrizes it."""
+    trace = float(np.trace(matrix))
     if trace <= 0.0:
         raise EmptyRegionMass("assembled matrix has no trace mass")
-    dm = DensityMatrix(sym / trace)
-    spectrum = eigen_symmetric(dm)
+    matrix /= trace
+    spectrum = eigen_symmetric(DensityMatrix(matrix))
     if spectrum.eigenvalues[-1] < -1e-8:
         raise NegativeEigenvalue(
             f"restricted matrix eigenvalue {spectrum.eigenvalues[-1]:.3e}")
@@ -701,40 +704,6 @@ def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
     na, nb = xa.shape[1], xb.shape[1]
     return _chunked_entropies(lambda *rows: _schmidt_weights(model, *rows),
                               8 * na * (nb + max(na, nb)), xa, wa, xb, wb)
-
-
-def _mirror_key(lo, hi):
-    """Each interval [lo, hi] as the lexicographically smaller of (lo, hi)
-    and its mirror (-hi, -lo): one key for an interval and its mirror."""
-    flip = (-hi < lo) | ((-hi == lo) & (-lo < hi))
-    return np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-
-
-def _two_party_sides(a_lo, a_hi, b_lo, b_hi, n: int, n_bins: int | None):
-    """Nodes and weights of both sides of two-party cells, n per region on
-    the rule that n_bins selects (_rule), laid out so that the four images
-    of a cell (_two_party_orbits) give one amplitude matrix bit for bit.
-
-    A cell's first side is the region with the smaller _mirror_key, so a
-    cell and its exchange build the same matrix. Both rules are their own
-    mirror images bit for bit, so a mirrored region's nodes are the exact
-    negatives of the region's, in reverse order; a cell whose first side's
-    midpoint is negative (or zero, with the second side's negative) takes
-    both sides' nodes in descending order, so a cell and its mirror meet
-    the same nodes, negated, in one order, and psi(-q_a, -q_b) = psi(q_a,
-    q_b) gives the same matrix.
-    """
-    a_lo, a_hi, b_lo, b_hi = np.broadcast_arrays(
-        *(np.asarray(edge, dtype=np.float64) for edge in (a_lo, a_hi, b_lo, b_hi)))
-    (ka_lo, ka_hi), (kb_lo, kb_hi) = _mirror_key(a_lo, a_hi), _mirror_key(b_lo, b_hi)
-    swap = (kb_lo < ka_lo) | ((kb_lo == ka_lo) & (kb_hi < ka_hi))
-    a_lo, a_hi, b_lo, b_hi = (np.where(swap, b_lo, a_lo), np.where(swap, b_hi, a_hi),
-                              np.where(swap, a_lo, b_lo), np.where(swap, a_hi, b_hi))
-    # the midpoint's sign without the sum lo + hi, which can overflow: the sum
-    # is < 0 exactly where hi < -lo, and 0 where hi == -lo
-    descending = ((a_hi < -a_lo) | ((a_hi == -a_lo) & (b_hi < -b_lo)))[..., None]
-    return tuple(np.where(descending, side[..., ::-1], side)
-                 for side in (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins)))
 
 
 def _orbit_masses(model: OscillatorModel, width: float, bounds) -> np.ndarray:
@@ -975,14 +944,11 @@ def partition_inequality_check(model: OscillatorModel, partition_a: Partition,
     in both_restricted_entropy. The cells are Alice's segments by Bob's
     (_segments), in row-major order.
     """
-    (centers_a, halves_a), (centers_b, halves_b) = _segments(partition_a), _segments(partition_b)
-    ca, ha = (np.repeat(part, centers_b.size) for part in (centers_a, halves_a))
-    cb, hb = (np.tile(part, centers_a.size) for part in (centers_b, halves_b))
-    rows = _two_party_cells(model, _two_party_orbits(ca, ha, cb, hb), n_bins)
-    bounds = (ca - ha, ca + ha, cb - hb, cb + hb)
-    cells = tuple(PartitionCell(*edges, p, e)
-                  for *edges, (e, p, _) in zip(*(edge.tolist() for edge in bounds),
-                                               rows.tolist()))
+    (ca, ha), (cb, hb) = _segments(partition_a), _segments(partition_b)
+    rows = _two_party_cells(model, _map_orbits(ca, cb, ha, hb), n_bins)
+    edges = itertools.product(zip((ca - ha).tolist(), (ca + ha).tolist()),
+                              zip((cb - hb).tolist(), (cb + hb).tolist()))
+    cells = tuple(PartitionCell(*a, *b, p, e) for (a, b), (e, p, _) in zip(edges, rows.tolist()))
     total = sum(cell.probability * cell.entanglement for cell in cells)
     e_full = gaussian_eof(model)
     return PartitionReport(weighted_sum=total, full_entanglement=e_full,
@@ -1051,60 +1017,65 @@ def _cell_arrays(*centers_and_halves) -> list[np.ndarray]:
     return np.broadcast_arrays(*parts)
 
 
+def _mirror_key(lo, hi):
+    """Each interval [lo, hi] as the lexicographically smaller of (lo, hi)
+    and its mirror (-hi, -lo): one key for an interval and its mirror."""
+    flip = (-hi < lo) | ((-hi == lo) & (-lo < hi))
+    return np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+
+
 def _two_party_orbits(centers_a, half_a, centers_b, half_b):
     """(width, (a_lo, a_hi, b_lo, b_hi), inverse): the widest region that
     half_a and half_b give, even when there are no cells, and, of the cells
     centers_a[i] +- half_a[i] by centers_b[i] +- half_b[i] (see _cell_arrays),
-    the bounds of one representative per symmetry orbit, cell i being
-    representative inverse[i].
+    the distinct canonical images in lexicographic order of their bounds, cell
+    i having image inverse[i].
 
     psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B,
     B x A, -A x -B and -B x -A have one joint mass and one set of Schmidt
-    weights. A cell's representative is the lexicographically smallest of
-    these four images as (c_a, h_a, c_b, h_b) rows; swapping and negating are
-    exact in floating point, so every image of a cell gets the same
-    representative, bit for bit. A cell none of whose images is among the
-    cells is its own representative, so a result never depends on finding
-    one, only on each image being an exact symmetry of psi. _two_party_sides
-    gives the four images one amplitude matrix, so the representative's
-    entropy is each image's own, bit for bit.
+    weights. A cell's canonical image puts first the side with the smaller
+    _mirror_key, then mirrors both sides where the first one's midpoint is
+    negative, or zero with the second one's negative. Swapping and negating
+    bounds are exact in floating point, so the four images of a cell get one
+    canonical image, bit for bit, and with it one mass and one amplitude
+    matrix on any rule (_rule).
     """
-    cells = np.stack(_cell_arrays(centers_a, half_a, centers_b, half_b), axis=-1).reshape(-1, 4)
+    ca, ha, cb, hb = (part.ravel() for part in _cell_arrays(centers_a, half_a, centers_b, half_b))
     width = 2.0 * max(np.max(half_a, initial=0.0), np.max(half_b, initial=0.0))
-    swapped = cells[:, [2, 3, 0, 1]]
-    mirror = np.array([-1.0, 1.0, -1.0, 1.0])
-    rows = np.arange(len(cells))
-    rep = cells
-    for image in (swapped, cells * mirror, swapped * mirror):
-        first = (image != rep).argmax(axis=1)  # the first column that differs
-        rep = np.where((image[rows, first] < rep[rows, first])[:, None], image, rep)
-    # the distinct rows in lexicographic order, as np.unique(axis=0) gives
-    # them; + 0.0 turns -0.0 into 0.0, both giving the same bounds
-    rep = rep + 0.0
-    order = np.lexsort(rep.T[::-1])
-    ordered = rep[order]
-    starts = np.ones(len(rep), dtype=bool)
+    bounds = np.stack([ca - ha, ca + ha, cb - hb, cb + hb], axis=-1)
+    (ka_lo, ka_hi), (kb_lo, kb_hi) = _mirror_key(*bounds.T[:2]), _mirror_key(*bounds.T[2:])
+    swap = (kb_lo < ka_lo) | ((kb_lo == ka_lo) & (kb_hi < ka_hi))
+    bounds = np.where(swap[:, None], bounds[:, [2, 3, 0, 1]], bounds)
+    a_lo, a_hi, b_lo, b_hi = bounds.T
+    # the midpoint's sign without the sum lo + hi, which can overflow: the sum
+    # is < 0 exactly where hi < -lo, and 0 where hi == -lo
+    mirror = (a_hi < -a_lo) | ((a_hi == -a_lo) & (b_hi < -b_lo))
+    # + 0.0 turns -0.0 into 0.0, so the four images agree bit for bit
+    bounds = np.where(mirror[:, None], -bounds[:, [1, 0, 3, 2]], bounds) + 0.0
+    # the distinct rows in lexicographic order, as np.unique(axis=0) gives them
+    order = np.lexsort(bounds.T[::-1])
+    ordered = bounds[order]
+    starts = np.ones(len(bounds), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rep), dtype=np.intp)
+    inverse = np.empty(len(bounds), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    ca, ha, cb, hb = ordered[starts].T
-    return width, (ca - ha, ca + ha, cb - hb, cb + hb), inverse
+    return width, tuple(ordered[starts].T), inverse
 
 
 def _map_orbits(centers_a: np.ndarray, centers_b: np.ndarray, half_a, half_b):
     """_two_party_orbits of the centers_a x centers_b cells of a map, in
-    row-major order."""
-    return _two_party_orbits(np.repeat(centers_a, centers_b.size), half_a,
-                             np.tile(centers_b, centers_a.size), half_b)
+    row-major order; each half width is one value or one per center."""
+    return _two_party_orbits(np.reshape(centers_a, (-1, 1)), np.reshape(half_a, (-1, 1)),
+                             np.ravel(centers_b), np.ravel(half_b))
 
 
 def _two_party_cells(model: OscillatorModel, orbits, n_bins: int | None) -> np.ndarray:
     """(entanglement, survival probability, empty flag) rows of the cells
     whose symmetry orbits (width, bounds, inverse) _two_party_orbits gave,
-    solved once per distinct cell (_entropies) with one Gram eigensolve per
-    chunk of CHUNK_BYTES, on n nodes per region of the widest region
-    (_schmidt_nodes, refused past MAX_NODES before any mass, as n_bins below
-    2 is). Joint masses are clipped to [0, 1] (_orbit_masses); a cell whose
+    solved once per canonical image (_entropies) with one Gram eigensolve
+    per chunk of CHUNK_BYTES, on the rule (_rule) of n nodes per region of
+    the widest region (_schmidt_nodes, refused past MAX_NODES before any
+    mass, as n_bins below 2 is). Joint masses are clipped to [0, 1] (_orbit_masses); a cell whose
     mass is below EMPTY_MASS is empty: value 0, probability 0, flag 1. The
     orbits do not depend on the coupling, so a scan over models reduces its
     cells once.
@@ -1114,9 +1085,9 @@ def _two_party_cells(model: OscillatorModel, orbits, n_bins: int | None) -> np.n
     n = _schmidt_nodes(model, width, n_bins)
     prob = np.clip(_orbit_masses(model, width, bounds), 0.0, 1.0)
     live = prob >= EMPTY_MASS
+    a_lo, a_hi, b_lo, b_hi = (edge[live] for edge in bounds)
     values = np.zeros(prob.size)
-    values[live] = _entropies(model, *_two_party_sides(*(edge[live] for edge in bounds),
-                                                       n, n_bins))
+    values[live] = _entropies(model, *_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins))
     return np.stack([values, np.where(live, prob, 0.0), ~live], axis=-1)[inverse]
 
 

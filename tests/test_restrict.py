@@ -61,11 +61,11 @@ from entloc.restrict import (
     _grid_points,
     _normal_interval,
     _orbit_masses,
+    _rule,
     _schmidt_nodes,
     _schmidt_weights,
     _segments,
     _two_party_orbits,
-    _two_party_sides,
     two_party_map,
     two_party_nodes,
 )
@@ -73,6 +73,12 @@ from entloc.restrict import (
 MODEL = OscillatorModel(alpha=6)
 WEAK = OscillatorModel(alpha=0.06)
 UNCOUPLED = OscillatorModel(alpha=0)
+
+
+def _sides(a_lo, a_hi, b_lo, b_hi, n, n_bins=None):
+    """Nodes and weights of both sides of two-party cells, n per region on
+    the rule that n_bins selects, as a two-party cell takes them."""
+    return (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins))
 
 
 class TestErfcKernel:
@@ -384,7 +390,7 @@ class TestOneRestricted:
         # and the Schmidt weights of a two-party cell
         both = both_restricted_entropy(MODEL, Region(0.5, 1.0), Region(-0.5, 0.7))
         width, bounds, _ = _two_party_orbits([0.5], 1.0, [-0.5], 0.7)
-        weights = _schmidt_weights(MODEL, *_two_party_sides(*bounds, both.resolution, None))
+        weights = _schmidt_weights(MODEL, *_sides(*bounds, both.resolution))
         assert weights.shape == (1, both.spectrum_size)
         assert weights[0, -1] >= -1e-9
         assert weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -1115,9 +1121,9 @@ class TestGaussLegendreEngine:
             edges = (cells[:, 0] - width / 2, cells[:, 0] + width / 2,
                      cells[:, 1] - width / 2, cells[:, 1] + width / 2)
             base = spectral_entropy_bits(
-                _schmidt_weights(model, *_two_party_sides(*edges, n, None)))
+                _schmidt_weights(model, *_sides(*edges, n)))
             fine = spectral_entropy_bits(
-                _schmidt_weights(model, *_two_party_sides(*edges, 2 * n, None)))
+                _schmidt_weights(model, *_sides(*edges, 2 * n)))
             assert np.all(np.abs(base - fine) <= 1e-12)
             for (qa, qb), value in zip(cells, base):
                 cell = both_restricted_entropy(model, Region(qa, width / 2),
@@ -1140,7 +1146,7 @@ class TestGaussLegendreEngine:
         n, prob = _schmidt_nodes(model, width, n_bins), _orbit_masses(model, width, bounds)
         live = prob >= EMPTY_MASS
         assume(live.any())
-        sides = _two_party_sides(*(edge[live] for edge in bounds), n, n_bins)
+        sides = _sides(*(edge[live] for edge in bounds), n, n_bins)
         gram = spectral_entropy_bits(_schmidt_weights(model, *sides))
         sigma = np.linalg.svd(_amplitudes(model, *sides), compute_uv=False)
         weights = sigma * sigma
@@ -1607,6 +1613,26 @@ class TestTwoPartyGrid:
                 assert dist.extra["prob"][i, j] == cell.survival_probability
 
 
+_DYADIC = st.integers(-24, 24).map(lambda k: k / 8)  # exact bounds: touching intervals
+_CENTER = st.one_of(st.sampled_from([0.0, -0.0]), _DYADIC, st.floats(-5.0, 5.0))
+_HALF = st.one_of(st.integers(1, 16).map(lambda k: k / 8), st.floats(0.01, 3.0))
+
+
+@st.composite
+def _image_cells(draw):
+    """(c_a, h_a, c_b, h_b) of a cell whose half widths are drawn apart; side
+    b may be side a's mirror, or touch it on either end."""
+    ca, ha, hb = draw(_CENTER), draw(_HALF), draw(_HALF)
+    cb = draw(st.one_of(_CENTER, st.sampled_from([-ca, ca + ha + hb, ca - ha - hb])))
+    return ca, ha, cb, hb
+
+
+def _bound_images(ca, ha, cb, hb):
+    """The bounds (a_lo, a_hi, b_lo, b_hi) of A x B, B x A, -A x -B and -B x -A."""
+    a, b = (ca - ha, ca + ha), (cb - hb, cb + hb)
+    return {(*a, *b), (*b, *a), (-a[1], -a[0], -b[1], -b[0]), (-b[1], -b[0], -a[1], -a[0])}
+
+
 class TestSymmetryOrbits:
     """psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b): a two-party cell is
     solved once per orbit of exchange and mirror, and every image of a cell
@@ -1633,19 +1659,15 @@ class TestSymmetryOrbits:
                 assert surface.extra["prob"][k, m] == cell.survival_probability
                 assert masses.values[k, m] == mass
             assert cell.survival_probability == min(1.0, mass)
-            sides = _two_party_sides(centers[i] - 0.5, centers[i] + 0.5, centers[j] - 0.25,
-                                     centers[j] + 0.25, cell.resolution, None)
+            _, bounds, _ = _two_party_orbits([centers[i]], 0.5, [centers[j]], 0.25)
             for ca, ha, cb, hb in ((centers[last - i], 0.5, centers[last - j], 0.25),
                                    (centers[j], 0.25, centers[i], 0.5),
                                    (centers[last - j], 0.25, centers[last - i], 0.5)):
                 image = both_restricted_entropy(MODEL, Region(ca, ha), Region(cb, hb))
                 assert image == cell
-                # one layout of nodes, negated for a mirror image, and equal weights
-                xa, wa, xb, wb = _two_party_sides(ca - ha, ca + ha, cb - hb, cb + hb,
-                                                  cell.resolution, None)
-                assert np.array_equal(wa, sides[1]) and np.array_equal(wb, sides[3])
-                assert any(np.array_equal(xa, sign * sides[0])
-                           and np.array_equal(xb, sign * sides[2]) for sign in (1.0, -1.0))
+                # one canonical image, bit for bit, so one rule on each side
+                _, image_bounds, _ = _two_party_orbits([ca], ha, [cb], hb)
+                assert np.stack(image_bounds).tobytes() == np.stack(bounds).tobytes()
                 assert joint_probability(MODEL, Region(ca, ha), Region(cb, hb)) == mass
 
     @settings(max_examples=25, deadline=None)
@@ -1666,7 +1688,9 @@ class TestSymmetryOrbits:
         n = two_party_nodes(model, 2.0 * max(ha, hb))
         if n_bins is not None:
             n = min(n, n_bins + 1)  # the grid's Gauss rule has at most its points
-        bounds = (ca - ha, ca + ha, cb - hb, cb + hb)
+        # each cell on its own canonical image, one cell a call: nothing deduped
+        bounds = tuple(np.concatenate(edge) for edge in zip(
+            *(_two_party_orbits([a], ha, [b], hb)[1] for a, b in zip(ca, cb))))
         mass = np.clip(joint_masses(model, *bounds, two_party_nodes(model, 2.0 * max(ha, hb))),
                        0.0, 1.0)
         assume(np.all(np.abs(mass - EMPTY_MASS) > 1e-9 * EMPTY_MASS))
@@ -1674,12 +1698,10 @@ class TestSymmetryOrbits:
         entropy = np.zeros(mass.size)
         if live.any():
             entropy[live] = spectral_entropy_bits(_schmidt_weights(
-                model, *_two_party_sides(*(edge[live] for edge in bounds), n, n_bins)))
+                model, *_sides(*(edge[live] for edge in bounds), n, n_bins)))
         assert np.array_equal(dist.extra["flag"].ravel(), ~live)
         assert np.all(np.abs(dist.values.ravel() - entropy) <= 1e-14)
-        # an exchanged image is a different Gauss-Legendre integral of the same
-        # mass, so it agrees to the node rule's accuracy (see
-        # test_masses_match_twice_the_nodes), not to the last bit
+        # the map integrates each mass on the cell's canonical image too
         prob = dist.extra["prob"].ravel()[live]
         assert np.all(np.abs(prob - mass[live]) <= np.minimum(1e-14, 1e-12 * mass[live]))
 
@@ -1705,22 +1727,43 @@ class TestSymmetryOrbits:
                             max_size=12),
            halves=st.lists(st.sampled_from([0.25, 0.5]), min_size=1, max_size=12))
     def test_orbits_match_an_axis_unique(self, centers, halves):
-        # the representatives, their order and the inverse are those of
-        # np.unique(axis=0) over the representative rows
+        # the canonical images, their order and the inverse are those of
+        # np.unique(axis=0) over the cells' canonical bounds
         k = min(len(centers), len(halves)) // 2
         ca, cb = np.array(centers[:k]), np.array(centers[k:2 * k])
         ha, hb = np.array(halves[:k]), np.array(halves[-k:] if k else [])
         width, bounds, inverse = _two_party_orbits(ca, ha, cb, hb)
-        rows = np.stack([(bounds[0] + bounds[1]) / 2, (bounds[1] - bounds[0]) / 2,
-                         (bounds[2] + bounds[3]) / 2, (bounds[3] - bounds[2]) / 2], axis=-1)
+        rows = np.stack(bounds, axis=-1)
         reps = rows[inverse]
         expected, expected_inverse = np.unique(reps, axis=0, return_inverse=True)
         assert np.array_equal(rows, expected)
         assert np.array_equal(inverse, expected_inverse.reshape(-1))
+
+        def key(lo, hi):  # an interval and its mirror share it
+            return min((lo, hi), (-hi, -lo))
         for i in range(k):
-            images = {(ca[i], ha[i], cb[i], hb[i]), (cb[i], hb[i], ca[i], ha[i]),
-                      (-ca[i], ha[i], -cb[i], hb[i]), (-cb[i], hb[i], -ca[i], ha[i])}
-            assert tuple(reps[i]) == min(images)
+            a_lo, a_hi, b_lo, b_hi = reps[i]
+            assert (a_lo, a_hi, b_lo, b_hi) in _bound_images(ca[i], ha[i], cb[i], hb[i])
+            # the side with the smaller key first, and its midpoint not negative
+            assert key(a_lo, a_hi) <= key(b_lo, b_hi)
+            assert a_hi > -a_lo or (a_hi == -a_lo and b_hi >= -b_lo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(_image_cells(), min_size=1, max_size=6))
+    @example(cells=[(-0.0, 0.5, 0.0, 0.25), (0.0, 0.25, -0.0, 0.25), (0.5, 0.25, 1.0, 0.25)])
+    def test_images_share_one_canonical_image(self, cells):
+        # A x B, B x A, -A x -B and -B x -A: one row of bounds, bit for bit, that
+        # is one of the four
+        for ca, ha, cb, hb in cells:
+            images = np.array([(ca, ha, cb, hb), (cb, hb, ca, ha), (-ca, ha, -cb, hb),
+                               (-cb, hb, -ca, ha)])
+            canonical = {np.stack(_two_party_orbits([c1], h1, [c2], h2)[1]).tobytes()
+                         for c1, h1, c2, h2 in images}
+            assert len(canonical) == 1
+            _, bounds, inverse = _two_party_orbits(*images.T)
+            assert np.stack(bounds).tobytes() in canonical
+            assert inverse.tolist() == [0, 0, 0, 0]
+            assert tuple(np.stack(bounds).ravel()) in _bound_images(ca, ha, cb, hb)
 
     def test_empty_centers_refuse_a_bad_half_width(self):
         for call in (lambda h: two_party_map(MODEL, [], centers_b=[0.0, 1.0], half_width=h),
