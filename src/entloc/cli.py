@@ -320,14 +320,16 @@ def _float_list(text: str) -> list[float]:
         raise UsageError(f"bad numeric list {text!r}") from exc
 
 
-def _linspace(lo: float, hi: float, steps: float) -> np.ndarray:
-    """The scan axis of a LO HI STEPS range; STEPS is a whole number."""
+def _linspace(lo: float, hi: float, steps: float, other_axis: int | None = 1) -> np.ndarray:
+    """The scan axis of a LO HI STEPS range; STEPS is a whole number. Its map
+    of STEPS x other_axis cells is checked against the cell budget first
+    (scan_axis)."""
     if not float(steps).is_integer():
         raise UsageError(f"range {lo:g} {hi:g} {steps:g} needs a whole number of steps")
     steps = int(steps)
     if steps < 2:
         raise UsageError("ranges need at least 2 steps")
-    return scan_axis(lo, hi, steps)
+    return scan_axis(lo, hi, steps, other_axis)
 
 
 def _model(ns) -> OscillatorModel:
@@ -351,7 +353,7 @@ def _require(ns, *names) -> None:
 # output carries ({"config": flags echoed, "version": ...}).
 
 def _cmd_spin_scan(ns, metadata, f_value=1.0):
-    thetas = _linspace(ns.theta_min, ns.theta_max, ns.steps)
+    thetas = _linspace(ns.theta_min, ns.theta_max, ns.steps, None)
     restricted = bool(ns.restricted) or ns.surface == "delta"
     dist = spin_scan(thetas, thetas, measure=ns.measure,
                      restricted=restricted, F=f_value)
@@ -422,10 +424,10 @@ def _cmd_gauss_one_restricted(ns, metadata):
             "n_basis": result.resolution if basis else None,
         }, ns.output, metadata)
         return
-    centers = _linspace(*ns.centers)
     widths = _float_list(ns.widths) if ns.widths else [ns.width]
     if widths == [None]:
         raise UsageError("map mode needs --widths or --width")
+    centers = _linspace(*ns.centers, len(widths))
     if ns.method == "basis":
         raise DomainError("one-party maps have no basis method")
     dist = one_party_map(model, centers, widths=widths, n_bins=ns.n_bins)
@@ -454,7 +456,7 @@ def _cmd_gauss_both_restricted(ns, metadata):
         return
     if ns.centers is None:
         raise UsageError(f"{ns.mode} mode needs --centers lo hi steps")
-    centers = _linspace(*ns.centers)
+    centers = _linspace(*ns.centers, None if ns.mode == "grid" else 1)
     if ns.mode == "grid":
         dist = two_party_map(model, centers, centers_b=centers,
                              half_width=half, half_width_b=half_b, n_bins=ns.n_bins)
@@ -471,7 +473,7 @@ def _cmd_gauss_both_restricted(ns, metadata):
 
 def _cmd_gauss_classical_map(ns, metadata):
     _require(ns, "alpha", "centers", "width")
-    centers = _linspace(*ns.centers)
+    centers = _linspace(*ns.centers, None)
     dist = probability_map(_model(ns), centers, centers, ns.width / 2.0,
                            (ns.width_b / 2.0) if ns.width_b is not None else None,
                            kind=f"{ns.kind}_probability")

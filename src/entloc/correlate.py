@@ -223,7 +223,8 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
     classical widths; "classical" fits the numeric joint and conditional
     probability maps at the given region half width; "quantum" fits the
     numeric entanglement map. Both maps run on scan_axis(-extent, extent,
-    steps), which is its own mirror image; its cells are reduced to their
+    steps), which is its own mirror image and refuses steps x steps cells
+    past the cell budget before it is built; its cells are reduced to their
     symmetry orbits once per scan (restrict._map_orbits), and each coupling
     solves only the orbits (_joint_map, restrict._two_party_cells). Fit
     failures propagate.
@@ -231,7 +232,7 @@ def sigma_vs_alpha_scan(alphas, *, which: str = "classical",
     if which not in ("small_a_analytic", "classical", "quantum"):
         raise DomainError(f"unknown scan branch {which!r}")
     if which != "small_a_analytic":
-        centers = scan_axis(-extent, extent, steps)
+        centers = scan_axis(-extent, extent, steps, None)
         orbits = _map_orbits(centers, centers, half_width, half_width)
     rows = []
     for alpha in alphas:

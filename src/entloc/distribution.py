@@ -9,6 +9,13 @@ import numpy as np
 
 from .errors import DomainError
 
+# The most cells of a map, scan or sweep. Through cli.run, a command's
+# tracemalloc peak grows by at most about 990 bytes a cell (gauss-inequality's
+# JSON cell list; two-party maps and profiles 420-670, one-party maps, spin
+# surfaces and classical maps 160-390), so a map at the budget peaks within
+# restrict.KERNEL_BYTES (512 MiB).
+MAX_CELLS = 1 << 19
+
 
 def check_span(lo: float, hi: float, what: str) -> None:
     """Refuse with DomainError, naming them, the bounds lo and hi of what
@@ -18,13 +25,24 @@ def check_span(lo: float, hi: float, what: str) -> None:
                           "and have a finite span")
 
 
-def scan_axis(lo: float, hi: float, steps: int) -> np.ndarray:
+def check_cells(cells: int) -> None:
+    """Refuse with DomainError a map, scan or sweep of more than MAX_CELLS
+    cells."""
+    if cells > MAX_CELLS:
+        raise DomainError(f"a map or scan of {cells} cells is past the budget of "
+                          f"{MAX_CELLS} cells")
+
+
+def scan_axis(lo: float, hi: float, steps: int, other_axis: int | None = 1) -> np.ndarray:
     """np.linspace(lo, hi, steps), made its own mirror image bit for bit when
     lo == -hi, so that mirrored cells of a map meet exactly. Fewer than 2
-    steps, and bounds that check_span refuses, are refused with DomainError."""
+    steps, bounds that check_span refuses, and a map of steps x other_axis
+    cells (other_axis None: the axis is both of the map's) past MAX_CELLS
+    (check_cells) are refused with DomainError before the axis is built."""
     if steps < 2:
         raise DomainError(f"a scan axis needs at least 2 steps, got {steps}")
     check_span(lo, hi, "scan axis")
+    check_cells(steps * (steps if other_axis is None else other_axis))
     x = np.linspace(lo, hi, steps)
     return (x - x[::-1]) / 2.0 if lo == -hi else x
 

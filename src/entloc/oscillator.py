@@ -132,7 +132,8 @@ def ground_state_constants(model: OscillatorModel) -> GroundStateConstants:
 
 
 def two_particle_wavefunction(model: OscillatorModel, qa, qb):
-    """Unnormalized ground-state amplitude exp(-q^T L q); vectorized.
+    """Unnormalized ground-state amplitude exp(-q^T L q); vectorized, in place
+    in one array of qa and qb broadcast, beside one temporary of its size.
 
     The symmetric mode is spring-free: psi(q, q) = exp(-q^2/2) for every
     coupling, while psi(q, -q) narrows with the stiff mode.
@@ -142,8 +143,12 @@ def two_particle_wavefunction(model: OscillatorModel, qa, qb):
     s = model.stiffness_root
     l_diag = (1.0 + s) / 8.0
     l_off = (1.0 - s) / 8.0
-    exponent = l_diag * (qa * qa + qb * qb) + 2.0 * l_off * qa * qb
-    return np.exp(-exponent)
+    psi = np.asarray(qa * qa + qb * qb)
+    psi *= l_diag
+    psi += 2.0 * l_off * qa * qb
+    np.negative(psi, out=psi)
+    np.exp(psi, out=psi)
+    return psi[()]
 
 
 def reduced_density_value(model: OscillatorModel, qa, qa_prime):

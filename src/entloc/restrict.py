@@ -44,10 +44,12 @@ any square map, mirrored ones only where an axis holds the exact negative of
 a center, as every distribution.scan_axis centred on 0 does (the CLI's axes
 and the sigma scan's).
 Every spectrum of a cell is the normalized eigvalsh of a symmetric matrix
-(_normalized_eigvalsh): of a Gram stack for maps (_gram_weights), one
-LAPACK call per chunk, and of the one assembled matrix of a single-kernel
-cell. Alice's reduced kernel K is taken in Nystrom form, sqrt(w_g) K(x_g,
-x_h) sqrt(w_h) on a rule (x, w). A one-party map solves each width's cells
+(_normalized_eigvalsh): for every map cell, of the Gram matrix X X^T of a
+stack of matrices X, one LAPACK call per chunk (_chunked_entropies: two-party
+cells pass their amplitude matrices, one-party ones their weighted kernel
+factors), and of the one assembled matrix of a single-kernel cell. Alice's
+reduced kernel K is taken in Nystrom form, sqrt(w_g) K(x_g, x_h) sqrt(w_h)
+on a rule (x, w). A one-party map solves each width's cells
 on the numerical rank r of their shared kernel, as r x r Gram matrices
 (_kernel_entropies), on the Gauss rule of Alice's grid's own unit-weight
 sum (quadrature.grid_gauss), which converges exponentially to the spectrum
@@ -93,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import Distribution2D, check_span
+from .distribution import Distribution2D, check_cells, check_span
 from .errors import (
     DomainError,
     EmptyRegionMass,
@@ -247,6 +249,7 @@ class Partition(NamedTuple):
         check_span(lo, hi, "partition")
         if hi <= lo or n_segments < 1:
             raise DomainError("uniform partition needs lo < hi and >= 1 segment")
+        check_cells(n_segments)  # before its edges: no map has more cells
         if tail_handling not in TAIL_HANDLINGS:
             raise DomainError(f"unknown tail handling {tail_handling!r}")
         return Partition(tuple(np.linspace(lo, hi, n_segments + 1).tolist()), tail_handling)
@@ -602,44 +605,18 @@ def _normalized_eigvalsh(matrices: np.ndarray) -> np.ndarray:
     return lam / lam.sum(axis=-1, keepdims=True)
 
 
-def _gram_weights(x: np.ndarray) -> np.ndarray:
-    """Normalized eigenvalues of the Gram matrix X^T X of each matrix X of
-    the stack x, in ascending order: the squared singular values of X over
-    their sum, from one batched product and _normalized_eigvalsh."""
-    return _normalized_eigvalsh(np.matmul(x.transpose(0, 2, 1), x))
-
-
 def _amplitudes(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
                 xb: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """The stack of amplitude matrices M = sqrt(Wa) psi sqrt(Wb), one per cell.
 
     Row i of xa (and of its weights wa) holds the nodes of cell i on Alice's
-    side, row i of xb and wb those on Bob's. psi is assembled in place and
-    scaled to peak 1 per cell.
+    side, row i of xb and wb those on Bob's. psi is two_particle_wavefunction
+    on the cell's nodes, scaled to peak 1 per cell.
     """
-    l_diag, l_off = ground_state_constants(model).l_matrix[0]
-    # exp(-(l_diag (x^2 + y^2) + 2 l_off x y)) in place, in the operation order
-    # of two_particle_wavefunction, so Gauss-Legendre cells match it bit for bit
-    matrix = np.add((xa * xa)[:, :, None], (xb * xb)[:, None, :])
-    matrix *= l_diag
-    matrix += ((2.0 * l_off) * xa)[:, :, None] * xb[:, None, :]
-    np.negative(matrix, out=matrix)
-    np.exp(matrix, out=matrix)
+    matrix = two_particle_wavefunction(model, xa[:, :, None], xb[:, None, :])
     matrix *= np.sqrt(wa)[:, :, None] / matrix.max(axis=(1, 2), keepdims=True)
     matrix *= np.sqrt(wb)[:, None, :]
     return matrix
-
-
-def _schmidt_weights(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
-                     xb: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Normalized Schmidt weights of each cell's amplitude matrix M
-    (_amplitudes), in descending order: the eigenvalues of its Gram matrix M
-    M^T, one batched LAPACK call for all cells (_gram_weights). On 11865
-    live cells (alpha 0.05 to 1e4, half widths 0.05 to 4, centers within 6,
-    a third on 10 to 400 bin grids) their entropies are within 1.4e-14 ebit
-    of those of M's squared singular values.
-    """
-    return _gram_weights(_amplitudes(model, xa, wa, xb, wb).transpose(0, 2, 1))[:, ::-1]
 
 
 def _low_rank_factor(kernel: np.ndarray) -> np.ndarray:
@@ -652,21 +629,17 @@ def _low_rank_factor(kernel: np.ndarray) -> np.ndarray:
     return q[:, keep] * np.sqrt(lam[keep])
 
 
-def _factored_weights(factor: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Normalized nonzero eigenvalues of diag(d_i) G G^T diag(d_i) for each
-    row d_i of d, G being factor (n, r): those of the r x r Gram matrix
-    X^T X, X = diag(d_i) G, one batched eigensolve for all cells
-    (_gram_weights)."""
-    return _gram_weights(d[:, :, None] * factor)
-
-
-def _chunked_entropies(spectra, cell_bytes: int, *sides: np.ndarray) -> np.ndarray:
-    """Entropy of each cell's spectrum, spectra(*rows) on the rows of the
-    arrays in sides, with one call per chunk of cells of cell_bytes each that
-    fits CHUNK_BYTES."""
+def _chunked_entropies(stack, cell_bytes: int, *sides: np.ndarray) -> np.ndarray:
+    """Entropy of each cell's Gram spectrum: the normalized eigenvalues of X
+    X^T for each matrix X of the stack stack(*rows), built on the rows of the
+    arrays in sides, one batched product and one LAPACK call
+    (_normalized_eigvalsh) per chunk of cells of cell_bytes each that fits
+    CHUNK_BYTES. Every map cell's spectrum is taken here."""
     out = np.empty(sides[0].shape[0])
     for cells in _cell_slices(out.size, cell_bytes):
-        out[cells] = spectral_entropy_bits(spectra(*(side[cells] for side in sides)))
+        x = stack(*(side[cells] for side in sides))
+        out[cells] = spectral_entropy_bits(_normalized_eigvalsh(np.matmul(x, x.transpose(0, 2, 1))))
+        del x  # the next chunk's stack is built without this one
     return out
 
 
@@ -680,10 +653,9 @@ def _kernel_entropies(model: OscillatorModel, centers: np.ndarray, half: float,
     exp(-c2 half^2 (u_g - u_h)^2) shared by the centers and d = sqrt(w)
     exp(-x^2 / (4 sigma^2)) one row per center. One eigendecomposition
     factors E ~ G G^T on its numerical rank r (_low_rank_factor), and each
-    center's nonzero eigenvalues are those of the r x r matrix X^T X, X =
-    diag(d) G (_factored_weights), with one batched call per chunk of
-    CHUNK_BYTES. d is at most 1 and each row of G has norm about 1, the
-    diagonal of E, so nothing overflows.
+    center's nonzero eigenvalues are those of the r x r Gram matrix X X^T of
+    X = (diag(d) G)^T (_chunked_entropies). d is at most 1 and each row of G
+    has norm about 1, the diagonal of E, so nothing overflows.
     """
     gs = ground_state_constants(model)
     x = centers[:, None] + half * u
@@ -691,18 +663,22 @@ def _kernel_entropies(model: OscillatorModel, centers: np.ndarray, half: float,
     shared = _low_rank_factor(
         np.exp(-np.square((math.sqrt(gs.c2) * half) * (u[:, None] - u[None, :]))))
     # 8 bytes an entry of the (cells, n, r) stack, the largest array of a chunk
-    return _chunked_entropies(lambda rows: _factored_weights(shared, rows),
+    return _chunked_entropies(lambda rows: (rows[:, :, None] * shared).transpose(0, 2, 1),
                               8 * shared.size, d)
 
 
 def _entropies(model: OscillatorModel, xa: np.ndarray, wa: np.ndarray,
                xb: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Entropy of each cell's Schmidt weights (see _schmidt_weights), with one
-    Gram eigensolve per chunk of cells whose amplitude stack, together with
-    the larger of its Gram stack and the one temporary of the stack's size
-    that its assembly makes, fits CHUNK_BYTES."""
+    """Entropy of each cell's Schmidt weights: the normalized eigenvalues of
+    the Gram matrix M M^T of its amplitude matrix M (_amplitudes), with one
+    eigensolve per chunk of cells whose amplitude stack, together with the
+    larger of its Gram stack and the one temporary of the stack's size that
+    its assembly makes, fits CHUNK_BYTES (_chunked_entropies). On 11865 live
+    cells (alpha 0.05 to 1e4, half widths 0.05 to 4, centers within 6, a
+    third on 10 to 400 bin grids) they are within 1.4e-14 ebit of the
+    entropies of M's squared singular values."""
     na, nb = xa.shape[1], xb.shape[1]
-    return _chunked_entropies(lambda *rows: _schmidt_weights(model, *rows),
+    return _chunked_entropies(lambda *rows: _amplitudes(model, *rows),
                               8 * na * (nb + max(na, nb)), xa, wa, xb, wb)
 
 
@@ -1029,7 +1005,8 @@ def _two_party_orbits(centers_a, half_a, centers_b, half_b):
     half_a and half_b give, even when there are no cells, and, of the cells
     centers_a[i] +- half_a[i] by centers_b[i] +- half_b[i] (see _cell_arrays),
     the distinct canonical images in lexicographic order of their bounds, cell
-    i having image inverse[i].
+    i having image inverse[i]. More cells than the budget
+    (distribution.check_cells) are refused before any cell array is built.
 
     psi(q_a, q_b) = psi(q_b, q_a) = psi(-q_a, -q_b), so the cells A x B,
     B x A, -A x -B and -B x -A have one joint mass and one set of Schmidt
@@ -1040,7 +1017,9 @@ def _two_party_orbits(centers_a, half_a, centers_b, half_b):
     canonical image, bit for bit, and with it one mass and one amplitude
     matrix on any rule (_rule).
     """
-    ca, ha, cb, hb = (part.ravel() for part in _cell_arrays(centers_a, half_a, centers_b, half_b))
+    parts = _cell_arrays(centers_a, half_a, centers_b, half_b)
+    check_cells(parts[0].size)
+    ca, ha, cb, hb = (part.ravel() for part in parts)
     width = 2.0 * max(np.max(half_a, initial=0.0), np.max(half_b, initial=0.0))
     bounds = np.stack([ca - ha, ca + ha, cb - hb, cb + hb], axis=-1)
     (ka_lo, ka_hi), (kb_lo, kb_hi) = _mirror_key(*bounds.T[:2]), _mirror_key(*bounds.T[2:])
@@ -1132,11 +1111,13 @@ def one_party_map(model: OscillatorModel, centers, widths,
     two-party cell of that width is. Masses are in closed form.
     Extra layers: "prob", "flag" (1 for a cell below EMPTY_MASS: value 0,
     probability 0) and "rescaled", each width's profile over its own peak.
-    An empty centers gives an empty surface.
+    An empty centers gives an empty surface. More cells than the budget
+    (distribution.check_cells) are refused before any cell array is built.
     """
     n_bins = _n_bins(n_bins, DEFAULT_BINS_ONE)
     centers = np.asarray(centers, dtype=np.float64)
     widths = np.asarray(widths, dtype=np.float64)
+    check_cells(centers.size * widths.size)
     halves = widths / 2.0
     reps, inverse = np.unique(-np.abs(centers), return_inverse=True)
     rep_centers, rep_halves = _cell_arrays(reps[:, None], halves[None, :])

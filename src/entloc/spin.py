@@ -11,11 +11,13 @@ i.e. Alice's index is the most significant pair, so the A|B cut is the
 (4, 4) split used by the partial transpose and partial trace.
 
 Every value is a closed form in the four Schmidt coefficients of the pure
-state: spin_scan's surface, whose (0, 0) cell on one-element axes is
-spin_entropy and spin_negativity, negativity_vanish_point and the
+state (_schmidt_coefficients), which build_pure_state writes into the
+16-component state: spin_scan's surface, whose (0, 0) cell on one-element
+axes is spin_entropy and spin_negativity, negativity_vanish_point and the
 restricted sweep of negativity_vs_purity. The tests hold them to the 16x16
 matrices, which they build themselves. The unrestricted sweep alone still
-builds and eigensolves the 16x16 mixed state at every F.
+blends, checks and eigensolves the 16x16 mixed state at every F, from one
+pure state per sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .distribution import Distribution2D
+from .distribution import Distribution2D, check_cells
 from .errors import DomainError, ZeroNormSubspace
 from .linalg import DensityMatrix, negativity, spectral_entropy_bits
 
@@ -35,23 +37,25 @@ _PAIR_K, _PAIR_L = np.triu_indices(4, 1)
 
 
 def build_pure_state(theta1: float, theta2: float) -> np.ndarray:
-    """Unit-norm 16-component product of the two entangled pairs."""
+    """Unit-norm 16-component product of the two entangled pairs: the four
+    Schmidt coefficients at |x y x y>, indices 10 x + 5 y; angles that are
+    not finite are refused with DomainError."""
     psi = np.zeros(DIM)
-    for x, amp1 in ((0, math.cos(theta1)), (1, math.sin(theta1))):
-        for y, amp2 in ((0, math.cos(theta2)), (1, math.sin(theta2))):
-            psi[8 * x + 4 * y + 2 * x + y] = amp1 * amp2
+    psi[::5] = _schmidt_coefficients(np.array([theta1]), np.array([theta2]))[0, 0]
     return psi
 
 
 def build_mixed_state(theta1: float, theta2: float, F: float) -> DensityMatrix:
-    """Pure projector blended with the maximally mixed state.
-
-    rho = (16F - 1)/15 |psi><psi| + (1 - F)/15 * identity; F = 1 is pure,
-    F = 1/16 is maximally mixed.
-    """
+    """Pure projector blended with the maximally mixed state (_blend); F outside
+    [1/16, 1] is refused with DomainError."""
     if not 1.0 / 16.0 <= F <= 1.0:
         raise DomainError(f"F must lie in [1/16, 1], got {F}")
-    psi = build_pure_state(theta1, theta2)
+    return _blend(build_pure_state(theta1, theta2), F)
+
+
+def _blend(psi: np.ndarray, F: float) -> DensityMatrix:
+    """rho = (16F - 1)/15 |psi><psi| + (1 - F)/15 * identity; F = 1 is pure,
+    F = 1/16 is maximally mixed."""
     rho = psi[:, None] * psi
     rho *= (16.0 * F - 1.0) / 15.0
     rho += 0.0  # a -0.0 (zero amplitude times a negative one) reads +0.0
@@ -62,10 +66,9 @@ def build_mixed_state(theta1: float, theta2: float, F: float) -> DensityMatrix:
 def _schmidt_coefficients(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Schmidt coefficients (c1c2, c1s2, s1c2, s1s2) at every (theta1[i], theta2[j]).
 
-    Shape (n1, n2, 4). They are the amplitudes build_pure_state writes, bit
-    for bit: cos and sin come from math, as there, since a vectorized cos
-    may differ in the last bit. Entries 1 and 2 are the two amplitudes the
-    moment filter keeps.
+    Shape (n1, n2, 4). cos and sin come from math, whose values every
+    surface has been written with; a vectorized cos may differ in the last
+    bit. Entries 1 and 2 are the two amplitudes the moment filter keeps.
     """
     if not (np.isfinite(theta1).all() and np.isfinite(theta2).all()):
         raise DomainError("pair angles must be finite")
@@ -160,18 +163,21 @@ def negativity_vs_purity(theta1: float, theta2: float, f_values, *,
     """Negativity swept over the purity parameter at fixed angles.
 
     Returns a single-column surface whose first axis is F; singular
-    restricted points are masked. Every F and both angles are checked first.
+    restricted points are masked. Every F, both angles and the count of F
+    against the cell budget (distribution.check_cells) are checked first.
     The restricted sweep is spin_scan's closed form along F, bit for bit; the
-    unrestricted one builds and eigensolves the 16x16 mixed state at each F.
+    unrestricted one builds the pure state once and blends and eigensolves
+    the 16x16 mixed state at each F.
     """
     f_values = np.asarray(f_values, dtype=np.float64)
+    check_cells(f_values.size)
     _check_purity(f_values)
     s = _schmidt_coefficients(np.array([theta1]), np.array([theta2]))[0, 0]
     if restricted:
         values, prob, mask = _filtered_negativity(s[1], s[2], f_values)
     else:
-        values = np.array([_negativity(build_mixed_state(theta1, theta2, f))
-                           for f in f_values])
+        psi = build_pure_state(theta1, theta2)
+        values = np.array([_negativity(_blend(psi, f)) for f in f_values])
         prob, mask = np.ones(f_values.size), np.zeros(f_values.size, dtype=bool)
     return Distribution2D(axis_a=f_values, axis_b=np.array([theta1]),
                           values=values[:, None], kind="entanglement",
@@ -207,9 +213,11 @@ def spin_scan(theta1_values, theta2_values, *, measure: str = "entropy",
 
 def _surface(t1: np.ndarray, t2: np.ndarray, measure: str, restricted: bool,
              F: float) -> Distribution2D:
-    """spin_scan's surface on the axes t1 and t2, of any size."""
+    """spin_scan's surface on the axes t1 and t2, of any size within the cell
+    budget (distribution.check_cells)."""
     if measure not in ("entropy", "negativity"):
         raise DomainError(f"unknown measure {measure!r}")
+    check_cells(t1.size * t2.size)
     _check_purity(F)
     s = _schmidt_coefficients(t1, t2)
     a, b = s[..., 1], s[..., 2]

@@ -25,7 +25,7 @@ from entloc.cli import (
     run,
 )
 from entloc.correlate import fit_surface, sigma_vs_alpha_scan
-from entloc.distribution import Distribution2D, scan_axis
+from entloc.distribution import MAX_CELLS, Distribution2D, scan_axis
 from entloc.restrict import _two_party_orbits
 
 
@@ -459,6 +459,35 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == 2
         assert json.loads(err)["error"] == "QuadratureNotConverged"
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv", [
+        # 1e10 cells: their bounds alone would take 298 GiB
+        ["gauss-both-restricted", "--alpha", "6", "--mode", "grid", "--width", "0.5",
+         "--centers", "-4", "4", "100000"],
+        ["gauss-classical-map", "--alpha", "6", "--width", "0.5",
+         "--centers", "-4", "4", "100000"],
+        ["gauss-sigma-scan", "--alphas", "1", "--which", "quantum", "--steps", "100000"],
+        # 1e8 cells, on an axis of 763 MiB
+        ["gauss-one-restricted", "--alpha", "6", "--centers", "-4", "4", "100000000",
+         "--widths", "0.5"],
+        ["spin-scan", "--steps", "200000"],
+        ["spin-negativity-scan", "--f-range", "0.0625", "1", "1000000000"],
+        # its edges alone would take 7.5 GiB
+        ["gauss-inequality", "--alpha", "6", "--grid-a", "1000000000", "--grid-b", "2"],
+    ])
+    def test_oversized_maps_refused_before_any_axis(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_capture(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "DomainError"
+        assert f"budget of {MAX_CELLS} cells" in error["message"]
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv,bound", [

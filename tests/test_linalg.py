@@ -576,10 +576,10 @@ LAPACK_SITES = {
         np.linalg, "eigvalsh", None, lambda: von_neumann_entropy(MIXED),
         "eigen_symmetric",
         lambda tmp: ["gauss-one-restricted", "--alpha", "6", "--qbar", "0", "--width", "1"]),
-    "schmidt_weights-eigvalsh": (
+    "two_party_gram-eigvalsh": (
         np.linalg, "eigvalsh", None,
         lambda: both_restricted_entropy(MODEL, Region(0.0, 1.0), Region(0.5, 1.0)),
-        "_schmidt_weights", lambda tmp: BOTH_CELL),
+        "_chunked_entropies", lambda tmp: BOTH_CELL),
     "low_rank_factor-eigh": (
         np.linalg, "eigh", None, lambda: one_party_map(MODEL, [0.0, 1.0], [1.0]),
         "_low_rank_factor", lambda tmp: ONE_MAP),
@@ -592,9 +592,9 @@ LAPACK_SITES = {
         np.linalg, "eigvalsh", None,
         lambda: precise_measurement_entanglement(MODEL, Region(0.0, 1.0)),
         "precise_measurement_entanglement", None),
-    "factored_weights-eigvalsh": (
+    "one_party_gram-eigvalsh": (
         np.linalg, "eigvalsh", None, lambda: one_party_map(MODEL, [0.0, 1.0], [1.0]),
-        "_factored_weights", lambda tmp: ONE_MAP),
+        "_chunked_entropies", lambda tmp: ONE_MAP),
     "grid_rule-eigh": (
         np.linalg, "eigh", quadrature._grid_rule,
         lambda: one_party_map(MODEL, [0.0, 1.0], [1.0]), "_grid_rule", lambda tmp: ONE_MAP),

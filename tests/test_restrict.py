@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import traceback
 import tracemalloc
 from unittest import mock
 
@@ -60,10 +62,10 @@ from entloc.restrict import (
     _erfc,
     _grid_points,
     _normal_interval,
+    _normalized_eigvalsh,
     _orbit_masses,
     _rule,
     _schmidt_nodes,
-    _schmidt_weights,
     _segments,
     _two_party_orbits,
     two_party_map,
@@ -79,6 +81,14 @@ def _sides(a_lo, a_hi, b_lo, b_hi, n, n_bins=None):
     """Nodes and weights of both sides of two-party cells, n per region on
     the rule that n_bins selects, as a two-party cell takes them."""
     return (*_rule(a_lo, a_hi, n, n_bins), *_rule(b_lo, b_hi, n, n_bins))
+
+
+def _cell_weights(model, *sides):
+    """Normalized Schmidt weights of two-party cells on the nodes and weights
+    sides, in ascending order, as the cells take them: the eigenvalues of the
+    Gram matrix M M^T of each amplitude matrix M."""
+    m = _amplitudes(model, *sides)
+    return _normalized_eigvalsh(np.matmul(m, m.transpose(0, 2, 1)))
 
 
 class TestErfcKernel:
@@ -390,9 +400,9 @@ class TestOneRestricted:
         # and the Schmidt weights of a two-party cell
         both = both_restricted_entropy(MODEL, Region(0.5, 1.0), Region(-0.5, 0.7))
         width, bounds, _ = _two_party_orbits([0.5], 1.0, [-0.5], 0.7)
-        weights = _schmidt_weights(MODEL, *_sides(*bounds, both.resolution))
+        weights = _cell_weights(MODEL, *_sides(*bounds, both.resolution))
         assert weights.shape == (1, both.spectrum_size)
-        assert weights[0, -1] >= -1e-9
+        assert weights.min() >= -1e-9
         assert weights.sum() == pytest.approx(1.0, abs=1e-10)
         assert float(spectral_entropy_bits(weights)[0]) == both.entanglement
 
@@ -1121,9 +1131,9 @@ class TestGaussLegendreEngine:
             edges = (cells[:, 0] - width / 2, cells[:, 0] + width / 2,
                      cells[:, 1] - width / 2, cells[:, 1] + width / 2)
             base = spectral_entropy_bits(
-                _schmidt_weights(model, *_sides(*edges, n)))
+                _cell_weights(model, *_sides(*edges, n)))
             fine = spectral_entropy_bits(
-                _schmidt_weights(model, *_sides(*edges, 2 * n)))
+                _cell_weights(model, *_sides(*edges, 2 * n)))
             assert np.all(np.abs(base - fine) <= 1e-12)
             for (qa, qb), value in zip(cells, base):
                 cell = both_restricted_entropy(model, Region(qa, width / 2),
@@ -1147,7 +1157,7 @@ class TestGaussLegendreEngine:
         live = prob >= EMPTY_MASS
         assume(live.any())
         sides = _sides(*(edge[live] for edge in bounds), n, n_bins)
-        gram = spectral_entropy_bits(_schmidt_weights(model, *sides))
+        gram = spectral_entropy_bits(_cell_weights(model, *sides))
         sigma = np.linalg.svd(_amplitudes(model, *sides), compute_uv=False)
         weights = sigma * sigma
         svd = spectral_entropy_bits(weights / weights.sum(axis=1, keepdims=True))
@@ -1233,9 +1243,9 @@ class TestGaussLegendreEngine:
     def test_one_cell_chunks_change_no_byte(self, monkeypatch):
         import entloc.restrict as restrict
         calls, mass_calls = [], []
-        weights, density = restrict._schmidt_weights, restrict.marginal_position_density
-        monkeypatch.setattr(restrict, "_schmidt_weights",
-                            lambda model, *a: calls.append(len(a[0])) or weights(model, *a))
+        amplitudes, density = restrict._amplitudes, restrict.marginal_position_density
+        monkeypatch.setattr(restrict, "_amplitudes",
+                            lambda model, *a: calls.append(len(a[0])) or amplitudes(model, *a))
         monkeypatch.setattr(restrict, "marginal_position_density",
                             lambda model, x: mass_calls.append(len(x)) or density(model, x))
         centers = np.linspace(-4.0, 4.0, 9)
@@ -1272,6 +1282,36 @@ class TestGaussLegendreEngine:
             assert other.entanglement == pytest.approx(base.entanglement, abs=1e-9)
             assert other.survival_probability == pytest.approx(base.survival_probability,
                                                                rel=1e-11)
+
+
+@pytest.mark.parametrize("solve_map", [
+    lambda: two_party_map(MODEL, np.linspace(-4.0, 4.0, 9), np.linspace(-3.0, 5.0, 9), 0.5),
+    lambda: one_party_map(MODEL, np.linspace(-4.0, 4.0, 9), widths=[0.5, 1.0, 4.0]),
+])
+def test_map_spectra_reach_lapack_once_per_chunk(solve_map, monkeypatch):
+    # every eigensolve of a map's cells runs in _chunked_entropies, one a chunk
+    import entloc.restrict as restrict
+    solves, chunks = [], []
+    lapack, cell_slices = restrict.lapack, restrict._cell_slices
+
+    def traced_lapack(solver, *args):
+        if solver is np.linalg.eigvalsh:
+            solves.append([frame.name for frame in traceback.extract_stack()])
+        return lapack(solver, *args)
+
+    def traced_slices(k, cell_bytes):
+        slices = cell_slices(k, cell_bytes)
+        if sys._getframe(1).f_code.co_name == "_chunked_entropies":
+            chunks.append(len(slices))
+        return slices
+
+    monkeypatch.setattr(restrict, "lapack", traced_lapack)
+    monkeypatch.setattr(restrict, "_cell_slices", traced_slices)
+    monkeypatch.setattr(restrict, "CHUNK_BYTES", 1 << 12)
+    solve_map()
+    assert sum(chunks) > len(chunks)  # a call with more than one chunk
+    assert len(solves) == sum(chunks)
+    assert all("_chunked_entropies" in frames for frames in solves)
 
 
 class TestOnePartyMap:
@@ -1390,9 +1430,9 @@ class TestOnePartyMap:
         from entloc.cli import _linspace
         centers = _linspace(-4.0, 4.0, 81)
         calls = []
-        weights = restrict._factored_weights
-        monkeypatch.setattr(restrict, "_factored_weights",
-                            lambda factor, d: calls.append(len(d)) or weights(factor, d))
+        solve = restrict._normalized_eigvalsh
+        monkeypatch.setattr(restrict, "_normalized_eigvalsh",
+                            lambda gram: calls.append(len(gram)) or solve(gram))
         whole = one_party_map(MODEL, centers, widths=self.WIDTHS)
         assert np.count_nonzero(centers <= 0.0) == 41
         live = int((whole.extra["flag"][centers <= 0.0] == 0.0).sum())
@@ -1408,7 +1448,7 @@ class TestOnePartyMap:
     def test_node_cap_refuses_before_any_array(self, monkeypatch):
         import entloc.restrict as restrict
         built = []
-        for name in ("gauss_legendre", "grid_gauss", "marginal_masses", "_schmidt_weights"):
+        for name in ("gauss_legendre", "grid_gauss", "marginal_masses", "_chunked_entropies"):
             monkeypatch.setattr(restrict, name, lambda *a, _name=name: built.append(_name))
         with pytest.raises(QuadratureNotConverged, match=f"cap of {MAX_NODES}"):
             one_party_map(OscillatorModel(alpha=1e12), [0.0, 1.0], widths=[0.5, 1.0])
@@ -1697,7 +1737,7 @@ class TestSymmetryOrbits:
         live = mass >= EMPTY_MASS
         entropy = np.zeros(mass.size)
         if live.any():
-            entropy[live] = spectral_entropy_bits(_schmidt_weights(
+            entropy[live] = spectral_entropy_bits(_cell_weights(
                 model, *_sides(*(edge[live] for edge in bounds), n, n_bins)))
         assert np.array_equal(dist.extra["flag"].ravel(), ~live)
         assert np.all(np.abs(dist.values.ravel() - entropy) <= 1e-14)

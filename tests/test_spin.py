@@ -232,6 +232,14 @@ class TestMixedState:
         with pytest.raises(DomainError):
             build_mixed_state(0.1, 0.1, 1.01)
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angles_refused(self, angle):
+        # the states take their amplitudes from the closed forms' coefficients
+        for build in (lambda: build_pure_state(angle, 0.3), lambda: build_pure_state(0.3, angle),
+                      lambda: build_mixed_state(angle, 0.3, 0.5)):
+            with pytest.raises(DomainError, match="pair angles must be finite"):
+                build()
+
 
 class TestRestriction:
     def test_double_bell_projection(self):
